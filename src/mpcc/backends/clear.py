@@ -6,7 +6,9 @@ number of gate evaluations is |nodes| regardless of input values.
 """
 
 from ..circuit import Circuit, GateKind, Level
-from ..errors import LevelError, MissingInputError, OverflowContractError
+from ..errors import (
+    LevelError, MissingInputError, MuxSelectorError, OverflowContractError,
+)
 
 
 def flatten_inputs(parties: dict) -> dict[tuple[int, str], int]:
@@ -73,7 +75,9 @@ class ClearInterpreter:
                     v = int(values[a[0]] == values[a[1]])
                 case GateKind.MUX:
                     sel = values[a[0]]
-                    assert sel in (0, 1), f"mux selector {sel} is not a bit"
+                    if sel not in (0, 1):
+                        raise MuxSelectorError(
+                            f"mux selector {sel} is not a bit")
                     v = values[a[1]] if sel else values[a[2]]
                 case GateKind.REVEAL:
                     v = values[a[0]]

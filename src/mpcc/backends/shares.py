@@ -2,6 +2,12 @@
 explicit offline phase (Beaver triples, random bits) feeding an online
 gate-by-gate simulation.
 
+The offline phase fixes every triple and every random bit by a seed
+drawn from the simulator's generator, and a triple expands its share
+vectors from that seed only when they are first read. An idealized
+comparison burns its preprocessing without reading it, so only the
+triples that Mul and Mux gates use are ever expanded.
+
 All parties run inside one process, but their share tables are kept
 separate: crossing them is only possible through `reconstruct`, and the
 simulator logs every reconstruction with the context that performed it
@@ -27,7 +33,6 @@ from ..errors import (
 from ..estimator import CostModel, additive_model, estimate
 
 PRIME = (1 << 61) - 1
-INPUT_LIMIT = 1 << 31
 
 ROUNDS_PER_COMPARISON = 7
 MULTICASTS_PER_COMPARISON = 7
@@ -79,32 +84,74 @@ def reconstruct(sv: ShareVector, p: int = PRIME) -> int:
     return sum(sv.shares) % p
 
 
-@dataclass
 class BeaverTriple:
-    a: ShareVector
-    b: ShareVector
-    c: ShareVector
-    consumed: bool = False
+    """Shares of a, b and c = a*b mod p, fixed by `seed`: `.a`, `.b` and
+    `.c` are expanded from it, all three at once, on the first read."""
+
+    __slots__ = ("n", "seed", "p", "consumed", "_abc")
+
+    def __init__(self, n: int, seed: int, p: int = PRIME):
+        self.n = n
+        self.seed = seed
+        self.p = p
+        self.consumed = False
+        self._abc: tuple[ShareVector, ShareVector, ShareVector] | None = None
+
+    @property
+    def expanded(self) -> bool:
+        return self._abc is not None
+
+    def _shares(self) -> tuple[ShareVector, ShareVector, ShareVector]:
+        if self._abc is None:
+            rng, n, p = random.Random(self.seed), self.n, self.p
+            a = rng.randrange(p)
+            b = rng.randrange(p)
+            self._abc = (share(a, n, rng, p), share(b, n, rng, p),
+                         share(a * b % p, n, rng, p))
+        return self._abc
+
+    @property
+    def a(self) -> ShareVector:
+        return self._shares()[0]
+
+    @property
+    def b(self) -> ShareVector:
+        return self._shares()[1]
+
+    @property
+    def c(self) -> ShareVector:
+        return self._shares()[2]
 
 
 def make_triple(n: int, rng: random.Random, p: int = PRIME) -> BeaverTriple:
-    a = rng.randrange(p)
-    b = rng.randrange(p)
-    return BeaverTriple(share(a, n, rng, p), share(b, n, rng, p),
-                        share(a * b % p, n, rng, p))
+    """A triple for n parties whose randomness is fixed now, by one seed
+    drawn from `rng`."""
+    if n < 2:
+        raise PlayerMismatchError("need at least 2 parties")
+    return BeaverTriple(n, rng.getrandbits(64), p)
+
+
+def random_bit(n: int, seed: int, p: int = PRIME) -> ShareVector:
+    """The shared uniform bit that an offline-phase seed stands for."""
+    rng = random.Random(seed)
+    return share(rng.randrange(2), n, rng, p)
 
 
 def beaver_mul(x: ShareVector, y: ShareVector, t: BeaverTriple,
-               p: int = PRIME) -> ShareVector:
-    """One multiplication: open d = x-a and e = y-b, then combine
+               p: int = PRIME, open=None) -> ShareVector:
+    """One multiplication: open only the masked d = x-a and e = y-b
+    (through `open`, which defaults to `reconstruct`), then combine
     c + d*b + e*a + d*e share-wise (the d*e constant lands on player 0)."""
+    if open is None:
+        def open(sv):
+            return reconstruct(sv, p)
     if x.players != y.players or x.players != t.a.players:
         raise PlayerMismatchError("operands and triple must share players")
     if t.consumed:
         raise TripleExhaustedError("Beaver triple already consumed")
     t.consumed = True
-    d = (reconstruct(x, p) - reconstruct(t.a, p)) % p
-    e = (reconstruct(y, p) - reconstruct(t.b, p)) % p
+    d = open(_masked(x, t.a, p))
+    e = open(_masked(y, t.b, p))
     out = []
     for i in range(len(x.shares)):
         s = (t.c.shares[i] + d * t.b.shares[i] + e * t.a.shares[i]) % p
@@ -113,6 +160,13 @@ def beaver_mul(x: ShareVector, y: ShareVector, t: BeaverTriple,
         out.append(s)
     return ShareVector(out, x.players, x.threshold,
                        x.provider | y.provider, x.observers | y.observers)
+
+
+def _masked(x: ShareVector, mask: ShareVector, p: int) -> ShareVector:
+    """x - mask, share by share; a missing share of x stays missing."""
+    return ShareVector([None if s is None else (s - m) % p
+                        for s, m in zip(x.shares, mask.shares)],
+                       x.players, x.threshold)
 
 
 @dataclass
@@ -146,38 +200,40 @@ class SharedSimulator:
         self.trace = ExecTrace()
         self.open_log: list[tuple[str, int]] = []
         self.triples: list[BeaverTriple] = []
-        self.random_bits: list[ShareVector] = []
+        self.random_bits: list[int] = []  # seeds; see random_bit()
 
     # -- offline phase --
 
     def offline_phase(self):
         """Generate exactly the budget the estimator computes for the
         circuit: triples for multiplications and comparisons, random bits
-        for comparisons."""
+        for comparisons. Each is fixed here by a seed from `self.rng`."""
         report = estimate(self.circuit, self.model)
         n_triples = math.ceil(report.triples)
         n_bits = math.ceil(report.random_bits)
         self.triples = [make_triple(self.n, self.rng, self.p)
                         for _ in range(n_triples)]
-        self.random_bits = [share(self.rng.randrange(2), self.n, self.rng,
-                                  self.p) for _ in range(n_bits)]
+        self.random_bits = [self.rng.getrandbits(64) for _ in range(n_bits)]
 
-    def take_triple(self) -> BeaverTriple:
-        while self.triples:
-            t = self.triples.pop()
-            if not t.consumed:
-                self.trace.triples_consumed += 1
-                return t
-        raise BudgetExceededError(
-            "online phase needs more Beaver triples than the offline phase "
-            "produced")
+    def take_triples(self, count: int) -> list[BeaverTriple]:
+        """Take `count` triples off the pool in one slice."""
+        pool = self.triples
+        if count > len(pool):
+            raise BudgetExceededError(
+                "online phase needs more Beaver triples than the offline "
+                "phase produced")
+        start = len(pool) - count
+        taken = pool[start:]
+        del pool[start:]
+        self.trace.triples_consumed += count
+        return taken
 
     def take_bits(self, count: int):
         if count > len(self.random_bits):
             raise BudgetExceededError(
                 "online phase needs more random bits than the offline phase "
                 "produced")
-        del self.random_bits[-count:]
+        del self.random_bits[len(self.random_bits) - count:]
         self.trace.bits_consumed += count
 
     # -- share-table access --
@@ -203,23 +259,12 @@ class SharedSimulator:
     # -- online phase --
 
     def multiply(self, x: ShareVector, y: ShareVector) -> ShareVector:
-        t = self.take_triple()
-        t.consumed = True
-        d = self.local(lambda xs, as_: xs - as_, x, t.a)
-        e = self.local(lambda ys, bs: ys - bs, y, t.b)
-        d_open = self.open(d, "beaver-open")
-        e_open = self.open(e, "beaver-open")
+        [t] = self.take_triples(1)
+        out = beaver_mul(x, y, t, self.p,
+                         open=lambda sv: self.open(sv, "beaver-open"))
         self.trace.rounds += 1
         self.trace.multicasts += 2
-        out = []
-        for i in range(self.n):
-            s = (t.c.shares[i] + d_open * t.b.shares[i]
-                 + e_open * t.a.shares[i]) % self.p
-            if i == 0:
-                s = (s + d_open * e_open) % self.p
-            out.append(s)
-        return ShareVector(out, self.players, self.n,
-                           x.provider | y.provider, x.observers | y.observers)
+        return out
 
     def compare(self, kind: GateKind, x: ShareVector,
                 y: ShareVector) -> ShareVector:
@@ -232,8 +277,7 @@ class SharedSimulator:
         bpc = (self.model.bits_per_comparison
                if self.model.bits_per_comparison is not None
                else self.circuit.bitwidth)
-        for _ in range(math.ceil(tpc)):
-            self.take_triple()
+        self.take_triples(math.ceil(tpc))
         self.take_bits(math.ceil(bpc))
         self.trace.rounds += ROUNDS_PER_COMPARISON
         self.trace.multicasts += MULTICASTS_PER_COMPARISON
@@ -250,6 +294,10 @@ class SharedSimulator:
         table: list[ShareVector | None] = [None] * len(c.nodes)
         outputs: dict[str, int] = {}
         out_names = {nid: name for nid, _aud, name in c.outputs}
+        input_keys = {nid: (party, name) for nid, party, name in c.inputs}
+        # the range contract |v| < 2^(w-2), capped by what centered() can
+        # lift back out of the field: |v| < 2^60 for p = 2^61 - 1
+        limit_log = min(c.bitwidth - 2, (self.p // 2 + 1).bit_length() - 1)
         for nid in c.topological_eval_order():
             node = c.nodes[nid]
             a = node.operands
@@ -257,15 +305,14 @@ class SharedSimulator:
                 case GateKind.CONST:
                     sv = self.public(node.payload)
                 case GateKind.INPUT:
-                    party, name = next((p, nm) for i, p, nm in c.inputs
-                                       if i == nid)
+                    party, name = input_keys[nid]
                     if (party, name) not in inputs:
                         raise MissingInputError(
                             f"missing input {name} from party {party}")
                     v = int(inputs[(party, name)])
-                    if abs(v) >= INPUT_LIMIT:
+                    if abs(v) >= 1 << limit_log:
                         raise OverflowContractError(
-                            f"input {name}={v} exceeds |v| < 2^31")
+                            f"input {name}={v} exceeds |v| < 2^{limit_log}")
                     sv = share(v, self.n, self.rng, self.p,
                                provider=frozenset({party}),
                                observers=self.players)

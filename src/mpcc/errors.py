@@ -91,6 +91,10 @@ class OverflowContractError(CompilerError):
     pass
 
 
+class MuxSelectorError(CompilerError):
+    """A multiplexer selector evaluated to something other than 0 or 1."""
+
+
 class TripleExhaustedError(CompilerError):
     pass
 

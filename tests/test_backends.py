@@ -1,17 +1,24 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from conftest import build
+from mpcc.backends import shares
 from mpcc.backends.clear import flatten_inputs, interpret_clear
 from mpcc.backends.shares import (
-    PRIME, SharedSimulator, beaver_mul, centered, make_triple, reconstruct,
-    share, simulate_shared,
+    PRIME, SharedSimulator, beaver_mul, centered, make_triple, random_bit,
+    reconstruct, share, simulate_shared,
 )
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import (
     BudgetExceededError, IncompleteSharesError, MissingInputError,
-    OverflowContractError, PlayerMismatchError, TripleExhaustedError,
+    MuxSelectorError, OverflowContractError, PlayerMismatchError,
+    TripleExhaustedError,
 )
 from mpcc.estimator import CostModel, additive_model, estimate
 from mpcc.sectypes import owners
@@ -83,6 +90,48 @@ def test_overflow_contract_enforced():
     c = build("gcd", bitwidth=16)
     with pytest.raises(OverflowContractError):
         interpret_clear(c, {(1, "x"): 5, (1, "y"): 1 << 14})
+
+
+def mux_circuit() -> Circuit:
+    """out = s ? a : b, with the selector s a party's raw input."""
+    c = Circuit(bitwidth=16)
+    s = c.add_input(1, "s")
+    a = c.add_input(1, "a")
+    b = c.add_input(2, "b")
+    m = c.add_node(GateKind.MUX, (s, a, b))
+    r = c.add_node(GateKind.REVEAL, (m,), PlainMeta(owners(1, 2)))
+    c.add_output(r, owners(1, 2), "out")
+    return c
+
+
+def test_mux_selector_must_be_a_bit():
+    c = mux_circuit()
+    assert interpret_clear(c, {(1, "s"): 1, (1, "a"): 4, (2, "b"): 9}) == \
+        {"out": 4}
+    with pytest.raises(MuxSelectorError):
+        interpret_clear(c, {(1, "s"): 2, (1, "a"): 4, (2, "b"): 9})
+
+
+def test_mux_selector_check_survives_python_O():
+    """`python -O` strips asserts; the selector check must not be one."""
+    script = textwrap.dedent("""
+        assert False, "not running under -O"
+        from mpcc.errors import MuxSelectorError
+        from test_backends import interpret_clear, mux_circuit
+        try:
+            interpret_clear(mux_circuit(),
+                            {(1, "s"): 2, (1, "a"): 4, (2, "b"): 9})
+        except MuxSelectorError as err:
+            print(err)
+    """)
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src"),
+                            *sys.path])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "mux selector 2 is not a bit"
 
 
 # -- share algebra --
@@ -267,6 +316,134 @@ def test_input_limit_enforced():
     c = build("gcd", bitwidth=16, scheme="additive")
     with pytest.raises(OverflowContractError):
         simulate_shared(c, {(1, "x"): 1 << 40, (1, "y"): 1}, 3)
+
+
+def add_only_circuit(bitwidth: int) -> Circuit:
+    c = Circuit(bitwidth=bitwidth)
+    a = c.add_input(1, "a")
+    b = c.add_input(2, "b")
+    s = c.add_node(GateKind.ADD, (a, b))
+    r = c.add_node(GateKind.REVEAL, (s,), PlainMeta(owners(1, 2)))
+    c.add_output(r, owners(1, 2), "out")
+    return c
+
+
+def test_input_bound_follows_the_bitwidth():
+    outs, _ = simulate_shared(add_only_circuit(64),
+                              {(1, "a"): 1 << 40, (2, "b"): 1}, 3)
+    assert outs == {"out": (1 << 40) + 1}
+    with pytest.raises(OverflowContractError, match=r"\|v\| < 2\^14"):
+        simulate_shared(add_only_circuit(16), {(1, "a"): 1 << 14,
+                                               (2, "b"): 1}, 3)
+
+
+def test_input_bound_is_capped_by_the_field():
+    c = add_only_circuit(64)
+    outs, _ = simulate_shared(c, {(1, "a"): (1 << 60) - 1, (2, "b"): 0}, 3)
+    assert outs == {"out": (1 << 60) - 1}
+    with pytest.raises(OverflowContractError, match=r"\|v\| < 2\^60"):
+        simulate_shared(c, {(1, "a"): 1 << 60, (2, "b"): 0}, 3)
+
+
+# -- seeded preprocessing --
+
+def test_only_multiplication_triples_are_expanded(monkeypatch):
+    made = []
+
+    def recording(*args, **kwargs):
+        t = original(*args, **kwargs)
+        made.append(t)
+        return t
+
+    original = shares.make_triple
+    monkeypatch.setattr(shares, "make_triple", recording)
+    c = build("mergesort", bitwidth=16, scheme="additive")
+    outs, trace = simulate_shared(c, MERGESORT_INPUTS, 3, seed=0)
+    assert list(outs.values()) == [1, 2, 3, 5]
+    muls = sum(n.kind in (GateKind.MUL, GateKind.MUX) for n in c.nodes)
+    assert len(made) == estimate(c, additive_model()).triples
+    assert trace.triples_consumed == len(made)
+    assert sum(t.expanded for t in made) == muls
+    assert sum(t.consumed for t in made) == muls
+
+
+def test_dropped_triple_overruns_inside_a_comparison():
+    class ShortOffline(SharedSimulator):
+        def offline_phase(self):
+            super().offline_phase()
+            self.triples.pop()
+
+    c = Circuit(bitwidth=16)
+    a = c.add_input(1, "a")
+    b = c.add_input(2, "b")
+    lt = c.add_node(GateKind.LT, (a, b))
+    r = c.add_node(GateKind.REVEAL, (lt,), PlainMeta(owners(1, 2)))
+    c.add_output(r, owners(1, 2), "out")
+    sim = ShortOffline(c, 3)
+    with pytest.raises(BudgetExceededError, match="Beaver triples"):
+        sim.run({(1, "a"): 2, (2, "b"): 3})
+    assert sim.open_log == []  # the comparison never opened its operands
+    assert sim.trace.triples_consumed == 0
+    assert SharedSimulator(c, 3).run({(1, "a"): 2, (2, "b"): 3}) == \
+        {"out": 1}
+
+
+def test_triple_is_fixed_by_the_offline_rng():
+    t1 = make_triple(3, random.Random(42))
+    t2 = make_triple(3, random.Random(42))
+    assert not t1.expanded
+    a, b, c = (reconstruct(sv) for sv in (t1.a, t1.b, t1.c))
+    assert t1.expanded
+    assert (reconstruct(t2.a), reconstruct(t2.b), reconstruct(t2.c)) == \
+        (a, b, c)
+    assert c == a * b % PRIME
+    assert t1.a.shares == t2.a.shares
+    other = make_triple(3, random.Random(43))
+    assert reconstruct(other.a) != a
+
+
+def test_make_triple_checks_the_party_count_at_once():
+    with pytest.raises(PlayerMismatchError):
+        make_triple(1, random.Random(0))
+
+
+def test_random_bit_seeds_expand_to_bits():
+    sim = SharedSimulator(build("auction", bitwidth=16, scheme="additive"),
+                          3, seed=3)
+    sim.offline_phase()
+    bits = {reconstruct(random_bit(3, s)) for s in sim.random_bits}
+    assert bits == {0, 1}
+
+
+def test_beaver_opens_only_masked_values():
+    rng = random.Random(8)
+    t = make_triple(3, rng)
+    x, y = share(6, 3, rng), share(7, 3, rng)
+    opened = []
+
+    def logging_open(sv):
+        opened.append(reconstruct(sv))
+        return opened[-1]
+
+    z = beaver_mul(x, y, t, open=logging_open)
+    assert reconstruct(z) == 42
+    assert opened == [(6 - reconstruct(t.a)) % PRIME,
+                      (7 - reconstruct(t.b)) % PRIME]
+
+
+def test_simulator_multiply_is_one_beaver_round():
+    c = build("pow8", bitwidth=16, scheme="additive")  # three Mul gates
+    sim = SharedSimulator(c, 3, seed=1)
+    assert sim.run({(1, "x"): 2}) == {"out0": 256}
+    assert sim.open_log == [("beaver-open", k) for k in range(6)] + \
+        [("reveal", 6)]
+    assert (sim.trace.rounds, sim.trace.multicasts) == (3, 6)
+    t = make_triple(3, sim.rng)
+    sim.triples += [t, t]  # the same triple twice in the pool
+    x = sim.public(3)
+    assert reconstruct(sim.multiply(x, x)) == 9
+    with pytest.raises(TripleExhaustedError):
+        sim.multiply(x, x)
 
 
 def test_modulo_agrees_across_all_backends():

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from ..circuit import Circuit, GateKind, Level
 from ..errors import (
     BudgetExceededError, IncompleteSharesError, LevelError,
-    MissingInputError, OverflowContractError, PlayerMismatchError,
-    TripleExhaustedError,
+    MissingInputError, MuxSelectorError, OverflowContractError,
+    PlayerMismatchError, TripleExhaustedError,
 )
 from ..estimator import CostModel, additive_model, estimate
 
@@ -328,6 +328,13 @@ class SharedSimulator:
                 case GateKind.MUL:
                     sv = self.multiply(table[a[0]], table[a[1]])
                 case GateKind.MUX:
+                    # an ideal check, like compare's: it costs no round,
+                    # multicast, triple or logged open
+                    sel = reconstruct(table[a[0]], self.p)
+                    if sel not in (0, 1):
+                        raise MuxSelectorError(
+                            f"mux selector {centered(sel, self.p)} is not "
+                            f"a bit")
                     # sel*(t - e) + e needs a single multiplication
                     diff = self.local(lambda t, e: t - e, table[a[1]],
                                       table[a[2]])

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
-    ArityError, ForwardReferenceError, ShareMismatchError,
+    ArityError, ForwardReferenceError, MalformedCircuitError,
+    ShareMismatchError,
 )
 from .sectypes import AdditiveShare, Generic, Scheme
 
@@ -21,7 +22,6 @@ from .sectypes import AdditiveShare, Generic, Scheme
 class Level(str, Enum):
     ARITH = "arith"
     BOOL = "bool"
-    MIXED = "mixed"
 
 
 class GateKind(str, Enum):
@@ -66,6 +66,8 @@ ARITY = {
     GateKind.OR: 2, GateKind.XOR: 2, GateKind.NOT: 1, GateKind.MUX_BIT: 3,
     GateKind.REVEAL_BIT: 1,
 }
+
+INPUT_KINDS = frozenset({GateKind.INPUT, GateKind.INPUT_BIT})
 
 PAYLOAD_KINDS = frozenset({GateKind.CONST, GateKind.CONST_BIT,
                            GateKind.MUL_PLAIN})
@@ -186,13 +188,17 @@ class Circuit:
     def validate(self, scheme: Scheme = Generic()) -> list[str]:
         """Well-formedness check; returns a list of violations (empty = ok)."""
         violations = []
-        allowed = {Level.ARITH: ARITH_KINDS, Level.BOOL: BOOL_KINDS,
-                   Level.MIXED: ARITH_KINDS | BOOL_KINDS}[self.level]
+        if not (2 <= self.bitwidth <= 64):
+            violations.append(f"bitwidth {self.bitwidth} outside [2, 64]")
+        allowed = ARITH_KINDS if self.level == Level.ARITH else BOOL_KINDS
+        listed = {nid for nid, _party, _name in self.inputs}
         for nid, node in enumerate(self.nodes):
             if node.kind not in allowed:
                 violations.append(
                     f"node {nid}: {node.kind.value} not allowed at level "
                     f"{self.level.value}")
+            if node.kind in INPUT_KINDS and nid not in listed:
+                violations.append(f"node {nid}: input missing from inputs")
             if len(node.operands) != ARITY[node.kind]:
                 violations.append(f"node {nid}: bad arity")
             for o in node.operands:
@@ -220,6 +226,8 @@ class Circuit:
         for nid, _party, _name in self.inputs:
             if not (0 <= nid < len(self.nodes)):
                 violations.append(f"input id {nid} out of range")
+            elif self.nodes[nid].kind not in INPUT_KINDS:
+                violations.append(f"input id {nid} is not an input node")
         for nid, _aud, _name in self.outputs:
             if not (0 <= nid < len(self.nodes)):
                 violations.append(f"output id {nid} out of range")
@@ -265,24 +273,53 @@ class Circuit:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Circuit":
-        c = Circuit(Level(obj["level"]), obj["bitwidth"],
-                    obj.get("signed", True))
-        for entry in obj["nodes"]:
-            nid = c.add_node(GateKind(entry["kind"]),
-                             tuple(entry["operands"]),
-                             meta_from_json(entry["meta"]),
-                             entry.get("payload"))
-            if nid != entry["id"]:
-                raise ForwardReferenceError(
-                    f"node id {entry['id']} does not match position {nid}")
-        c.inputs = [(nid, party, name) for nid, party, name in obj["inputs"]]
-        c.outputs = [(nid, frozenset(aud), name)
-                     for nid, aud, name in obj["outputs"]]
+        """Rebuild a circuit from `to_json_obj` output. Any missing key,
+        unknown level or kind, or badly shaped entry raises
+        MalformedCircuitError; call validate() for the semantic checks."""
+        try:
+            c = Circuit(Level(obj["level"]), _json_int(obj["bitwidth"]),
+                        obj.get("signed", True))
+            for entry in obj["nodes"]:
+                payload = entry.get("payload")
+                nid = c.add_node(GateKind(entry["kind"]),
+                                 tuple(map(_json_int, entry["operands"])),
+                                 meta_from_json(entry["meta"]),
+                                 None if payload is None
+                                 else _json_int(payload))
+                if nid != entry["id"]:
+                    raise ForwardReferenceError(
+                        f"node id {entry['id']} does not match position "
+                        f"{nid}")
+            c.inputs = [(_json_int(nid), _json_int(party), _json_str(name))
+                        for nid, party, name in obj["inputs"]]
+            c.outputs = [(_json_int(nid), frozenset(map(_json_int, aud)),
+                          _json_str(name))
+                         for nid, aud, name in obj["outputs"]]
+        except KeyError as ex:
+            raise MalformedCircuitError(f"missing key {ex}") from ex
+        except (TypeError, ValueError, AttributeError) as ex:
+            raise MalformedCircuitError(str(ex)) from ex
         return c
 
     @staticmethod
     def from_json(text: str) -> "Circuit":
-        return Circuit.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as ex:
+            raise MalformedCircuitError(f"not JSON: {ex}") from ex
+        return Circuit.from_json_obj(obj)
+
+
+def _json_int(v) -> int:
+    if not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _json_str(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
 
 
 def meta_to_json(m: Meta) -> dict:
@@ -312,4 +349,4 @@ def meta_from_json(obj: dict) -> Meta:
             return SharedMeta(frozenset(obj["provider"]),
                               frozenset(obj["players"]),
                               frozenset(obj["observers"]), obj["threshold"])
-    raise AssertionError(obj)
+    raise MalformedCircuitError(f"unknown meta type {obj['type']!r}")

@@ -1,9 +1,10 @@
 """Command-line driver: check | lower | opt | estimate | run | emit.
 
 Exit codes: 0 success, 1 program or usage error, 2 environment error
-(unreadable files, bad JSON). Stage inputs may be `.hml` source or a
-circuit JSON produced by an earlier stage, so every stage is pipeable
-through files.
+(unreadable files, bad JSON, malformed circuit files). Stage inputs may
+be `.hml` source or a circuit JSON produced by an earlier stage, so every
+stage is pipeable through files; all of them go through
+`pipeline.compile`.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ import sys
 from .backends.clear import flatten_inputs, interpret_clear
 from .backends.gatelist import emit_gatelist
 from .backends.shares import simulate_shared
-from .bitblast import bitblast
 from .circuit import Circuit, Level
-from .errors import CompilerError, TypeCheckFailure
+from .errors import CompilerError, MalformedCircuitError, TypeCheckFailure
 from .estimator import (
     default_model_for, estimate, load_model, rank_backends,
 )
 from .frontend import parse_source
-from .lowering import lower_program
-from .optimizer import DEFAULT_PASSES, run_passes
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, compile
 from .sectypes import AdditiveShare, Generic, Scheme, Tfhe
 from .typecheck import check_program
 
@@ -132,20 +130,10 @@ def read_source(path: str) -> str:
         raise EnvironmentError(f"cannot read {path}: {ex}") from ex
 
 
-def obtain_circuit(args, cfg: PipelineConfig, optimize: bool) -> Circuit:
-    """Load a circuit JSON or compile source up to the requested stage
-    (always at the arith level; emit bitblasts afterwards)."""
-    if args.source.endswith(".json"):
-        c = Circuit.from_json(read_source(args.source))
-    else:
-        tp = check_program(parse_source(read_source(args.source)),
-                           cfg.scheme)
-        c = lower_program(tp, cfg.lower_config())
-    if optimize:
-        passes = DEFAULT_PASSES if cfg.passes is None else cfg.passes
-        if passes:
-            c = run_passes(c, passes, cfg.model)
-    return c
+def read_stage_input(path: str) -> str | Circuit:
+    """Source text of an `.hml` file, or the circuit in a `.json` file."""
+    text = read_source(path)
+    return Circuit.from_json(text) if path.endswith(".json") else text
 
 
 def write_out(args, text: str):
@@ -157,41 +145,26 @@ def write_out(args, text: str):
 
 
 def cmd_check(args, spec) -> int:
-    source = read_source(args.source)
-    try:
-        check_program(parse_source(source), scheme_of(args, spec))
-    except TypeCheckFailure as ex:
-        for err in ex.errors:
-            line, col = err.pos or (0, 0)
-            print(f"{args.source}:{line}:{col}: error[{err.rule}]: "
-                  f"{err.message}", file=sys.stderr)
-        return 1
+    check_program(parse_source(read_source(args.source)),
+                  scheme_of(args, spec))
     return 0
 
 
-def to_level(c: Circuit, cfg: PipelineConfig) -> Circuit:
-    if cfg.target_level == Level.BOOL and c.level != Level.BOOL:
-        return bitblast(c, cfg.bitwidth)
-    return c
-
-
 def cmd_lower(args, spec) -> int:
-    cfg = pipeline_config(args, spec)
-    c = obtain_circuit(args, cfg, optimize=False)
-    write_out(args, to_level(c, cfg).to_json())
+    c = compile(read_stage_input(args.source), pipeline_config(args, spec),
+                optimize=False)
+    write_out(args, c.to_json())
     return 0
 
 
 def cmd_opt(args, spec) -> int:
-    cfg = pipeline_config(args, spec)
-    c = obtain_circuit(args, cfg, optimize=True)
-    write_out(args, to_level(c, cfg).to_json())
+    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
+    write_out(args, c.to_json())
     return 0
 
 
 def cmd_estimate(args, spec) -> int:
-    cfg = pipeline_config(args, spec)
-    c = to_level(obtain_circuit(args, cfg, optimize=True), cfg)
+    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
     model_names = args.cost_model or spec.get("cost_model") or []
     if isinstance(model_names, str):
         model_names = [model_names]
@@ -215,8 +188,7 @@ def cmd_estimate(args, spec) -> int:
 
 
 def cmd_run(args, spec) -> int:
-    cfg = pipeline_config(args, spec)
-    c = obtain_circuit(args, cfg, optimize=True)
+    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
     try:
         with open(args.inputs, encoding="utf-8") as fh:
             inputs = flatten_inputs(json.load(fh).get("parties", {}))
@@ -243,7 +215,7 @@ def cmd_emit(args, spec) -> int:
     if cfg.target_level != Level.BOOL:
         print("emit requires --level bool", file=sys.stderr)
         return 1
-    c = to_level(obtain_circuit(args, cfg, optimize=True), cfg)
+    c = compile(read_stage_input(args.source), cfg)
     write_out(args, emit_gatelist(c))
     return 0
 
@@ -266,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args, spec)
     except EnvironmentError as ex:
         print(f"mpcc: {ex}", file=sys.stderr)
+        return 2
+    except MalformedCircuitError as ex:
+        print(f"mpcc: bad circuit file: {ex}", file=sys.stderr)
         return 2
     except TypeCheckFailure as ex:
         for err in ex.errors:

@@ -55,11 +55,15 @@ class BitblastError(CompilerError):
 
 # -- circuit construction / validation --
 
-class ArityError(CompilerError):
+class MalformedCircuitError(CompilerError):
+    """A circuit, built or loaded from JSON, that is not well-formed."""
+
+
+class ArityError(MalformedCircuitError):
     pass
 
 
-class ForwardReferenceError(CompilerError):
+class ForwardReferenceError(MalformedCircuitError):
     pass
 
 

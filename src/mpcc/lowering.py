@@ -26,7 +26,6 @@ from .typecheck import TypedProgram
 @dataclass
 class LowerConfig:
     bitwidth: int = 64
-    target_level: Level = Level.ARITH
     comparison_encoding: str = "auto"  # "direct" | "rewrite" | "auto"
     scheme: Scheme = Generic()
     keep_selectors: bool = True  # emit Mux gates instead of b*x + (1-b)*y
@@ -692,7 +691,8 @@ class Lowering:
 
 def lower_program(tp: TypedProgram, cfg: LowerConfig | None = None,
                   lowering_out: list | None = None) -> Circuit:
-    """Compile a typed program to a validated circuit at cfg.target_level.
+    """Compile a typed program to a validated word-level (arith) circuit;
+    optimizing and bitblasting it is left to `pipeline.compile`.
 
     If lowering_out is a list, the Lowering that does the work is appended
     to it before lowering starts (so it is there after a LowerError too).
@@ -707,7 +707,4 @@ def lower_program(tp: TypedProgram, cfg: LowerConfig | None = None,
     violations = circuit.validate(cfg.scheme)
     if violations:
         raise LowerError("InvalidCircuit", "; ".join(violations))
-    if cfg.target_level == Level.BOOL:
-        from .bitblast import bitblast
-        circuit = bitblast(circuit, cfg.bitwidth)
     return circuit

@@ -1,17 +1,22 @@
-"""Convenience wrappers running frontend, checker, lowering and passes as
-one in-process pipeline; the CLI and the tests share these."""
+"""The one compile path: parse -> check -> lower -> optimize -> bitblast.
+
+`compile` is the only code that runs these stages in sequence; the CLI
+and the tests both call it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitblast import bitblast
 from .circuit import Circuit, Level
+from .errors import MalformedCircuitError
 from .estimator import CostModel
 from .frontend import parse_source
 from .lowering import LowerConfig, lower_program
 from .optimizer import DEFAULT_PASSES, run_passes
 from .sectypes import Scheme, Generic
-from .typecheck import TypedProgram, check_program
+from .typecheck import check_program
 
 
 @dataclass
@@ -23,30 +28,39 @@ class PipelineConfig:
     passes: list[str] | None = None  # None = DEFAULT_PASSES, [] = no-opt
     model: CostModel | None = None
 
+    def pass_list(self) -> list[str]:
+        return DEFAULT_PASSES if self.passes is None else self.passes
+
     def lower_config(self) -> LowerConfig:
-        passes = DEFAULT_PASSES if self.passes is None else self.passes
         return LowerConfig(
             bitwidth=self.bitwidth,
-            target_level=Level.ARITH,  # bitblast happens after passes
             comparison_encoding=self.comparison_encoding,
             scheme=self.scheme,
-            pow_rewrite="pow_rewrite" in passes,
+            pow_rewrite="pow_rewrite" in self.pass_list(),
         )
 
 
-def check_source(source: str, scheme: Scheme) -> TypedProgram:
-    return check_program(parse_source(source), scheme)
+def compile(source: str | Circuit, cfg: PipelineConfig,
+            optimize: bool = True) -> Circuit:
+    """Compile program text, or take an already lowered circuit, to a
+    circuit at cfg.target_level.
 
-
-def compile_source(source: str, cfg: PipelineConfig | None = None) -> Circuit:
-    """parse -> check -> lower -> optimize (-> bitblast for bool level)."""
-    cfg = cfg or PipelineConfig()
-    tp = check_source(source, cfg.scheme)
-    c = lower_program(tp, cfg.lower_config())
-    passes = DEFAULT_PASSES if cfg.passes is None else cfg.passes
-    if passes:
+    Passes run (when `optimize` is set) at the level the circuit has
+    before bitblasting: word level for source, bool level for a bool
+    circuit. Raises MalformedCircuitError if a given circuit is not
+    well-formed.
+    """
+    if isinstance(source, Circuit):
+        c = source
+        violations = c.validate(cfg.scheme)
+        if violations:
+            raise MalformedCircuitError("; ".join(violations))
+    else:
+        tp = check_program(parse_source(source), cfg.scheme)
+        c = lower_program(tp, cfg.lower_config())
+    passes = cfg.pass_list()
+    if optimize and passes:
         c = run_passes(c, passes, cfg.model)
-    if cfg.target_level == Level.BOOL:
-        from .bitblast import bitblast
+    if cfg.target_level == Level.BOOL and c.level == Level.ARITH:
         c = bitblast(c, cfg.bitwidth)
     return c

@@ -10,10 +10,9 @@ CORPUS = ROOT / "corpus"
 sys.path.insert(0, str(TESTS))
 
 from mpcc.frontend import parse_source  # noqa: E402
-from mpcc.lowering import LowerConfig, lower_program  # noqa: E402
-from mpcc.optimizer import run_passes  # noqa: E402
+from mpcc.optimizer import DEFAULT_PASSES  # noqa: E402
+from mpcc.pipeline import PipelineConfig, compile  # noqa: E402
 from mpcc.sectypes import AdditiveShare, Generic  # noqa: E402
-from mpcc.typecheck import check_program  # noqa: E402
 
 CORPUS_NAMES = ["gcd", "auction", "mergesort", "matvec", "pow8", "adder",
                 "sum8"]
@@ -28,14 +27,12 @@ def build(name: str, bitwidth: int = 64, scheme: str = "generic",
           optimize: bool = False, encoding: str = "auto",
           pow_rewrite: bool = True):
     """Compile one corpus program; cached because tests reuse circuits."""
-    sch = AdditiveShare(3) if scheme == "additive" else Generic()
-    tp = check_program(parse_source(corpus_source(name)), sch)
-    cfg = LowerConfig(bitwidth=bitwidth, scheme=sch,
-                      comparison_encoding=encoding, pow_rewrite=pow_rewrite)
-    c = lower_program(tp, cfg)
-    if optimize:
-        c = run_passes(c)
-    return c
+    passes = None if pow_rewrite else [p for p in DEFAULT_PASSES
+                                       if p != "pow_rewrite"]
+    cfg = PipelineConfig(
+        scheme=AdditiveShare(3) if scheme == "additive" else Generic(),
+        bitwidth=bitwidth, comparison_encoding=encoding, passes=passes)
+    return compile(corpus_source(name), cfg, optimize=optimize)
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,25 @@ def test_mux_selector_check_survives_python_O():
     assert proc.stdout.strip() == "mux selector 2 is not a bit"
 
 
+def test_shares_mux_selector_must_be_a_bit():
+    """The shares MUX checks its selector as the clear interpreter does,
+    with the ideal reconstruction: no open, round, multicast or triple."""
+    for s, want in [(0, 9), (1, 4)]:
+        sim = SharedSimulator(mux_circuit(), 3, seed=5)
+        assert sim.run({(1, "s"): s, (1, "a"): 4, (2, "b"): 9}) == \
+            {"out": want}
+        assert sim.trace.to_json_obj() == {
+            "rounds": 1, "multicasts": 2, "triples_consumed": 1,
+            "bits_consumed": 0}
+        assert [ctx for ctx, _ in sim.open_log] == \
+            ["beaver-open", "beaver-open", "reveal"]
+    for s in (2, -1):
+        with pytest.raises(MuxSelectorError,
+                           match=f"mux selector {s} is not a bit"):
+            simulate_shared(mux_circuit(),
+                            {(1, "s"): s, (1, "a"): 4, (2, "b"): 9}, 3)
+
+
 # -- share algebra --
 
 def test_share_reconstruct_identity():

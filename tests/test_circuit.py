@@ -5,7 +5,10 @@ from mpcc.circuit import (
     Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
     combine_share_meta, meta_from_json, meta_to_json,
 )
-from mpcc.errors import ArityError, ForwardReferenceError, ShareMismatchError
+from mpcc.errors import (
+    ArityError, ForwardReferenceError, MalformedCircuitError,
+    ShareMismatchError,
+)
 from mpcc.sectypes import AdditiveShare, Generic, owners
 
 
@@ -154,3 +157,57 @@ def test_ids_must_match_positions():
     obj["nodes"][0]["id"] = 7
     with pytest.raises(ForwardReferenceError):
         Circuit.from_json_obj(obj)
+
+
+def drop_nodes(obj):
+    del obj["nodes"]
+
+
+def set_level_mixed(obj):
+    obj["level"] = "mixed"
+
+
+def set_bad_kind(obj):
+    obj["nodes"][1]["kind"] = "Frobnicate"
+
+
+def set_text_operand(obj):
+    obj["nodes"][-1]["operands"] = ["0"]
+
+
+def set_unknown_meta(obj):
+    obj["nodes"][0]["meta"] = {"type": "secret"}
+
+
+def set_short_input(obj):
+    obj["inputs"][0] = obj["inputs"][0][:2]
+
+
+def set_node_to_list(obj):
+    obj["nodes"][0] = [0, "Input"]
+
+
+@pytest.mark.parametrize("breakage", [
+    drop_nodes, set_level_mixed, set_bad_kind, set_text_operand,
+    set_unknown_meta, set_short_input, set_node_to_list])
+def test_malformed_json_raises_one_error_type(breakage):
+    obj = build("pow8").to_json_obj()
+    breakage(obj)
+    with pytest.raises(MalformedCircuitError):
+        Circuit.from_json_obj(obj)
+
+
+def test_text_that_is_not_json_is_malformed():
+    with pytest.raises(MalformedCircuitError, match="not JSON"):
+        Circuit.from_json('{"level": "arith"')
+
+
+def test_validate_checks_input_list_against_input_nodes():
+    c = Circuit.from_json_obj(build("pow8").to_json_obj())  # a fresh copy
+    assert c.validate() == []
+    c.inputs.append((len(c.nodes) - 1, 1, "r"))
+    assert c.validate() == [f"input id {len(c.nodes) - 1} is not an input "
+                            f"node"]
+    nid = c.inputs[0][0]
+    c.inputs = c.inputs[1:-1]
+    assert c.validate() == [f"node {nid}: input missing from inputs"]

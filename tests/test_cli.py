@@ -1,7 +1,12 @@
 import json
 
-from conftest import CORPUS, ROOT
+import pytest
+
+from conftest import CORPUS, CORPUS_NAMES, ROOT, build, corpus_source
+from mpcc.circuit import Level
 from mpcc.cli import main
+from mpcc.estimator import default_model_for, estimate
+from mpcc.pipeline import PipelineConfig, compile
 
 
 def run_cli(*argv):
@@ -181,3 +186,81 @@ def test_tfhe_scheme_compiles_and_runs(tmp_path, capsys):
 def test_additive_needs_two_parties(capsys):
     assert run_cli("check", hml("gcd"), "--scheme", "additive", "-n", "1") == 1
     assert "at least 2" in capsys.readouterr().err
+
+
+def cli_out(capsys, *argv):
+    assert run_cli(*argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bitwidth", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_cli_matches_in_process_pipeline(tmp_path, capsys, name, bitwidth):
+    w = str(bitwidth)
+    cfg = PipelineConfig(bitwidth=bitwidth)
+    lowered = compile(corpus_source(name), cfg, optimize=False)
+    optimized = compile(corpus_source(name), cfg)
+    direct = estimate(optimized, default_model_for(optimized)).to_json()
+    assert cli_out(capsys, "lower", hml(name), "--bitwidth", w) == \
+        lowered.to_json()
+    assert cli_out(capsys, "opt", hml(name), "--bitwidth", w) == \
+        optimized.to_json()
+    assert cli_out(capsys, "estimate", hml(name), "--bitwidth", w) == direct
+    # lower | opt | estimate through files
+    c1, c2 = str(tmp_path / "c1.json"), str(tmp_path / "c2.json")
+    assert run_cli("lower", hml(name), "--bitwidth", w, "-o", c1) == 0
+    assert run_cli("opt", c1, "-o", c2) == 0
+    assert cli_out(capsys, "estimate", c2) == direct
+
+
+@pytest.mark.parametrize("name", ["adder", "auction", "sum8", "gcd"])
+def test_cli_matches_in_process_pipeline_at_bool_level(capsys, name):
+    cfg = PipelineConfig(bitwidth=16, target_level=Level.BOOL)
+    for command, optimize in (("lower", False), ("opt", True)):
+        text = cli_out(capsys, command, hml(name), "--bitwidth", "16",
+                       "--level", "bool")
+        assert text == compile(corpus_source(name), cfg,
+                               optimize=optimize).to_json()
+
+
+def no_nodes(obj):
+    return {"level": "arith", "bitwidth": 64}
+
+
+def output_past_end(obj):
+    obj["outputs"][0][0] = len(obj["nodes"])
+    return obj
+
+
+def mixed_level(obj):
+    obj["level"] = "mixed"
+    return obj
+
+
+@pytest.mark.parametrize("command", ["estimate", "opt", "run"])
+@pytest.mark.parametrize("breakage", [no_nodes, output_past_end,
+                                      mixed_level])
+def test_malformed_circuit_file_is_exit_2(tmp_path, capsys, command,
+                                          breakage):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(breakage(build("adder").to_json_obj())),
+                    encoding="utf-8")
+    extra = (["--inputs", write_inputs(tmp_path, {"parties": {}})]
+             if command == "run" else [])
+    assert run_cli(command, str(path), *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpcc: bad circuit file: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("backend", ["clear", "shares"])
+def test_run_refuses_bool_level(tmp_path, capsys, backend):
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
+    assert run_cli("run", hml("gcd"), "--level", "bool", "--backend",
+                   backend, "--inputs", inputs, "--bitwidth", "16") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "word-level" in captured.err

@@ -8,7 +8,7 @@ from astref import reference_run
 from conftest import CORPUS_NAMES, build, corpus_source
 from mpcc.backends.clear import ClearInterpreter, flatten_inputs, \
     interpret_clear
-from mpcc.circuit import GateKind, Level
+from mpcc.circuit import GateKind
 from mpcc.errors import LowerError
 from mpcc.estimator import critical_path
 from mpcc.frontend import parse_source
@@ -151,10 +151,6 @@ def test_lowering_out_receives_the_lowering_and_leaves_output_unchanged():
     assert len(out) == 1
     assert recorded.nodes == plain.nodes
     assert recorded.outputs == plain.outputs
-    out = []
-    lower_program(tp, LowerConfig(bitwidth=16, target_level=Level.BOOL),
-                  lowering_out=out)
-    assert len(out) == 1
     assert out[0].stats["inline_copies"]["gcd"] == 5
 
 

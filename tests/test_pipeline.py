@@ -1,0 +1,39 @@
+import dataclasses
+
+import pytest
+
+from conftest import build, corpus_source
+from mpcc.circuit import GateKind, Level
+from mpcc.errors import MalformedCircuitError
+from mpcc.pipeline import PipelineConfig, compile
+
+BOOL4 = PipelineConfig(bitwidth=4, target_level=Level.BOOL)
+
+
+def test_source_and_circuit_inputs_meet_the_same_passes():
+    lowered = compile(corpus_source("matvec"), PipelineConfig(),
+                      optimize=False)
+    assert lowered.nodes == build("matvec").nodes
+    optimized = compile(lowered, PipelineConfig())
+    assert optimized.nodes == build("matvec", optimize=True).nodes
+    assert compile(lowered, PipelineConfig(passes=[])).nodes == \
+        lowered.nodes
+
+
+def test_bitblast_runs_once_and_only_for_bool_targets():
+    arith = compile(corpus_source("adder"), PipelineConfig(bitwidth=4))
+    assert arith.level == Level.ARITH
+    blasted = compile(corpus_source("adder"), BOOL4)
+    assert blasted.level == Level.BOOL
+    assert compile(arith, BOOL4, optimize=False).nodes == blasted.nodes
+    # a bool circuit is not bitblasted again; its passes run at bool level
+    again = compile(blasted, BOOL4)
+    assert again.level == Level.BOOL
+    assert len(again.nodes) <= len(blasted.nodes)
+
+
+def test_a_given_circuit_is_validated():
+    c = dataclasses.replace(build("pow8"), outputs=[(0, frozenset({1}), "x")])
+    assert c.nodes[0].kind != GateKind.REVEAL
+    with pytest.raises(MalformedCircuitError, match="not a reveal node"):
+        compile(c, PipelineConfig())

@@ -136,6 +136,12 @@ def combine_meta(a: Meta, b: Meta, scheme: Scheme = Generic()) -> Meta:
     if isinstance(a, SharedMeta) and isinstance(b, SharedMeta):
         return combine_share_meta(a, b, scheme)
     if isinstance(a, EncMeta) and isinstance(b, EncMeta):
+        # reuse an operand's meta when it already is the union, so that
+        # a bit-blasted circuit does not hold one EncMeta per gate
+        if b.provider <= a.provider:
+            return a
+        if a.provider <= b.provider:
+            return b
         return EncMeta(a.provider | b.provider)
     raise ShareMismatchError("cannot mix encrypted and shared metadata")
 

@@ -1,10 +1,10 @@
 """Command-line driver: check | lower | opt | estimate | run | emit.
 
 Exit codes: 0 success, 1 program or usage error, 2 environment error
-(unreadable files, bad JSON, malformed circuit files). Stage inputs may
-be `.hml` source or a circuit JSON produced by an earlier stage, so every
-stage is pipeable through files; all of them go through
-`pipeline.compile`.
+(unreadable files; circuit, inputs, spec or cost-model files that are
+not JSON or not of the expected shape). Stage inputs may be `.hml`
+source or a circuit JSON produced by an earlier stage, so every stage is
+pipeable through files; all of them go through `pipeline.compile`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from .backends.clear import flatten_inputs, interpret_clear
 from .backends.gatelist import emit_gatelist
 from .backends.shares import simulate_shared
 from .circuit import Circuit, Level
-from .errors import CompilerError, MalformedCircuitError, TypeCheckFailure
+from .errors import (
+    CompilerError, MalformedCircuitError, ModelCoverageError,
+    TypeCheckFailure,
+)
 from .estimator import (
     default_model_for, estimate, load_model, rank_backends,
 )
@@ -25,6 +28,16 @@ from .frontend import parse_source
 from .pipeline import PipelineConfig, compile
 from .sectypes import AdditiveShare, Generic, Scheme, Tfhe
 from .typecheck import check_program
+
+# What a spec file may set, and the values it may set them to.
+SPEC_CHOICES = {
+    "scheme": ("generic", "tfhe", "additive"),
+    "level": ("arith", "bool"),
+    "encoding": ("direct", "rewrite", "auto"),
+    "backend": ("clear", "shares"),
+}
+SPEC_INTS = ("bitwidth", "parties", "seed")
+SPEC_NAMES = ("passes", "cost_model")  # one name or a list of names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,14 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("source", help=".hml source or circuit .json")
         p.add_argument("--spec", help="JSON file with default settings "
                                       "(flags win)")
-        p.add_argument("--scheme", choices=["generic", "tfhe", "additive"])
+        p.add_argument("--scheme", choices=SPEC_CHOICES["scheme"])
         p.add_argument("-n", "--parties", type=int,
                        help="party count for the additive scheme/backend")
         if with_pipeline:
             p.add_argument("--bitwidth", type=int)
-            p.add_argument("--level", choices=["arith", "bool"])
-            p.add_argument("--encoding",
-                           choices=["direct", "rewrite", "auto"],
+            p.add_argument("--level", choices=SPEC_CHOICES["level"])
+            p.add_argument("--encoding", choices=SPEC_CHOICES["encoding"],
                            help="comparison encoding")
             p.add_argument("--passes", help="comma-separated pass list")
             p.add_argument("--no-opt", action="store_true",
@@ -67,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resource used for ranking several models")
     p_run = sub.add_parser("run", help="execute on a simulated backend")
     common(p_run)
-    p_run.add_argument("--backend", choices=["clear", "shares"],
+    p_run.add_argument("--backend", choices=SPEC_CHOICES["backend"],
                        default="clear")
     p_run.add_argument("--inputs", required=True,
                        help='JSON {"parties": {"1": {"x": 5}}}')
@@ -76,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("emit", help="emit a boolean gate list "
                                        "(requires --level bool)"))
     return ap
-
-
-def load_spec_defaults(args):
-    if not args.spec:
-        return {}
-    with open(args.spec, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def setting(args, spec: dict, name: str, default=None):
@@ -136,6 +141,74 @@ def read_stage_input(path: str) -> str | Circuit:
     return Circuit.from_json(text) if path.endswith(".json") else text
 
 
+class BadFileError(Exception):
+    """An inputs, spec or cost-model file that is not JSON or not of the
+    expected shape."""
+
+    def __init__(self, kind: str, detail):
+        super().__init__(f"bad {kind} file: {detail}")
+
+
+def read_json_file(path: str, kind: str):
+    try:
+        return json.loads(read_source(path))
+    except json.JSONDecodeError as ex:
+        raise BadFileError(kind, ex) from ex
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def load_spec_defaults(args) -> dict:
+    if not args.spec:
+        return {}
+    spec = read_json_file(args.spec, "spec")
+    if not isinstance(spec, dict):
+        raise BadFileError("spec", "expected a JSON object of settings")
+    for name, value in spec.items():
+        if name in SPEC_CHOICES and value not in SPEC_CHOICES[name]:
+            raise BadFileError("spec", f"{name} must be one of "
+                                       f"{', '.join(SPEC_CHOICES[name])}")
+        if name in SPEC_INTS and not is_int(value):
+            raise BadFileError("spec", f"{name} must be an integer")
+        if name in SPEC_NAMES and not (
+                isinstance(value, str) or isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise BadFileError("spec", f"{name} must be a name or a list "
+                                       f"of names")
+        if name == "objective" and not isinstance(value, str):
+            raise BadFileError("spec", "objective must be a name")
+    return spec
+
+
+def load_inputs(path: str) -> dict[tuple[int, str], int]:
+    obj = read_json_file(path, "inputs")
+    parties = obj.get("parties", {}) if isinstance(obj, dict) else None
+    if not (isinstance(parties, dict) and all(
+            isinstance(values, dict) and all(
+                is_int(v) or isinstance(v, list) and all(map(is_int, v))
+                for v in values.values())
+            for values in parties.values())):
+        raise BadFileError("inputs", 'expected {"parties": {"<party>": '
+                                     '{"<name>": <int or list of ints>}}}')
+    try:
+        return flatten_inputs(parties)
+    except ValueError as ex:  # a party that is not a number
+        raise BadFileError("inputs", ex) from ex
+
+
+def load_cost_model(name: str):
+    """`estimator.load_model`, with a malformed file as `BadFileError`."""
+    try:
+        return load_model(name)
+    except KeyError as ex:
+        raise BadFileError("cost model", f"missing key {ex}") from ex
+    except (AttributeError, TypeError, ValueError,
+            ModelCoverageError) as ex:
+        raise BadFileError("cost model", ex) from ex
+
+
 def write_out(args, text: str):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -168,7 +241,7 @@ def cmd_estimate(args, spec) -> int:
     model_names = args.cost_model or spec.get("cost_model") or []
     if isinstance(model_names, str):
         model_names = [model_names]
-    models = [load_model(m) for m in model_names]
+    models = [load_cost_model(m) for m in model_names]
     if not models:
         models = [default_model_for(c)]
     if len(models) == 1:
@@ -189,11 +262,7 @@ def cmd_estimate(args, spec) -> int:
 
 def cmd_run(args, spec) -> int:
     c = compile(read_stage_input(args.source), pipeline_config(args, spec))
-    try:
-        with open(args.inputs, encoding="utf-8") as fh:
-            inputs = flatten_inputs(json.load(fh).get("parties", {}))
-    except OSError as ex:
-        raise EnvironmentError(f"cannot read {args.inputs}: {ex}") from ex
+    inputs = load_inputs(args.inputs)
     backend = setting(args, spec, "backend", "clear")
     if backend == "shares":
         n = setting(args, spec, "parties", 3)
@@ -228,15 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = load_spec_defaults(args)
-    except OSError as ex:
-        print(f"mpcc: {ex}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as ex:
-        print(f"mpcc: bad spec file: {ex}", file=sys.stderr)
-        return 2
-    try:
         return COMMANDS[args.command](args, spec)
-    except EnvironmentError as ex:
+    except (EnvironmentError, BadFileError) as ex:
         print(f"mpcc: {ex}", file=sys.stderr)
         return 2
     except MalformedCircuitError as ex:
@@ -251,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     except CompilerError as ex:
         print(f"{args.source}: error: {ex}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as ex:
-        print(f"mpcc: bad JSON input: {ex}", file=sys.stderr)
-        return 2
     except ValueError as ex:
         print(f"mpcc: {ex}", file=sys.stderr)
         return 1

@@ -542,20 +542,25 @@ class Lowering:
             for _ in range(n - 1):
                 acc = self.emit(GateKind.MUL, [acc, base])
             return Wire(acc.nid, st)
-        memo: dict[int, Wire] = {1: base}
+        return Wire(self.pow_chain(n, base, {1: base}).nid, st)
 
-        def pw(k: int) -> Wire:
-            if k in memo:
-                return memo[k]
-            if k % 2 == 0:
-                half = pw(k // 2)
-                out = self.emit(GateKind.MUL, [half, half])
-            else:
-                out = self.emit(GateKind.MUL, [base, pw(k - 1)])
-            memo[k] = out
-            return out
+    # pow_chain and select recurse as methods, not as nested functions: a
+    # recursive closure that captures `self` is a reference cycle, which
+    # would keep the Lowering and its circuit alive until the next cycle
+    # collection.
 
-        return Wire(pw(n).nid, st)
+    def pow_chain(self, k: int, base: Wire, memo: dict[int, Wire]) -> Wire:
+        """base**k by square-and-multiply; `memo` shares the powers."""
+        if k in memo:
+            return memo[k]
+        if k % 2 == 0:
+            half = self.pow_chain(k // 2, base, memo)
+            out = self.emit(GateKind.MUL, [half, half])
+        else:
+            out = self.emit(GateKind.MUL,
+                            [base, self.pow_chain(k - 1, base, memo)])
+        memo[k] = out
+        return out
 
     def balanced_reduce(self, op: str, wires: list[Wire]) -> Wire:
         def combine(x: Wire, y: Wire) -> Wire:
@@ -583,18 +588,18 @@ class Lowering:
         """Balanced multiplexer tree; selector depth is ceil(log2 len)."""
         if not arr:
             raise LowerError("EmptyArray", "index into empty array")
+        return self.select(idx, 0, arr)
 
-        def select(lo: int, wires: list[Wire]) -> Wire:
-            if len(wires) == 1:
-                return wires[0]
-            half = (len(wires) + 1) // 2
-            pivot = self.const(lo + half)
-            in_left = self.emit(GateKind.LT, [idx, pivot])
-            left = select(lo, wires[:half])
-            right = select(lo + half, wires[half:])
-            return self.mux(in_left, left, right)
-
-        return select(0, arr)
+    def select(self, idx: Wire, lo: int, wires: list[Wire]) -> Wire:
+        """wires[idx - lo], by a multiplexer tree split at the middle."""
+        if len(wires) == 1:
+            return wires[0]
+        half = (len(wires) + 1) // 2
+        pivot = self.const(lo + half)
+        in_left = self.emit(GateKind.LT, [idx, pivot])
+        left = self.select(idx, lo, wires[:half])
+        right = self.select(idx, lo + half, wires[half:])
+        return self.mux(in_left, left, right)
 
     # -- calls and fuel --
 

@@ -1,10 +1,14 @@
 """Circuit-to-circuit optimization passes.
 
-Passes rebuild circuits rather than mutating them. The pipeline runs its
-pass list to a structural fixpoint (capped at ten rounds). `pow_rewrite`
-is listed here for completeness but runs before lowering: the square-and-
-multiply expansion of pow() is applied while gates are first emitted,
-controlled by LowerConfig.pow_rewrite.
+Passes never mutate their input. A pass that rewrites something returns a
+new circuit, which shares every unchanged `Node` with its input; a pass
+that rewrites nothing returns its input object itself. So never mutate a
+pass's result: it may be the circuit the caller passed in. The pipeline
+runs its pass list to a fixpoint (capped at ten rounds), reached when a
+whole round returns the circuit it started from. `pow_rewrite` is listed
+here for completeness but runs before lowering: the square-and-multiply
+expansion of pow() is applied while gates are first emitted, controlled
+by LowerConfig.pow_rewrite.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ FOLDABLE = {
 
 class _Rebuild:
     """Shared machinery: walk nodes in id order, emit into a fresh circuit,
-    remap operands through `self.map`."""
+    remap operands through `self.map`. A node whose operands map to
+    themselves is kept as the same frozen `Node` object."""
 
     def __init__(self, c: Circuit):
         self.old = c
@@ -42,22 +47,38 @@ class _Rebuild:
     def emit(self, kind, operands, meta=PLAIN, payload=None) -> int:
         return self.new.add_node(kind, operands, meta, payload)
 
-    def keep(self, oid: int, node: Node) -> int:
-        ops = tuple(self.map[o] for o in node.operands)
-        return self.emit(node.kind, ops, node.meta, node.payload)
+    def keep(self, oid: int, node: Node, ops: tuple | None = None) -> int:
+        """Append `node` with its operands remapped; `ops` are the mapped
+        operands when the caller already has them. Operands taken from
+        `self.map` are earlier nodes, so no `add_node` check can fail."""
+        if ops is None:
+            ops = tuple([self.map[o] for o in node.operands])
+        if ops != node.operands:
+            node = Node(node.kind, ops, node.meta, node.payload)
+        nodes = self.new.nodes
+        nodes.append(node)
+        return len(nodes) - 1
 
     def finish(self) -> Circuit:
-        self.new.inputs = [(self.map[nid], p, n)
-                           for nid, p, n in self.old.inputs]
-        self.new.outputs = [(self.map[nid], a, n)
-                            for nid, a, n in self.old.outputs]
-        return self.new
+        """The rebuilt circuit, or the input circuit itself when the
+        rebuild equals it node for node."""
+        old, new, m = self.old, self.new, self.map
+        inputs = [(m[nid], p, n) for nid, p, n in old.inputs]
+        outputs = [(m[nid], a, n) for nid, a, n in old.outputs]
+        if (new.nodes == old.nodes and inputs == old.inputs
+                and outputs == old.outputs):
+            return old
+        new.inputs = inputs
+        new.outputs = outputs
+        return new
 
 
 def const_fold(c: Circuit) -> Circuit:
     rb = _Rebuild(c)
+    new_nodes = rb.new.nodes
     for oid, node in enumerate(c.nodes):
-        ops = [rb.new.nodes[rb.map[o]] for o in node.operands]
+        ids = tuple([rb.map[o] for o in node.operands])
+        ops = [new_nodes[i] for i in ids]
         folded = None
         if node.kind in FOLDABLE and len(ops) == 2 and all(
                 n.kind == GateKind.CONST for n in ops):
@@ -77,7 +98,7 @@ def const_fold(c: Circuit) -> Circuit:
                     else GateKind.CONST)
             rb.map[oid] = rb.emit(kind, (), PLAIN, folded)
         else:
-            rb.map[oid] = rb.keep(oid, node)
+            rb.map[oid] = rb.keep(oid, node, ids)
     return rb.finish()
 
 
@@ -88,11 +109,15 @@ def _const_payload(circuit: Circuit, nid: int):
     return None
 
 
+def _has_kind(c: Circuit, kinds) -> bool:
+    return any(node.kind in kinds for node in c.nodes)
+
+
 def peephole(c: Circuit) -> Circuit:
     """Local identities: x && true -> x, x+0 -> x, Mux(b,x,x) -> x, ..."""
     rb = _Rebuild(c)
     for oid, node in enumerate(c.nodes):
-        ops = tuple(rb.map[o] for o in node.operands)
+        ops = tuple([rb.map[o] for o in node.operands])
         consts = [_const_payload(rb.new, o) for o in ops]
         alias = None
         match node.kind:
@@ -135,7 +160,8 @@ def peephole(c: Circuit) -> Circuit:
                 inner = rb.new.nodes[ops[0]]
                 if inner.kind == GateKind.NOT:
                     alias = inner.operands[0]
-        rb.map[oid] = alias if alias is not None else rb.keep(oid, node)
+        rb.map[oid] = (alias if alias is not None
+                       else rb.keep(oid, node, ops))
     return rb.finish()
 
 
@@ -145,7 +171,7 @@ def cse(c: Circuit) -> Circuit:
     rb = _Rebuild(c)
     seen: dict[tuple, int] = {}
     for oid, node in enumerate(c.nodes):
-        ops = tuple(rb.map[o] for o in node.operands)
+        ops = tuple([rb.map[o] for o in node.operands])
         canon = tuple(sorted(ops)) if node.kind in COMMUTATIVE else ops
         key = (node.kind, canon, node.payload, node.meta)
         if node.kind in (GateKind.INPUT, GateKind.INPUT_BIT):
@@ -153,8 +179,7 @@ def cse(c: Circuit) -> Circuit:
         if key in seen:
             rb.map[oid] = seen[key]
         else:
-            rb.map[oid] = rb.emit(node.kind, ops, node.meta, node.payload)
-            seen[key] = rb.map[oid]
+            rb.map[oid] = seen[key] = rb.keep(oid, node, ops)
     return rb.finish()
 
 
@@ -179,9 +204,11 @@ def dce(c: Circuit) -> Circuit:
 def strength_reduce(c: Circuit) -> Circuit:
     """Mul with a constant operand becomes MulPlain; multiplying by the
     plaintext constants 0 and 1 disappears entirely."""
+    if not _has_kind(c, (GateKind.MUL, GateKind.MUL_PLAIN)):
+        return c
     rb = _Rebuild(c)
     for oid, node in enumerate(c.nodes):
-        ops = tuple(rb.map[o] for o in node.operands)
+        ops = tuple([rb.map[o] for o in node.operands])
         if node.kind == GateKind.MUL:
             consts = [_const_payload(rb.new, o) for o in ops]
             if consts[0] is not None:
@@ -199,7 +226,7 @@ def strength_reduce(c: Circuit) -> Circuit:
             if node.payload == 1:
                 rb.map[oid] = ops[0]
                 continue
-        rb.map[oid] = rb.keep(oid, node)
+        rb.map[oid] = rb.keep(oid, node, ops)
     return rb.finish()
 
 
@@ -276,6 +303,8 @@ def cmp_rewrite(c: Circuit, model) -> Circuit:
     and for x != y:                Add(Lt(x,y), Lt(y,x))   and
                                    Sub(Const 1, Eq(x,y)).
     """
+    if not _has_kind(c, (GateKind.ADD, GateKind.SUB)):
+        return c
     geq_direct = (_scalar_cost(model, GateKind.LT)
                   + _scalar_cost(model, GateKind.EQ)
                   + _scalar_cost(model, GateKind.ADD))
@@ -288,7 +317,7 @@ def cmp_rewrite(c: Circuit, model) -> Circuit:
 
     rb = _Rebuild(c)
     for oid, node in enumerate(c.nodes):
-        ops = tuple(rb.map[o] for o in node.operands)
+        ops = tuple([rb.map[o] for o in node.operands])
         new = rb.new
         replaced = None
         if node.kind == GateKind.ADD:
@@ -324,7 +353,8 @@ def cmp_rewrite(c: Circuit, model) -> Circuit:
                     l1 = new.add_node(GateKind.LT, (x, y), inner.meta)
                     l2 = new.add_node(GateKind.LT, (y, x), inner.meta)
                     replaced = new.add_node(GateKind.ADD, (l1, l2), node.meta)
-        rb.map[oid] = replaced if replaced is not None else rb.keep(oid, node)
+        rb.map[oid] = (replaced if replaced is not None
+                       else rb.keep(oid, node, ops))
     return rb.finish()
 
 
@@ -343,7 +373,11 @@ MAX_ROUNDS = 10
 
 def run_passes(c: Circuit, passes: list[str] | None = None,
                model=None) -> Circuit:
-    """Run the pass list to a fixpoint (at most MAX_ROUNDS rounds)."""
+    """Run the pass list to a fixpoint (at most MAX_ROUNDS rounds).
+
+    The fixpoint is the round in which every pass returned its input. A
+    circuit already at its fixpoint comes back as the very same object,
+    so never mutate the result: it may be the circuit passed in."""
     if passes is None:
         passes = DEFAULT_PASSES
     for name in passes:
@@ -353,12 +387,12 @@ def run_passes(c: Circuit, passes: list[str] | None = None,
         from .estimator import additive_model
         model = additive_model()
     for _ in range(MAX_ROUNDS):
-        before = (c.nodes, c.inputs, c.outputs)
+        before = c
         for name in passes:
             if name in PRE_LOWERING_PASSES:
                 continue
             fn = PASSES[name]
             c = fn(c, model) if name == "cmp_rewrite" else fn(c)
-        if (c.nodes, c.inputs, c.outputs) == before:
+        if c is before:
             break
     return c

@@ -3,7 +3,7 @@ import pytest
 from conftest import build
 from mpcc.circuit import (
     Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
-    combine_share_meta, meta_from_json, meta_to_json,
+    combine_meta, combine_share_meta, meta_from_json, meta_to_json,
 )
 from mpcc.errors import (
     ArityError, ForwardReferenceError, MalformedCircuitError,
@@ -86,6 +86,14 @@ def test_combine_commutative():
         ab = combine_share_meta(a, b, scheme)
         ba = combine_share_meta(b, a, scheme)
         assert ab == ba
+
+
+def test_combine_enc_meta_reuses_an_operand_that_is_the_union():
+    one, both = EncMeta(owners(1)), EncMeta(owners(1, 2))
+    assert combine_meta(one, EncMeta(owners(1))) is one
+    assert combine_meta(one, both) is both
+    assert combine_meta(both, one) is both
+    assert combine_meta(one, EncMeta(owners(2))) == both
 
 
 # -- validation --

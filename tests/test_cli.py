@@ -264,3 +264,49 @@ def test_run_refuses_bool_level(tmp_path, capsys, backend):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "word-level" in captured.err
+
+
+def one_line_exit_2(capsys, argv, kind):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mpcc: bad {kind} file: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("content", ["{}", "[]", '{"name": "m"}',
+                                     '{"name": "m", "gate_costs": []}',
+                                     "{not json"])
+def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "m.json"
+    path.write_text(content, encoding="utf-8")
+    one_line_exit_2(capsys, ["estimate", hml("adder"), "--cost-model",
+                             str(path)], "cost model")
+
+
+@pytest.mark.parametrize("payload", [[], {"parties": []},
+                                     {"parties": {"1": 5}},
+                                     {"parties": {"one": {"x": 5}}},
+                                     {"parties": {"1": {"x": "five"}}},
+                                     {"parties": {"1": {"x": 5.9}}},
+                                     {"parties": {"1": {"x": True}}},
+                                     {"parties": {"1": {"xs": [1, 2.5]}}}])
+def test_malformed_inputs_file_is_exit_2(tmp_path, capsys, payload):
+    one_line_exit_2(capsys, ["run", hml("adder"), "--inputs",
+                             write_inputs(tmp_path, payload)], "inputs")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("opt", []), ("opt", 5), ("estimate", []),
+    ("estimate", {"cost_model": 5}), ("estimate", {"objective": [1]}),
+    ("opt", {"bitwidth": [16]}), ("opt", {"bitwidth": "abc"}),
+    ("opt", {"seed": None}), ("opt", {"parties": True}),
+    ("opt", {"level": "x"}), ("opt", {"scheme": 5}),
+    ("opt", {"passes": 5}),
+])
+def test_malformed_spec_file_is_exit_2(tmp_path, capsys, command, payload):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    one_line_exit_2(capsys, [command, hml("adder"), "--spec", str(path)],
+                    "spec")

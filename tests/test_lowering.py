@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 import zlib
 
 import pytest
@@ -249,6 +251,26 @@ def test_private_index_matches_direct_lookup():
         i = rng.randrange(7)
         r = interpret_clear(c, flatten_inputs({"1": {"xs": xs, "i": i}}))
         assert r == {"out0": xs[i]}
+
+
+PRIVATE_INDEX_SRC = ("parties 1;\n"
+                     "input xs : arr(int, {1}, 5) from 1;\n"
+                     "input i : int from 1;\n"
+                     "output eval({1}, xs(i));\n")
+
+
+@pytest.mark.parametrize("src", [corpus_source("pow8"), PRIVATE_INDEX_SRC],
+                         ids=["pow", "private-index"])
+def test_lowered_circuit_is_freed_without_the_cycle_collector(src):
+    """pow() and private indexing leave no reference cycle that holds
+    the Lowering, so a dropped circuit is freed at once."""
+    tp = check_program(parse_source(src), Generic())
+    gc.disable()
+    try:
+        ref = weakref.ref(lower_program(tp))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_private_update_shape_and_semantics():

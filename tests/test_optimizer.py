@@ -1,15 +1,17 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
 from astref import reference_run
-from conftest import build
+from conftest import CORPUS_NAMES, build
 from mpcc.backends.clear import interpret_clear
+from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.estimator import CostModel, additive_model, critical_path
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
-    cmp_rewrite, const_fold, cse, dce, peephole, run_passes,
+    PASSES, cmp_rewrite, const_fold, cse, dce, peephole, run_passes,
     strength_reduce, tree_reduce,
 )
 from mpcc.sectypes import Generic, owners
@@ -341,13 +343,79 @@ def test_tree_reduce_respects_shared_intermediates():
 
 # -- pipeline properties --
 
+@functools.lru_cache(maxsize=None)
+def blasted(name: str):
+    """The word-optimized corpus program, bitblasted at 16 bits."""
+    return bitblast(build(name, bitwidth=16, optimize=True), 16)
+
+
 def test_pipeline_idempotent_on_corpus():
     for name in ("gcd", "auction", "mergesort", "matvec", "pow8"):
-        c = build(name, bitwidth=16)
-        once = run_passes(c)
-        twice = run_passes(once)
-        assert twice.nodes == once.nodes
-        assert twice.outputs == once.outputs
+        for c in (build(name, bitwidth=16), blasted(name)):
+            once = run_passes(c)
+            twice = run_passes(once)
+            assert twice.nodes == once.nodes
+            assert twice.outputs == once.outputs
+            assert twice is once
+
+
+# len(nodes) after bitblast and after the bool-level fixpoint, 16 bits
+BOOL_SIZES = {
+    "gcd": (1598, 1223),
+    "auction": (466, 351),
+    "mergesort": (3037, 899),
+    "matvec": (7969, 5715),
+    "pow8": (4041, 1784),
+    "adder": (129, 122),
+    "sum8": (705, 662),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_bool_fixpoint_sizes(name):
+    b = blasted(name)
+    assert (len(b.nodes), len(run_passes(b).nodes)) == BOOL_SIZES[name]
+
+
+def apply_pass(name: str, c: Circuit) -> Circuit:
+    fn = PASSES[name]
+    return fn(c, additive_model()) if name == "cmp_rewrite" else fn(c)
+
+
+@pytest.mark.parametrize("level", ["arith", "bool"])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_passes_return_their_input_at_the_fixpoint(name, level):
+    c = build(name, bitwidth=16) if level == "arith" else blasted(name)
+    fixed = run_passes(c, list(PASSES))
+    assert run_passes(fixed, list(PASSES)) is fixed
+    for p in PASSES:
+        assert apply_pass(p, fixed) is fixed, p
+    default = run_passes(c)
+    assert run_passes(default) is default
+
+
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_passes_do_not_mutate_their_input(name):
+    rewritten = 0
+    for program in ("gcd", "auction", "mergesort", "matvec", "pow8"):
+        for c in (build(program, bitwidth=16), blasted(program)):
+            before = c.to_json()
+            out = apply_pass(name, c)
+            assert c.to_json() == before, program
+            rewritten += out is not c
+    assert rewritten  # the pass did rewrite some of these circuits
+
+
+def test_a_rewrite_keeps_the_nodes_it_does_not_change():
+    c, a, b = two_input_circuit()
+    s = c.add_node(GateKind.ADD, (a, b))
+    z = c.add_node(GateKind.CONST, (), payload=0)
+    t = c.add_node(GateKind.ADD, (s, z))
+    reveal_out(c, t)
+    out = peephole(c)
+    assert len(out.nodes) == len(c.nodes) - 1
+    assert all(out.nodes[i] is c.nodes[i] for i in (a, b, s, z))
+    assert out.nodes[t].operands == (s,)  # the Reveal now reads s
 
 
 def test_unknown_pass_rejected():

@@ -111,7 +111,7 @@ class GateList:
     n_inputs: int
     n_outputs: int
     consts: dict[int, int] = field(default_factory=dict)
-    gates: list[tuple[str, list[int], int]] = field(default_factory=list)
+    gates: list[tuple[str, tuple[int, ...], int]] = field(default_factory=list)
 
 
 def parse_gatelist(text: str) -> GateList:
@@ -129,7 +129,7 @@ def parse_gatelist(text: str) -> GateList:
         arity = int(parts[0])
         if parts[1] != "1" or len(parts) != 3 + arity + 1:
             raise ParseError(f"malformed gate line: {ln}")
-        ins = [int(p) for p in parts[2:2 + arity]]
+        ins = tuple(map(int, parts[2:2 + arity]))
         out = int(parts[2 + arity])
         kind = parts[3 + arity]
         if kind not in NAME_KINDS:
@@ -148,18 +148,17 @@ def eval_gatelist(gl: GateList, input_bits: list[int]) -> list[int]:
     values: dict[int, int] = {i: b & 1 for i, b in enumerate(input_bits)}
     values.update(gl.consts)
     for kind, ins, out in gl.gates:
-        a = [values[i] for i in ins]
         match kind:
             case "AND":
-                v = a[0] & a[1]
+                v = values[ins[0]] & values[ins[1]]
             case "OR":
-                v = a[0] | a[1]
+                v = values[ins[0]] | values[ins[1]]
             case "XOR":
-                v = a[0] ^ a[1]
+                v = values[ins[0]] ^ values[ins[1]]
             case "INV":
-                v = 1 - a[0]
+                v = 1 - values[ins[0]]
             case "MUX":
-                v = a[1] if a[0] else a[2]
+                v = values[ins[1]] if values[ins[0]] else values[ins[2]]
         values[out] = v
     first_out = gl.n_wires - gl.n_outputs
     return [values[first_out + k] for k in range(gl.n_outputs)]

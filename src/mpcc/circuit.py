@@ -146,6 +146,16 @@ def combine_meta(a: Meta, b: Meta, scheme: Scheme = Generic()) -> Meta:
     raise ShareMismatchError("cannot mix encrypted and shared metadata")
 
 
+def balanced(layer: list, combine):
+    """The balanced tree over `layer`: neighbours are combined pairwise,
+    level by level, an odd last item moving up a level as it is."""
+    while len(layer) > 1:
+        pairs = [combine(layer[i], layer[i + 1])
+                 for i in range(0, len(layer) - 1, 2)]
+        layer = pairs + layer[2 * len(pairs):]
+    return layer[0]
+
+
 @dataclass(frozen=True)
 class Node:
     kind: GateKind

@@ -223,15 +223,10 @@ def cmd_check(args, spec) -> int:
     return 0
 
 
-def cmd_lower(args, spec) -> int:
+def cmd_circuit(args, spec) -> int:
+    """`lower` and `opt` write the circuit; only `opt` runs the passes."""
     c = compile(read_stage_input(args.source), pipeline_config(args, spec),
-                optimize=False)
-    write_out(args, c.to_json())
-    return 0
-
-
-def cmd_opt(args, spec) -> int:
-    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
+                optimize=args.command == "opt")
     write_out(args, c.to_json())
     return 0
 
@@ -289,7 +284,7 @@ def cmd_emit(args, spec) -> int:
     return 0
 
 
-COMMANDS = {"check": cmd_check, "lower": cmd_lower, "opt": cmd_opt,
+COMMANDS = {"check": cmd_check, "lower": cmd_circuit, "opt": cmd_circuit,
             "estimate": cmd_estimate, "run": cmd_run, "emit": cmd_emit}
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .circuit import (
     Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
-    combine_meta,
+    balanced, combine_meta,
 )
 from .errors import LowerError
 from .frontend import syntax as S
@@ -574,15 +574,7 @@ class Lowering:
                 return self.mux(self.emit(GateKind.LT, [y, x]), y, x)
             raise AssertionError(op)
 
-        layer = list(wires)
-        while len(layer) > 1:
-            nxt = []
-            for i in range(0, len(layer) - 1, 2):
-                nxt.append(combine(layer[i], layer[i + 1]))
-            if len(layer) % 2:
-                nxt.append(layer[-1])
-            layer = nxt
-        return layer[0]
+        return balanced(wires, combine)
 
     def private_index(self, arr: list[Wire], idx: Wire) -> Wire:
         """Balanced multiplexer tree; selector depth is ceil(log2 len)."""

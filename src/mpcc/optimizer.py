@@ -1,19 +1,29 @@
-"""Circuit-to-circuit optimization passes.
+"""Optimization passes over one rewrite engine.
 
-Passes never mutate their input. A pass that rewrites something returns a
-new circuit, which shares every unchanged `Node` with its input; a pass
-that rewrites nothing returns its input object itself. So never mutate a
-pass's result: it may be the circuit the caller passed in. The pipeline
-runs its pass list to a fixpoint (capped at ten rounds), reached when a
-whole round returns the circuit it started from. `pow_rewrite` is listed
-here for completeness but runs before lowering: the square-and-multiply
-expansion of pow() is applied while gates are first emitted, controlled
-by LowerConfig.pow_rewrite.
+`Builder` builds circuits by structural hashing, ABC's "strash"
+(Mishchenko et al., "DAG-aware AIG rewriting", DAC 2006): `add` applies
+the enabled local rules in one place (fold, the peephole identities,
+strength reduction), then looks the node up by (kind, canonical
+operands, payload, meta). The rules are named after the passes
+`const_fold`, `peephole`, `strength_reduce` and `cse`, each one walk
+through a Builder with only its own rule enabled; `dce`, `tree_reduce`
+and `cmp_rewrite` walk through one with no rule; `bitblast` emits
+through one with the rules of its pass list.
+
+Passes never mutate their input. A walk copies nothing before the first
+node it changes and shares every unchanged `Node`; a pass that changes
+nothing returns its input itself, so never mutate a pass's result. The
+pipeline runs its passes to a fixpoint (at most ten rounds).
+`pow_rewrite` runs while lowering emits gates (LowerConfig.pow_rewrite).
 """
 
 from __future__ import annotations
 
-from .circuit import COMMUTATIVE, Circuit, GateKind, Node, PLAIN
+from collections import Counter
+
+from .circuit import (
+    COMMUTATIVE, INPUT_KINDS, PLAIN, Circuit, GateKind, Node, balanced,
+)
 from .errors import LowerError
 
 DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
@@ -21,230 +31,218 @@ DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
 
 PRE_LOWERING_PASSES = {"pow_rewrite"}
 
+# globals for the kinds rules test on every node (a GateKind lookup is slow)
+ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX, CONST = (
+    GateKind.ADD, GateKind.SUB, GateKind.MUL, GateKind.MUL_PLAIN,
+    GateKind.LT, GateKind.EQ, GateKind.MUX, GateKind.CONST)
+AND, OR, XOR, NOT, MUX_BIT, CONST_BIT = (
+    GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
+    GateKind.MUX_BIT, GateKind.CONST_BIT)
+CONST_KINDS = frozenset({CONST, CONST_BIT})
+
 FOLDABLE = {
-    GateKind.ADD: lambda a, b: a + b,
-    GateKind.SUB: lambda a, b: a - b,
-    GateKind.MUL: lambda a, b: a * b,
-    GateKind.LT: lambda a, b: int(a < b),
+    ADD: lambda a, b: a + b,
+    SUB: lambda a, b: a - b,
+    MUL: lambda a, b: a * b,
+    LT: lambda a, b: int(a < b),
     GateKind.LEQ: lambda a, b: int(a <= b),
-    GateKind.EQ: lambda a, b: int(a == b),
-    GateKind.AND: lambda a, b: a & b,
-    GateKind.OR: lambda a, b: a | b,
-    GateKind.XOR: lambda a, b: a ^ b,
+    EQ: lambda a, b: int(a == b),
+}
+
+# kind -> (operand, constant, result): kind(ops) is ops[result] when
+# ops[operand] is that constant (x+0 = x, x*1 = x, x&&0 = 0, ...)
+IDENTITIES = {
+    ADD: ((0, 0, 1), (1, 0, 0)),
+    XOR: ((0, 0, 1), (1, 0, 0)),
+    SUB: ((1, 0, 0),),
+    MUL: ((0, 1, 1), (1, 1, 0)),
+    AND: ((0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 1)),
+    OR: ((0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)),
+}
+
+# the local rules, by pass name, and the kinds each may rewrite
+RULE_KINDS = {
+    "const_fold": frozenset(FOLDABLE) | {MUL_PLAIN, MUX, NOT},
+    "peephole": frozenset(IDENTITIES) | {NOT, MUX, MUX_BIT},
+    "strength_reduce": frozenset({MUL, MUL_PLAIN}),
+    "cse": frozenset(),
 }
 
 
-class _Rebuild:
-    """Shared machinery: walk nodes in id order, emit into a fresh circuit,
-    remap operands through `self.map`. A node whose operands map to
-    themselves is kept as the same frozen `Node` object."""
+def _fold(kind, args: list[Node], payload):
+    """The value of kind(args) when it folds, else None: word gates over
+    word constants, and Not of a bit constant."""
+    if kind is NOT:
+        return 1 - args[0].payload if args[0].kind is CONST_BIT else None
+    for a in args:
+        if a.kind is not CONST:
+            return None
+    if kind is MUL_PLAIN:
+        return args[0].payload * payload
+    if kind is MUX:
+        return args[1].payload if args[0].payload else args[2].payload
+    fn = FOLDABLE.get(kind)
+    return fn(args[0].payload, args[1].payload) if fn else None
 
-    def __init__(self, c: Circuit):
-        self.old = c
-        self.new = Circuit(c.level, c.bitwidth, c.signed)
-        self.map: dict[int, int] = {}
 
-    def emit(self, kind, operands, meta=PLAIN, payload=None) -> int:
-        return self.new.add_node(kind, operands, meta, payload)
+def _key(kind, ops: tuple, meta, payload) -> tuple:
+    """Hash key of a node; Add(a,b) and Add(b,a) share one."""
+    if kind in COMMUTATIVE and ops[0] > ops[1]:
+        ops = (ops[1], ops[0])
+    return (kind, ops, payload, meta)
 
-    def keep(self, oid: int, node: Node, ops: tuple | None = None) -> int:
-        """Append `node` with its operands remapped; `ops` are the mapped
-        operands when the caller already has them. Operands taken from
-        `self.map` are earlier nodes, so no `add_node` check can fail."""
-        if ops is None:
-            ops = tuple([self.map[o] for o in node.operands])
-        if ops != node.operands:
-            node = Node(node.kind, ops, node.meta, node.payload)
-        nodes = self.new.nodes
-        nodes.append(node)
-        return len(nodes) - 1
 
-    def finish(self) -> Circuit:
-        """The rebuilt circuit, or the input circuit itself when the
-        rebuild equals it node for node."""
-        old, new, m = self.old, self.new, self.map
-        inputs = [(m[nid], p, n) for nid, p, n in old.inputs]
-        outputs = [(m[nid], a, n) for nid, a, n in old.outputs]
-        if (new.nodes == old.nodes and inputs == old.inputs
-                and outputs == old.outputs):
-            return old
-        new.inputs = inputs
-        new.outputs = outputs
-        return new
+class Builder:
+    """Appends nodes to `nodes`, rewriting each on the way in with the
+    local rules named in `rules` (other names are ignored)."""
+
+    def __init__(self, rules=(), nodes: list[Node] | None = None):
+        self.nodes = [] if nodes is None else nodes
+        self.fold = "const_fold" in rules
+        self.peephole = "peephole" in rules
+        self.strength = "strength_reduce" in rules
+        self.table: dict | None = {} if "cse" in rules else None
+        self.ruled = frozenset().union(
+            *(RULE_KINDS[r] for r in rules if r in RULE_KINDS))
+        self.map: list[int] = []  # old id -> new id during a walk
+
+    def rewrite(self, kind, ops: tuple, meta, payload):
+        """What the enabled rules make of kind(ops): None when none
+        applies, the id of an existing node it equals, or the
+        (kind, operands, meta, payload) of the node that replaces it."""
+        args = [self.nodes[o] for o in ops]
+        if self.fold:
+            value = _fold(kind, args, payload)
+            if value is not None:
+                return (CONST_BIT if kind is NOT else CONST, (), PLAIN, value)
+        consts = [a.payload if a.kind in CONST_KINDS else None for a in args]
+        if self.peephole:
+            for i, const, result in IDENTITIES.get(kind, ()):
+                if consts[i] == const:
+                    return ops[result]
+            if kind is NOT and args[0].kind is NOT:
+                return args[0].operands[0]
+            if (kind is MUX or kind is MUX_BIT) and ops[1] == ops[2]:
+                return ops[1]
+        if self.strength:
+            if kind is MUL and consts[0] is not None:
+                return (MUL_PLAIN, (ops[1],), meta, consts[0])
+            if kind is MUL and consts[1] is not None:
+                return (MUL_PLAIN, (ops[0],), meta, consts[1])
+            if kind is MUL_PLAIN and payload in (0, 1):
+                return ops[0] if payload else (CONST, (), PLAIN, 0)
+        return None
+
+    def add(self, kind, ops: tuple = (), meta=PLAIN, payload=None,
+            node: Node | None = None) -> int:
+        """Id of the node for kind(ops) under the enabled rules, existing or
+        appended; a walked gate's `node` is reused if its operands are
+        `ops`. Operands must be earlier ids; nothing checks."""
+        if kind in self.ruled:
+            r = self.rewrite(kind, ops, meta, payload)
+            if r is not None:
+                return r if type(r) is int else self.add(*r)
+        nodes = self.nodes
+        nid = len(nodes)
+        if self.table is not None and kind not in INPUT_KINDS:
+            found = self.table.setdefault(_key(kind, ops, meta, payload), nid)
+            if found != nid:
+                return found
+        nodes.append(node if node is not None and node.operands == ops
+                     else Node(kind, ops, meta, payload))
+        return nid
+
+    def settled(self, nid: int, node: Node) -> bool:
+        """Whether `add` keeps node `nid` of the list read; hashes it if so."""
+        kind = node.kind
+        if kind in self.ruled and self.rewrite(
+                kind, node.operands, node.meta, node.payload) is not None:
+            return False
+        return (self.table is None or kind in INPUT_KINDS
+                or self.table.setdefault(_key(kind, node.operands, node.meta,
+                                              node.payload), nid) == nid)
+
+    def walk(self, c: Circuit, start: int, step=None) -> Circuit:
+        """Keep c.nodes[:start] and rebuild each later node, its operands
+        mapped through `self.map`: as `step(oid, node, ops)` says (a new
+        id, -1 to drop it), or when that is None through `add`."""
+        nodes = c.nodes
+        self.nodes = nodes[:start]
+        m = self.map = list(range(start))
+        for oid in range(start, len(nodes)):
+            node = nodes[oid]
+            ops = node.operands
+            if ops:
+                ops = tuple([m[o] for o in ops])
+            nid = step(oid, node, ops) if step else None
+            m.append(self.add(node.kind, ops, node.meta, node.payload, node)
+                     if nid is None else nid)
+        inputs = [(m[nid], p, n) for nid, p, n in c.inputs]
+        outputs = [(m[nid], a, n) for nid, a, n in c.outputs]
+        if (self.nodes == nodes and inputs == c.inputs
+                and outputs == c.outputs):
+            return c
+        return Circuit(c.level, c.bitwidth, c.signed, self.nodes, inputs,
+                       outputs)
+
+
+def _rewrite(c: Circuit, rule: str) -> Circuit:
+    """One walk of `c` through a Builder with only `rule` enabled."""
+    b = Builder((rule,), c.nodes)
+    for nid, node in enumerate(c.nodes):
+        if not b.settled(nid, node):
+            return b.walk(c, nid)
+    return c
 
 
 def const_fold(c: Circuit) -> Circuit:
-    rb = _Rebuild(c)
-    new_nodes = rb.new.nodes
-    for oid, node in enumerate(c.nodes):
-        ids = tuple([rb.map[o] for o in node.operands])
-        ops = [new_nodes[i] for i in ids]
-        folded = None
-        if node.kind in FOLDABLE and len(ops) == 2 and all(
-                n.kind == GateKind.CONST for n in ops):
-            folded = FOLDABLE[node.kind](ops[0].payload, ops[1].payload)
-        elif node.kind == GateKind.MUL_PLAIN and ops and \
-                ops[0].kind == GateKind.CONST:
-            folded = ops[0].payload * node.payload
-        elif node.kind == GateKind.MUX and len(ops) == 3 and all(
-                n.kind == GateKind.CONST for n in ops):
-            folded = ops[1].payload if ops[0].payload else ops[2].payload
-        elif node.kind == GateKind.NOT and ops and \
-                ops[0].kind == GateKind.CONST_BIT:
-            folded = 1 - ops[0].payload
-        if folded is not None:
-            kind = (GateKind.CONST_BIT if node.kind in
-                    (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT)
-                    else GateKind.CONST)
-            rb.map[oid] = rb.emit(kind, (), PLAIN, folded)
-        else:
-            rb.map[oid] = rb.keep(oid, node, ids)
-    return rb.finish()
-
-
-def _const_payload(circuit: Circuit, nid: int):
-    node = circuit.nodes[nid]
-    if node.kind in (GateKind.CONST, GateKind.CONST_BIT):
-        return node.payload
-    return None
-
-
-def _has_kind(c: Circuit, kinds) -> bool:
-    return any(node.kind in kinds for node in c.nodes)
+    """Gates whose operands are all constants become their value."""
+    return _rewrite(c, "const_fold")
 
 
 def peephole(c: Circuit) -> Circuit:
     """Local identities: x && true -> x, x+0 -> x, Mux(b,x,x) -> x, ..."""
-    rb = _Rebuild(c)
-    for oid, node in enumerate(c.nodes):
-        ops = tuple([rb.map[o] for o in node.operands])
-        consts = [_const_payload(rb.new, o) for o in ops]
-        alias = None
-        match node.kind:
-            case GateKind.ADD:
-                if consts[0] == 0:
-                    alias = ops[1]
-                elif consts[1] == 0:
-                    alias = ops[0]
-            case GateKind.SUB:
-                if consts[1] == 0:
-                    alias = ops[0]
-            case GateKind.MUL:
-                if consts[0] == 1:
-                    alias = ops[1]
-                elif consts[1] == 1:
-                    alias = ops[0]
-            case GateKind.MUX | GateKind.MUX_BIT:
-                if ops[1] == ops[2]:
-                    alias = ops[1]
-            case GateKind.AND:
-                if consts[0] == 1:
-                    alias = ops[1]
-                elif consts[1] == 1:
-                    alias = ops[0]
-                elif 0 in consts:
-                    alias = ops[consts.index(0)]
-            case GateKind.OR:
-                if consts[0] == 0:
-                    alias = ops[1]
-                elif consts[1] == 0:
-                    alias = ops[0]
-                elif 1 in consts:
-                    alias = ops[consts.index(1)]
-            case GateKind.XOR:
-                if consts[0] == 0:
-                    alias = ops[1]
-                elif consts[1] == 0:
-                    alias = ops[0]
-            case GateKind.NOT:
-                inner = rb.new.nodes[ops[0]]
-                if inner.kind == GateKind.NOT:
-                    alias = inner.operands[0]
-        rb.map[oid] = (alias if alias is not None
-                       else rb.keep(oid, node, ops))
-    return rb.finish()
-
-
-def cse(c: Circuit) -> Circuit:
-    """Merge structurally identical nodes; commutative gates canonicalize
-    operand order first, so Add(a,b) and Add(b,a) unify."""
-    rb = _Rebuild(c)
-    seen: dict[tuple, int] = {}
-    for oid, node in enumerate(c.nodes):
-        ops = tuple([rb.map[o] for o in node.operands])
-        canon = tuple(sorted(ops)) if node.kind in COMMUTATIVE else ops
-        key = (node.kind, canon, node.payload, node.meta)
-        if node.kind in (GateKind.INPUT, GateKind.INPUT_BIT):
-            key = (node.kind, oid)  # distinct inputs never merge
-        if key in seen:
-            rb.map[oid] = seen[key]
-        else:
-            rb.map[oid] = seen[key] = rb.keep(oid, node, ops)
-    return rb.finish()
-
-
-def dce(c: Circuit) -> Circuit:
-    """Drop nodes that no output (or input declaration) reaches."""
-    live = set()
-    stack = [nid for nid, _a, _n in c.outputs]
-    stack += [nid for nid, _p, _n in c.inputs]
-    while stack:
-        nid = stack.pop()
-        if nid in live:
-            continue
-        live.add(nid)
-        stack.extend(c.nodes[nid].operands)
-    rb = _Rebuild(c)
-    for oid, node in enumerate(c.nodes):
-        if oid in live:
-            rb.map[oid] = rb.keep(oid, node)
-    return rb.finish()
+    return _rewrite(c, "peephole")
 
 
 def strength_reduce(c: Circuit) -> Circuit:
     """Mul with a constant operand becomes MulPlain; multiplying by the
     plaintext constants 0 and 1 disappears entirely."""
-    if not _has_kind(c, (GateKind.MUL, GateKind.MUL_PLAIN)):
+    return _rewrite(c, "strength_reduce")
+
+
+def cse(c: Circuit) -> Circuit:
+    """Merge structurally identical nodes; commutative gates canonicalize
+    operand order first, so Add(a,b) and Add(b,a) unify."""
+    return _rewrite(c, "cse")
+
+
+def dce(c: Circuit) -> Circuit:
+    """Drop nodes that no output (or input declaration) reaches."""
+    nodes = c.nodes
+    live = [False] * len(nodes)
+    for nid, _x, _name in c.inputs + c.outputs:
+        live[nid] = True
+    for nid in range(len(nodes) - 1, -1, -1):  # operands precede users
+        if live[nid]:
+            for o in nodes[nid].operands:
+                live[o] = True
+    if all(live):
         return c
-    rb = _Rebuild(c)
-    for oid, node in enumerate(c.nodes):
-        ops = tuple([rb.map[o] for o in node.operands])
-        if node.kind == GateKind.MUL:
-            consts = [_const_payload(rb.new, o) for o in ops]
-            if consts[0] is not None:
-                rb.map[oid] = rb.emit(GateKind.MUL_PLAIN, (ops[1],),
-                                      node.meta, consts[0])
-                continue
-            if consts[1] is not None:
-                rb.map[oid] = rb.emit(GateKind.MUL_PLAIN, (ops[0],),
-                                      node.meta, consts[1])
-                continue
-        if node.kind == GateKind.MUL_PLAIN:
-            if node.payload == 0:
-                rb.map[oid] = rb.emit(GateKind.CONST, (), PLAIN, 0)
-                continue
-            if node.payload == 1:
-                rb.map[oid] = ops[0]
-                continue
-        rb.map[oid] = rb.keep(oid, node, ops)
-    return rb.finish()
+    return Builder().walk(c, live.index(False),
+                          lambda oid, _node, _ops: None if live[oid] else -1)
 
 
 def tree_reduce(c: Circuit) -> Circuit:
     """Rebalance linear chains of one associative gate kind into trees of
     logarithmic depth. Only single-use, non-output intermediates move."""
-    uses: dict[int, int] = {}
-    for node in c.nodes:
-        for o in node.operands:
-            uses[o] = uses.get(o, 0) + 1
+    uses = Counter(o for node in c.nodes for o in node.operands)
     pinned = {nid for nid, _a, _n in c.outputs}
-    chain_kinds = (GateKind.ADD, GateKind.MUL, GateKind.AND, GateKind.OR,
-                   GateKind.XOR)
+    chain_kinds = (ADD, MUL, AND, OR, XOR)
 
     def chain_link(nid: int, kind) -> bool:
         node = c.nodes[nid]
-        return (node.kind == kind and uses.get(nid, 0) == 1
-                and nid not in pinned)
+        return node.kind == kind and uses[nid] == 1 and nid not in pinned
 
     # heads are chain tops; every interior link is single-use
     interior: set[int] = set()
@@ -267,31 +265,25 @@ def tree_reduce(c: Circuit) -> Circuit:
         if len(leaves) >= 4 and len(links) == len(leaves) - 1:
             plans[nid] = leaves
             interior.update(set(links) - {nid})
+    if not plans:
+        return c
 
-    rb = _Rebuild(c)
-    for oid, node in enumerate(c.nodes):
+    b = Builder()
+
+    def step(oid, node, ops):
         if oid in interior:
-            continue
+            return -1
         if oid in plans:
-            layer = [rb.map[leaf] for leaf in plans[oid]]
-            while len(layer) > 1:
-                nxt = []
-                for i in range(0, len(layer) - 1, 2):
-                    nxt.append(rb.emit(node.kind,
-                                       (layer[i], layer[i + 1]), node.meta))
-                if len(layer) % 2:
-                    nxt.append(layer[-1])
-                layer = nxt
-            rb.map[oid] = layer[0]
-        else:
-            rb.map[oid] = rb.keep(oid, node)
-    return rb.finish()
+            return balanced([b.map[leaf] for leaf in plans[oid]],
+                            lambda x, y: b.add(node.kind, (x, y), node.meta))
+
+    return b.walk(c, min(interior.union(plans)), step)
 
 
 # -- cost-model-driven comparison re-encoding --
 
-def _scalar_cost(model, kind: GateKind):
-    return sum(model.gate_costs.get(kind, {}).values())
+def _scalar_cost(model, *kinds: GateKind):
+    return sum(sum(model.gate_costs.get(k, {}).values()) for k in kinds)
 
 
 def cmp_rewrite(c: Circuit, model) -> Circuit:
@@ -303,59 +295,50 @@ def cmp_rewrite(c: Circuit, model) -> Circuit:
     and for x != y:                Add(Lt(x,y), Lt(y,x))   and
                                    Sub(Const 1, Eq(x,y)).
     """
-    if not _has_kind(c, (GateKind.ADD, GateKind.SUB)):
-        return c
-    geq_direct = (_scalar_cost(model, GateKind.LT)
-                  + _scalar_cost(model, GateKind.EQ)
-                  + _scalar_cost(model, GateKind.ADD))
-    geq_rewrite = (_scalar_cost(model, GateKind.LT)
-                   + _scalar_cost(model, GateKind.SUB))
-    neq_direct = (2 * _scalar_cost(model, GateKind.LT)
-                  + _scalar_cost(model, GateKind.ADD))
-    neq_rewrite = (_scalar_cost(model, GateKind.EQ)
-                   + _scalar_cost(model, GateKind.SUB))
+    geq_direct = _scalar_cost(model, LT, EQ, ADD)
+    geq_rewrite = _scalar_cost(model, LT, SUB)
+    neq_direct = _scalar_cost(model, LT, LT, ADD)
+    neq_rewrite = _scalar_cost(model, EQ, SUB)
+    one = (CONST, (), PLAIN, 1)
 
-    rb = _Rebuild(c)
-    for oid, node in enumerate(c.nodes):
-        ops = tuple([rb.map[o] for o in node.operands])
-        new = rb.new
-        replaced = None
-        if node.kind == GateKind.ADD:
-            kinds = tuple(new.nodes[o].kind for o in ops)
-            if set(kinds) == {GateKind.LT, GateKind.EQ} and geq_rewrite < geq_direct:
-                lt = new.nodes[ops[kinds.index(GateKind.LT)]]
-                eq = new.nodes[ops[kinds.index(GateKind.EQ)]]
-                if sorted(lt.operands) == sorted(eq.operands):
-                    y, x = lt.operands  # Lt(y, x) means x >= y
-                    one = new.add_node(GateKind.CONST, (), PLAIN, 1)
-                    inner = new.add_node(GateKind.LT, (x, y), lt.meta)
-                    replaced = new.add_node(GateKind.SUB, (one, inner),
-                                            node.meta)
-            elif kinds == (GateKind.LT, GateKind.LT) and neq_rewrite < neq_direct:
-                l1, l2 = new.nodes[ops[0]], new.nodes[ops[1]]
-                if l1.operands == tuple(reversed(l2.operands)):
-                    x, y = l1.operands
-                    one = new.add_node(GateKind.CONST, (), PLAIN, 1)
-                    inner = new.add_node(GateKind.EQ, (x, y), l1.meta)
-                    replaced = new.add_node(GateKind.SUB, (one, inner),
-                                            node.meta)
-        elif node.kind == GateKind.SUB:
-            lhs, rhs = ops
-            if _const_payload(new, lhs) == 1:
-                inner = new.nodes[rhs]
-                if inner.kind == GateKind.LT and geq_direct < geq_rewrite:
-                    x, y = inner.operands  # 1 - Lt(x,y) means x >= y
-                    lt = new.add_node(GateKind.LT, (y, x), inner.meta)
-                    eq = new.add_node(GateKind.EQ, (x, y), inner.meta)
-                    replaced = new.add_node(GateKind.ADD, (lt, eq), node.meta)
-                elif inner.kind == GateKind.EQ and neq_direct < neq_rewrite:
-                    x, y = inner.operands
-                    l1 = new.add_node(GateKind.LT, (x, y), inner.meta)
-                    l2 = new.add_node(GateKind.LT, (y, x), inner.meta)
-                    replaced = new.add_node(GateKind.ADD, (l1, l2), node.meta)
-        rb.map[oid] = (replaced if replaced is not None
-                       else rb.keep(oid, node, ops))
-    return rb.finish()
+    def replacement(nodes, kind, ops):
+        """(outer kind, first operand, second operand) of the cheaper
+        form of kind(ops), each operand as `Builder.add` arguments; None
+        when kind(ops) is not a derived comparison to re-encode."""
+        if kind is not ADD and kind is not SUB:
+            return None
+        n0, n1 = nodes[ops[0]], nodes[ops[1]]
+        if kind is ADD and {n0.kind, n1.kind} == {LT, EQ}:
+            lt, eq = (n0, n1) if n0.kind is LT else (n1, n0)
+            y, x = lt.operands  # Lt(y, x) means x >= y
+            if (geq_rewrite < geq_direct
+                    and sorted(lt.operands) == sorted(eq.operands)):
+                return SUB, one, (LT, (x, y), lt.meta)
+        elif kind is ADD and n0.kind is LT and n1.kind is LT:
+            if neq_rewrite < neq_direct and n0.operands == n1.operands[::-1]:
+                return SUB, one, (EQ, n0.operands, n0.meta)
+        elif (kind is SUB and n0.kind in CONST_KINDS and n0.payload == 1
+              and n1.kind in (LT, EQ)):
+            x, y = n1.operands
+            if n1.kind is LT and geq_direct < geq_rewrite:
+                # 1 - Lt(x,y) means x >= y
+                return ADD, (LT, (y, x), n1.meta), (EQ, (x, y), n1.meta)
+            if n1.kind is EQ and neq_direct < neq_rewrite:
+                return ADD, (LT, (x, y), n1.meta), (LT, (y, x), n1.meta)
+        return None
+
+    b = Builder()
+
+    def step(_oid, node, ops):
+        new = replacement(b.nodes, node.kind, ops)
+        if new:
+            kind, first, second = new
+            return b.add(kind, (b.add(*first), b.add(*second)), node.meta)
+
+    for nid, node in enumerate(c.nodes):
+        if replacement(c.nodes, node.kind, node.operands):
+            return b.walk(c, nid, step)
+    return c
 
 
 PASSES = {
@@ -371,6 +354,13 @@ PASSES = {
 MAX_ROUNDS = 10
 
 
+def check_pass_names(passes: list[str]):
+    """Raise LowerError("UnknownPass") for a name that is not a pass."""
+    for name in passes:
+        if name not in PASSES and name not in PRE_LOWERING_PASSES:
+            raise LowerError("UnknownPass", name)
+
+
 def run_passes(c: Circuit, passes: list[str] | None = None,
                model=None) -> Circuit:
     """Run the pass list to a fixpoint (at most MAX_ROUNDS rounds).
@@ -378,11 +368,8 @@ def run_passes(c: Circuit, passes: list[str] | None = None,
     The fixpoint is the round in which every pass returned its input. A
     circuit already at its fixpoint comes back as the very same object,
     so never mutate the result: it may be the circuit passed in."""
-    if passes is None:
-        passes = DEFAULT_PASSES
-    for name in passes:
-        if name not in PASSES and name not in PRE_LOWERING_PASSES:
-            raise LowerError("UnknownPass", name)
+    passes = DEFAULT_PASSES if passes is None else passes
+    check_pass_names(passes)
     if model is None:
         from .estimator import additive_model
         model = additive_model()

@@ -47,8 +47,9 @@ def compile(source: str | Circuit, cfg: PipelineConfig,
 
     Passes run (when `optimize` is set) at the level the circuit has
     before bitblasting: word level for source, bool level for a bool
-    circuit. Raises MalformedCircuitError if a given circuit is not
-    well-formed.
+    circuit. Bitblast emits through the pass list's local rules: the bool
+    fixpoint, or the raw circuit when not optimizing. Raises
+    MalformedCircuitError if a given circuit is not well-formed.
     """
     if isinstance(source, Circuit):
         c = source
@@ -62,5 +63,5 @@ def compile(source: str | Circuit, cfg: PipelineConfig,
     if optimize and passes:
         c = run_passes(c, passes, cfg.model)
     if cfg.target_level == Level.BOOL and c.level == Level.ARITH:
-        c = bitblast(c, cfg.bitwidth)
+        c = bitblast(c, cfg.bitwidth, passes if optimize else [])
     return c

@@ -19,7 +19,7 @@ def logic_gate_count(c):
 
 
 def test_adder_is_exactly_w_full_cells():
-    cb = bitblast(build("adder", bitwidth=4), 4)
+    cb = bitblast(build("adder", bitwidth=4), 4, passes=[])
     counts = cb.counts()
     assert counts[GateKind.XOR] == 8   # 2 per cell
     assert counts[GateKind.AND] == 8   # 2 per cell

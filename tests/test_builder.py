@@ -1,0 +1,156 @@
+"""The one rewrite engine: `optimizer.Builder`, the passes that walk a
+circuit through it, and the bitblast that emits the bool fixpoint
+through it."""
+
+import random
+
+import pytest
+
+from conftest import CORPUS_NAMES, build
+from mpcc import optimizer
+from mpcc.backends.boolsim import interpret_bool
+from mpcc.bitblast import bitblast
+from mpcc.circuit import PLAIN, EncMeta, GateKind, Level
+from mpcc.errors import LowerError
+from mpcc.estimator import additive_model
+from mpcc.lowering import LowerConfig, lower_program
+from mpcc.optimizer import (
+    DEFAULT_PASSES, PASSES, RULE_KINDS, Builder, run_passes,
+)
+from mpcc.pipeline import PipelineConfig, compile
+from mpcc.sectypes import Generic
+from mpcc.typecheck import check_program
+from proggen import random_program
+
+LOCAL_RULES = sorted(RULE_KINDS)
+
+
+def apply_pass(name, c):
+    fn = PASSES[name]
+    return fn(c, additive_model()) if name == "cmp_rewrite" else fn(c)
+
+
+# -- the builder --
+
+def test_hashing_returns_the_earlier_node():
+    b = Builder(["cse"])
+    x = b.add(GateKind.INPUT_BIT)
+    y = b.add(GateKind.INPUT_BIT)
+    assert x != y  # inputs never merge
+    g = b.add(GateKind.AND, (x, y))
+    assert b.add(GateKind.AND, (y, x)) == g  # commutative
+    assert b.add(GateKind.XOR, (x, y)) != g
+    assert len(b.nodes) == 4
+
+
+def test_a_replacement_goes_through_every_rule():
+    b = Builder(RULE_KINDS)
+    zero = b.add(GateKind.CONST, (), PLAIN, 0)
+    x = b.add(GateKind.INPUT)
+    # Mul(x, 0) -> MulPlain(x, 0) -> Const 0, which hashes to `zero`
+    assert b.add(GateKind.MUL, (x, zero)) == zero
+    one = b.add(GateKind.CONST_BIT, (), PLAIN, 1)
+    # Not(Not(1)) folds twice and lands on the constant it started from
+    assert b.add(GateKind.NOT, (b.add(GateKind.NOT, (one,)),)) == one
+    assert len(b.nodes) == 4  # the first Not's Const 0 bit is the new node
+
+
+def test_a_rule_that_is_not_enabled_does_nothing():
+    for rules in ([], ["const_fold"], ["cse"]):
+        b = Builder(rules)
+        x = b.add(GateKind.INPUT_BIT)
+        t = b.add(GateKind.CONST_BIT, (), PLAIN, 1)
+        assert b.add(GateKind.AND, (x, t)) == 2  # peephole's identity
+
+
+def test_bitblast_rejects_unknown_passes():
+    with pytest.raises(LowerError):
+        bitblast(build("adder", bitwidth=4), passes=["mystery_pass"])
+
+
+# -- bitblast emits the bool fixpoint --
+
+@pytest.mark.parametrize("scheme", ["generic", "additive"])
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_bitblast_emits_the_bool_fixpoint(name, width, scheme):
+    word = build(name, bitwidth=width, scheme=scheme, optimize=True)
+    b = bitblast(word)
+    # Circuit equality compares every field that to_json writes
+    assert b == run_passes(bitblast(word, passes=[]))
+    assert run_passes(b) is b
+
+
+def test_a_gate_keeps_its_raw_metadata():
+    # bit 0 of r is Mux(s<3, 1, 1), which folds to the plain constant 1;
+    # the Xor of that bit with y's bit 0 survives, and as in the raw
+    # circuit its metadata still names party 1
+    src = ("parties 1, 2;\ninput s : int@{1} from 1;\n"
+           "input y : int@{2} from 2;\n"
+           "val r : int@{1} := if (s < 3) { 5 } else { 7 };\n"
+           "output eval({1, 2}, r + y);\n")
+    word = compile(src, PipelineConfig(bitwidth=4))
+    b = bitblast(word)
+    assert b == run_passes(bitblast(word, passes=[]))
+    assert any(n.kind == GateKind.XOR and n.meta == EncMeta(frozenset({1, 2}))
+               and b.nodes[n.operands[0]].kind == GateKind.CONST_BIT
+               for n in b.nodes)
+
+
+@pytest.mark.parametrize("width", [8, 16, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_every_rule_set_computes_the_same_bits(seed, width):
+    """Each local rule alone and all of them give bool circuits whose
+    outputs are bit-identical to the raw bitblast's, on optimized words
+    and, below 64 bits, unoptimized ones (whose 64-bit multipliers would
+    triple the run time)."""
+    tp = check_program(random_program(seed), Generic())
+    lowered = lower_program(tp, LowerConfig(bitwidth=width))
+    rng = random.Random(seed)
+    inputs = [{(1, "a"): rng.randrange(-20, 40),
+               (2, "b"): rng.randrange(-20, 40)} for _ in range(2)]
+    words = [run_passes(lowered)] + ([lowered] if width < 64 else [])
+    for word in words:
+        want = [interpret_bool(bitblast(word, passes=[]), ins)
+                for ins in inputs]
+        for passes in [None] + [[rule] for rule in LOCAL_RULES]:
+            b = bitblast(word, passes=passes)
+            assert [interpret_bool(b, ins) for ins in inputs] == want, passes
+
+
+# -- a pass that rewrites nothing copies nothing --
+
+def fixpoints():
+    """(circuit, the passes it is a fixpoint of) at word and bool level."""
+    out = []
+    for name in ("gcd", "auction", "mergesort", "matvec", "pow8"):
+        word = build(name, bitwidth=16)
+        blasted = bitblast(run_passes(word), 16)
+        out += [(run_passes(word, list(PASSES)), list(PASSES)),
+                (blasted, DEFAULT_PASSES),
+                (run_passes(blasted, list(PASSES)), list(PASSES))]
+    assert {c.level for c, _passes in out} == {Level.ARITH, Level.BOOL}
+    return out
+
+
+def test_a_pass_on_its_fixpoint_builds_no_circuit(monkeypatch):
+    circuits = fixpoints()
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(optimizer, "Circuit", counting(optimizer.Circuit))
+    monkeypatch.setattr(Builder, "walk", counting(Builder.walk))
+    for c, passes in circuits:
+        for name in passes:
+            if name in PASSES:
+                calls.clear()
+                assert apply_pass(name, c) is c, name
+                # no walk even starts copying, except that tree_reduce
+                # rebuilds the chains it finds to compare them
+                allowed = {"walk"} if name == "tree_reduce" else set()
+                assert set(calls) <= allowed, name

@@ -90,10 +90,12 @@ def test_emit_requires_bool_level(capsys):
 
 
 def test_emit_adder(capsys):
-    assert run_cli("emit", hml("adder"), "--level", "bool",
-                   "--bitwidth", "4") == 0
-    text = capsys.readouterr().out
-    assert text.splitlines()[0].split()[0] == "20"
+    # emit writes the bool fixpoint; --no-opt writes the raw bitblast
+    for flags, gates in (((), "14"), (("--no-opt",), "20")):
+        assert run_cli("emit", hml("adder"), "--level", "bool",
+                       "--bitwidth", "4", *flags) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[0].split()[0] == gates
 
 
 def test_pipe_composability(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_emission_is_deterministic():
 
 
 def test_adder_has_twenty_gate_lines():
-    c = bitblast(build("adder", bitwidth=4), 4)
+    c = bitblast(build("adder", bitwidth=4), 4, passes=[])
     text = emit_gatelist(c)
     gate_lines = [ln for ln in text.splitlines()
                   if ln and not ln.startswith("const")
@@ -48,13 +48,21 @@ def test_adder_has_twenty_gate_lines():
     assert io == ["8", "4"]
 
 
+def test_normalized_adder_has_fourteen_gate_lines():
+    # cell 0 has no carry-in (one Xor, one And) and cell 3's carry-out is
+    # dead (two Xor): 2 + 5 + 5 + 2 gates
+    gl = parse_gatelist(emit_gatelist(bitblast(build("adder", bitwidth=4))))
+    assert (gl.n_gates, gl.n_inputs, gl.n_outputs) == (14, 8, 4)
+    assert sum(k == "XOR" for k, _i, _o in gl.gates) == 7
+
+
 def test_arith_circuit_rejected():
     with pytest.raises(LevelError):
         emit_gatelist(build("adder", bitwidth=4))
 
 
 def test_parse_round_trip_counts():
-    c = bitblast(build("adder", bitwidth=4), 4)
+    c = bitblast(build("adder", bitwidth=4), 4, passes=[])
     gl = parse_gatelist(emit_gatelist(c))
     assert gl.n_gates == 20
     assert gl.n_inputs == 8

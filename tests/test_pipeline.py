@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import build, corpus_source
+from mpcc.bitblast import bitblast
 from mpcc.circuit import GateKind, Level
 from mpcc.errors import MalformedCircuitError
 from mpcc.pipeline import PipelineConfig, compile
@@ -25,7 +26,9 @@ def test_bitblast_runs_once_and_only_for_bool_targets():
     assert arith.level == Level.ARITH
     blasted = compile(corpus_source("adder"), BOOL4)
     assert blasted.level == Level.BOOL
-    assert compile(arith, BOOL4, optimize=False).nodes == blasted.nodes
+    assert compile(arith, BOOL4).nodes == blasted.nodes
+    assert compile(arith, BOOL4, optimize=False).nodes == \
+        bitblast(arith, 4, passes=[]).nodes
     # a bool circuit is not bitblasted again; its passes run at bool level
     again = compile(blasted, BOOL4)
     assert again.level == Level.BOOL

@@ -3,11 +3,13 @@
 Input bits produced by the bit-blaster share the declaring variable's
 name; consecutive entries with one (party, name) pair form a word, LSB
 first. Outputs reassemble the same way, with a signed (centered) lift
-when the circuit is marked signed.
+when the circuit is marked signed. Gates run through the gate-list
+kernel `gatelist.run_gates`, with one wire per node.
 """
 
 from ..circuit import Circuit, GateKind, Level
 from ..errors import LevelError, MissingInputError
+from .gatelist import KIND_NAMES, run_gates
 
 
 def interpret_bool(circuit: Circuit,
@@ -34,32 +36,32 @@ class BoolInterpreter:
             bit_index[(party, name)] = k + 1
             input_bits[nid] = (int(inputs[(party, name)]) >> k) & 1
 
-        values = [0] * len(c.nodes)
-        self.gate_evaluations = 0
-        for nid in c.topological_eval_order():
-            node = c.nodes[nid]
-            a = node.operands
-            match node.kind:
-                case GateKind.CONST_BIT:
-                    v = node.payload & 1
-                case GateKind.INPUT_BIT:
-                    v = input_bits[nid]
-                case GateKind.AND:
-                    v = values[a[0]] & values[a[1]]
-                case GateKind.OR:
-                    v = values[a[0]] | values[a[1]]
-                case GateKind.XOR:
-                    v = values[a[0]] ^ values[a[1]]
-                case GateKind.NOT:
-                    v = 1 - values[a[0]]
-                case GateKind.MUX_BIT:
-                    v = values[a[1]] if values[a[0]] else values[a[2]]
-                case GateKind.REVEAL_BIT:
-                    v = values[a[0]]
-                case _:
-                    raise LevelError(f"{node.kind.value} in bool circuit")
-            values[nid] = v
-            self.gate_evaluations += 1
+        # wire = node id, plus one zero wire: a reveal is a copy, run as
+        # the gate list's XOR with zero. The kernel gets the gates as
+        # zipped columns, which builds no tuple per gate.
+        zero = len(c.nodes)
+        values = [0] * (zero + 1)
+        kinds, ins, outs = [], [], []
+        for nid, node in enumerate(c.nodes):
+            kind = node.kind
+            name = KIND_NAMES.get(kind)
+            if name is not None:
+                ops = node.operands
+            elif kind == GateKind.REVEAL_BIT:
+                name, ops = "XOR", (node.operands[0], zero)
+            elif kind == GateKind.INPUT_BIT:
+                values[nid] = input_bits[nid]
+                continue
+            elif kind == GateKind.CONST_BIT:
+                values[nid] = node.payload & 1
+                continue
+            else:
+                raise LevelError(f"{kind.value} in bool circuit")
+            kinds.append(name)
+            ins.append(ops)
+            outs.append(nid)
+        run_gates(zip(kinds, ins, outs), values)
+        self.gate_evaluations = len(c.nodes)
 
         words: dict[str, list[int]] = {}
         order: list[str] = []

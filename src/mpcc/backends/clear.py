@@ -51,8 +51,7 @@ class ClearInterpreter:
                     f"input {name}={v} exceeds |v| < 2^{c.bitwidth - 2}")
             input_values[nid] = v
         self.gate_evaluations = 0
-        for nid in c.topological_eval_order():
-            node = c.nodes[nid]
+        for nid, node in enumerate(c.nodes):
             a = node.operands
             match node.kind:
                 case GateKind.CONST:

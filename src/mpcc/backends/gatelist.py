@@ -12,29 +12,38 @@ gates in evaluation order; the final <#outputs> wires are the outputs,
 in output-declaration order. Reveal nodes are transparent: an output
 wire is the gate that produced the revealed bit, copied through an
 XOR-with-zero when the bit is itself an input, a constant, or already
-claimed by an earlier output. Emission is deterministic, byte for byte.
+claimed by an earlier output; a reveal that later gates read shares its
+operand's wire. Emission is deterministic, byte for byte.
+
+`run_gates` is the one loop that evaluates bit gates: `eval_gatelist`
+runs a parsed list through it, and `boolsim` runs bool-level circuits
+through it with one wire per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..circuit import Circuit, GateKind, Level
+from ..circuit import ARITY, Circuit, GateKind, Level
 from ..errors import LevelError, ParseError
 
 KIND_NAMES = {GateKind.AND: "AND", GateKind.OR: "OR", GateKind.XOR: "XOR",
               GateKind.NOT: "INV", GateKind.MUX_BIT: "MUX"}
-NAME_KINDS = {v: k for k, v in KIND_NAMES.items()}
+NAME_ARITY = {name: ARITY[kind] for kind, name in KIND_NAMES.items()}
 
 
 def emit_gatelist(c: Circuit) -> str:
     if c.level != Level.BOOL:
         raise LevelError("gate lists are emitted from bool-level circuits")
     input_ids = [nid for nid, _p, _n in c.inputs]
-    const_ids = [nid for nid, node in enumerate(c.nodes)
-                 if node.kind == GateKind.CONST_BIT]
-    gate_ids = [nid for nid, node in enumerate(c.nodes)
-                if node.kind in KIND_NAMES]
+    const_ids, gate_ids, reveal_ids = [], [], []
+    for nid, node in enumerate(c.nodes):
+        if node.kind in KIND_NAMES:
+            gate_ids.append(nid)
+        elif node.kind == GateKind.CONST_BIT:
+            const_ids.append(nid)
+        elif node.kind == GateKind.REVEAL_BIT:
+            reveal_ids.append(nid)
     source_of = {}
     for out_index, (nid, _aud, _name) in enumerate(c.outputs):
         node = c.nodes[nid]
@@ -85,6 +94,8 @@ def emit_gatelist(c: Circuit) -> str:
         if src in out_wire_owner and out_wire_owner[src] == out_index:
             wire[src] = out_base + out_index
     n_wires = out_base + n_outputs
+    for nid in reveal_ids:
+        wire[nid] = wire[c.nodes[nid].operands[0]]
 
     lines = []
     if zero_gen_line is not None:
@@ -115,39 +126,71 @@ class GateList:
 
 
 def parse_gatelist(text: str) -> GateList:
+    """Parse a gate list and check its wiring: a gate reads only inputs,
+    earlier const lines and earlier gates' outputs, no wire is defined
+    twice, and every output wire is defined."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ParseError("gate list needs two header lines")
+    try:
+        return _parse(lines)
+    except ValueError:
+        raise ParseError("gate list fields must be integers where the "
+                         "layout puts numbers") from None
+
+
+def _parse(lines: list[str]) -> GateList:
     n_gates, n_wires = map(int, lines[0].split())
     n_inputs, n_outputs = map(int, lines[1].split())
+    if min(n_inputs, n_outputs) < 0 or n_inputs + n_outputs > n_wires:
+        raise ParseError(f"{n_inputs} inputs and {n_outputs} outputs do not "
+                         f"fit {n_wires} wires")
     gl = GateList(n_gates, n_wires, n_inputs, n_outputs)
+    defined = bytearray(n_wires)
+    defined[:n_inputs] = b"\x01" * n_inputs
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "const":
-            gl.consts[int(parts[1])] = int(parts[2])
+            if len(parts) != 3:
+                raise ParseError(f"malformed const line: {ln}")
+            wire, bit = int(parts[1]), int(parts[2])
+            if not 0 <= wire < n_wires or defined[wire]:
+                raise ParseError(f"const wire {wire} is out of range or "
+                                 f"already defined")
+            if bit not in (0, 1):
+                raise ParseError(f"const wire {wire} holds {bit}, not a bit")
+            gl.consts[wire] = bit
+            defined[wire] = 1
             continue
-        arity = int(parts[0])
-        if parts[1] != "1" or len(parts) != 3 + arity + 1:
+        arity, kind = int(parts[0]), parts[-1]
+        if NAME_ARITY.get(kind) != arity:
+            raise ParseError(f"no gate kind {kind} of arity {arity}: {ln}")
+        if len(parts) != 3 + arity + 1 or parts[1] != "1":
             raise ParseError(f"malformed gate line: {ln}")
         ins = tuple(map(int, parts[2:2 + arity]))
         out = int(parts[2 + arity])
-        kind = parts[3 + arity]
-        if kind not in NAME_KINDS:
-            raise ParseError(f"unknown gate kind {kind}")
+        for w in ins:
+            if not (0 <= w < n_wires and defined[w]):
+                raise ParseError(f"gate reads wire {w}, which is not an "
+                                 f"input, an earlier const or an earlier "
+                                 f"gate's output: {ln}")
+        if not 0 <= out < n_wires or defined[out]:
+            raise ParseError(f"gate output wire {out} is out of range or "
+                             f"already defined: {ln}")
+        defined[out] = 1
         gl.gates.append((kind, ins, out))
     if len(gl.gates) != n_gates:
         raise ParseError(f"expected {n_gates} gates, found {len(gl.gates)}")
+    if not all(defined[n_wires - n_outputs:]):
+        raise ParseError("an output wire is never defined")
     return gl
 
 
-def eval_gatelist(gl: GateList, input_bits: list[int]) -> list[int]:
-    """Evaluate on bits given in input-wire order; returns output bits."""
-    if len(input_bits) != gl.n_inputs:
-        raise ParseError(f"expected {gl.n_inputs} input bits, got "
-                         f"{len(input_bits)}")
-    values: dict[int, int] = {i: b & 1 for i, b in enumerate(input_bits)}
-    values.update(gl.consts)
-    for kind, ins, out in gl.gates:
+def run_gates(gates, values: list[int]) -> None:
+    """Evaluate an iterable of (kind-name, ins, out) triples in order,
+    reading and writing `values` by wire. The only loop that evaluates
+    bit gates."""
+    for kind, ins, out in gates:
         match kind:
             case "AND":
                 v = values[ins[0]] & values[ins[1]]
@@ -160,5 +203,15 @@ def eval_gatelist(gl: GateList, input_bits: list[int]) -> list[int]:
             case "MUX":
                 v = values[ins[1]] if values[ins[0]] else values[ins[2]]
         values[out] = v
-    first_out = gl.n_wires - gl.n_outputs
-    return [values[first_out + k] for k in range(gl.n_outputs)]
+
+
+def eval_gatelist(gl: GateList, input_bits: list[int]) -> list[int]:
+    """Evaluate on bits given in input-wire order; returns output bits."""
+    if len(input_bits) != gl.n_inputs:
+        raise ParseError(f"expected {gl.n_inputs} input bits, got "
+                         f"{len(input_bits)}")
+    values = [b & 1 for b in input_bits] + [0] * (gl.n_wires - gl.n_inputs)
+    for wire, bit in gl.consts.items():
+        values[wire] = bit
+    run_gates(gl.gates, values)
+    return values[gl.n_wires - gl.n_outputs:]

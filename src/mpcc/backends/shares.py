@@ -30,7 +30,9 @@ from ..errors import (
     MissingInputError, MuxSelectorError, OverflowContractError,
     PlayerMismatchError, TripleExhaustedError,
 )
-from ..estimator import CostModel, additive_model, estimate
+from ..estimator import (
+    CostModel, additive_model, comparison_budget, estimate,
+)
 
 PRIME = (1 << 61) - 1
 
@@ -49,8 +51,6 @@ class ShareVector:
     shares: list[int | None]
     players: frozenset
     threshold: int
-    provider: frozenset = frozenset()
-    observers: frozenset = frozenset()
 
     def __post_init__(self):
         if len(self.shares) != len(self.players):
@@ -62,17 +62,15 @@ class ShareVector:
                 "player count")
 
 
-def share(value: int, n: int, rng: random.Random, p: int = PRIME,
-          provider: frozenset = frozenset(),
-          observers: frozenset = frozenset()) -> ShareVector:
+def share(value: int, n: int, rng: random.Random,
+          p: int = PRIME) -> ShareVector:
     """Split value into n additive shares: n-1 uniform, last one fixes
     the sum."""
     if n < 2:
         raise PlayerMismatchError("need at least 2 parties")
     parts = [rng.randrange(p) for _ in range(n - 1)]
     last = (value - sum(parts)) % p
-    return ShareVector(parts + [last], frozenset(range(n)), n,
-                       provider, observers)
+    return ShareVector(parts + [last], frozenset(range(n)), n)
 
 
 def reconstruct(sv: ShareVector, p: int = PRIME) -> int:
@@ -158,8 +156,7 @@ def beaver_mul(x: ShareVector, y: ShareVector, t: BeaverTriple,
         if i == 0:
             s = (s + d * e) % p
         out.append(s)
-    return ShareVector(out, x.players, x.threshold,
-                       x.provider | y.provider, x.observers | y.observers)
+    return ShareVector(out, x.players, x.threshold)
 
 
 def _masked(x: ShareVector, mask: ShareVector, p: int) -> ShareVector:
@@ -252,9 +249,7 @@ class SharedSimulator:
         """Apply a per-party local operation share-wise."""
         shares = [fn(*(sv.shares[i] for sv in svs)) % self.p
                   for i in range(self.n)]
-        provider = frozenset().union(*(sv.provider for sv in svs))
-        observers = frozenset().union(*(sv.observers for sv in svs))
-        return ShareVector(shares, self.players, self.n, provider, observers)
+        return ShareVector(shares, self.players, self.n)
 
     # -- online phase --
 
@@ -271,12 +266,7 @@ class SharedSimulator:
         """Idealized comparison: operands are opened only inside this
         functionality, the result bit is re-shared, and the preprocessing
         cost of a real protocol is charged."""
-        tpc = (self.model.triples_per_comparison
-               if self.model.triples_per_comparison is not None
-               else 20 * self.circuit.bitwidth)
-        bpc = (self.model.bits_per_comparison
-               if self.model.bits_per_comparison is not None
-               else self.circuit.bitwidth)
+        tpc, bpc = comparison_budget(self.model, self.circuit.bitwidth)
         self.take_triples(math.ceil(tpc))
         self.take_bits(math.ceil(bpc))
         self.trace.rounds += ROUNDS_PER_COMPARISON
@@ -285,8 +275,7 @@ class SharedSimulator:
         b = centered(self.open(y, "comparison"), self.p)
         bit = {GateKind.LT: a < b, GateKind.LEQ: a <= b,
                GateKind.EQ: a == b}[kind]
-        return share(int(bit), self.n, self.rng, self.p,
-                     x.provider | y.provider, x.observers | y.observers)
+        return share(int(bit), self.n, self.rng, self.p)
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
@@ -298,8 +287,7 @@ class SharedSimulator:
         # the range contract |v| < 2^(w-2), capped by what centered() can
         # lift back out of the field: |v| < 2^60 for p = 2^61 - 1
         limit_log = min(c.bitwidth - 2, (self.p // 2 + 1).bit_length() - 1)
-        for nid in c.topological_eval_order():
-            node = c.nodes[nid]
+        for nid, node in enumerate(c.nodes):
             a = node.operands
             match node.kind:
                 case GateKind.CONST:
@@ -313,9 +301,7 @@ class SharedSimulator:
                     if abs(v) >= 1 << limit_log:
                         raise OverflowContractError(
                             f"input {name}={v} exceeds |v| < 2^{limit_log}")
-                    sv = share(v, self.n, self.rng, self.p,
-                               provider=frozenset({party}),
-                               observers=self.players)
+                    sv = share(v, self.n, self.rng, self.p)
                 case GateKind.ADD:
                     sv = self.local(lambda u, v: u + v, table[a[0]],
                                     table[a[1]])

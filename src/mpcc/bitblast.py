@@ -1,5 +1,4 @@
-"""Word-to-bit lowering (two's complement, LSB first) and the reverse
-mapping from boolean gates to arithmetic over Z_2.
+"""Word-to-bit lowering (two's complement, LSB first).
 
 Adders are ripple-carry with a full cell per bit (2 Xor, 2 And, 1 Or);
 subtraction negates then adds; Lt copies the sign bit of the difference,
@@ -215,45 +214,3 @@ def bitblast(c: Circuit, width: int | None = None,
                   outputs)
     return dce(out) if "dce" in passes else out
 
-
-def bool_to_arith(c: Circuit) -> Circuit:
-    """Map boolean gates onto arithmetic over {0, 1}: And becomes Mul,
-    Xor becomes a+b-2ab, Not becomes 1-a, Or becomes a+b-ab."""
-    if c.level != Level.BOOL:
-        raise LevelError("bool_to_arith expects a bool-level circuit")
-    out = Circuit(Level.ARITH, c.bitwidth, c.signed)
-    mapping: dict[int, int] = {}
-
-    add = out.add_node
-
-    for nid, node in enumerate(c.nodes):
-        ops = tuple(mapping[o] for o in node.operands)
-        match node.kind:
-            case GateKind.CONST_BIT:
-                new = add(GateKind.CONST, (), node.meta, node.payload)
-            case GateKind.INPUT_BIT:
-                new = add(GateKind.INPUT, (), node.meta)
-            case GateKind.AND:
-                new = add(GateKind.MUL, ops, node.meta)
-            case GateKind.OR:
-                s = add(GateKind.ADD, ops, node.meta)
-                p = add(GateKind.MUL, ops, node.meta)
-                new = add(GateKind.SUB, (s, p), node.meta)
-            case GateKind.XOR:
-                s = add(GateKind.ADD, ops, node.meta)
-                p = add(GateKind.MUL, ops, node.meta)
-                two_p = add(GateKind.MUL_PLAIN, (p,), node.meta, 2)
-                new = add(GateKind.SUB, (s, two_p), node.meta)
-            case GateKind.NOT:
-                one = add(GateKind.CONST, (), PLAIN, 1)
-                new = add(GateKind.SUB, (one, ops[0]), node.meta)
-            case GateKind.MUX_BIT:
-                new = add(GateKind.MUX, ops, node.meta)
-            case GateKind.REVEAL_BIT:
-                new = add(GateKind.REVEAL, ops, node.meta)
-            case _:
-                raise LevelError(f"{node.kind.value} in bool circuit")
-        mapping[nid] = new
-    out.inputs = [(mapping[nid], p, n) for nid, p, n in c.inputs]
-    out.outputs = [(mapping[nid], a, n) for nid, a, n in c.outputs]
-    return out

@@ -252,10 +252,6 @@ class Circuit:
                 violations.append(f"output id {nid} is not a reveal node")
         return violations
 
-    def topological_eval_order(self) -> range:
-        # ids are a topological order by construction
-        return range(len(self.nodes))
-
     def counts(self) -> dict[GateKind, int]:
         out: dict[GateKind, int] = {}
         for node in self.nodes:

@@ -32,8 +32,7 @@ class CostModel:
     edge_costs: dict[tuple[GateKind, GateKind], dict[str, Fraction]] = \
         field(default_factory=dict)
     triples_per_mul: Fraction = Fraction(1)
-    # None means "derive from the circuit bitwidth": 20w triples and w
-    # random bits per comparison
+    # None means "derive from the circuit bitwidth": see comparison_budget
     triples_per_comparison: Fraction | None = None
     bits_per_comparison: Fraction | None = None
     prime_modulus: int | None = None
@@ -87,6 +86,16 @@ def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
     return best
 
 
+def comparison_budget(model: CostModel,
+                      bitwidth: int) -> tuple[Fraction, Fraction]:
+    """(triples, random bits) one comparison takes: the model's figures,
+    or by default 20 * bitwidth triples and bitwidth random bits."""
+    tpc = model.triples_per_comparison
+    bpc = model.bits_per_comparison
+    return (Fraction(20 * bitwidth) if tpc is None else tpc,
+            Fraction(bitwidth) if bpc is None else bpc)
+
+
 def estimate(c: Circuit, model: CostModel) -> ResourceReport:
     counts: dict[GateKind, int] = {}
     totals: dict[str, Fraction] = {r: Fraction(0) for r in model.resources()}
@@ -104,10 +113,7 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
         counts[node.kind] = counts.get(node.kind, 0) + 1
         for resource, cost in model.gate_costs[node.kind].items():
             totals[resource] += cost
-    tpc = (model.triples_per_comparison if model.triples_per_comparison
-           is not None else Fraction(20 * c.bitwidth))
-    bpc = (model.bits_per_comparison if model.bits_per_comparison
-           is not None else Fraction(c.bitwidth))
+    tpc, bpc = comparison_budget(model, c.bitwidth)
     n_triple_gates = sum(counts.get(k, 0) for k in TRIPLE_KINDS)
     n_comparisons = sum(counts.get(k, 0) for k in COMPARISON_KINDS)
     return ResourceReport(

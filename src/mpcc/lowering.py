@@ -28,7 +28,6 @@ class LowerConfig:
     bitwidth: int = 64
     comparison_encoding: str = "auto"  # "direct" | "rewrite" | "auto"
     scheme: Scheme = Generic()
-    keep_selectors: bool = True  # emit Mux gates instead of b*x + (1-b)*y
     pow_rewrite: bool = True     # square-and-multiply instead of a chain
 
     def __post_init__(self):
@@ -153,14 +152,7 @@ class Lowering:
         return self.emit(kind, [a, b], static)
 
     def mux(self, cond: Wire, then: Wire, els: Wire) -> Wire:
-        if self.cfg.keep_selectors:
-            return self.emit(GateKind.MUX, [cond, then, els])
-        # b*x + (1 - b)*y
-        one = self.const(1)
-        nb = self.emit(GateKind.SUB, [one, cond])
-        t = self.emit(GateKind.MUL, [cond, then])
-        e = self.emit(GateKind.MUL, [nb, els])
-        return self.emit(GateKind.ADD, [t, e])
+        return self.emit(GateKind.MUX, [cond, then, els])
 
     def mux_value(self, cond: Wire, then: Value, els: Value) -> Value:
         if isinstance(then, list) or isinstance(els, list):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from conftest import build
 from mpcc.backends.boolsim import BoolInterpreter, interpret_bool
 from mpcc.backends.clear import interpret_clear
-from mpcc.bitblast import bitblast, bool_to_arith
+from mpcc.backends.gatelist import (
+    emit_gatelist, eval_gatelist, parse_gatelist,
+)
+from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, Level, PlainMeta
 from mpcc.errors import LevelError
 from mpcc.sectypes import owners
@@ -80,38 +84,56 @@ def random_bool_circuit(rng, n_inputs, n_gates):
     return c
 
 
-def test_bool_to_arith_gate_identities():
-    rng = random.Random(0)
+# an oracle written apart from the one gate loop in gatelist.run_gates
+TRUTH = {
+    GateKind.AND: lambda x, y: x & y,
+    GateKind.OR: lambda x, y: x | y,
+    GateKind.XOR: lambda x, y: x ^ y,
+    GateKind.NOT: lambda x: 1 - x,
+    GateKind.MUX_BIT: lambda s, t, e: t if s else e,
+}
+
+
+def reference_bits(c, ins):
+    """Each revealed bit of a bool circuit, by output name."""
+    values = {nid: ins[(p, name)] for nid, p, name in c.inputs}
+    for nid, node in enumerate(c.nodes):
+        if node.kind in TRUTH:
+            values[nid] = TRUTH[node.kind](*(values[o] for o in node.operands))
+        elif node.kind == GateKind.REVEAL_BIT:
+            values[nid] = values[node.operands[0]]
+    return {name: values[nid] for nid, _a, name in c.outputs}
+
+
+def test_gate_truth_tables():
     c = Circuit(Level.BOOL)
     a = c.add_node(GateKind.INPUT_BIT, ())
     b = c.add_node(GateKind.INPUT_BIT, ())
-    c.inputs += [(a, 1, "a"), (b, 1, "b")]
-    for kind in (GateKind.AND, GateKind.OR, GateKind.XOR):
-        g = c.add_node(kind, (a, b))
+    s = c.add_node(GateKind.INPUT_BIT, ())
+    c.inputs += [(a, 1, "a"), (b, 1, "b"), (s, 1, "s")]
+    for kind, ops in ((GateKind.AND, (a, b)), (GateKind.OR, (a, b)),
+                      (GateKind.XOR, (a, b)), (GateKind.NOT, (a,)),
+                      (GateKind.MUX_BIT, (s, a, b))):
+        g = c.add_node(kind, ops)
         r = c.add_node(GateKind.REVEAL_BIT, (g,), PlainMeta(owners(1)))
         c.add_output(r, owners(1), kind.value)
-    n = c.add_node(GateKind.NOT, (a,))
-    r = c.add_node(GateKind.REVEAL_BIT, (n,), PlainMeta(owners(1)))
-    c.add_output(r, owners(1), "Not")
-    ca = bool_to_arith(c)
-    assert ca.validate() == []
-    for x in (0, 1):
-        for y in (0, 1):
-            ins = {(1, "a"): x, (1, "b"): y}
-            got = interpret_clear(ca, ins)
-            assert got == {"And": x & y, "Or": x | y, "Xor": x ^ y,
-                           "Not": 1 - x}, (x, y)
+    gl = parse_gatelist(emit_gatelist(c))
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        want = {"And": x & y, "Or": x | y, "Xor": x ^ y, "Not": 1 - x,
+                "MuxBit": x if z else y}
+        ins = {(1, "a"): x, (1, "b"): y, (1, "s"): z}
+        assert interpret_bool(c, ins) == want, (x, y, z)
+        assert eval_gatelist(gl, [x, y, z]) == list(want.values())
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_bool_to_arith_agrees_exhaustively(seed):
+def test_random_bool_circuit_matches_reference(seed):
     rng = random.Random(seed)
     k = rng.randrange(2, 7)
     c = random_bool_circuit(rng, k, rng.randrange(5, 50))
-    ca = bool_to_arith(c)
     for assignment in range(1 << k):
         ins = {(1, f"i{i}"): (assignment >> i) & 1 for i in range(k)}
-        assert interpret_bool(c, ins) == interpret_clear(ca, ins)
+        assert interpret_bool(c, ins) == reference_bits(c, ins)
 
 
 @pytest.mark.parametrize("seed", range(40))

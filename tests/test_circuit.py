@@ -132,11 +132,10 @@ def test_lowered_corpus_circuits_validate():
 
 
 def test_topological_order_is_identity():
+    # the backends evaluate in id order, so operands precede their users
     c = build("gcd", bitwidth=16)
-    order = list(c.topological_eval_order())
-    assert order == list(range(len(c.nodes)))
-    for nid in order:
-        for o in c.nodes[nid].operands:
+    for nid, node in enumerate(c.nodes):
+        for o in node.operands:
             assert o < nid
 
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from conftest import CORPUS, CORPUS_NAMES, ROOT, build, corpus_source
+from mpcc.backends.boolsim import interpret_bool
+from mpcc.backends.gatelist import eval_gatelist, parse_gatelist
 from mpcc.circuit import Level
 from mpcc.cli import main
 from mpcc.estimator import default_model_for, estimate
@@ -96,6 +98,31 @@ def test_emit_adder(capsys):
                        "--bitwidth", "4", *flags) == 0
         text = capsys.readouterr().out
         assert text.splitlines()[0].split()[0] == gates
+
+
+REVEAL_FEEDS_GATES = ("parties 1;\n"
+                      "input a : int from 1;\n"
+                      "val r : int := eval({1}, a);\n"
+                      "val s : int@{1} := a + r;\n"
+                      "output eval({1}, s);\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-opt",)])
+def test_emit_reveal_that_feeds_gates(tmp_path, capsys, flags):
+    # a revealed bit that later gates read shares its operand's wire
+    path = tmp_path / "reveal.hml"
+    path.write_text(REVEAL_FEEDS_GATES, encoding="utf-8")
+    assert run_cli("emit", str(path), "--level", "bool", "--bitwidth", "4",
+                   *flags) == 0
+    gl = parse_gatelist(capsys.readouterr().out)
+    b = compile(REVEAL_FEEDS_GATES, PipelineConfig(bitwidth=4,
+                                                   target_level=Level.BOOL),
+                optimize=not flags)
+    for a in range(-3, 4):
+        bits = eval_gatelist(gl, [(a >> k) & 1 for k in range(4)])
+        s = sum(bit << k for k, bit in enumerate(bits))
+        s -= 16 if bits[-1] else 0
+        assert s == interpret_bool(b, {(1, "a"): a})["s"] == 2 * a, a
 
 
 def test_pipe_composability(tmp_path, capsys):

@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from conftest import build
+from conftest import CORPUS_NAMES, build
 from mpcc.backends.boolsim import interpret_bool
+from mpcc.backends.clear import interpret_clear
 from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
 )
 from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, Level, PlainMeta
-from mpcc.errors import LevelError
+from mpcc.errors import LevelError, ParseError
 from mpcc.sectypes import owners
 
 
@@ -145,3 +146,80 @@ def test_duplicate_output_sources_get_copies():
     gl = parse_gatelist(emit_gatelist(c))
     for x, y in itertools.product((0, 1), repeat=2):
         assert eval_gatelist(gl, [x, y]) == [x ^ y, x ^ y]
+
+
+# input bounds that keep every corpus value inside the range contract
+# |v| < 2^(w-2), so word and bit evaluation agree exactly
+INPUT_BOUNDS = {("pow8", 16): 3, ("pow8", 64): 199,
+                ("matvec", 16): 7, ("matvec", 64): 999}
+
+
+def decode_words(c: Circuit, bits: list[int]) -> dict[str, int]:
+    """Output bits regrouped by name, words read as signed."""
+    words: dict[str, list[int]] = {}
+    for (_nid, _aud, name), bit in zip(c.outputs, bits):
+        words.setdefault(name, []).append(bit)
+    out = {}
+    for name, ws in words.items():
+        v = sum(bit << k for k, bit in enumerate(ws))
+        out[name] = v - (1 << len(ws)) if len(ws) >= 2 and ws[-1] else v
+    return out
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_corpus_bool_gatelist_and_clear_agree(name, width):
+    word = build(name, bitwidth=width, optimize=True)
+    b = bitblast(word, width)
+    gl = parse_gatelist(emit_gatelist(b))
+    bound = INPUT_BOUNDS.get((name, width), {16: 7, 64: 999}[width])
+    rng = random.Random(f"{name}@{width}")
+    for _ in range(3):
+        ins = {(party, key): rng.randint(-bound, bound)
+               for _nid, party, key in word.inputs}
+        want = interpret_clear(word, ins)
+        assert interpret_bool(b, ins) == want, ins
+        assert decode_words(b, eval_gatelist(gl, input_bits_for(b, ins))) \
+            == want, ins
+
+
+BASE = "1 3\n2 1\n"  # two inputs, one output, wire 2 the output
+
+
+@pytest.mark.parametrize("text", [
+    # a gate reads a wire that is not defined yet, or none at all
+    "2 4\n1 1\n2 1 0 2 3 AND\n2 1 0 0 2 XOR\n",
+    BASE + "2 1 0 7 2 AND\n",
+    BASE + "2 1 0 -1 2 AND\n",
+    # a gate's output wire is out of range or already defined
+    BASE + "2 1 0 1 3 AND\n",
+    BASE + "2 1 0 1 1 AND\n",
+    "2 3\n2 1\n2 1 0 1 2 AND\n2 1 0 1 2 XOR\n",
+    # a const wire is out of range, already defined, or not a bit
+    "1 4\n2 1\nconst 9 1\n2 1 0 1 3 AND\n",
+    "1 4\n2 1\nconst 0 1\n2 1 0 1 3 AND\n",
+    "1 4\n2 1\nconst 2 5\n2 1 0 2 3 AND\n",
+    # input and output counts that do not fit the wires
+    "1 3\n3 1\n2 1 0 1 2 AND\n",
+    "1 3\n2 2\n2 1 0 1 2 AND\n",
+    "1 3\n-1 1\n2 1 0 1 2 AND\n",
+    # an output wire that no gate defines
+    "0 3\n2 1\n",
+    # malformed lines
+    BASE + "1 1 0 2 AND\n",
+    BASE + "2 1 0 x 2 AND\n",
+    BASE + "2 1 0 1 2 NAND\n",
+], ids=["forward-read", "read-past-end", "read-negative", "out-past-end",
+        "out-is-input", "out-twice", "const-past-end", "const-on-input",
+        "const-not-bit", "too-many-inputs", "too-many-outputs",
+        "negative-count", "output-undefined", "wrong-arity", "not-integer",
+        "unknown-kind"])
+def test_parse_rejects_bad_wiring(text):
+    with pytest.raises(ParseError) as exc:
+        parse_gatelist(text)
+    assert "\n" not in str(exc.value)
+
+
+def test_parse_accepts_the_base_gate_list():
+    gl = parse_gatelist(BASE + "2 1 0 1 2 AND\n")
+    assert eval_gatelist(gl, [1, 1]) == [1]

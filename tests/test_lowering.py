@@ -193,19 +193,6 @@ def test_branch_side_effects_rejected():
     assert exc.value.code == "SideEffectUndetectable"
 
 
-def test_mux_expansion_mode():
-    src = ("parties 1;\n"
-           "input a : int from 1;\n"
-           "val x : int@{1} := if (a < 3) { 1 } else { 2 };\n"
-           "output eval({1}, x);\n")
-    c = lower_src(src, LowerConfig(keep_selectors=False))
-    assert GateKind.MUX not in c.counts()
-    # b*x + (1-b)*y: two Mul, one Sub, one Add
-    assert c.counts()[GateKind.MUL] == 2
-    assert interpret_clear(c, {(1, "a"): 1}) == {"x": 1}
-    assert interpret_clear(c, {(1, "a"): 5}) == {"x": 2}
-
-
 # -- private array access --
 
 def index_circuit(length):

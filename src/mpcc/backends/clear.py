@@ -1,14 +1,20 @@
 """Cleartext reference interpreter over exact Python integers.
 
 This is the semantic baseline every other backend is compared against.
-Evaluation always visits every node exactly once in id order, so the
-number of gate evaluations is |nodes| regardless of input values.
+Each gate's value comes from `circuit.word_value`, the one table of
+word-gate semantics; only Input, the Mux selector check and Reveal are
+handled here. Evaluation always visits every node exactly once in id
+order, so the number of gate evaluations is |nodes| regardless of input
+values.
 """
 
-from ..circuit import Circuit, GateKind, Level
+from ..circuit import Circuit, GateKind, Level, word_value
 from ..errors import (
     LevelError, MissingInputError, MuxSelectorError, OverflowContractError,
 )
+
+# globals for the kinds run() tests on every node (a GateKind lookup is slow)
+INPUT, MUX, REVEAL = GateKind.INPUT, GateKind.MUX, GateKind.REVEAL
 
 
 def flatten_inputs(parties: dict) -> dict[tuple[int, str], int]:
@@ -28,6 +34,24 @@ def flatten_inputs(parties: dict) -> dict[tuple[int, str], int]:
     return flat
 
 
+def bind_inputs(c: Circuit, inputs: dict[tuple[int, str], int],
+                limit_log: int) -> dict[int, int]:
+    """Each input node's value, by node id. Raises MissingInputError for
+    an input that `inputs` lacks and OverflowContractError for a value
+    outside |v| < 2^limit_log."""
+    bound = {}
+    for nid, party, name in c.inputs:
+        if (party, name) not in inputs:
+            raise MissingInputError(f"missing input {name} from party "
+                                    f"{party}")
+        v = int(inputs[(party, name)])
+        if abs(v) >= 1 << limit_log:
+            raise OverflowContractError(
+                f"input {name}={v} exceeds |v| < 2^{limit_log}")
+        bound[nid] = v
+    return bound
+
+
 class ClearInterpreter:
     def __init__(self, circuit: Circuit):
         if circuit.level == Level.BOOL:
@@ -38,53 +62,26 @@ class ClearInterpreter:
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
-        limit = 1 << (c.bitwidth - 2)
+        input_values = bind_inputs(c, inputs, c.bitwidth - 2)
         values: list[int] = [0] * len(c.nodes)
-        input_values = {}
-        for nid, party, name in c.inputs:
-            if (party, name) not in inputs:
-                raise MissingInputError(f"missing input {name} from party "
-                                        f"{party}")
-            v = int(inputs[(party, name)])
-            if abs(v) >= limit:
-                raise OverflowContractError(
-                    f"input {name}={v} exceeds |v| < 2^{c.bitwidth - 2}")
-            input_values[nid] = v
-        self.gate_evaluations = 0
         for nid, node in enumerate(c.nodes):
+            kind = node.kind
             a = node.operands
-            match node.kind:
-                case GateKind.CONST:
-                    v = node.payload
-                case GateKind.INPUT:
-                    v = input_values[nid]
-                case GateKind.ADD:
-                    v = values[a[0]] + values[a[1]]
-                case GateKind.SUB:
-                    v = values[a[0]] - values[a[1]]
-                case GateKind.MUL:
-                    v = values[a[0]] * values[a[1]]
-                case GateKind.MUL_PLAIN:
-                    v = values[a[0]] * node.payload
-                case GateKind.LT:
-                    v = int(values[a[0]] < values[a[1]])
-                case GateKind.LEQ:
-                    v = int(values[a[0]] <= values[a[1]])
-                case GateKind.EQ:
-                    v = int(values[a[0]] == values[a[1]])
-                case GateKind.MUX:
-                    sel = values[a[0]]
-                    if sel not in (0, 1):
-                        raise MuxSelectorError(
-                            f"mux selector {sel} is not a bit")
-                    v = values[a[1]] if sel else values[a[2]]
-                case GateKind.REVEAL:
-                    v = values[a[0]]
-                case _:
-                    raise LevelError(f"{node.kind.value} in word-level "
-                                     f"circuit")
+            if kind is INPUT:
+                v = input_values[nid]
+            elif kind is MUX:
+                sel = values[a[0]]
+                if sel not in (0, 1):
+                    raise MuxSelectorError(f"mux selector {sel} is not a bit")
+                v = values[a[1]] if sel else values[a[2]]
+            elif kind is REVEAL:
+                v = values[a[0]]
+            else:
+                v = word_value(kind, [values[o] for o in a], node.payload)
+                if v is None:
+                    raise LevelError(f"{kind.value} in word-level circuit")
             values[nid] = v
-            self.gate_evaluations += 1
+        self.gate_evaluations = len(c.nodes)
         return {name: values[nid] for nid, _aud, name in c.outputs}
 
 

@@ -24,15 +24,15 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..circuit import Circuit, GateKind, Level
+from ..circuit import WORD_OPS, Circuit, GateKind, Level
 from ..errors import (
     BudgetExceededError, IncompleteSharesError, LevelError,
-    MissingInputError, MuxSelectorError, OverflowContractError,
-    PlayerMismatchError, TripleExhaustedError,
+    MuxSelectorError, PlayerMismatchError, TripleExhaustedError,
 )
 from ..estimator import (
     CostModel, additive_model, comparison_budget, estimate,
 )
+from .clear import bind_inputs
 
 PRIME = (1 << 61) - 1
 
@@ -267,46 +267,36 @@ class SharedSimulator:
         functionality, the result bit is re-shared, and the preprocessing
         cost of a real protocol is charged."""
         tpc, bpc = comparison_budget(self.model, self.circuit.bitwidth)
-        self.take_triples(math.ceil(tpc))
-        self.take_bits(math.ceil(bpc))
+        self.take_triples(tpc)
+        self.take_bits(bpc)
         self.trace.rounds += ROUNDS_PER_COMPARISON
         self.trace.multicasts += MULTICASTS_PER_COMPARISON
         a = centered(self.open(x, "comparison"), self.p)
         b = centered(self.open(y, "comparison"), self.p)
-        bit = {GateKind.LT: a < b, GateKind.LEQ: a <= b,
-               GateKind.EQ: a == b}[kind]
-        return share(int(bit), self.n, self.rng, self.p)
+        return share(WORD_OPS[kind](a, b), self.n, self.rng, self.p)
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
+        # the range contract |v| < 2^(w-2), capped by what centered() can
+        # lift back out of the field: |v| < 2^60 for p = 2^61 - 1
+        input_values = bind_inputs(
+            c, inputs,
+            min(c.bitwidth - 2, (self.p // 2 + 1).bit_length() - 1))
         self.offline_phase()
         table: list[ShareVector | None] = [None] * len(c.nodes)
         outputs: dict[str, int] = {}
         out_names = {nid: name for nid, _aud, name in c.outputs}
-        input_keys = {nid: (party, name) for nid, party, name in c.inputs}
-        # the range contract |v| < 2^(w-2), capped by what centered() can
-        # lift back out of the field: |v| < 2^60 for p = 2^61 - 1
-        limit_log = min(c.bitwidth - 2, (self.p // 2 + 1).bit_length() - 1)
         for nid, node in enumerate(c.nodes):
             a = node.operands
             match node.kind:
                 case GateKind.CONST:
                     sv = self.public(node.payload)
                 case GateKind.INPUT:
-                    party, name = input_keys[nid]
-                    if (party, name) not in inputs:
-                        raise MissingInputError(
-                            f"missing input {name} from party {party}")
-                    v = int(inputs[(party, name)])
-                    if abs(v) >= 1 << limit_log:
-                        raise OverflowContractError(
-                            f"input {name}={v} exceeds |v| < 2^{limit_log}")
-                    sv = share(v, self.n, self.rng, self.p)
-                case GateKind.ADD:
-                    sv = self.local(lambda u, v: u + v, table[a[0]],
-                                    table[a[1]])
-                case GateKind.SUB:
-                    sv = self.local(lambda u, v: u - v, table[a[0]],
+                    sv = share(input_values[nid], self.n, self.rng, self.p)
+                case GateKind.ADD | GateKind.SUB:
+                    # additive shares are linear: each party adds or
+                    # subtracts its own shares
+                    sv = self.local(WORD_OPS[node.kind], table[a[0]],
                                     table[a[1]])
                 case GateKind.MUL_PLAIN:
                     k = node.payload

@@ -9,6 +9,7 @@ passes produce new circuits.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -75,6 +76,38 @@ PAYLOAD_KINDS = frozenset({GateKind.CONST, GateKind.CONST_BIT,
 # commutative gates canonicalize operand order during CSE
 COMMUTATIVE = frozenset({GateKind.ADD, GateKind.MUL, GateKind.EQ,
                          GateKind.AND, GateKind.OR, GateKind.XOR})
+
+# -- word-gate semantics: the one definition, which lowering's
+# compile-time values, const_fold and the clear and shares backends read --
+
+# what each binary word gate computes on exact Python integers
+WORD_OPS = {
+    GateKind.ADD: operator.add,
+    GateKind.SUB: operator.sub,
+    GateKind.MUL: operator.mul,
+    GateKind.LT: lambda a, b: int(a < b),
+    GateKind.LEQ: lambda a, b: int(a <= b),
+    GateKind.EQ: lambda a, b: int(a == b),
+}
+
+# globals for word_value's tests (a GateKind lookup is slow)
+_CONST, _MUL_PLAIN, _MUX = GateKind.CONST, GateKind.MUL_PLAIN, GateKind.MUX
+
+
+def word_value(kind: GateKind, values, payload=None) -> int | None:
+    """The value of word gate `kind` on operand values `values` and its
+    `payload`; None for Input, Reveal and the bit gates. A Mux selector is
+    read as a truth value: checking that it is a bit is the caller's job."""
+    fn = WORD_OPS.get(kind)
+    if fn is not None:
+        return fn(values[0], values[1])
+    if kind is _CONST:
+        return payload
+    if kind is _MUL_PLAIN:
+        return values[0] * payload
+    if kind is _MUX:
+        return values[1] if values[0] else values[2]
+    return None
 
 
 # -- node metadata --

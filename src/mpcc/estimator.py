@@ -9,6 +9,7 @@ this instance ships. Costs are exact rationals so reports never drift.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,14 +87,14 @@ def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
     return best
 
 
-def comparison_budget(model: CostModel,
-                      bitwidth: int) -> tuple[Fraction, Fraction]:
-    """(triples, random bits) one comparison takes: the model's figures,
-    or by default 20 * bitwidth triples and bitwidth random bits."""
+def comparison_budget(model: CostModel, bitwidth: int) -> tuple[int, int]:
+    """(triples, random bits) one comparison takes, in whole units: the
+    model's figures rounded up, or by default 20 * bitwidth triples and
+    bitwidth random bits."""
     tpc = model.triples_per_comparison
     bpc = model.bits_per_comparison
-    return (Fraction(20 * bitwidth) if tpc is None else tpc,
-            Fraction(bitwidth) if bpc is None else bpc)
+    return (20 * bitwidth if tpc is None else math.ceil(tpc),
+            bitwidth if bpc is None else math.ceil(bpc))
 
 
 def estimate(c: Circuit, model: CostModel) -> ResourceReport:
@@ -122,7 +123,7 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
         gate_counts=counts,
         depth=critical_path(c, model.depth_weights),
         triples=model.triples_per_mul * n_triple_gates + tpc * n_comparisons,
-        random_bits=bpc * n_comparisons,
+        random_bits=Fraction(bpc * n_comparisons),
     )
 
 

@@ -2,9 +2,11 @@
 
 Every expression is translated directly into gates ("2+3" really emits
 Const/Const/Add); alongside each wire the lowering tracks a static value
-when one is known at compile time. Static values drive everything that
-must be resolved during compilation: loop unrolling, recursion fuel,
-array lengths, slice bounds and plaintext array indices. Private control
+when one is known at compile time: a gate whose operands all have one
+gets its `circuit.word_value`, the table the optimizer folds with and
+the clear backend runs. Static values drive everything that must be
+resolved during compilation: loop unrolling, recursion fuel, array
+lengths, slice bounds and plaintext array indices. Private control
 flow never consults values, so the produced circuit is a function of the
 program and its public parameters only.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .circuit import (
     Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
-    balanced, combine_meta,
+    balanced, combine_meta, word_value,
 )
 from .errors import LowerError
 from .frontend import syntax as S
@@ -123,6 +125,12 @@ class Lowering:
 
     def emit(self, kind: GateKind, operands: list[Wire], static=None,
              payload=None, meta=None) -> Wire:
+        """Append kind(operands); unless given, its static value is the
+        gate's value on its operands' static values, if they all have one."""
+        if static is None and operands and operands[0].static is not None:
+            statics = [w.static for w in operands]
+            if None not in statics:
+                static = word_value(kind, statics, payload)
         if meta is None:
             meta = PLAIN
             for w in operands:
@@ -147,9 +155,6 @@ class Lowering:
             return SharedMeta(frozenset({party}), players, players,
                               self.cfg.scheme.n)
         return EncMeta(frozenset({party}))
-
-    def add_binary(self, kind: GateKind, a: Wire, b: Wire, static) -> Wire:
-        return self.emit(kind, [a, b], static)
 
     def mux(self, cond: Wire, then: Wire, els: Wire) -> Wire:
         return self.emit(GateKind.MUX, [cond, then, els])
@@ -416,24 +421,20 @@ class Lowering:
         b = self.lower_expr(e.rhs, scope)
         if isinstance(a, list) or isinstance(b, list):
             raise LowerError("NotScalar", f"'{op}' on arrays", e.pos)
-        sa, sb = a.static, b.static
         if op == "+":
-            st = sa + sb if sa is not None and sb is not None else None
-            return self.add_binary(GateKind.ADD, a, b, st)
+            return self.emit(GateKind.ADD, [a, b])
         if op == "-":
-            st = sa - sb if sa is not None and sb is not None else None
-            return self.add_binary(GateKind.SUB, a, b, st)
+            return self.emit(GateKind.SUB, [a, b])
         if op == "*":
             return self.lower_mul(a, b)
         if op == "/":
-            if sa is None or sb is None:
+            if a.static is None or b.static is None:
                 raise LowerError("NonConstDivisor",
                                  "division needs compile-time operands",
                                  e.pos)
-            if sb == 0:
+            if b.static == 0:
                 raise LowerError("DivisionByZero", "division by zero", e.pos)
-            q = int(sa) // int(sb)
-            return self.const(q)
+            return self.const(int(a.static) // int(b.static))
         if op == "%":
             return self.lower_mod(a, b, e.pos)
         if op in ("<", "<=", ">", ">=", "==", "!="):
@@ -444,14 +445,11 @@ class Lowering:
 
     def lower_mul(self, a: Wire, b: Wire) -> Wire:
         sa, sb = a.static, b.static
-        st = sa * sb if sa is not None and sb is not None else None
         if sb is not None and sa is None:
-            return self.emit(GateKind.MUL_PLAIN, [a], static=st,
-                             payload=int(sb))
+            return self.emit(GateKind.MUL_PLAIN, [a], payload=int(sb))
         if sa is not None and sb is None:
-            return self.emit(GateKind.MUL_PLAIN, [b], static=st,
-                             payload=int(sa))
-        return self.add_binary(GateKind.MUL, a, b, st)
+            return self.emit(GateKind.MUL_PLAIN, [b], payload=int(sa))
+        return self.emit(GateKind.MUL, [a, b])
 
     def lower_mod(self, a: Wire, b: Wire, pos) -> Wire:
         if b.static is None:
@@ -472,69 +470,58 @@ class Lowering:
             fits = self.emit(GateKind.LEQ, [c, r])
             diff = self.emit(GateKind.SUB, [r, c])
             r = self.mux(fits, diff, r)
-        return Wire(r.nid, None)
+        return r
 
     def lower_comparison(self, op: str, a: Wire, b: Wire) -> Wire:
-        sa, sb = a.static, b.static
-        st = None
-        if sa is not None and sb is not None:
-            st = {"<": sa < sb, "<=": sa <= sb, ">": sa > sb, ">=": sa >= sb,
-                  "==": sa == sb, "!=": sa != sb}[op]
         if op == "<":
-            return self.add_binary(GateKind.LT, a, b, st)
+            return self.emit(GateKind.LT, [a, b])
         if op == ">":
-            return self.add_binary(GateKind.LT, b, a, st)
+            return self.emit(GateKind.LT, [b, a])
         if op == "==":
-            return self.add_binary(GateKind.EQ, a, b, st)
+            return self.emit(GateKind.EQ, [a, b])
         rewrite = self.cfg.comparison_encoding == "rewrite"
         if op == ">=":
             if rewrite:
-                return self.negate_bit(self.emit(GateKind.LT, [a, b]), st)
+                return self.negate_bit(self.emit(GateKind.LT, [a, b]))
             lt = self.emit(GateKind.LT, [b, a])
             eq = self.emit(GateKind.EQ, [a, b])
-            return self.add_binary(GateKind.ADD, lt, eq, st)
+            return self.emit(GateKind.ADD, [lt, eq])
         if op == "<=":
             if rewrite:
-                return self.negate_bit(self.emit(GateKind.LT, [b, a]), st)
+                return self.negate_bit(self.emit(GateKind.LT, [b, a]))
             lt = self.emit(GateKind.LT, [a, b])
             eq = self.emit(GateKind.EQ, [a, b])
-            return self.add_binary(GateKind.ADD, lt, eq, st)
+            return self.emit(GateKind.ADD, [lt, eq])
         if op == "!=":
             if rewrite:
-                return self.negate_bit(self.emit(GateKind.EQ, [a, b]), st)
+                return self.negate_bit(self.emit(GateKind.EQ, [a, b]))
             lt = self.emit(GateKind.LT, [a, b])
             gt = self.emit(GateKind.LT, [b, a])
-            return self.add_binary(GateKind.ADD, lt, gt, st)
+            return self.emit(GateKind.ADD, [lt, gt])
         raise AssertionError(op)
 
-    def negate_bit(self, w: Wire, static) -> Wire:
-        one = self.const(1)
-        return self.emit(GateKind.SUB, [one, w], static=static)
+    def negate_bit(self, w: Wire) -> Wire:
+        return self.emit(GateKind.SUB, [self.const(1), w])
 
     def lower_logic(self, op: str, a: Wire, b: Wire) -> Wire:
-        sa, sb = a.static, b.static
-        st = None
-        if sa is not None and sb is not None:
-            st = bool(sa and sb) if op == "&&" else bool(sa or sb)
         if op == "&&":
-            return self.add_binary(GateKind.MUL, a, b, st)
+            return self.emit(GateKind.MUL, [a, b])
         # a || b  ==  a + b - a*b on {0,1}
         s = self.emit(GateKind.ADD, [a, b])
         p = self.emit(GateKind.MUL, [a, b])
-        return self.add_binary(GateKind.SUB, s, p, st)
+        return self.emit(GateKind.SUB, [s, p])
 
     def lower_pow(self, base: Value, n: int) -> Wire:
         if isinstance(base, list):
             raise LowerError("NotScalar", "pow of an array")
-        st = base.static ** n if base.static is not None else None
         if n == 0:
             return self.const(1)
         if not self.cfg.pow_rewrite:
             acc = base
             for _ in range(n - 1):
                 acc = self.emit(GateKind.MUL, [acc, base])
-            return Wire(acc.nid, st)
-        return Wire(self.pow_chain(n, base, {1: base}).nid, st)
+            return acc
+        return self.pow_chain(n, base, {1: base})
 
     # pow_chain and select recurse as methods, not as nested functions: a
     # recursive closure that captures `self` is a reference cycle, which

@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .circuit import (
-    COMMUTATIVE, INPUT_KINDS, PLAIN, Circuit, GateKind, Node, balanced,
+    COMMUTATIVE, INPUT_KINDS, PLAIN, WORD_OPS, Circuit, GateKind, Node,
+    balanced, word_value,
 )
 from .errors import LowerError
 
@@ -40,15 +41,6 @@ AND, OR, XOR, NOT, MUX_BIT, CONST_BIT = (
     GateKind.MUX_BIT, GateKind.CONST_BIT)
 CONST_KINDS = frozenset({CONST, CONST_BIT})
 
-FOLDABLE = {
-    ADD: lambda a, b: a + b,
-    SUB: lambda a, b: a - b,
-    MUL: lambda a, b: a * b,
-    LT: lambda a, b: int(a < b),
-    GateKind.LEQ: lambda a, b: int(a <= b),
-    EQ: lambda a, b: int(a == b),
-}
-
 # kind -> (operand, constant, result): kind(ops) is ops[result] when
 # ops[operand] is that constant (x+0 = x, x*1 = x, x&&0 = 0, ...)
 IDENTITIES = {
@@ -62,7 +54,7 @@ IDENTITIES = {
 
 # the local rules, by pass name, and the kinds each may rewrite
 RULE_KINDS = {
-    "const_fold": frozenset(FOLDABLE) | {MUL_PLAIN, MUX, NOT},
+    "const_fold": frozenset(WORD_OPS) | {MUL_PLAIN, MUX, NOT},
     "peephole": frozenset(IDENTITIES) | {NOT, MUX, MUX_BIT},
     "strength_reduce": frozenset({MUL, MUL_PLAIN}),
     "cse": frozenset(),
@@ -77,12 +69,7 @@ def _fold(kind, args: list[Node], payload):
     for a in args:
         if a.kind is not CONST:
             return None
-    if kind is MUL_PLAIN:
-        return args[0].payload * payload
-    if kind is MUX:
-        return args[1].payload if args[0].payload else args[2].payload
-    fn = FOLDABLE.get(kind)
-    return fn(args[0].payload, args[1].payload) if fn else None
+    return word_value(kind, [a.payload for a in args], payload)
 
 
 def _key(kind, ops: tuple, meta, payload) -> tuple:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .bitblast import bitblast
 from .circuit import Circuit, Level
 from .errors import MalformedCircuitError
-from .estimator import CostModel
 from .frontend import parse_source
 from .lowering import LowerConfig, lower_program
 from .optimizer import DEFAULT_PASSES, run_passes
@@ -26,7 +25,6 @@ class PipelineConfig:
     target_level: Level = Level.ARITH
     comparison_encoding: str = "auto"
     passes: list[str] | None = None  # None = DEFAULT_PASSES, [] = no-opt
-    model: CostModel | None = None
 
     def pass_list(self) -> list[str]:
         return DEFAULT_PASSES if self.passes is None else self.passes
@@ -61,7 +59,7 @@ def compile(source: str | Circuit, cfg: PipelineConfig,
         c = lower_program(tp, cfg.lower_config())
     passes = cfg.pass_list()
     if optimize and passes:
-        c = run_passes(c, passes, cfg.model)
+        c = run_passes(c, passes)
     if cfg.target_level == Level.BOOL and c.level == Level.ARITH:
         c = bitblast(c, cfg.bitwidth, passes if optimize else [])
     return c

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -256,6 +257,23 @@ def test_trace_matches_estimator_triples():
         }[name]
         report = estimate(c, additive_model())
         _outs, trace = simulate_shared(c, inputs, 3, seed=0)
+        assert trace.triples_consumed == report.triples, name
+        assert trace.bits_consumed == report.random_bits, name
+
+
+def test_fractional_comparison_budget_is_met():
+    # a comparison takes whole triples and bits: 5/2 and 3/2 round up to
+    # 3 and 2 in the estimate and in the simulator alike
+    base = additive_model()
+    model = CostModel("fractional", base.gate_costs, base.depth_weights,
+                      triples_per_comparison=Fraction(5, 2),
+                      bits_per_comparison=Fraction(3, 2),
+                      prime_modulus=base.prime_modulus)
+    for name, inputs in (("auction", AUCTION_INPUTS), ("gcd", GCD_INPUTS)):
+        c = build(name, bitwidth=16, scheme="additive")
+        report = estimate(c, model)
+        outs, trace = simulate_shared(c, inputs, 3, seed=0, model=model)
+        assert outs == interpret_clear(c, inputs), name
         assert trace.triples_consumed == report.triples, name
         assert trace.bits_consumed == report.random_bits, name
 

@@ -397,6 +397,23 @@ def test_reduce_min():
             c, flatten_inputs({"1": {"xs": xs}})) == {"out0": min(xs)}
 
 
+@pytest.mark.parametrize("threshold", [2, 3])
+def test_reduce_of_compile_time_array_resolves_if(threshold):
+    # every Add of the reduce has compile-time operands, so the sum and
+    # the comparison have static values and the branch is chosen while
+    # lowering: no Mux is emitted
+    src = ("parties 1;\ninput a : int from 1;\n"
+           "val xs : arr(int, {1}, 3) := 1;\nval r : int@{1} := a;\n"
+           f"if (reduce(+, xs) > {threshold}) {{\n  r := a + 1;\n}} "
+           "else {\n  r := a - 1;\n}\noutput eval({1}, r);\n")
+    c = lower_src(src, LowerConfig(bitwidth=16))
+    assert GateKind.MUX not in c.counts()
+    program = parse_source(src)
+    for a in (-5, 0, 7):
+        ins = {(1, "a"): a}
+        assert interpret_clear(c, ins) == reference_run(program, ins)
+
+
 # -- semantic preservation against the reference interpreter --
 
 CORPUS_INPUT_GEN = {

@@ -1,10 +1,20 @@
 """Word-to-bit lowering (two's complement, LSB first).
 
-Adders are ripple-carry with a full cell per bit (2 Xor, 2 And, 1 Or);
-subtraction negates then adds; Lt copies the sign bit of the difference,
-which is sound for |a-b| < 2^(bitwidth-1). Words whose value is known to
-be a bit (comparison outputs and the like) are tracked so multiplying by
-them degenerates to And gates instead of full multipliers.
+Adders are ripple-carry with one AND per bit, the only gate that is not
+free under free-XOR (Kolesnikov & Schneider, ICALP 2008): the cell is
+t = a^cin, u = b^cin, s = t^b, cout = cin ^ (t & u). Beside a constant
+operand (subtraction's carry-in of 1, the zero bits of shifted rows) the
+cell is a half cell, x^y and x&y beside a 0 or Not(x^y) and x|y beside a
+1, and beside two constants a wire, its Not or a constant. Subtraction
+negates then adds; Lt copies the sign bit of the difference, which is
+sound for |a-b| < 2^(bitwidth-1). Words whose value is known to be a bit
+(comparison outputs and the like) are tracked so multiplying by them
+degenerates to And gates instead of full multipliers.
+
+Nothing is emitted to be thrown away: an adder's top cell builds no
+carry-out, a comparison builds the carry chain and the sign bit but no
+sum bit below it, and a constant bit is added at its first use. On the
+corpus's word fixpoints the final dce finds nothing to drop.
 
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
@@ -30,15 +40,17 @@ from .optimizer import DEFAULT_PASSES, Builder, check_pass_names, dce
 
 class _BitBuilder:
     """Emits bit gates through a `Builder`. A bit is a raw value v, one
-    per gate of the raw circuit: `ids[v]` is the node standing for it and
-    `metas[v]` the metadata that gate has in the raw circuit."""
+    per gate of the raw circuit: `ids[v]` is the node standing for it (None
+    for a constant bit no gate has read yet) and `metas[v]` the metadata
+    that gate has in the raw circuit."""
 
     def __init__(self, width: int, passes: list[str]):
         self.builder = Builder(passes)
         self.width = width
         self.ids: list[int] = []
         self.metas: list = []
-        self._const_cache: dict[int, int] = {}
+        self._const_cache: dict[int, int] = {}  # bit -> raw value
+        self._const_value: dict[int, int] = {}  # raw value -> bit
 
     def emit(self, kind, operands, meta=None, payload=None) -> int:
         metas = self.metas
@@ -48,14 +60,28 @@ class _BitBuilder:
                 if metas[o] is not meta:
                     meta = combine_meta(meta, metas[o])
         ids = self.ids
-        ids.append(self.builder.add(kind, tuple([ids[o] for o in operands]),
-                                    meta, payload))
+        ops = tuple([ids[o] for o in operands])
+        if None in ops:
+            ops = tuple([self.node(o) for o in operands])
+        ids.append(self.builder.add(kind, ops, meta, payload))
         metas.append(meta)
         return len(ids) - 1
 
+    def node(self, v: int) -> int:
+        """The builder's id for raw value v. A constant bit is added at
+        its first use, so a constant that no gate reads is never added."""
+        nid = self.ids[v]
+        if nid is None:
+            nid = self.ids[v] = self.builder.add(
+                GateKind.CONST_BIT, (), PLAIN, self._const_value[v])
+        return nid
+
     def const_bit(self, b: int) -> int:
         if b not in self._const_cache:
-            self._const_cache[b] = self.emit(GateKind.CONST_BIT, (), PLAIN, b)
+            v = self._const_cache[b] = len(self.ids)
+            self._const_value[v] = b
+            self.ids.append(None)
+            self.metas.append(PLAIN)
         return self._const_cache[b]
 
     def is_const(self, word: list[int], value: int) -> bool:
@@ -66,36 +92,92 @@ class _BitBuilder:
     def const_word(self, value: int) -> list[int]:
         return [self.const_bit((value >> i) & 1) for i in range(self.width)]
 
-    def full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
-        x1 = self.emit(GateKind.XOR, (a, b))
-        s = self.emit(GateKind.XOR, (x1, cin))
-        g = self.emit(GateKind.AND, (a, b))
-        h = self.emit(GateKind.AND, (x1, cin))
-        cout = self.emit(GateKind.OR, (g, h))
+    def full_adder(self, a: int, b: int, cin: int, sum_out: bool = True,
+                   carry_out: bool = True) -> tuple[int | None, int | None]:
+        """(a ^ b ^ cin, the carry), each None when not asked for.
+
+        With no constant operand this is the one-AND cell: t = a^cin,
+        u = b^cin, s = t^b, cout = cin ^ (t & u). An operand that is a
+        cached constant bit makes the carry the majority of the other two
+        and that constant: a half cell, x^y and x&y beside a 0, or
+        Not(x^y) and x|y beside a 1; beside two constants the cell is a
+        wire, its Not or a constant. Only the raw constants count, never
+        what the builder folded, so every pass list picks the same cell."""
+        consts = self._const_value
+        free = [x for x in (a, b, cin) if x not in consts]
+        k = sum([consts.get(x, 0) for x in (a, b, cin)])  # the constants' sum
+        s = cout = None
+        if len(free) == 3:
+            t = self.emit(GateKind.XOR, (a, cin))
+            u = self.emit(GateKind.XOR, (b, cin)) if carry_out else None
+            if sum_out:
+                s = self.emit(GateKind.XOR, (t, b))
+            if carry_out:
+                g = self.emit(GateKind.AND, (t, u))
+                cout = self.emit(GateKind.XOR, (cin, g))
+        elif len(free) == 2:
+            if sum_out:
+                s = self.emit(GateKind.XOR, tuple(free))
+                if k:
+                    s = self.emit(GateKind.NOT, (s,))
+            if carry_out:
+                cout = self.emit(GateKind.OR if k else GateKind.AND,
+                                 tuple(free))
+        elif free:
+            x = free[0]
+            if sum_out:
+                s = self.emit(GateKind.NOT, (x,)) if k == 1 else x
+            if carry_out:
+                cout = x if k == 1 else self.const_bit(k >> 1)
+        else:
+            if sum_out:
+                s = self.const_bit(k & 1)
+            if carry_out:
+                cout = self.const_bit(k >> 1)
         return s, cout
 
-    def ripple_add(self, a: list[int], b: list[int], cin: int) -> list[int]:
+    def ripple_add(self, a: list[int], b: list[int], cin: int,
+                   low_sums: bool = True) -> list[int]:
+        """The w bits of a + b + cin, those below the top one None unless
+        `low_sums`. The top cell builds no carry-out."""
         out = []
-        carry = cin
-        for i in range(self.width):
-            s, carry = self.full_adder(a[i], b[i], carry)
+        for i in range(self.width - 1):
+            s, cin = self.full_adder(a[i], b[i], cin, sum_out=low_sums)
             out.append(s)
-        return out
+        return out + [self.full_adder(a[-1], b[-1], cin, carry_out=False)[0]]
+
+    def negated(self, word: list[int]) -> list[int]:
+        """Bitwise Not of `word`, a constant bit k becoming constant 1-k."""
+        consts = self._const_value
+        return [self.emit(GateKind.NOT, (v,)) if v not in consts
+                else self.const_bit(1 - consts[v]) for v in word]
 
     def negate_then_add(self, a: list[int], b: list[int]) -> list[int]:
-        nb = [self.emit(GateKind.NOT, (bit,)) for bit in b]
-        return self.ripple_add(a, nb, self.const_bit(1))
+        return self.ripple_add(a, self.negated(b), self.const_bit(1))
 
     def sign_of_difference(self, a: list[int], b: list[int]) -> int:
-        return self.negate_then_add(a, b)[self.width - 1]
+        """The top bit of a - b: the carry chain and that one sum bit."""
+        return self.ripple_add(a, self.negated(b), self.const_bit(1),
+                               low_sums=False)[-1]
 
     def zero_extend(self, bit: int) -> list[int]:
         zero = self.const_bit(0)
         return [bit] + [zero] * (self.width - 1)
 
+    def xnor(self, x: int, y: int) -> int:
+        """Not(x^y); beside a constant bit, the other bit or its Not."""
+        consts = self._const_value
+        if x in consts:
+            x, y = y, x
+        k = consts.get(y)
+        if k is None:
+            return self.emit(GateKind.NOT, (self.emit(GateKind.XOR, (x, y)),))
+        if x in consts:
+            return self.const_bit(int(consts[x] == k))
+        return x if k else self.emit(GateKind.NOT, (x,))
+
     def equals(self, a: list[int], b: list[int]) -> int:
-        xnors = [self.emit(GateKind.NOT, (self.emit(GateKind.XOR, (x, y)),))
-                 for x, y in zip(a, b)]
+        xnors = [self.xnor(x, y) for x, y in zip(a, b)]
         return balanced(xnors, lambda x, y: self.emit(GateKind.AND, (x, y)))
 
     def scale_by_bit(self, bit: int, word: list[int]) -> list[int]:
@@ -208,7 +290,7 @@ def bitblast(c: Circuit, width: int | None = None,
                 raise BitblastError(
                     f"cannot bit-blast {node.kind.value}")
 
-    outputs = [(bb.ids[v], aud, name)
+    outputs = [(bb.node(v), aud, name)
                for nid, aud, name in c.outputs for v in bits[nid]]
     out = Circuit(Level.BOOL, width, c.signed, bb.builder.nodes, inputs,
                   outputs)

@@ -42,7 +42,7 @@ AND, OR, XOR, NOT, MUX_BIT, CONST_BIT = (
 CONST_KINDS = frozenset({CONST, CONST_BIT})
 
 # kind -> (operand, constant, result): kind(ops) is ops[result] when
-# ops[operand] is that constant (x+0 = x, x*1 = x, x&&0 = 0, ...)
+# ops[operand] is that constant (x+0 = x, x*1 = x, x&&0 = 0, 1?t:e = t, ...)
 IDENTITIES = {
     ADD: ((0, 0, 1), (1, 0, 0)),
     XOR: ((0, 0, 1), (1, 0, 0)),
@@ -50,12 +50,14 @@ IDENTITIES = {
     MUL: ((0, 1, 1), (1, 1, 0)),
     AND: ((0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 1)),
     OR: ((0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)),
+    MUX: ((0, 1, 1), (0, 0, 2)),
+    MUX_BIT: ((0, 1, 1), (0, 0, 2)),
 }
 
 # the local rules, by pass name, and the kinds each may rewrite
 RULE_KINDS = {
     "const_fold": frozenset(WORD_OPS) | {MUL_PLAIN, MUX, NOT},
-    "peephole": frozenset(IDENTITIES) | {NOT, MUX, MUX_BIT},
+    "peephole": frozenset(IDENTITIES) | {NOT},
     "strength_reduce": frozenset({MUL, MUL_PLAIN}),
     "cse": frozenset(),
 }
@@ -188,7 +190,8 @@ def const_fold(c: Circuit) -> Circuit:
 
 
 def peephole(c: Circuit) -> Circuit:
-    """Local identities: x && true -> x, x+0 -> x, Mux(b,x,x) -> x, ..."""
+    """Local identities: x && true -> x, x+0 -> x, Mux(b,x,x) -> x,
+    Mux(1,t,e) -> t, ..."""
     return _rewrite(c, "peephole")
 
 

@@ -9,9 +9,10 @@ from mpcc.backends.clear import interpret_clear
 from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
 )
-from mpcc.bitblast import bitblast
-from mpcc.circuit import Circuit, GateKind, Level, PlainMeta
+from mpcc.bitblast import _BitBuilder, bitblast
+from mpcc.circuit import PLAIN, Circuit, GateKind, Level, PlainMeta
 from mpcc.errors import LevelError
+from mpcc.optimizer import DEFAULT_PASSES, dce
 from mpcc.sectypes import owners
 
 LOGIC = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
@@ -23,13 +24,58 @@ def logic_gate_count(c):
 
 
 def test_adder_is_exactly_w_full_cells():
+    # cell 0 has carry-in 0 (a half cell: one Xor, one And), cells 1 and 2
+    # are one-AND cells (four Xor, one And) and cell 3 builds no carry-out
+    # (two Xor)
     cb = bitblast(build("adder", bitwidth=4), 4, passes=[])
     counts = cb.counts()
-    assert counts[GateKind.XOR] == 8   # 2 per cell
-    assert counts[GateKind.AND] == 8   # 2 per cell
-    assert counts[GateKind.OR] == 4    # 1 per cell
-    assert logic_gate_count(cb) == 20
+    assert counts[GateKind.XOR] == 11  # 1 + 4 + 4 + 2
+    assert counts[GateKind.AND] == 3   # 1 per cell with a carry-out
+    assert counts.get(GateKind.OR, 0) == 0
+    assert logic_gate_count(cb) == 14
     assert cb.validate() == []
+
+
+def adder_cell(operands, passes, sum_out=True, carry_out=True):
+    """One `full_adder` over operands that are constant bits (0 or 1) or
+    free input bits ("x"), as a bool circuit whose output word "sum" holds
+    the sum bit then the carry, and the (sum, carry) it returned."""
+    bb = _BitBuilder(1, passes)
+    values, inputs = [], []
+    for i, op in enumerate(operands):
+        if op == "x":
+            v = bb.emit(GateKind.INPUT_BIT, (), PLAIN)
+            inputs.append((bb.node(v), 1, f"x{i}"))
+        else:
+            v = bb.const_bit(op)
+        values.append(v)
+    cell = bb.full_adder(*values, sum_out=sum_out, carry_out=carry_out)
+    outputs = [(bb.node(v), owners(1), "sum") for v in cell if v is not None]
+    c = Circuit(Level.BOOL, 2, False, bb.builder.nodes, inputs, outputs)
+    return c, cell
+
+
+@pytest.mark.parametrize("passes", [[], DEFAULT_PASSES])
+def test_full_adder_computes_a_plus_b_plus_cin(passes):
+    for operands in itertools.product((0, 1, "x"), repeat=3):
+        free = [i for i, op in enumerate(operands) if op == "x"]
+        for wanted in ((True, True), (True, False), (False, True)):
+            c, cell = adder_cell(operands, passes, *wanted)
+            assert tuple(v is not None for v in cell) == wanted
+            # at most one gate that is not free under free-XOR, and none
+            # that the bits asked for do not read
+            assert sum(c.counts().get(k, 0)
+                       for k in (GateKind.AND, GateKind.OR)) <= 1, operands
+            assert dce(c) is c, (operands, wanted)
+            for assignment in range(1 << len(free)):
+                ins = {(1, f"x{i}"): (assignment >> j) & 1
+                       for j, i in enumerate(free)}
+                total = sum(ins.get((1, f"x{i}"), op)
+                            for i, op in enumerate(operands))
+                want = {(True, True): total, (True, False): total & 1,
+                        (False, True): total >> 1}[wanted]
+                assert interpret_bool(c, ins) == {"sum": want}, (
+                    operands, wanted, ins)
 
 
 def test_adder_semantics_mod_2w():

@@ -81,6 +81,17 @@ def test_bitblast_emits_the_bool_fixpoint(name, width, scheme):
     assert run_passes(b) is b
 
 
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_bitblast_leaves_nothing_to_sweep(name, width):
+    # no sum bit below a comparison's sign, no top carry-out, no constant
+    # bit that no gate reads: the final dce has nothing to drop
+    word = build(name, bitwidth=width, optimize=True)
+    swept = [p for p in DEFAULT_PASSES if p != "dce"]
+    b = bitblast(word, passes=swept)
+    assert optimizer.dce(b) is b
+
+
 def test_a_gate_keeps_its_raw_metadata():
     # bit 0 of r is Mux(s<3, 1, 1), which folds to the plain constant 1;
     # the Xor of that bit with y's bit 0 survives, and as in the raw

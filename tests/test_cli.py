@@ -93,11 +93,21 @@ def test_emit_requires_bool_level(capsys):
 
 def test_emit_adder(capsys):
     # emit writes the bool fixpoint; --no-opt writes the raw bitblast
-    for flags, gates in (((), "14"), (("--no-opt",), "20")):
+    for flags, gates in (((), "14"), (("--no-opt",), "14")):
         assert run_cli("emit", hml("adder"), "--level", "bool",
                        "--bitwidth", "4", *flags) == 0
         text = capsys.readouterr().out
         assert text.splitlines()[0].split()[0] == gates
+
+
+def test_emit_optimizes_unless_no_opt(capsys):
+    # the adder's raw bitblast already is its fixpoint; mergesort's is not
+    gates = []
+    for flags in ((), ("--no-opt",)):
+        assert run_cli("emit", hml("mergesort"), "--level", "bool",
+                       "--bitwidth", "4", *flags) == 0
+        gates.append(int(capsys.readouterr().out.split()[0]))
+    assert gates[0] < gates[1]
 
 
 REVEAL_FEEDS_GATES = ("parties 1;\n"

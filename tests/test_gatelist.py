@@ -36,25 +36,26 @@ def test_emission_is_deterministic():
     assert emit_gatelist(c) == emit_gatelist(c)
 
 
-def test_adder_has_twenty_gate_lines():
+def test_adder_has_fourteen_gate_lines():
     c = bitblast(build("adder", bitwidth=4), 4, passes=[])
     text = emit_gatelist(c)
     gate_lines = [ln for ln in text.splitlines()
                   if ln and not ln.startswith("const")
                   and ln.split()[-1] in ("AND", "OR", "XOR", "INV", "MUX")]
-    assert len(gate_lines) == 20
+    assert len(gate_lines) == 14
     header = text.splitlines()[0].split()
-    assert int(header[0]) == 20
+    assert int(header[0]) == 14
     io = text.splitlines()[1].split()
     assert io == ["8", "4"]
 
 
 def test_normalized_adder_has_fourteen_gate_lines():
-    # cell 0 has no carry-in (one Xor, one And) and cell 3's carry-out is
-    # dead (two Xor): 2 + 5 + 5 + 2 gates
+    # cell 0 has no carry-in (one Xor, one And), cells 1 and 2 are one-AND
+    # cells (four Xor, one And) and cell 3 builds no carry-out (two Xor):
+    # 2 + 5 + 5 + 2 gates
     gl = parse_gatelist(emit_gatelist(bitblast(build("adder", bitwidth=4))))
     assert (gl.n_gates, gl.n_inputs, gl.n_outputs) == (14, 8, 4)
-    assert sum(k == "XOR" for k, _i, _o in gl.gates) == 7
+    assert sum(k == "XOR" for k, _i, _o in gl.gates) == 11
 
 
 def test_arith_circuit_rejected():
@@ -65,7 +66,7 @@ def test_arith_circuit_rejected():
 def test_parse_round_trip_counts():
     c = bitblast(build("adder", bitwidth=4), 4, passes=[])
     gl = parse_gatelist(emit_gatelist(c))
-    assert gl.n_gates == 20
+    assert gl.n_gates == 14
     assert gl.n_inputs == 8
     assert gl.n_outputs == 4
 

@@ -98,6 +98,49 @@ def test_peephole_add_zero_and_mux_same_arms():
     assert GateKind.ADD not in out.counts()
 
 
+@pytest.mark.parametrize("kind, const", [(GateKind.MUX, GateKind.CONST),
+                                         (GateKind.MUX_BIT,
+                                          GateKind.CONST_BIT)])
+def test_peephole_mux_with_constant_selector(kind, const):
+    c, a, b = two_input_circuit()
+    picks = {}
+    for value in (0, 1):
+        sel = c.add_node(const, (), payload=value)
+        picks[value] = c.add_node(kind, (sel, a, b))
+    odd = c.add_node(kind, (c.add_node(const, (), payload=2), a, b))
+    for value, m in picks.items():
+        reveal_out(c, m, f"out{value}")
+    reveal_out(c, odd, "odd")
+    out = peephole(c)
+    reads = {name: out.nodes[nid].operands[0] for nid, _a, name in out.outputs}
+    assert (reads["out1"], reads["out0"]) == (a, b)
+    # only the selectors 0 and 1 pick a branch
+    assert out.nodes[reads["odd"]].kind == kind
+
+
+def constant_selector_muxes(c):
+    consts = (GateKind.CONST, GateKind.CONST_BIT)
+    return [n for n in c.nodes
+            if n.kind in (GateKind.MUX, GateKind.MUX_BIT)
+            and c.nodes[n.operands[0]].kind in consts]
+
+
+@pytest.mark.parametrize("seed", [201, 253])
+def test_no_mux_keeps_a_constant_selector(seed):
+    tp = check_program(random_program(seed), Generic())
+    lowered = lower_program(tp, LowerConfig(bitwidth=16))
+    # folding and strength reduction make a selector constant
+    assert constant_selector_muxes(
+        run_passes(lowered, ["const_fold", "strength_reduce"]))
+    word = run_passes(lowered)
+    assert constant_selector_muxes(word) == []
+    assert constant_selector_muxes(bitblast(word, 16)) == []
+
+
+def test_mergesort_bool_fixpoint_keeps_no_constant_selector():
+    assert constant_selector_muxes(run_passes(blasted("mergesort"))) == []
+
+
 # -- cse --
 
 def test_cse_shares_repeated_subexpression():
@@ -359,22 +402,27 @@ def test_pipeline_idempotent_on_corpus():
             assert twice is once
 
 
-# len(nodes) after bitblast and after the bool-level fixpoint, 16 bits
+# len(nodes) after bitblast, len(nodes) after the bool-level fixpoint and
+# the fixpoint's gates that are not free under free-XOR (And, Or, MuxBit),
+# 16 bits
 BOOL_SIZES = {
-    "gcd": (1598, 1223),
-    "auction": (466, 351),
-    "mergesort": (3037, 899),
-    "matvec": (7969, 5715),
-    "pow8": (4041, 1784),
-    "adder": (129, 122),
-    "sum8": (705, 662),
+    "gcd": (1365, 1205, 496),
+    "auction": (403, 345, 112),
+    "mergesort": (1425, 862, 348),
+    "matvec": (5715, 5715, 1056),
+    "pow8": (1976, 1784, 531),
+    "adder": (122, 122, 15),
+    "sum8": (662, 662, 105),
 }
+NONXOR = (GateKind.AND, GateKind.OR, GateKind.MUX_BIT)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_bool_fixpoint_sizes(name):
     b = blasted(name)
-    assert (len(b.nodes), len(run_passes(b).nodes)) == BOOL_SIZES[name]
+    fixed = run_passes(b)
+    nonxor = sum(fixed.counts().get(k, 0) for k in NONXOR)
+    assert (len(b.nodes), len(fixed.nodes), nonxor) == BOOL_SIZES[name]
     # bitblast with the default passes emits the fixpoint directly
     word = build(name, bitwidth=16, optimize=True)
     assert len(bitblast(word, 16).nodes) == BOOL_SIZES[name][1]

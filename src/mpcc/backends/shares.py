@@ -1,12 +1,22 @@
 """n-out-of-n additive secret sharing over a prime field, with an
 explicit offline phase (Beaver triples, random bits) feeding an online
-gate-by-gate simulation.
+phase that runs round by round.
 
 The offline phase fixes every triple and every random bit by a seed
 drawn from the simulator's generator, and a triple expands its share
 vectors from that seed only when they are first read. An idealized
 comparison burns its preprocessing without reading it, so only the
 triples that Mul and Mux gates use are ever expanded.
+
+The online phase follows a layered schedule that depends on the circuit
+alone. A gate finishes in the round after its last operand is ready
+plus the rounds its `CostModel` depth weight gives it: 1 for Mul and Mux
+under the additive model, 7 for Lt and Leq, 10 for Eq, and 1 for a
+Reveal that another gate reads. Local gates take no round, and a Reveal
+that only delivers an output is opened after the last round. Every
+masked Beaver value of a round goes out in one batched open, and each
+round is one multicast, so the trace counts protocol rounds, as in SPDZ
+(Damgard et al., CRYPTO 2012).
 
 All parties run inside one process, but their share tables are kept
 separate: crossing them is only possible through `reconstruct`, and the
@@ -22,22 +32,30 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..circuit import WORD_OPS, Circuit, GateKind, Level
 from ..errors import (
     BudgetExceededError, IncompleteSharesError, LevelError,
-    MuxSelectorError, PlayerMismatchError, TripleExhaustedError,
+    ModelCoverageError, MuxSelectorError, PlayerMismatchError,
+    TripleExhaustedError,
 )
 from ..estimator import (
-    CostModel, additive_model, comparison_budget, estimate,
+    COMPARISON_KINDS, TRIPLE_KINDS, CostModel, additive_model,
+    comparison_budget, estimate, mul_budget,
 )
 from .clear import bind_inputs
 
 PRIME = (1 << 61) - 1
 
-ROUNDS_PER_COMPARISON = 7
-MULTICASTS_PER_COMPARISON = 7
+# gates that need at least one round of communication
+INTERACTIVE_KINDS = TRIPLE_KINDS | COMPARISON_KINDS
+
+# globals for the kinds the online phase tests on every gate (a GateKind
+# lookup is slow)
+CONST, INPUT, ADD, SUB, MUL_PLAIN, MUL, MUX, REVEAL = (
+    GateKind.CONST, GateKind.INPUT, GateKind.ADD, GateKind.SUB,
+    GateKind.MUL_PLAIN, GateKind.MUL, GateKind.MUX, GateKind.REVEAL)
 
 
 def centered(v: int, p: int = PRIME) -> int:
@@ -143,20 +161,31 @@ def beaver_mul(x: ShareVector, y: ShareVector, t: BeaverTriple,
     if open is None:
         def open(sv):
             return reconstruct(sv, p)
+    d, e = beaver_masks(x, y, t, p)
+    return beaver_combine(t, open(d), open(e), p)
+
+
+def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple,
+                 p: int = PRIME) -> tuple[ShareVector, ShareVector]:
+    """The first half of `beaver_mul`: use up `t` and return the shares
+    of d = x-a and e = y-b, the only values a multiplication opens."""
     if x.players != y.players or x.players != t.a.players:
         raise PlayerMismatchError("operands and triple must share players")
     if t.consumed:
         raise TripleExhaustedError("Beaver triple already consumed")
     t.consumed = True
-    d = open(_masked(x, t.a, p))
-    e = open(_masked(y, t.b, p))
-    out = []
-    for i in range(len(x.shares)):
-        s = (t.c.shares[i] + d * t.b.shares[i] + e * t.a.shares[i]) % p
-        if i == 0:
-            s = (s + d * e) % p
-        out.append(s)
-    return ShareVector(out, x.players, x.threshold)
+    return _masked(x, t.a, p), _masked(y, t.b, p)
+
+
+def beaver_combine(t: BeaverTriple, d: int, e: int,
+                   p: int = PRIME) -> ShareVector:
+    """The second half of `beaver_mul`: shares of x*y from the opened d
+    and e."""
+    a, b, c = t.a, t.b, t.c
+    out = [(c.shares[i] + d * b.shares[i] + e * a.shares[i]) % p
+           for i in range(len(c.shares))]
+    out[0] = (out[0] + d * e) % p
+    return ShareVector(out, c.players, c.threshold)
 
 
 def _masked(x: ShareVector, mask: ShareVector, p: int) -> ShareVector:
@@ -168,15 +197,38 @@ def _masked(x: ShareVector, mask: ShareVector, p: int) -> ShareVector:
 
 @dataclass
 class ExecTrace:
-    rounds: int = 0
-    multicasts: int = 0
+    """What an online phase used. `per_round` has one entry per round:
+    how many values that round opened, by context. Each round is one
+    multicast. A Reveal that only delivers an output is opened after the
+    last round and counted in `output_reveals`."""
     triples_consumed: int = 0
     bits_consumed: int = 0
+    per_round: list[dict[str, int]] = field(default_factory=list)
+    output_reveals: int = 0
 
-    def to_json_obj(self):
+    @property
+    def rounds(self) -> int:
+        return len(self.per_round)
+
+    @property
+    def multicasts(self) -> int:
+        return len(self.per_round)
+
+    def summary(self) -> dict[str, int]:
         return {"rounds": self.rounds, "multicasts": self.multicasts,
                 "triples_consumed": self.triples_consumed,
                 "bits_consumed": self.bits_consumed}
+
+    def to_json_obj(self):
+        return {**self.summary(),
+                "per_round": [{"round": r, **opens}
+                              for r, opens in enumerate(self.per_round, 1)],
+                "output_reveals": self.output_reveals}
+
+
+# open_log context -> its key in a per-round trace entry
+ROUND_KEYS = {"reveal": "reveal", "beaver-open": "beaver",
+              "comparison": "comparison"}
 
 
 class SharedSimulator:
@@ -196,6 +248,8 @@ class SharedSimulator:
         self.players = frozenset(range(n))
         self.trace = ExecTrace()
         self.open_log: list[tuple[str, int]] = []
+        # opens of the round being run, by per-round trace key
+        self.round_opens = dict.fromkeys(ROUND_KEYS.values(), 0)
         self.triples: list[BeaverTriple] = []
         self.random_bits: list[int] = []  # seeds; see random_bit()
 
@@ -237,8 +291,9 @@ class SharedSimulator:
 
     def open(self, sv: ShareVector, context: str) -> int:
         """The only way values cross party boundaries; every use is
-        logged with its context."""
+        logged with its context and counted in its round."""
         self.open_log.append((context, len(self.open_log)))
+        self.round_opens[ROUND_KEYS[context]] += 1
         return reconstruct(sv, self.p)
 
     def public(self, value: int) -> ShareVector:
@@ -253,13 +308,54 @@ class SharedSimulator:
 
     # -- online phase --
 
-    def multiply(self, x: ShareVector, y: ShareVector) -> ShareVector:
-        [t] = self.take_triples(1)
-        out = beaver_mul(x, y, t, self.p,
-                         open=lambda sv: self.open(sv, "beaver-open"))
-        self.trace.rounds += 1
-        self.trace.multicasts += 2
-        return out
+    def schedule(self) -> tuple[list[list[int]], list[int]]:
+        """The layered schedule, from the circuit and the model's depth
+        weights alone: layer r lists, in id order, the gates that finish
+        in round r (layer 0 the local gates before any round), and the
+        second list the Reveals that only deliver an output."""
+        c, weights = self.circuit, self.model.depth_weights
+        read = {o for node in c.nodes for o in node.operands}
+        done = [0] * len(c.nodes)
+        layers: list[list[int]] = [[]]
+        output_reveals = []
+        for nid, node in enumerate(c.nodes):
+            kind, ops = node.kind, node.operands
+            r = max(map(done.__getitem__, ops)) if ops else 0
+            if kind is REVEAL and nid not in read:
+                output_reveals.append(nid)
+                continue
+            if kind is REVEAL or kind in INTERACTIVE_KINDS:
+                w = weights.get(kind, 0)
+                if w < 1:
+                    raise ModelCoverageError(
+                        f"model '{self.model.name}' gives {kind.value} no "
+                        f"round; the shares backend needs at least one")
+                r += w
+                while len(layers) <= r:
+                    layers.append([])
+            done[nid] = r
+            layers[r].append(nid)
+        return layers, output_reveals
+
+    def multiply(self, pairs: list[tuple[ShareVector, ShareVector]]
+                 ) -> list[ShareVector]:
+        """Beaver-multiply each pair. All their masked values go out in
+        one batched open: every party sends its shares of them in the
+        round's one multicast. Each product takes `mul_budget` triples
+        and burns all but one."""
+        if not pairs:
+            return []
+        per_gate = mul_budget(self.model)
+        if per_gate < 1:
+            raise BudgetExceededError(
+                f"model '{self.model.name}' budgets no Beaver triple for a "
+                f"multiplication")
+        triples = [self.take_triples(per_gate)[0] for _ in pairs]
+        masked = [m for (x, y), t in zip(pairs, triples)
+                  for m in beaver_masks(x, y, t, self.p)]
+        opened = [self.open(m, "beaver-open") for m in masked]
+        return [beaver_combine(t, opened[2 * i], opened[2 * i + 1], self.p)
+                for i, t in enumerate(triples)]
 
     def compare(self, kind: GateKind, x: ShareVector,
                 y: ShareVector) -> ShareVector:
@@ -269,11 +365,62 @@ class SharedSimulator:
         tpc, bpc = comparison_budget(self.model, self.circuit.bitwidth)
         self.take_triples(tpc)
         self.take_bits(bpc)
-        self.trace.rounds += ROUNDS_PER_COMPARISON
-        self.trace.multicasts += MULTICASTS_PER_COMPARISON
         a = centered(self.open(x, "comparison"), self.p)
         b = centered(self.open(y, "comparison"), self.p)
         return share(WORD_OPS[kind](a, b), self.n, self.rng, self.p)
+
+    def run_layer(self, layer: list[int], table: list[ShareVector | None],
+                  input_values: dict[int, int], revealed: dict[int, int]):
+        """Run one layer of the schedule. Its gates read only earlier
+        layers and earlier gates of this one, so the multiplications go
+        first, in one batch, and the rest follow in id order."""
+        nodes = self.circuit.nodes
+        pairs = []
+        for nid in layer:
+            node = nodes[nid]
+            a = node.operands
+            if node.kind is MUL:
+                pairs.append((table[a[0]], table[a[1]]))
+            elif node.kind is MUX:
+                # an ideal check, like compare's: it costs no round,
+                # multicast, triple or logged open
+                sel = reconstruct(table[a[0]], self.p)
+                if sel not in (0, 1):
+                    raise MuxSelectorError(
+                        f"mux selector {centered(sel, self.p)} is not a bit")
+                # sel*(t - e) + e needs a single multiplication
+                pairs.append((table[a[0]],
+                              self.local(lambda t, e: t - e, table[a[1]],
+                                         table[a[2]])))
+        products = iter(self.multiply(pairs))
+        for nid in layer:
+            node = nodes[nid]
+            kind, a = node.kind, node.operands
+            if kind is ADD or kind is SUB:
+                # additive shares are linear: each party adds or subtracts
+                # its own shares
+                sv = self.local(WORD_OPS[kind], table[a[0]], table[a[1]])
+            elif kind is MUL:
+                sv = next(products)
+            elif kind is MUX:
+                sv = self.local(lambda m, e: m + e, next(products),
+                                table[a[2]])
+            elif kind in COMPARISON_KINDS:
+                sv = self.compare(kind, table[a[0]], table[a[1]])
+            elif kind is MUL_PLAIN:
+                k = node.payload
+                sv = self.local(lambda u: u * k, table[a[0]])
+            elif kind is CONST:
+                sv = self.public(node.payload)
+            elif kind is INPUT:
+                sv = share(input_values[nid], self.n, self.rng, self.p)
+            elif kind is REVEAL:
+                v = centered(self.open(table[a[0]], "reveal"), self.p)
+                revealed[nid] = v
+                sv = self.public(v)
+            else:
+                raise LevelError(f"{kind.value} in word-level circuit")
+            table[nid] = sv
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
@@ -283,51 +430,19 @@ class SharedSimulator:
             c, inputs,
             min(c.bitwidth - 2, (self.p // 2 + 1).bit_length() - 1))
         self.offline_phase()
+        layers, output_reveals = self.schedule()
         table: list[ShareVector | None] = [None] * len(c.nodes)
-        outputs: dict[str, int] = {}
+        revealed: dict[int, int] = {}
+        self.run_layer(layers[0], table, input_values, revealed)
+        for layer in layers[1:]:
+            self.round_opens = dict.fromkeys(ROUND_KEYS.values(), 0)
+            self.trace.per_round.append(self.round_opens)
+            self.run_layer(layer, table, input_values, revealed)
+        self.round_opens = dict.fromkeys(ROUND_KEYS.values(), 0)
+        self.run_layer(output_reveals, table, input_values, revealed)
+        self.trace.output_reveals = self.round_opens["reveal"]
         out_names = {nid: name for nid, _aud, name in c.outputs}
-        for nid, node in enumerate(c.nodes):
-            a = node.operands
-            match node.kind:
-                case GateKind.CONST:
-                    sv = self.public(node.payload)
-                case GateKind.INPUT:
-                    sv = share(input_values[nid], self.n, self.rng, self.p)
-                case GateKind.ADD | GateKind.SUB:
-                    # additive shares are linear: each party adds or
-                    # subtracts its own shares
-                    sv = self.local(WORD_OPS[node.kind], table[a[0]],
-                                    table[a[1]])
-                case GateKind.MUL_PLAIN:
-                    k = node.payload
-                    sv = self.local(lambda u: u * k, table[a[0]])
-                case GateKind.MUL:
-                    sv = self.multiply(table[a[0]], table[a[1]])
-                case GateKind.MUX:
-                    # an ideal check, like compare's: it costs no round,
-                    # multicast, triple or logged open
-                    sel = reconstruct(table[a[0]], self.p)
-                    if sel not in (0, 1):
-                        raise MuxSelectorError(
-                            f"mux selector {centered(sel, self.p)} is not "
-                            f"a bit")
-                    # sel*(t - e) + e needs a single multiplication
-                    diff = self.local(lambda t, e: t - e, table[a[1]],
-                                      table[a[2]])
-                    prod = self.multiply(table[a[0]], diff)
-                    sv = self.local(lambda m, e: m + e, prod, table[a[2]])
-                case GateKind.LT | GateKind.LEQ | GateKind.EQ:
-                    sv = self.compare(node.kind, table[a[0]], table[a[1]])
-                case GateKind.REVEAL:
-                    v = centered(self.open(table[a[0]], "reveal"), self.p)
-                    if nid in out_names:
-                        outputs[out_names[nid]] = v
-                    sv = self.public(v)
-                case _:
-                    raise LevelError(f"{node.kind.value} in word-level "
-                                     f"circuit")
-            table[nid] = sv
-        return outputs
+        return {out_names[nid]: revealed[nid] for nid in sorted(out_names)}
 
 
 def simulate_shared(circuit: Circuit, inputs: dict[tuple[int, str], int],

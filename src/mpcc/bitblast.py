@@ -13,8 +13,10 @@ degenerates to And gates instead of full multipliers.
 
 Nothing is emitted to be thrown away: an adder's top cell builds no
 carry-out, a comparison builds the carry chain and the sign bit but no
-sum bit below it, and a constant bit is added at its first use. On the
-corpus's word fixpoints the final dce finds nothing to drop.
+sum bit below it, a constant bit is added at its first use, and a
+MuxBit between the constant bits 1 and 0 is its selector (between 0 and
+1, its Not). On the corpus's word fixpoints the final dce finds nothing
+to drop.
 
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
@@ -51,6 +53,7 @@ class _BitBuilder:
         self.metas: list = []
         self._const_cache: dict[int, int] = {}  # bit -> raw value
         self._const_value: dict[int, int] = {}  # raw value -> bit
+        self._muxed_const: dict[int, int] = {}  # see mux_bit
 
     def emit(self, kind, operands, meta=None, payload=None) -> int:
         metas = self.metas
@@ -176,6 +179,21 @@ class _BitBuilder:
             return self.const_bit(int(consts[x] == k))
         return x if k else self.emit(GateKind.NOT, (x,))
 
+    def mux_bit(self, s: int, t: int, e: int) -> int:
+        """s ? t : e; between the constant bits 1 and 0 it is s, and
+        between 0 and 1 it is Not s. A MuxBit between two equal constant
+        bits stays a gate, which keeps its raw metadata, but a later
+        mux_bit reads it as that constant."""
+        consts, muxed = self._const_value, self._muxed_const
+        kt = consts.get(t, muxed.get(t))
+        ke = consts.get(e, muxed.get(e))
+        if {kt, ke} == {0, 1}:
+            return s if kt else self.emit(GateKind.NOT, (s,))
+        v = self.emit(GateKind.MUX_BIT, (s, t, e))
+        if kt is not None and kt == ke:
+            muxed[v] = kt
+        return v
+
     def equals(self, a: list[int], b: list[int]) -> int:
         xnors = [self.xnor(x, y) for x, y in zip(a, b)]
         return balanced(xnors, lambda x, y: self.emit(GateKind.AND, (x, y)))
@@ -275,7 +293,7 @@ def bitblast(c: Circuit, width: int | None = None,
                 boolish.add(nid)
             case GateKind.MUX:
                 sel = bits[a[0]][0]
-                bits[nid] = [bb.emit(GateKind.MUX_BIT, (sel, t, e))
+                bits[nid] = [bb.mux_bit(sel, t, e)
                              for t, e in zip(bits[a[1]], bits[a[2]])]
                 if a[1] in boolish and a[2] in boolish:
                     boolish.add(nid)

@@ -267,7 +267,7 @@ def cmd_run(args, spec) -> int:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 json.dump(trace.to_json_obj(), fh, indent=2)
-        print(json.dumps(trace.to_json_obj()), file=sys.stderr)
+        print(json.dumps(trace.summary()), file=sys.stderr)
     else:
         outputs = interpret_clear(c, inputs)
     write_out(args, json.dumps(outputs) + "\n")

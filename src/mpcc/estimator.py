@@ -22,6 +22,7 @@ ZERO_COST_KINDS = frozenset({GateKind.CONST, GateKind.INPUT,
 
 COMPARISON_KINDS = frozenset({GateKind.LT, GateKind.LEQ, GateKind.EQ})
 TRIPLE_KINDS = frozenset({GateKind.MUL, GateKind.MUX})
+REVEAL_KINDS = frozenset({GateKind.REVEAL, GateKind.REVEAL_BIT})
 
 
 @dataclass
@@ -77,14 +78,23 @@ def _num(x: Fraction):
 
 
 def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
-    """Longest weighted path; Const and Input contribute no depth."""
+    """Longest weighted path; Const and Input contribute no depth. A
+    Reveal's weight counts only on a path through a gate that reads it:
+    delivering an output ends no path, so under a protocol's model this
+    is the round count of the layered schedule."""
     best = 0
     depth = [0] * len(c.nodes)
     for nid, node in enumerate(c.nodes):
         up = max((depth[o] for o in node.operands), default=0)
         depth[nid] = up + depth_weights.get(node.kind, 0)
-        best = max(best, depth[nid])
+        best = max(best, up if node.kind in REVEAL_KINDS else depth[nid])
     return best
+
+
+def mul_budget(model: CostModel) -> int:
+    """Triples one Mul or Mux takes, in whole units: the model's rate
+    rounded up. A multiplication uses one; the rest are burned."""
+    return math.ceil(model.triples_per_mul)
 
 
 def comparison_budget(model: CostModel, bitwidth: int) -> tuple[int, int]:
@@ -122,7 +132,8 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
         totals=totals,
         gate_counts=counts,
         depth=critical_path(c, model.depth_weights),
-        triples=model.triples_per_mul * n_triple_gates + tpc * n_comparisons,
+        triples=Fraction(mul_budget(model) * n_triple_gates
+                         + tpc * n_comparisons),
         random_bits=Fraction(bpc * n_comparisons),
     )
 
@@ -170,9 +181,14 @@ def arith_model() -> CostModel:
 
 
 def additive_model() -> CostModel:
-    """n-out-of-n additive sharing: adds are free, a multiplication costs
-    one round and one multicast, a comparison costs seven rounds and an
-    equality one and a half comparisons."""
+    """n-out-of-n additive sharing: adds are free. In `totals`, the
+    per-gate sum, a multiplication costs one round and one multicast, a
+    comparison seven of each, an equality one and a half comparisons and
+    a Reveal one. The depth weights are the layered schedule the shares
+    backend runs: a multiplication takes one round, a comparison 7, an
+    equality 10 and a Reveal that another gate reads 1, so
+    `estimate(c, additive_model()).depth` is its round count (and its
+    multicast count, one per round)."""
     costs = _costs({
         GateKind.CONST: {}, GateKind.INPUT: {},
         GateKind.ADD: {}, GateKind.SUB: {}, GateKind.MUL_PLAIN: {},

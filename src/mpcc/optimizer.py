@@ -113,6 +113,9 @@ class Builder:
                 return args[0].operands[0]
             if (kind is MUX or kind is MUX_BIT) and ops[1] == ops[2]:
                 return ops[1]
+            if kind is MUX_BIT and {consts[1], consts[2]} == {0, 1}:
+                # s ? 1 : 0 is s, and s ? 0 : 1 is Not s
+                return ops[0] if consts[1] else (NOT, (ops[0],), meta, None)
         if self.strength:
             if kind is MUL and consts[0] is not None:
                 return (MUL_PLAIN, (ops[1],), meta, consts[0])

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build
+from conftest import CORPUS_NAMES, build
 from mpcc.backends import shares
 from mpcc.backends.clear import flatten_inputs, interpret_clear
 from mpcc.backends.shares import (
@@ -18,11 +18,15 @@ from mpcc.backends.shares import (
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import (
     BudgetExceededError, IncompleteSharesError, MissingInputError,
-    MuxSelectorError, OverflowContractError, PlayerMismatchError,
-    TripleExhaustedError,
+    ModelCoverageError, MuxSelectorError, OverflowContractError,
+    PlayerMismatchError, TripleExhaustedError,
 )
 from mpcc.estimator import CostModel, additive_model, estimate
-from mpcc.sectypes import owners
+from mpcc.lowering import LowerConfig, lower_program
+from mpcc.optimizer import run_passes
+from mpcc.sectypes import AdditiveShare, owners
+from mpcc.typecheck import check_program
+from proggen import random_inputs, random_program
 
 GCD_INPUTS = {(1, "x"): 5, (1, "y"): 15}
 AUCTION_INPUTS = flatten_inputs({"0": {"b0": 12}, "1": {"b1": 20},
@@ -143,8 +147,11 @@ def test_shares_mux_selector_must_be_a_bit():
         assert sim.run({(1, "s"): s, (1, "a"): 4, (2, "b"): 9}) == \
             {"out": want}
         assert sim.trace.to_json_obj() == {
-            "rounds": 1, "multicasts": 2, "triples_consumed": 1,
-            "bits_consumed": 0}
+            "rounds": 1, "multicasts": 1, "triples_consumed": 1,
+            "bits_consumed": 0,
+            "per_round": [{"round": 1, "reveal": 0, "beaver": 2,
+                           "comparison": 0}],
+            "output_reveals": 1}
         assert [ctx for ctx, _ in sim.open_log] == \
             ["beaver-open", "beaver-open", "reveal"]
     for s in (2, -1):
@@ -276,6 +283,110 @@ def test_fractional_comparison_budget_is_met():
         assert outs == interpret_clear(c, inputs), name
         assert trace.triples_consumed == report.triples, name
         assert trace.bits_consumed == report.random_bits, name
+
+
+@pytest.mark.parametrize("rate, triples", [(Fraction(2), 6),
+                                             (Fraction(1, 2), 3)])
+def test_mul_budget_is_met(rate, triples):
+    # a multiplication takes whole triples: it uses one and burns the rest
+    base = additive_model()
+    model = CostModel("per-mul", base.gate_costs, base.depth_weights,
+                      triples_per_mul=rate,
+                      prime_modulus=base.prime_modulus)
+    c = build("pow8", bitwidth=16, scheme="additive")  # three Mul gates
+    assert estimate(c, model).triples == triples
+    sim = SharedSimulator(c, 3, seed=0, model=model)
+    assert sim.run({(1, "x"): 2}) == {"out0": 256}
+    assert sim.trace.triples_consumed == triples
+    assert sim.triples == []
+
+
+# -- the layered schedule: the estimate predicts the trace --
+
+def assert_estimate_predicts_trace(c, input_sets, model=None):
+    """Run c on each input set: outputs equal the clear interpreter's,
+    rounds and multicasts equal the estimator's depth, triples and bits
+    its budget, and every run has the same per-round trace."""
+    model = model or additive_model()
+    report = estimate(c, model)
+    traces = []
+    for seed, inputs in enumerate(input_sets):
+        outs, trace = simulate_shared(c, inputs, 3, seed=seed, model=model)
+        assert outs == interpret_clear(c, inputs)
+        assert (trace.rounds, trace.multicasts, trace.triples_consumed,
+                trace.bits_consumed) == (report.depth, report.depth,
+                                         report.triples, report.random_bits)
+        traces.append(trace.to_json_obj())
+    assert all(t == traces[0] for t in traces)  # oblivious
+    return traces[0]
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_estimate_predicts_corpus_trace(name, width):
+    for optimize in (False, True):
+        c = build(name, bitwidth=width, scheme="additive", optimize=optimize)
+        input_sets = []
+        for seed in range(2):
+            rng = random.Random(seed)
+            input_sets.append({(party, iname): rng.randrange(-20, 40)
+                               for _nid, party, iname in c.inputs})
+        assert_estimate_predicts_trace(c, input_sets)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_estimate_predicts_generated_trace(seed):
+    scheme = AdditiveShare(3)
+    tp = check_program(random_program(seed), scheme)
+    c = run_passes(lower_program(tp, LowerConfig(bitwidth=16, scheme=scheme)))
+    assert_estimate_predicts_trace(
+        c, [random_inputs(seed * 101 + j) for j in range(2)])
+
+
+def mid_circuit_reveal_circuit():
+    """out = Reveal(a*b) * a: the inner Reveal is read by a gate."""
+    c = Circuit(bitwidth=16)
+    a = c.add_input(1, "a")
+    b = c.add_input(2, "b")
+    ab = c.add_node(GateKind.MUL, (a, b))
+    opened = c.add_node(GateKind.REVEAL, (ab,), PlainMeta(owners(1, 2)))
+    m = c.add_node(GateKind.MUL, (opened, a))
+    r = c.add_node(GateKind.REVEAL, (m,), PlainMeta(owners(1, 2)))
+    c.add_output(r, owners(1, 2), "out")
+    return c
+
+
+def test_a_reveal_that_a_gate_reads_takes_a_round():
+    trace = assert_estimate_predicts_trace(
+        mid_circuit_reveal_circuit(),
+        [{(1, "a"): 3, (2, "b"): 5}, {(1, "a"): -7, (2, "b"): 2}])
+    assert trace["rounds"] == 3
+    assert trace["per_round"] == [
+        {"round": 1, "reveal": 0, "beaver": 2, "comparison": 0},
+        {"round": 2, "reveal": 1, "beaver": 0, "comparison": 0},
+        {"round": 3, "reveal": 0, "beaver": 2, "comparison": 0}]
+    assert trace["output_reveals"] == 1
+
+
+def test_independent_gates_share_a_round():
+    # mergesort's compare-and-swaps of one level open in the same rounds:
+    # each round holds every Beaver opening of its layer
+    c = build("mergesort", bitwidth=16, scheme="additive", optimize=True)
+    trace = assert_estimate_predicts_trace(c, [MERGESORT_INPUTS])
+    products = sum(n.kind in (GateKind.MUL, GateKind.MUX) for n in c.nodes)
+    assert sum(r["beaver"] for r in trace["per_round"]) == 2 * products
+    assert max(r["beaver"] for r in trace["per_round"]) > 2
+    assert trace["rounds"] == 70
+
+
+def test_shares_backend_needs_a_round_per_interactive_gate():
+    base = additive_model()
+    model = CostModel("free-mul", base.gate_costs,
+                      {**base.depth_weights, GateKind.MUL: 0},
+                      prime_modulus=base.prime_modulus)
+    with pytest.raises(ModelCoverageError, match="gives Mul no round"):
+        simulate_shared(mid_circuit_reveal_circuit(),
+                        {(1, "a"): 3, (2, "b"): 5}, 3, model=model)
 
 
 def test_adds_only_circuit_needs_no_communication():
@@ -474,13 +585,14 @@ def test_simulator_multiply_is_one_beaver_round():
     assert sim.run({(1, "x"): 2}) == {"out0": 256}
     assert sim.open_log == [("beaver-open", k) for k in range(6)] + \
         [("reveal", 6)]
-    assert (sim.trace.rounds, sim.trace.multicasts) == (3, 6)
+    assert (sim.trace.rounds, sim.trace.multicasts) == (3, 3)
     t = make_triple(3, sim.rng)
     sim.triples += [t, t]  # the same triple twice in the pool
     x = sim.public(3)
-    assert reconstruct(sim.multiply(x, x)) == 9
+    [z] = sim.multiply([(x, x)])
+    assert reconstruct(z) == 9
     with pytest.raises(TripleExhaustedError):
-        sim.multiply(x, x)
+        sim.multiply([(x, x)])
 
 
 def test_modulo_agrees_across_all_backends():

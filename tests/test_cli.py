@@ -68,6 +68,24 @@ def test_run_auction_shares(tmp_path, capsys):
     assert out == {"winner": 1, "price": 15}
 
 
+def test_run_shares_trace_has_one_entry_per_round(tmp_path, capsys):
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 2}}})
+    trace = tmp_path / "trace.json"
+    assert run_cli("run", hml("pow8"), "--backend", "shares",
+                   "--scheme", "additive", "--inputs", inputs,
+                   "--bitwidth", "16", "--trace", str(trace)) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"out0": 256}
+    summary = {"rounds": 3, "multicasts": 3, "triples_consumed": 3,
+               "bits_consumed": 0}
+    assert json.loads(captured.err) == summary
+    assert json.loads(trace.read_text()) == {
+        **summary,
+        "per_round": [{"round": r, "reveal": 0, "beaver": 2,
+                       "comparison": 0} for r in (1, 2, 3)],
+        "output_reveals": 1}
+
+
 def test_run_clear_gcd(tmp_path, capsys):
     inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
     assert run_cli("run", hml("gcd"), "--inputs", inputs,

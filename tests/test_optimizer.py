@@ -7,11 +7,11 @@ from astref import reference_run
 from conftest import CORPUS_NAMES, build
 from mpcc.backends.clear import interpret_clear
 from mpcc.bitblast import bitblast
-from mpcc.circuit import Circuit, GateKind, PlainMeta
+from mpcc.circuit import PLAIN, Circuit, GateKind, PlainMeta
 from mpcc.estimator import CostModel, additive_model, critical_path
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
-    PASSES, cmp_rewrite, const_fold, cse, dce, peephole, run_passes,
+    PASSES, Builder, cmp_rewrite, const_fold, cse, dce, peephole, run_passes,
     strength_reduce, tree_reduce,
 )
 from mpcc.sectypes import Generic, owners
@@ -116,6 +116,33 @@ def test_peephole_mux_with_constant_selector(kind, const):
     assert (reads["out1"], reads["out0"]) == (a, b)
     # only the selectors 0 and 1 pick a branch
     assert out.nodes[reads["odd"]].kind == kind
+
+
+def test_peephole_muxbit_between_constant_bits():
+    b = Builder(["peephole"])
+    s = b.add(GateKind.INPUT_BIT)
+    one, zero, one_again = (b.add(GateKind.CONST_BIT, (), PLAIN, k)
+                            for k in (1, 0, 1))
+    assert b.add(GateKind.MUX_BIT, (s, one, zero)) == s
+    inv = b.nodes[b.add(GateKind.MUX_BIT, (s, zero, one))]
+    assert (inv.kind, inv.operands) == (GateKind.NOT, (s,))
+    # s ? 1 : 1 through two constant nodes is no wire
+    same = b.add(GateKind.MUX_BIT, (s, one, one_again))
+    assert b.nodes[same].kind == GateKind.MUX_BIT
+    # a word Mux keeps its constant branches
+    w = b.add(GateKind.INPUT)
+    w1, w0 = (b.add(GateKind.CONST, (), PLAIN, k) for k in (1, 0))
+    assert b.nodes[b.add(GateKind.MUX, (w, w1, w0))].kind == GateKind.MUX
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_no_muxbit_between_constant_bits(name, width):
+    b = bitblast(build(name, bitwidth=width, optimize=True), width)
+    consts = {nid for nid, n in enumerate(b.nodes)
+              if n.kind == GateKind.CONST_BIT}
+    assert not [n for n in b.nodes if n.kind == GateKind.MUX_BIT
+                and {n.operands[1], n.operands[2]} <= consts]
 
 
 def constant_selector_muxes(c):
@@ -407,8 +434,8 @@ def test_pipeline_idempotent_on_corpus():
 # 16 bits
 BOOL_SIZES = {
     "gcd": (1365, 1205, 496),
-    "auction": (403, 345, 112),
-    "mergesort": (1425, 862, 348),
+    "auction": (400, 342, 110),
+    "mergesort": (1422, 848, 341),
     "matvec": (5715, 5715, 1056),
     "pow8": (1976, 1784, 531),
     "adder": (122, 122, 15),

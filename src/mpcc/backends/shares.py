@@ -30,7 +30,6 @@ protocol would.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -42,7 +41,7 @@ from ..errors import (
 )
 from ..estimator import (
     COMPARISON_KINDS, TRIPLE_KINDS, CostModel, additive_model,
-    comparison_budget, estimate, mul_budget,
+    comparison_budget, mul_budget, preprocessing,
 )
 from .clear import bind_inputs
 
@@ -259,9 +258,7 @@ class SharedSimulator:
         """Generate exactly the budget the estimator computes for the
         circuit: triples for multiplications and comparisons, random bits
         for comparisons. Each is fixed here by a seed from `self.rng`."""
-        report = estimate(self.circuit, self.model)
-        n_triples = math.ceil(report.triples)
-        n_bits = math.ceil(report.random_bits)
+        n_triples, n_bits = preprocessing(self.circuit, self.model)
         self.triples = [make_triple(self.n, self.rng, self.p)
                         for _ in range(n_triples)]
         self.random_bits = [self.rng.getrandbits(64) for _ in range(n_bits)]

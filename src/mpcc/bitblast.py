@@ -11,12 +11,25 @@ sound for |a-b| < 2^(bitwidth-1). Words whose value is known to be a bit
 (comparison outputs and the like) are tracked so multiplying by them
 degenerates to And gates instead of full multipliers.
 
+Multipliers sum shifted rows with those cells. Mul(x, y) is the w x w
+array; Mul(x, x) is a squarer, x_i at bit 2i and x_i & x_j (i < j) at
+bit i+j+1, about w²/4 partial products instead of w²/2 (1,953 non-XOR
+gates at 64 bits, against 3,009), with bit 1 constant. MulPlain(x, c)
+adds a shifted x per positive digit of c's non-adjacent form
+(Reitwiesner, 1960) and subtracts one per negative digit, so x*7 is
+8x - x and x*-1 one negation, where binary digits cost up to w-1
+adders. Partial products go through a constant-aware And.
+
 Nothing is emitted to be thrown away: an adder's top cell builds no
 carry-out, a comparison builds the carry chain and the sign bit but no
-sum bit below it, a constant bit is added at its first use, and a
-MuxBit between the constant bits 1 and 0 is its selector (between 0 and
-1, its Not). On the corpus's word fixpoints the final dce finds nothing
-to drop.
+sum bit below it, a constant bit is added at its first use, a MuxBit
+between the constant bits 1 and 0 is its selector (between 0 and 1, its
+Not), and a word is built only up to the highest bit a reader reads
+(`_bits_read`): a square never reads its operand's top bit, so a square
+of a square builds one bit less. On the corpus's word fixpoints the
+final dce finds nothing to drop; in the raw circuit, at most a MuxBit
+between two equal constant bits that a later mux_bit read as that
+constant (see mux_bit).
 
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
@@ -25,7 +38,7 @@ circuit, each gate keeping its raw metadata.
 
 A Mux reads only bit 0 of its selector: sound for the 0/1 selectors
 lowering emits, silently wrong for others (clear and shares raise
-MuxSelectorError). `boolish` cannot back a check: unoptimized at 64
+MuxSelectorError). `_boolish` cannot back a check: unoptimized at 64
 bits, the corpus, the 4 benchmark templates and proggen seeds 0-399
 hold 1,444 Mux selectors and it proves 1,027 (and all 827 left after
 the default passes).
@@ -87,11 +100,6 @@ class _BitBuilder:
             self.metas.append(PLAIN)
         return self._const_cache[b]
 
-    def is_const(self, word: list[int], value: int) -> bool:
-        """Whether `word` is the cached constant bits of `value`."""
-        return word == [self._const_cache.get((value >> i) & 1)
-                        for i in range(self.width)]
-
     def const_word(self, value: int) -> list[int]:
         return [self.const_bit((value >> i) & 1) for i in range(self.width)]
 
@@ -141,10 +149,10 @@ class _BitBuilder:
 
     def ripple_add(self, a: list[int], b: list[int], cin: int,
                    low_sums: bool = True) -> list[int]:
-        """The w bits of a + b + cin, those below the top one None unless
-        `low_sums`. The top cell builds no carry-out."""
+        """The len(a) bits of a + b + cin, those below the top one None
+        unless `low_sums`. The top cell builds no carry-out."""
         out = []
-        for i in range(self.width - 1):
+        for i in range(len(a) - 1):
             s, cin = self.full_adder(a[i], b[i], cin, sum_out=low_sums)
             out.append(s)
         return out + [self.full_adder(a[-1], b[-1], cin, carry_out=False)[0]]
@@ -198,32 +206,78 @@ class _BitBuilder:
         xnors = [self.xnor(x, y) for x, y in zip(a, b)]
         return balanced(xnors, lambda x, y: self.emit(GateKind.AND, (x, y)))
 
+    def and_bit(self, x: int, y: int) -> int:
+        """x & y; beside a constant bit, that 0 or the other bit."""
+        consts = self._const_value
+        if x in consts:
+            x, y = y, x
+        k = consts.get(y)
+        if k is None:
+            return self.emit(GateKind.AND, (x, y))
+        return x if k else y
+
     def scale_by_bit(self, bit: int, word: list[int]) -> list[int]:
-        return [self.emit(GateKind.AND, (bit, w)) for w in word]
+        return [self.and_bit(bit, w) for w in word]
 
     def shifted(self, word: list[int], k: int) -> list[int]:
-        zero = self.const_bit(0)
-        return ([zero] * k + word)[:self.width]
+        """`word` shifted up k bits within its length."""
+        return ([self.const_bit(0)] * k + word)[:len(word)]
 
     def multiply(self, a: list[int], b: list[int]) -> list[int]:
+        """The len(a) low bits of a*b, one shifted row per bit of b."""
+        n, zero = len(a), self.const_bit(0)
         acc = self.scale_by_bit(b[0], a)
-        for j in range(1, self.width):
-            row = self.scale_by_bit(b[j], a[:self.width - j])
-            acc = self.ripple_add(acc, self.shifted(row, j),
-                                  self.const_bit(0))
+        for j in range(1, n):
+            row = self.scale_by_bit(b[j], a[:n - j])
+            acc = self.ripple_add(acc, [zero] * j + row, zero)
+        return acc
+
+    def square(self, x: list[int]) -> list[int]:
+        """The len(x) = w low bits of x*x as Σ x_i·2^(2i) + Σ_{i<j}
+        (x_i & x_j)·2^(i+j+1): row i holds x_i at bit 2i, a constant 0 at
+        bit 2i+1 and x_i & x_j above, about w²/4 partial products where
+        `multiply` has w²/2. Bit w-1 of x is not read."""
+        w, zero = len(x), self.const_bit(0)
+        acc = None
+        for i in range((w + 1) // 2):
+            row = [zero] * (2 * i) + [x[i], zero] + [
+                self.and_bit(x[i], x[j]) for j in range(i + 1, w - i - 1)]
+            acc = row[:w] if acc is None else self.ripple_add(
+                acc, row[:w], zero)
         return acc
 
     def mul_plain(self, a: list[int], c: int) -> list[int]:
-        c &= (1 << self.width) - 1
-        if c == 0:
-            return self.const_word(0)
-        acc = None
-        for j in range(self.width):
-            if (c >> j) & 1:
-                term = self.shifted(a, j)
-                acc = term if acc is None else self.ripple_add(
-                    acc, term, self.const_bit(0))
+        """The len(a) low bits of a*c from the signed digits of c: a
+        shifted copy of `a` per digit, the first positive one the start,
+        the other positive ones added and the negative ones subtracted
+        (from 0 if none is positive). The bits of `a` from len(a) - j up
+        are not read, j being c's lowest set bit."""
+        digits = signed_digits(c, len(a))
+        plus = [j for j, d in digits if d > 0]
+        minus = [j for j, d in digits if d < 0]
+        acc = (self.shifted(a, plus[0]) if plus
+               else self.const_word(0)[:len(a)])
+        for j in plus[1:]:
+            acc = self.ripple_add(acc, self.shifted(a, j), self.const_bit(0))
+        for j in minus:
+            acc = self.negate_then_add(acc, self.shifted(a, j))
         return acc
+
+
+def signed_digits(c: int, width: int) -> list[tuple[int, int]]:
+    """The nonzero digits (position, ±1) of the non-adjacent form of
+    c mod 2^width (Reitwiesner, 1960), a digit at 2^width dropped. No
+    signed-binary form has fewer, so there are at most as many as c (or
+    -c) has set bits: -1 is one digit, where 2^w - 1 has w set bits."""
+    c &= (1 << width) - 1
+    digits = []
+    for j in range(width):
+        if c & 1:
+            d = 2 - (c & 3)  # 1 when c = 1 mod 4, -1 when c = 3 mod 4
+            digits.append((j, d))
+            c -= d
+        c >>= 1
+    return digits
 
 
 def bitblast(c: Circuit, width: int | None = None,
@@ -237,76 +291,68 @@ def bitblast(c: Circuit, width: int | None = None,
     check_pass_names(passes)
     width = width or c.bitwidth
     bb = _BitBuilder(width, passes)
-    bits: dict[int, list[int]] = {}
-    boolish: set[int] = set()
+    boolish = _boolish(c)
+    need = _bits_read(c, width, boolish)
+    bits: dict[int, list[int | None]] = {}
     input_keys = {nid: (p, n) for nid, p, n in reversed(c.inputs)}
     inputs: list[tuple[int, int, str]] = []
+    unread = [None] * width
 
     for nid, node in enumerate(c.nodes):
-        a = node.operands
+        a, k = node.operands, need[nid]
+        if not k and node.kind is not GateKind.INPUT:
+            bits[nid] = unread  # no bit of it is read
+            continue
+        low = [bits[o][:k] for o in a]  # what the arithmetic cases read
         match node.kind:
             case GateKind.CONST:
-                bits[nid] = bb.const_word(node.payload)
-                if node.payload in (0, 1):
-                    boolish.add(nid)
+                word = bb.const_word(node.payload)
             case GateKind.INPUT:
                 party, name = input_keys[nid]
-                bits[nid] = [bb.emit(GateKind.INPUT_BIT, (), node.meta)
-                             for _ in range(width)]
-                inputs += [(bb.ids[v], party, name) for v in bits[nid]]
+                word = [bb.emit(GateKind.INPUT_BIT, (), node.meta)
+                        for _ in range(width)]
+                inputs += [(bb.ids[v], party, name) for v in word]
             case GateKind.ADD:
-                bits[nid] = bb.ripple_add(bits[a[0]], bits[a[1]],
-                                          bb.const_bit(0))
+                word = bb.ripple_add(low[0], low[1], bb.const_bit(0))
             case GateKind.SUB:
-                if a[1] in boolish and bb.is_const(bits[a[0]], 1):
-                    # 1 - b on a bit is a Not
-                    bits[nid] = bb.zero_extend(
+                if nid in boolish:  # 1 - b on a bit is a Not
+                    word = bb.zero_extend(
                         bb.emit(GateKind.NOT, (bits[a[1]][0],)))
-                    boolish.add(nid)
                 else:
-                    bits[nid] = bb.negate_then_add(bits[a[0]], bits[a[1]])
+                    word = bb.negate_then_add(low[0], low[1])
             case GateKind.MUL:
-                if a[0] in boolish and a[1] in boolish:
-                    bits[nid] = bb.zero_extend(
+                if nid in boolish:
+                    word = bb.zero_extend(
                         bb.emit(GateKind.AND, (bits[a[0]][0], bits[a[1]][0])))
-                    boolish.add(nid)
                 elif a[0] in boolish:
-                    bits[nid] = bb.scale_by_bit(bits[a[0]][0], bits[a[1]])
+                    word = bb.scale_by_bit(bits[a[0]][0], low[1])
                 elif a[1] in boolish:
-                    bits[nid] = bb.scale_by_bit(bits[a[1]][0], bits[a[0]])
+                    word = bb.scale_by_bit(bits[a[1]][0], low[0])
+                elif a[0] == a[1]:
+                    word = bb.square(low[0])
                 else:
-                    bits[nid] = bb.multiply(bits[a[0]], bits[a[1]])
+                    word = bb.multiply(low[0], low[1])
             case GateKind.MUL_PLAIN:
-                bits[nid] = bb.mul_plain(bits[a[0]], node.payload)
-                if node.payload == 1 and a[0] in boolish:
-                    boolish.add(nid)
+                word = bb.mul_plain(low[0], node.payload)
             case GateKind.LT:
-                bits[nid] = bb.zero_extend(
+                word = bb.zero_extend(
                     bb.sign_of_difference(bits[a[0]], bits[a[1]]))
-                boolish.add(nid)
             case GateKind.LEQ:
                 gt = bb.sign_of_difference(bits[a[1]], bits[a[0]])
-                bits[nid] = bb.zero_extend(bb.emit(GateKind.NOT, (gt,)))
-                boolish.add(nid)
+                word = bb.zero_extend(bb.emit(GateKind.NOT, (gt,)))
             case GateKind.EQ:
-                bits[nid] = bb.zero_extend(bb.equals(bits[a[0]], bits[a[1]]))
-                boolish.add(nid)
+                word = bb.zero_extend(bb.equals(bits[a[0]], bits[a[1]]))
             case GateKind.MUX:
                 sel = bits[a[0]][0]
-                bits[nid] = [bb.mux_bit(sel, t, e)
-                             for t, e in zip(bits[a[1]], bits[a[2]])]
-                if a[1] in boolish and a[2] in boolish:
-                    boolish.add(nid)
+                word = [bb.mux_bit(sel, t, e) for t, e in zip(low[1], low[2])]
             case GateKind.REVEAL:
                 meta = PlainMeta(node.meta.audience)
                 word = [bb.emit(GateKind.REVEAL_BIT, (bit,), meta=meta)
-                        for bit in bits[a[0]]]
-                bits[nid] = word
-                if a[0] in boolish:
-                    boolish.add(nid)
+                        for bit in low[0]]
             case _:
                 raise BitblastError(
                     f"cannot bit-blast {node.kind.value}")
+        bits[nid] = word + [None] * (width - len(word))
 
     outputs = [(bb.node(v), aud, name)
                for nid, aud, name in c.outputs for v in bits[nid]]
@@ -314,3 +360,57 @@ def bitblast(c: Circuit, width: int | None = None,
                   outputs)
     return dce(out) if "dce" in passes else out
 
+
+def _boolish(c: Circuit) -> set[int]:
+    """Words whose value is known to be a bit: comparisons, the constants
+    0 and 1, and 1 - b, b*b', b*1, b ? b' : b'' and reveals of such."""
+    out: set[int] = set()
+    for nid, node in enumerate(c.nodes):
+        a, kind = node.operands, node.kind
+        if (kind in (GateKind.LT, GateKind.LEQ, GateKind.EQ)
+                or kind is GateKind.CONST and node.payload in (0, 1)
+                or kind is GateKind.SUB and a[1] in out
+                and c.nodes[a[0]].kind is GateKind.CONST
+                and c.nodes[a[0]].payload == 1
+                or kind in (GateKind.MUL, GateKind.REVEAL)
+                and all(o in out for o in a)
+                or kind is GateKind.MUL_PLAIN and node.payload == 1
+                and a[0] in out
+                or kind is GateKind.MUX and a[1] in out and a[2] in out):
+            out.add(nid)
+    return out
+
+
+def _bits_read(c: Circuit, width: int, boolish: set[int]) -> list[int]:
+    """How many low bits of each word bitblast reads: all of an output's,
+    and of an operand's the most any reader's cells read. The low k bits
+    of a sum, difference or product need only the low k bits of its
+    operands, a square only k-1 and a product by c only k - j (j the
+    lowest set bit of c); a bit word and a Mux selector give their bit 0,
+    a comparison reads whole words."""
+    need = [0] * len(c.nodes)
+    for nid, _a, _n in c.outputs:
+        need[nid] = width
+    for nid in range(len(c.nodes) - 1, -1, -1):
+        node, k = c.nodes[nid], need[nid]
+        a, kind = node.operands, node.kind
+        if not k or not a:
+            continue
+        if kind in (GateKind.LT, GateKind.LEQ, GateKind.EQ):
+            reads = [width, width]
+        elif kind is GateKind.MUX:
+            reads = [1, k, k]
+        elif kind is GateKind.SUB and nid in boolish:
+            reads = [k, 1]
+        elif kind is GateKind.MUL and (a[0] in boolish or a[1] in boolish):
+            reads = [1 if o in boolish else k for o in a]
+        elif kind is GateKind.MUL and a[0] == a[1]:
+            reads = [max(k - 1, 1)] * 2
+        elif kind is GateKind.MUL_PLAIN:
+            low = node.payload % (1 << k)
+            reads = [k + 1 - (low & -low).bit_length() if low else 0]
+        else:
+            reads = [k] * len(a)
+        for o, r in zip(a, reads):
+            need[o] = max(need[o], r)
+    return need

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,6 +108,16 @@ def comparison_budget(model: CostModel, bitwidth: int) -> tuple[int, int]:
             bitwidth if bpc is None else math.ceil(bpc))
 
 
+def preprocessing(c: Circuit, model: CostModel) -> tuple[int, int]:
+    """(Beaver triples, random bits) of the offline phase: `mul_budget`
+    per Mul or Mux and `comparison_budget` per comparison."""
+    kinds = Counter([node.kind for node in c.nodes])
+    tpc, bpc = comparison_budget(model, c.bitwidth)
+    n_comparisons = sum(kinds[k] for k in COMPARISON_KINDS)
+    return (mul_budget(model) * sum(kinds[k] for k in TRIPLE_KINDS)
+            + tpc * n_comparisons, bpc * n_comparisons)
+
+
 def estimate(c: Circuit, model: CostModel) -> ResourceReport:
     counts: dict[GateKind, int] = {}
     totals: dict[str, Fraction] = {r: Fraction(0) for r in model.resources()}
@@ -124,17 +135,14 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
         counts[node.kind] = counts.get(node.kind, 0) + 1
         for resource, cost in model.gate_costs[node.kind].items():
             totals[resource] += cost
-    tpc, bpc = comparison_budget(model, c.bitwidth)
-    n_triple_gates = sum(counts.get(k, 0) for k in TRIPLE_KINDS)
-    n_comparisons = sum(counts.get(k, 0) for k in COMPARISON_KINDS)
+    triples, bits = preprocessing(c, model)
     return ResourceReport(
         model_name=model.name,
         totals=totals,
         gate_counts=counts,
         depth=critical_path(c, model.depth_weights),
-        triples=Fraction(mul_budget(model) * n_triple_gates
-                         + tpc * n_comparisons),
-        random_bits=Fraction(bpc * n_comparisons),
+        triples=Fraction(triples),
+        random_bits=Fraction(bits),
     )
 
 

@@ -228,7 +228,9 @@ def dce(c: Circuit) -> Circuit:
 
 def tree_reduce(c: Circuit) -> Circuit:
     """Rebalance linear chains of one associative gate kind into trees of
-    logarithmic depth. Only single-use, non-output intermediates move."""
+    logarithmic depth. Only single-use, non-output intermediates move; a
+    chain that already is that tree stays where it is, so at its
+    fixpoint the pass starts no walk."""
     uses = Counter(o for node in c.nodes for o in node.operands)
     pinned = {nid for nid, _a, _n in c.outputs}
     chain_kinds = (ADD, MUL, AND, OR, XOR)
@@ -237,12 +239,20 @@ def tree_reduce(c: Circuit) -> Circuit:
         node = c.nodes[nid]
         return node.kind == kind and uses[nid] == 1 and nid not in pinned
 
+    def built(nid: int, leaves: list[int], links: list[int]) -> bool:
+        """Whether the links already are the tree `balanced` would build."""
+        meta = c.nodes[nid].meta
+        made = {c.nodes[link].operands: link for link in links
+                if c.nodes[link].meta == meta}
+        return balanced(leaves, lambda x, y: made.get((x, y), -1)) == nid
+
     # heads are chain tops; every interior link is single-use
     interior: set[int] = set()
+    kept: set[int] = set()  # the links of chains that already are trees
     plans: dict[int, list[int]] = {}
     for nid in range(len(c.nodes) - 1, -1, -1):
         node = c.nodes[nid]
-        if node.kind not in chain_kinds or nid in interior:
+        if node.kind not in chain_kinds or nid in interior or nid in kept:
             continue
         leaves: list[int] = []
         links: list[int] = []
@@ -255,7 +265,11 @@ def tree_reduce(c: Circuit) -> Circuit:
             links.append(cur)
             # right-to-left keeps leaf order stable for determinism
             stack.extend(reversed(c.nodes[cur].operands))
-        if len(leaves) >= 4 and len(links) == len(leaves) - 1:
+        if len(leaves) < 4 or len(links) != len(leaves) - 1:
+            continue
+        if built(nid, leaves, links):
+            kept.update(links)
+        else:
             plans[nid] = leaves
             interior.update(set(links) - {nid})
     if not plans:

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build
 from mpcc.backends.boolsim import BoolInterpreter, interpret_bool
@@ -9,7 +11,7 @@ from mpcc.backends.clear import interpret_clear
 from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
 )
-from mpcc.bitblast import _BitBuilder, bitblast
+from mpcc.bitblast import _BitBuilder, bitblast, signed_digits
 from mpcc.circuit import PLAIN, Circuit, GateKind, Level, PlainMeta
 from mpcc.errors import LevelError
 from mpcc.optimizer import DEFAULT_PASSES, dce
@@ -17,6 +19,7 @@ from mpcc.sectypes import owners
 
 LOGIC = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
          GateKind.MUX_BIT)
+NONXOR = (GateKind.AND, GateKind.OR, GateKind.MUX_BIT)
 
 
 def logic_gate_count(c):
@@ -234,3 +237,113 @@ def test_gate_eval_count_matches_bool_nodes():
     interp = BoolInterpreter(cb)
     interp.run({(1, "a"): 3, (2, "b"): 2})
     assert interp.gate_evaluations == len(cb.nodes)
+
+
+# -- multipliers --
+
+def one_input(width, gate, payload=None):
+    """x from party 1 and `gate` of it revealed to party 1 as "out": Mul
+    reads x twice, MulPlain multiplies it by `payload`."""
+    c = Circuit(bitwidth=width)
+    x = c.add_input(1, "x")
+    ops = (x, x) if gate == GateKind.MUL else (x,)
+    g = c.add_node(gate, ops, payload=payload)
+    r = c.add_node(GateKind.REVEAL, (g,), PlainMeta(owners(1)))
+    c.add_output(r, owners(1), "out")
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def both_blasts(width, gate, payload=None):
+    """The raw and the default bitblast of `one_input`, each with its
+    parsed gate list."""
+    word = one_input(width, gate, payload)
+    return [(cb, parse_gatelist(emit_gatelist(cb)))
+            for cb in (bitblast(word, width, passes=passes)
+                       for passes in ([], DEFAULT_PASSES))]
+
+
+def check_both_ways(width, gate, payload, xs, want):
+    """Both blasts, run by interpret_bool and as a parsed gate list,
+    give want(x) mod 2^width for each x."""
+    mask = (1 << width) - 1
+    for cb, gl in both_blasts(width, gate, payload):
+        for x in xs:
+            expect = want(x) & mask
+            got = interpret_bool(cb, {(1, "x"): x})["out"]
+            assert got & mask == expect, x
+            bits = eval_gatelist(gl, [(x >> i) & 1 for i in range(width)])
+            assert sum(b << i for i, b in enumerate(bits)) == expect, x
+
+
+def test_squarer_on_every_8_bit_input():
+    check_both_ways(8, GateKind.MUL, None, range(-128, 128),
+                    lambda x: x * x)
+
+
+@pytest.mark.parametrize("k", range(-128, 128))
+def test_constant_multiplier_on_8_bits(k):
+    check_both_ways(8, GateKind.MUL_PLAIN, k,
+                    (0, 1, -1, -128, 127, 2, -3, 85, -86, 64),
+                    lambda x: x * k)
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@given(x=st.integers(), k=st.integers())
+@settings(max_examples=25, deadline=None)
+def test_multipliers_agree_at_width(width, x, k):
+    x = x % (1 << width) - (1 << (width - 1))  # any w-bit value
+    check_both_ways(width, GateKind.MUL, None, [x], lambda x: x * x)
+    check_both_ways(width, GateKind.MUL_PLAIN, k, [x], lambda x: x * k)
+
+
+@pytest.mark.parametrize("width, gates", [(8, 21), (16, 105), (64, 1953)])
+def test_a_square_has_at_most_w2_over_2_nonxor_gates(width, gates):
+    square = both_blasts(width, GateKind.MUL)[1][0]
+    nonxor = sum(square.counts().get(k, 0) for k in NONXOR)
+    assert nonxor == gates <= width * width // 2
+
+
+@given(k=st.integers(-(1 << 70), 1 << 70), width=st.integers(1, 64))
+@settings(max_examples=300)
+def test_signed_digits_are_a_sparse_recoding(k, width):
+    digits = signed_digits(k, width)
+    assert sum(d << j for j, d in digits) % (1 << width) == k % (1 << width)
+    positions = [j for j, _d in digits]
+    assert all(b - a >= 2 for a, b in zip(positions, positions[1:]))
+    assert all(0 <= j < width and d in (1, -1) for j, d in digits)
+    assert len(digits) <= bin(k).count("1")
+
+
+def test_signed_digits_of_a_few_constants():
+    assert signed_digits(0, 64) == []
+    assert signed_digits(-1, 64) == [(0, -1)]  # 0 - x
+    assert signed_digits(-3, 64) == [(0, 1), (2, -1)]  # x - 4x
+    assert signed_digits(7, 64) == [(0, -1), (3, 1)]  # 8x - x
+    assert signed_digits(-(1 << 62), 64) == [(62, -1)]
+    assert signed_digits(-(1 << 63), 64) == [(63, 1)]  # 2^63 mod 2^64
+    # x*-1 is one negation, 62 non-XOR gates, where the 64 binary
+    # digits of 2^64 - 1 cost 63 adders
+    negate = bitblast(one_input(64, GateKind.MUL_PLAIN, -1), 64)
+    assert sum(negate.counts().get(k, 0) for k in NONXOR) == 62
+
+
+def test_unread_high_bits_are_not_emitted():
+    # quad*4 reads the low 6 bits of quad, quad = sq*sq the low 5 of sq
+    # and sq = s*s the low 4 of the sum s: no bit above those is built
+    c = Circuit(bitwidth=8)
+    x = c.add_input(1, "x")
+    y = c.add_input(1, "y")
+    s = c.add_node(GateKind.ADD, (x, y))
+    sq = c.add_node(GateKind.MUL, (s, s))
+    quad = c.add_node(GateKind.MUL, (sq, sq))
+    t = c.add_node(GateKind.MUL_PLAIN, (quad,), payload=4)
+    r = c.add_node(GateKind.REVEAL, (t,), PlainMeta(owners(1)))
+    c.add_output(r, owners(1), "out")
+    for passes in ([], DEFAULT_PASSES):
+        cb = bitblast(c, 8, passes=passes)
+        assert dce(cb) is cb
+        for a, b in [(0, 0), (1, 2), (-3, 7), (100, 27), (-128, -1)]:
+            want = ((a + b) ** 4 * 4) % 256
+            got = interpret_bool(cb, {(1, "x"): a, (1, "y"): b})["out"]
+            assert got % 256 == want, (passes, a, b)

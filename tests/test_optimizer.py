@@ -7,7 +7,7 @@ from astref import reference_run
 from conftest import CORPUS_NAMES, build
 from mpcc.backends.clear import interpret_clear
 from mpcc.bitblast import bitblast
-from mpcc.circuit import PLAIN, Circuit, GateKind, PlainMeta
+from mpcc.circuit import PLAIN, Circuit, GateKind, Node, PlainMeta
 from mpcc.estimator import CostModel, additive_model, critical_path
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
@@ -385,6 +385,25 @@ def test_tree_reduce_rebalances_add_chain():
     assert interpret_clear(out, ins) == interpret_clear(c, ins)
 
 
+def test_tree_reduce_returns_a_balanced_chain_as_it_is():
+    # the tree balanced() builds over six leaves, with an unrelated gate
+    # between its links: the chain is not rebuilt, so nothing moves
+    c = Circuit()
+    x = [c.add_input(1, f"x{i}") for i in range(6)]
+    pairs = [c.add_node(GateKind.MUL, (x[i], x[i + 1])) for i in (0, 2, 4)]
+    reveal_out(c, c.add_node(GateKind.ADD, (x[0], x[5])), "other")
+    quad = c.add_node(GateKind.MUL, (pairs[0], pairs[1]))
+    head = c.add_node(GateKind.MUL, (quad, pairs[2]))
+    reveal_out(c, head)
+    assert tree_reduce(c) is c
+    # with the head's operands swapped it is not that tree
+    c.nodes[head] = Node(GateKind.MUL, (pairs[2], quad))
+    out = tree_reduce(c)
+    assert out is not c and tree_reduce(out) is out
+    ins = {(1, f"x{i}"): i + 1 for i in range(6)}
+    assert interpret_clear(out, ins) == interpret_clear(c, ins)
+
+
 def test_tree_reduce_leaves_short_chains():
     c = Circuit()
     leaves = [c.add_input(1, f"x{i}") for i in range(3)]
@@ -435,9 +454,9 @@ def test_pipeline_idempotent_on_corpus():
 BOOL_SIZES = {
     "gcd": (1365, 1205, 496),
     "auction": (400, 342, 110),
-    "mergesort": (1422, 848, 341),
-    "matvec": (5715, 5715, 1056),
-    "pow8": (1976, 1784, 531),
+    "mergesort": (1347, 848, 341),
+    "matvec": (5028, 4866, 852),
+    "pow8": (540, 538, 202),
     "adder": (122, 122, 15),
     "sum8": (662, 662, 105),
 }

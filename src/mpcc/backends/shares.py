@@ -8,15 +8,15 @@ vectors from that seed only when they are first read. An idealized
 comparison burns its preprocessing without reading it, so only the
 triples that Mul and Mux gates use are ever expanded.
 
-The online phase follows a layered schedule that depends on the circuit
-alone. A gate finishes in the round after its last operand is ready
-plus the rounds its `CostModel` depth weight gives it: 1 for Mul and Mux
-under the additive model, 7 for Lt and Leq, 10 for Eq, and 1 for a
-Reveal that another gate reads. Local gates take no round, and a Reveal
-that only delivers an output is opened after the last round. Every
-masked Beaver value of a round goes out in one batched open, and each
-round is one multicast, so the trace counts protocol rounds, as in SPDZ
-(Damgard et al., CRYPTO 2012).
+The online phase runs `estimator.layered_schedule` layer by layer. A
+gate finishes its `CostModel` depth weight in rounds after its last
+operand: under the additive model 1 for Mul and Mux, 7 for Lt and Leq,
+10 for Eq, 1 for a Reveal that another gate reads and none for a local
+gate. A Reveal that only delivers an output is opened after the last
+round. The estimator's `depth` reads the same schedule, so it is the
+trace's round count. Every masked Beaver value of a round goes out in
+one batched open, and each round is one multicast, as in SPDZ (Damgard
+et al., CRYPTO 2012).
 
 All parties run inside one process, but their share tables are kept
 separate: crossing them is only possible through `reconstruct`, and the
@@ -41,14 +41,15 @@ from ..errors import (
 )
 from ..estimator import (
     COMPARISON_KINDS, TRIPLE_KINDS, CostModel, additive_model,
-    comparison_budget, mul_budget, preprocessing,
+    comparison_budget, layered_schedule, mul_budget, preprocessing,
 )
 from .clear import bind_inputs
 
 PRIME = (1 << 61) - 1
 
-# gates that need at least one round of communication
-INTERACTIVE_KINDS = TRIPLE_KINDS | COMPARISON_KINDS
+# gates that need at least one round of communication (a Reveal only
+# when a gate reads it)
+ROUND_KINDS = TRIPLE_KINDS | COMPARISON_KINDS | {GateKind.REVEAL}
 
 # globals for the kinds the online phase tests on every gate (a GateKind
 # lookup is slow)
@@ -306,32 +307,20 @@ class SharedSimulator:
     # -- online phase --
 
     def schedule(self) -> tuple[list[list[int]], list[int]]:
-        """The layered schedule, from the circuit and the model's depth
-        weights alone: layer r lists, in id order, the gates that finish
-        in round r (layer 0 the local gates before any round), and the
-        second list the Reveals that only deliver an output."""
+        """`estimator.layered_schedule` under the model's depth weights,
+        once the model is known to give every Mul, Mux, comparison and
+        read Reveal at least one round."""
         c, weights = self.circuit, self.model.depth_weights
-        read = {o for node in c.nodes for o in node.operands}
-        done = [0] * len(c.nodes)
-        layers: list[list[int]] = [[]]
-        output_reveals = []
-        for nid, node in enumerate(c.nodes):
-            kind, ops = node.kind, node.operands
-            r = max(map(done.__getitem__, ops)) if ops else 0
-            if kind is REVEAL and nid not in read:
-                output_reveals.append(nid)
-                continue
-            if kind is REVEAL or kind in INTERACTIVE_KINDS:
-                w = weights.get(kind, 0)
-                if w < 1:
-                    raise ModelCoverageError(
-                        f"model '{self.model.name}' gives {kind.value} no "
-                        f"round; the shares backend needs at least one")
-                r += w
-                while len(layers) <= r:
-                    layers.append([])
-            done[nid] = r
-            layers[r].append(nid)
+        layers, output_reveals = layered_schedule(c, weights)
+        short = {k for k in ROUND_KINDS if weights.get(k, 0) < 1}
+        if short:
+            unread = set(output_reveals)
+            kind = next((node.kind for nid, node in enumerate(c.nodes)
+                         if node.kind in short and nid not in unread), None)
+            if kind is not None:
+                raise ModelCoverageError(
+                    f"model '{self.model.name}' gives {kind.value} no "
+                    f"round; the shares backend needs at least one")
         return layers, output_reveals
 
     def multiply(self, pairs: list[tuple[ShareVector, ShareVector]]

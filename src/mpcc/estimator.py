@@ -1,9 +1,11 @@
-"""Resource estimation: walk a circuit once and accumulate abstract gate
-costs, weighted critical-path depth and offline-phase budgets.
+"""Resource estimation: per-gate cost totals, the weighted depth and the
+offline-phase budgets of a circuit under a `CostModel`.
 
-The walker keeps one accumulator (gate counts plus current depth); a
-different accumulation structure would slot into the same walk, but only
-this instance ships. Costs are exact rationals so reports never drift.
+`layered_schedule` is the only code that decides which round a gate
+finishes in. `critical_path` reads its last round and the shares backend
+runs its layers, so under a protocol's model the estimated `depth` is
+the round count of that protocol's trace. Costs are exact rationals so
+reports never drift.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ ZERO_COST_KINDS = frozenset({GateKind.CONST, GateKind.INPUT,
 
 COMPARISON_KINDS = frozenset({GateKind.LT, GateKind.LEQ, GateKind.EQ})
 TRIPLE_KINDS = frozenset({GateKind.MUL, GateKind.MUX})
-REVEAL_KINDS = frozenset({GateKind.REVEAL, GateKind.REVEAL_BIT})
 
 
 @dataclass
@@ -31,9 +32,6 @@ class CostModel:
     name: str
     gate_costs: dict[GateKind, dict[str, Fraction]]
     depth_weights: dict[GateKind, int] = field(default_factory=dict)
-    # edges are free unless a (producer, consumer) kind pair is priced
-    edge_costs: dict[tuple[GateKind, GateKind], dict[str, Fraction]] = \
-        field(default_factory=dict)
     triples_per_mul: Fraction = Fraction(1)
     # None means "derive from the circuit bitwidth": see comparison_budget
     triples_per_comparison: Fraction | None = None
@@ -43,8 +41,6 @@ class CostModel:
     def resources(self) -> set[str]:
         out: set[str] = set()
         for costs in self.gate_costs.values():
-            out |= set(costs)
-        for costs in self.edge_costs.values():
             out |= set(costs)
         return out
 
@@ -78,18 +74,39 @@ def _num(x: Fraction):
     return int(x) if x.denominator == 1 else float(x)
 
 
-def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
-    """Longest weighted path; Const and Input contribute no depth. A
-    Reveal's weight counts only on a path through a gate that reads it:
-    delivering an output ends no path, so under a protocol's model this
-    is the round count of the layered schedule."""
-    best = 0
-    depth = [0] * len(c.nodes)
+def layered_schedule(c: Circuit, depth_weights: dict[GateKind, int]
+                     ) -> tuple[list[list[int]], list[int]]:
+    """When each gate finishes: its depth weight in rounds after its last
+    operand (after round 0 if it has none). Layer r lists, in id order,
+    the gates that finish in round r, and layer 0 always exists. The
+    second list holds the Reveals that no gate reads: delivering an
+    output ends no path, so they take no round and sit in no layer."""
+    # identity tests, since a GateKind lookup in a set is slow
+    reveal, reveal_bit = GateKind.REVEAL, GateKind.REVEAL_BIT
+    read = {o for node in c.nodes for o in node.operands}
+    done = [0] * len(c.nodes)
+    layers: list[list[int]] = [[]]
+    output_reveals = []
     for nid, node in enumerate(c.nodes):
-        up = max((depth[o] for o in node.operands), default=0)
-        depth[nid] = up + depth_weights.get(node.kind, 0)
-        best = max(best, up if node.kind in REVEAL_KINDS else depth[nid])
-    return best
+        kind, ops = node.kind, node.operands
+        if (kind is reveal or kind is reveal_bit) and nid not in read:
+            output_reveals.append(nid)
+            continue
+        r = max(map(done.__getitem__, ops)) if ops else 0
+        w = depth_weights.get(kind)
+        if w:
+            r += w
+            while len(layers) <= r:
+                layers.append([])
+        done[nid] = r
+        layers[r].append(nid)
+    return layers, output_reveals
+
+
+def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
+    """Longest weighted path: the last round of the layered schedule, so
+    under a protocol's model it is that protocol's round count."""
+    return len(layered_schedule(c, depth_weights)[0]) - 1
 
 
 def mul_budget(model: CostModel) -> int:
@@ -125,11 +142,6 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
         if node.kind not in model.gate_costs:
             raise ModelCoverageError(
                 f"model '{model.name}' does not price {node.kind.value}")
-        if model.edge_costs:
-            for o in node.operands:
-                pair = (c.nodes[o].kind, node.kind)
-                for resource, cost in model.edge_costs.get(pair, {}).items():
-                    totals[resource] += cost
         if node.kind in ZERO_COST_KINDS:
             continue
         counts[node.kind] = counts.get(node.kind, 0) + 1
@@ -245,9 +257,6 @@ def model_to_json_obj(m: CostModel) -> dict:
         "gate_costs": {k.value: {r: _num(v) for r, v in costs.items()}
                        for k, costs in m.gate_costs.items()},
         "depth_weights": {k.value: w for k, w in m.depth_weights.items()},
-        "edge_costs": {f"{src.value}->{dst.value}":
-                       {r: _num(v) for r, v in costs.items()}
-                       for (src, dst), costs in m.edge_costs.items()},
         "preprocessing": {
             "triples_per_mul": _num(m.triples_per_mul),
             "triples_per_comparison": (
@@ -280,11 +289,10 @@ def model_from_json_obj(obj: dict) -> CostModel:
                for k, w in obj.get("depth_weights", {}).items()}
     if any(w < 0 for w in weights.values()):
         raise ModelCoverageError("depth weights must be nonnegative")
-    edge_costs = {}
-    for pair, costs in obj.get("edge_costs", {}).items():
-        src, _, dst = pair.partition("->")
-        edge_costs[(to_kind(src), to_kind(dst))] = {
-            r: frac(v) for r, v in costs.items()}
+    if obj.get("edge_costs"):
+        raise ModelCoverageError(
+            f"model '{obj.get('name', '?')}' prices edges; per-edge costs "
+            f"are not supported")
     pre = obj.get("preprocessing", {})
 
     def opt_frac(key):
@@ -295,7 +303,6 @@ def model_from_json_obj(obj: dict) -> CostModel:
         name=obj["name"],
         gate_costs=gate_costs,
         depth_weights=weights,
-        edge_costs=edge_costs,
         triples_per_mul=(frac(pre["triples_per_mul"])
                          if "triples_per_mul" in pre else Fraction(1)),
         triples_per_comparison=opt_frac("triples_per_comparison"),

@@ -26,6 +26,7 @@ from .circuit import (
     balanced, word_value,
 )
 from .errors import LowerError
+from .estimator import additive_model
 
 DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
                   "cse", "dce", "cmp_rewrite"]
@@ -368,18 +369,16 @@ def check_pass_names(passes: list[str]):
             raise LowerError("UnknownPass", name)
 
 
-def run_passes(c: Circuit, passes: list[str] | None = None,
-               model=None) -> Circuit:
+def run_passes(c: Circuit, passes: list[str] | None = None) -> Circuit:
     """Run the pass list to a fixpoint (at most MAX_ROUNDS rounds).
 
     The fixpoint is the round in which every pass returned its input. A
     circuit already at its fixpoint comes back as the very same object,
-    so never mutate the result: it may be the circuit passed in."""
+    so never mutate the result: it may be the circuit passed in.
+    `cmp_rewrite` prices its encodings under `additive_model()`."""
     passes = DEFAULT_PASSES if passes is None else passes
     check_pass_names(passes)
-    if model is None:
-        from .estimator import additive_model
-        model = additive_model()
+    model = additive_model()
     for _ in range(MAX_ROUNDS):
         before = c
         for name in passes:

@@ -379,6 +379,20 @@ def test_independent_gates_share_a_round():
     assert trace["rounds"] == 70
 
 
+def test_a_weight_on_a_local_gate_adds_rounds_that_open_nothing():
+    base = additive_model()
+    model = CostModel("slow-add", base.gate_costs,
+                      {**base.depth_weights, GateKind.ADD: 2,
+                       GateKind.SUB: 2},
+                      prime_modulus=base.prime_modulus)
+    c = build("sum8", bitwidth=16, scheme="additive")
+    inputs = {(1, f"xs[{k}]"): k - 3 for k in range(8)}
+    trace = simulate_shared(c, inputs, 3, model=model)[1]
+    assert trace.rounds == estimate(c, model).depth == 6
+    assert all(not any(r.values()) for r in trace.per_round)
+    assert_estimate_predicts_trace(c, [inputs], model)
+
+
 def test_shares_backend_needs_a_round_per_interactive_gate():
     base = additive_model()
     model = CostModel("free-mul", base.gate_costs,

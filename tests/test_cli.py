@@ -342,6 +342,16 @@ def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
                              str(path)], "cost model")
 
 
+def test_cost_model_with_edge_costs_is_exit_2(tmp_path, capsys):
+    model = json.loads((ROOT / "corpus" / "models" / "arith.json")
+                       .read_text(encoding="utf-8"))
+    model["edge_costs"] = {"Mul->Mul": {"hops": 2}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    one_line_exit_2(capsys, ["estimate", hml("adder"), "--cost-model",
+                             str(path)], "cost model")
+
+
 @pytest.mark.parametrize("payload", [[], {"parties": []},
                                      {"parties": {"1": 5}},
                                      {"parties": {"one": {"x": 5}}},

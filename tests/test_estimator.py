@@ -8,8 +8,8 @@ from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import ModelCoverageError, ObjectiveMissingError
 from mpcc.estimator import (
     CostModel, additive_model, arith_model, boolean_model, critical_path,
-    estimate, load_model, model_from_json_obj, model_to_json_obj,
-    rank_backends,
+    estimate, layered_schedule, load_model, model_from_json_obj,
+    model_to_json_obj, rank_backends,
 )
 from mpcc.optimizer import run_passes
 from mpcc.sectypes import owners
@@ -45,8 +45,12 @@ def test_gate_counts_exclude_structural_kinds():
 
 
 def test_depth_of_add_chain():
-    c = chain_circuit(GateKind.ADD, 5)
+    c = chain_circuit(GateKind.ADD, 5)  # a, b, adds 2..6, reveal 7
     assert critical_path(c, {GateKind.ADD: 1}) == 5
+    assert layered_schedule(c, {GateKind.ADD: 1}) == (
+        [[0, 1], [2], [3], [4], [5], [6]], [7])
+    assert layered_schedule(c, {GateKind.ADD: 2})[0] == [
+        [0, 1], [], [2], [], [3], [], [4], [], [5], [], [6]]
 
 
 def test_depth_of_balanced_tree():
@@ -56,11 +60,27 @@ def test_depth_of_balanced_tree():
 
 def test_depth_of_empty_circuit():
     assert critical_path(Circuit(), {GateKind.ADD: 1}) == 0
+    assert layered_schedule(Circuit(), {GateKind.ADD: 1}) == ([[]], [])
 
 
 def test_depth_ignores_zero_weight_kinds():
     c = chain_circuit(GateKind.ADD, 4)
     assert critical_path(c, {GateKind.MUL: 1}) == 0
+
+
+def test_layered_schedule_counts_a_reveal_only_when_read():
+    c = Circuit()
+    a = c.add_input(1, "a")
+    m = c.add_node(GateKind.MUL, (a, a))
+    opened = c.add_node(GateKind.REVEAL, (m,), PlainMeta(owners(1)))
+    s = c.add_node(GateKind.ADD, (opened, a))
+    r = c.add_node(GateKind.REVEAL, (s,), PlainMeta(owners(1)))
+    c.add_output(r, owners(1), "out")
+    weights = {GateKind.MUL: 1, GateKind.REVEAL: 1}
+    layers, output_reveals = layered_schedule(c, weights)
+    assert layers == [[a], [m], [opened, s]]
+    assert output_reveals == [r]
+    assert critical_path(c, weights) == 2
 
 
 def test_totals_are_count_times_cost():
@@ -196,19 +216,3 @@ def test_fractional_costs_stay_exact():
     m = model_from_json_obj({"name": "x",
                              "gate_costs": {"Eq": {"rounds": 10.5}}})
     assert m.gate_costs[GateKind.EQ]["rounds"] == Fraction(21, 2)
-
-
-def test_edge_costs_priced_per_kind_pair():
-    c = chain_circuit(GateKind.MUL, 3)
-    model = model_from_json_obj({
-        "name": "edges",
-        "gate_costs": {"Input": {}, "Const": {}, "Reveal": {},
-                       "Mul": {"work": 1}},
-        "edge_costs": {"Mul->Mul": {"hops": 2}},
-    })
-    r = estimate(c, model)
-    assert r.totals["work"] == 3
-    assert r.totals["hops"] == 4  # two Mul->Mul edges in the chain
-    again = model_from_json_obj(json.loads(json.dumps(
-        model_to_json_obj(model))))
-    assert again == model

@@ -1,22 +1,24 @@
-"""n-out-of-n additive secret sharing over a prime field, with an
+"""n-out-of-n additive secret sharing over the field of `PRIME`, with an
 explicit offline phase (Beaver triples, random bits) feeding an online
-phase that runs round by round.
+phase that runs round by round. The protocol is fixed: it takes no cost
+model, and `estimator.additive_model()` describes what it costs.
 
-The offline phase fixes every triple and every random bit by a seed
-drawn from the simulator's generator, and a triple expands its share
-vectors from that seed only when they are first read. An idealized
-comparison burns its preprocessing without reading it, so only the
-triples that Mul and Mux gates use are ever expanded.
+The offline phase generates `estimator.preprocessing(c)`, fixing every
+triple and every random bit by a seed drawn from the simulator's
+generator; a triple expands its share vectors from that seed only when
+they are first read. An idealized comparison burns its preprocessing
+without reading it, so only the triples that Mul and Mux gates use are
+ever expanded.
 
-The online phase runs `estimator.layered_schedule` layer by layer. A
-gate finishes its `CostModel` depth weight in rounds after its last
-operand: under the additive model 1 for Mul and Mux, 7 for Lt and Leq,
-10 for Eq, 1 for a Reveal that another gate reads and none for a local
-gate. A Reveal that only delivers an output is opened after the last
-round. The estimator's `depth` reads the same schedule, so it is the
-trace's round count. Every masked Beaver value of a round goes out in
-one batched open, and each round is one multicast, as in SPDZ (Damgard
-et al., CRYPTO 2012).
+The online phase runs `estimator.layered_schedule` under the additive
+model's depth weights, layer by layer: a gate finishes 1 round after its
+last operand for Mul and Mux, 7 for Lt and Leq, 10 for Eq, 1 for a
+Reveal that another gate reads and none for a local gate. A Reveal that
+only delivers an output is opened after the last round.
+`estimate(c, additive_model()).depth` reads the same schedule, so it is
+the trace's round count. Every masked Beaver value of a round goes out
+in one batched open, and each round is one multicast, as in SPDZ
+(Damgard et al., CRYPTO 2012).
 
 All parties run inside one process, but their share tables are kept
 separate: crossing them is only possible through `reconstruct`, and the
@@ -36,20 +38,15 @@ from dataclasses import dataclass, field
 from ..circuit import WORD_OPS, Circuit, GateKind, Level
 from ..errors import (
     BudgetExceededError, IncompleteSharesError, LevelError,
-    ModelCoverageError, MuxSelectorError, PlayerMismatchError,
-    TripleExhaustedError,
+    MuxSelectorError, PlayerMismatchError, TripleExhaustedError,
 )
 from ..estimator import (
-    COMPARISON_KINDS, TRIPLE_KINDS, CostModel, additive_model,
-    comparison_budget, layered_schedule, mul_budget, preprocessing,
+    COMPARISON_KINDS, additive_model, comparison_budget, layered_schedule,
+    preprocessing,
 )
 from .clear import bind_inputs
 
 PRIME = (1 << 61) - 1
-
-# gates that need at least one round of communication (a Reveal only
-# when a gate reads it)
-ROUND_KINDS = TRIPLE_KINDS | COMPARISON_KINDS | {GateKind.REVEAL}
 
 # globals for the kinds the online phase tests on every gate (a GateKind
 # lookup is slow)
@@ -58,10 +55,10 @@ CONST, INPUT, ADD, SUB, MUL_PLAIN, MUL, MUX, REVEAL = (
     GateKind.MUL_PLAIN, GateKind.MUL, GateKind.MUX, GateKind.REVEAL)
 
 
-def centered(v: int, p: int = PRIME) -> int:
-    """Lift a field element to the integer in (-p/2, p/2]."""
-    v %= p
-    return v - p if v > p // 2 else v
+def centered(v: int) -> int:
+    """Lift a field element to the integer in (-PRIME/2, PRIME/2]."""
+    v %= PRIME
+    return v - PRIME if v > PRIME // 2 else v
 
 
 @dataclass
@@ -80,36 +77,34 @@ class ShareVector:
                 "player count")
 
 
-def share(value: int, n: int, rng: random.Random,
-          p: int = PRIME) -> ShareVector:
+def share(value: int, n: int, rng: random.Random) -> ShareVector:
     """Split value into n additive shares: n-1 uniform, last one fixes
     the sum."""
     if n < 2:
         raise PlayerMismatchError("need at least 2 parties")
-    parts = [rng.randrange(p) for _ in range(n - 1)]
-    last = (value - sum(parts)) % p
+    parts = [rng.randrange(PRIME) for _ in range(n - 1)]
+    last = (value - sum(parts)) % PRIME
     return ShareVector(parts + [last], frozenset(range(n)), n)
 
 
-def reconstruct(sv: ShareVector, p: int = PRIME) -> int:
+def reconstruct(sv: ShareVector) -> int:
     if any(s is None for s in sv.shares):
         missing = [i for i, s in enumerate(sv.shares) if s is None]
         raise IncompleteSharesError(
             f"shares of players {missing} are missing; all {sv.threshold} "
             f"are required")
-    return sum(sv.shares) % p
+    return sum(sv.shares) % PRIME
 
 
 class BeaverTriple:
-    """Shares of a, b and c = a*b mod p, fixed by `seed`: `.a`, `.b` and
-    `.c` are expanded from it, all three at once, on the first read."""
+    """Shares of a, b and c = a*b mod PRIME, fixed by `seed`: `.a`, `.b`
+    and `.c` are expanded from it, all three at once, on the first read."""
 
-    __slots__ = ("n", "seed", "p", "consumed", "_abc")
+    __slots__ = ("n", "seed", "consumed", "_abc")
 
-    def __init__(self, n: int, seed: int, p: int = PRIME):
+    def __init__(self, n: int, seed: int):
         self.n = n
         self.seed = seed
-        self.p = p
         self.consumed = False
         self._abc: tuple[ShareVector, ShareVector, ShareVector] | None = None
 
@@ -119,11 +114,11 @@ class BeaverTriple:
 
     def _shares(self) -> tuple[ShareVector, ShareVector, ShareVector]:
         if self._abc is None:
-            rng, n, p = random.Random(self.seed), self.n, self.p
-            a = rng.randrange(p)
-            b = rng.randrange(p)
-            self._abc = (share(a, n, rng, p), share(b, n, rng, p),
-                         share(a * b % p, n, rng, p))
+            rng, n = random.Random(self.seed), self.n
+            a = rng.randrange(PRIME)
+            b = rng.randrange(PRIME)
+            self._abc = (share(a, n, rng), share(b, n, rng),
+                         share(a * b % PRIME, n, rng))
         return self._abc
 
     @property
@@ -139,34 +134,31 @@ class BeaverTriple:
         return self._shares()[2]
 
 
-def make_triple(n: int, rng: random.Random, p: int = PRIME) -> BeaverTriple:
+def make_triple(n: int, rng: random.Random) -> BeaverTriple:
     """A triple for n parties whose randomness is fixed now, by one seed
     drawn from `rng`."""
     if n < 2:
         raise PlayerMismatchError("need at least 2 parties")
-    return BeaverTriple(n, rng.getrandbits(64), p)
+    return BeaverTriple(n, rng.getrandbits(64))
 
 
-def random_bit(n: int, seed: int, p: int = PRIME) -> ShareVector:
+def random_bit(n: int, seed: int) -> ShareVector:
     """The shared uniform bit that an offline-phase seed stands for."""
     rng = random.Random(seed)
-    return share(rng.randrange(2), n, rng, p)
+    return share(rng.randrange(2), n, rng)
 
 
 def beaver_mul(x: ShareVector, y: ShareVector, t: BeaverTriple,
-               p: int = PRIME, open=None) -> ShareVector:
+               open=reconstruct) -> ShareVector:
     """One multiplication: open only the masked d = x-a and e = y-b
-    (through `open`, which defaults to `reconstruct`), then combine
-    c + d*b + e*a + d*e share-wise (the d*e constant lands on player 0)."""
-    if open is None:
-        def open(sv):
-            return reconstruct(sv, p)
-    d, e = beaver_masks(x, y, t, p)
-    return beaver_combine(t, open(d), open(e), p)
+    (through `open`), then combine c + d*b + e*a + d*e share-wise (the
+    d*e constant lands on player 0)."""
+    d, e = beaver_masks(x, y, t)
+    return beaver_combine(t, open(d), open(e))
 
 
-def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple,
-                 p: int = PRIME) -> tuple[ShareVector, ShareVector]:
+def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple
+                 ) -> tuple[ShareVector, ShareVector]:
     """The first half of `beaver_mul`: use up `t` and return the shares
     of d = x-a and e = y-b, the only values a multiplication opens."""
     if x.players != y.players or x.players != t.a.players:
@@ -174,23 +166,22 @@ def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple,
     if t.consumed:
         raise TripleExhaustedError("Beaver triple already consumed")
     t.consumed = True
-    return _masked(x, t.a, p), _masked(y, t.b, p)
+    return _masked(x, t.a), _masked(y, t.b)
 
 
-def beaver_combine(t: BeaverTriple, d: int, e: int,
-                   p: int = PRIME) -> ShareVector:
+def beaver_combine(t: BeaverTriple, d: int, e: int) -> ShareVector:
     """The second half of `beaver_mul`: shares of x*y from the opened d
     and e."""
     a, b, c = t.a, t.b, t.c
-    out = [(c.shares[i] + d * b.shares[i] + e * a.shares[i]) % p
+    out = [(c.shares[i] + d * b.shares[i] + e * a.shares[i]) % PRIME
            for i in range(len(c.shares))]
-    out[0] = (out[0] + d * e) % p
+    out[0] = (out[0] + d * e) % PRIME
     return ShareVector(out, c.players, c.threshold)
 
 
-def _masked(x: ShareVector, mask: ShareVector, p: int) -> ShareVector:
+def _masked(x: ShareVector, mask: ShareVector) -> ShareVector:
     """x - mask, share by share; a missing share of x stays missing."""
-    return ShareVector([None if s is None else (s - m) % p
+    return ShareVector([None if s is None else (s - m) % PRIME
                         for s, m in zip(x.shares, mask.shares)],
                        x.players, x.threshold)
 
@@ -234,16 +225,13 @@ ROUND_KEYS = {"reveal": "reveal", "beaver-open": "beaver",
 class SharedSimulator:
     """Executes one validated word-level circuit under additive sharing."""
 
-    def __init__(self, circuit: Circuit, n: int, seed: int = 0,
-                 model: CostModel | None = None):
+    def __init__(self, circuit: Circuit, n: int, seed: int = 0):
         if circuit.level != Level.ARITH:
             raise LevelError("the sharing simulator runs word-level circuits")
         if n < 2:
             raise PlayerMismatchError("need at least 2 parties")
         self.circuit = circuit
         self.n = n
-        self.model = model or additive_model()
-        self.p = self.model.prime_modulus or PRIME
         self.rng = random.Random(seed)
         self.players = frozenset(range(n))
         self.trace = ExecTrace()
@@ -259,8 +247,8 @@ class SharedSimulator:
         """Generate exactly the budget the estimator computes for the
         circuit: triples for multiplications and comparisons, random bits
         for comparisons. Each is fixed here by a seed from `self.rng`."""
-        n_triples, n_bits = preprocessing(self.circuit, self.model)
-        self.triples = [make_triple(self.n, self.rng, self.p)
+        n_triples, n_bits = preprocessing(self.circuit)
+        self.triples = [make_triple(self.n, self.rng)
                         for _ in range(n_triples)]
         self.random_bits = [self.rng.getrandbits(64) for _ in range(n_bits)]
 
@@ -292,55 +280,32 @@ class SharedSimulator:
         logged with its context and counted in its round."""
         self.open_log.append((context, len(self.open_log)))
         self.round_opens[ROUND_KEYS[context]] += 1
-        return reconstruct(sv, self.p)
+        return reconstruct(sv)
 
     def public(self, value: int) -> ShareVector:
-        shares = [value % self.p] + [0] * (self.n - 1)
+        shares = [value % PRIME] + [0] * (self.n - 1)
         return ShareVector(shares, self.players, self.n)
 
     def local(self, fn, *svs: ShareVector) -> ShareVector:
         """Apply a per-party local operation share-wise."""
-        shares = [fn(*(sv.shares[i] for sv in svs)) % self.p
+        shares = [fn(*(sv.shares[i] for sv in svs)) % PRIME
                   for i in range(self.n)]
         return ShareVector(shares, self.players, self.n)
 
     # -- online phase --
 
-    def schedule(self) -> tuple[list[list[int]], list[int]]:
-        """`estimator.layered_schedule` under the model's depth weights,
-        once the model is known to give every Mul, Mux, comparison and
-        read Reveal at least one round."""
-        c, weights = self.circuit, self.model.depth_weights
-        layers, output_reveals = layered_schedule(c, weights)
-        short = {k for k in ROUND_KINDS if weights.get(k, 0) < 1}
-        if short:
-            unread = set(output_reveals)
-            kind = next((node.kind for nid, node in enumerate(c.nodes)
-                         if node.kind in short and nid not in unread), None)
-            if kind is not None:
-                raise ModelCoverageError(
-                    f"model '{self.model.name}' gives {kind.value} no "
-                    f"round; the shares backend needs at least one")
-        return layers, output_reveals
-
     def multiply(self, pairs: list[tuple[ShareVector, ShareVector]]
                  ) -> list[ShareVector]:
         """Beaver-multiply each pair. All their masked values go out in
         one batched open: every party sends its shares of them in the
-        round's one multicast. Each product takes `mul_budget` triples
-        and burns all but one."""
+        round's one multicast. Each product takes one triple."""
         if not pairs:
             return []
-        per_gate = mul_budget(self.model)
-        if per_gate < 1:
-            raise BudgetExceededError(
-                f"model '{self.model.name}' budgets no Beaver triple for a "
-                f"multiplication")
-        triples = [self.take_triples(per_gate)[0] for _ in pairs]
+        triples = self.take_triples(len(pairs))
         masked = [m for (x, y), t in zip(pairs, triples)
-                  for m in beaver_masks(x, y, t, self.p)]
+                  for m in beaver_masks(x, y, t)]
         opened = [self.open(m, "beaver-open") for m in masked]
-        return [beaver_combine(t, opened[2 * i], opened[2 * i + 1], self.p)
+        return [beaver_combine(t, opened[2 * i], opened[2 * i + 1])
                 for i, t in enumerate(triples)]
 
     def compare(self, kind: GateKind, x: ShareVector,
@@ -348,12 +313,12 @@ class SharedSimulator:
         """Idealized comparison: operands are opened only inside this
         functionality, the result bit is re-shared, and the preprocessing
         cost of a real protocol is charged."""
-        tpc, bpc = comparison_budget(self.model, self.circuit.bitwidth)
+        tpc, bpc = comparison_budget(self.circuit.bitwidth)
         self.take_triples(tpc)
         self.take_bits(bpc)
-        a = centered(self.open(x, "comparison"), self.p)
-        b = centered(self.open(y, "comparison"), self.p)
-        return share(WORD_OPS[kind](a, b), self.n, self.rng, self.p)
+        a = centered(self.open(x, "comparison"))
+        b = centered(self.open(y, "comparison"))
+        return share(WORD_OPS[kind](a, b), self.n, self.rng)
 
     def run_layer(self, layer: list[int], table: list[ShareVector | None],
                   input_values: dict[int, int], revealed: dict[int, int]):
@@ -370,10 +335,10 @@ class SharedSimulator:
             elif node.kind is MUX:
                 # an ideal check, like compare's: it costs no round,
                 # multicast, triple or logged open
-                sel = reconstruct(table[a[0]], self.p)
+                sel = reconstruct(table[a[0]])
                 if sel not in (0, 1):
                     raise MuxSelectorError(
-                        f"mux selector {centered(sel, self.p)} is not a bit")
+                        f"mux selector {centered(sel)} is not a bit")
                 # sel*(t - e) + e needs a single multiplication
                 pairs.append((table[a[0]],
                               self.local(lambda t, e: t - e, table[a[1]],
@@ -399,9 +364,9 @@ class SharedSimulator:
             elif kind is CONST:
                 sv = self.public(node.payload)
             elif kind is INPUT:
-                sv = share(input_values[nid], self.n, self.rng, self.p)
+                sv = share(input_values[nid], self.n, self.rng)
             elif kind is REVEAL:
-                v = centered(self.open(table[a[0]], "reveal"), self.p)
+                v = centered(self.open(table[a[0]], "reveal"))
                 revealed[nid] = v
                 sv = self.public(v)
             else:
@@ -411,12 +376,12 @@ class SharedSimulator:
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
         # the range contract |v| < 2^(w-2), capped by what centered() can
-        # lift back out of the field: |v| < 2^60 for p = 2^61 - 1
+        # lift back out of the field: |v| < 2^60 for PRIME = 2^61 - 1
         input_values = bind_inputs(
-            c, inputs,
-            min(c.bitwidth - 2, (self.p // 2 + 1).bit_length() - 1))
+            c, inputs, min(c.bitwidth - 2, (PRIME // 2 + 1).bit_length() - 1))
         self.offline_phase()
-        layers, output_reveals = self.schedule()
+        layers, output_reveals = layered_schedule(
+            c, additive_model().depth_weights)
         table: list[ShareVector | None] = [None] * len(c.nodes)
         revealed: dict[int, int] = {}
         self.run_layer(layers[0], table, input_values, revealed)
@@ -432,9 +397,8 @@ class SharedSimulator:
 
 
 def simulate_shared(circuit: Circuit, inputs: dict[tuple[int, str], int],
-                    n: int, seed: int = 0,
-                    model: CostModel | None = None
+                    n: int, seed: int = 0
                     ) -> tuple[dict[str, int], ExecTrace]:
-    sim = SharedSimulator(circuit, n, seed, model)
+    sim = SharedSimulator(circuit, n, seed)
     outputs = sim.run(inputs)
     return outputs, sim.trace

@@ -1,17 +1,20 @@
 """Resource estimation: per-gate cost totals, the weighted depth and the
 offline-phase budgets of a circuit under a `CostModel`.
 
+A `CostModel` describes what a protocol costs: a price per gate kind and
+a depth weight per gate kind. It does not configure a backend.
 `layered_schedule` is the only code that decides which round a gate
 finishes in. `critical_path` reads its last round and the shares backend
-runs its layers, so under a protocol's model the estimated `depth` is
-the round count of that protocol's trace. Costs are exact rationals so
-reports never drift.
+runs its layers under `additive_model()`, so under that model the
+estimated `depth` is the round count of its trace. The offline budget is
+the shares protocol's own: one Beaver triple per Mul or Mux and
+`comparison_budget` per comparison, whatever the model. Costs are exact
+rationals so reports never drift.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,11 +35,6 @@ class CostModel:
     name: str
     gate_costs: dict[GateKind, dict[str, Fraction]]
     depth_weights: dict[GateKind, int] = field(default_factory=dict)
-    triples_per_mul: Fraction = Fraction(1)
-    # None means "derive from the circuit bitwidth": see comparison_budget
-    triples_per_comparison: Fraction | None = None
-    bits_per_comparison: Fraction | None = None
-    prime_modulus: int | None = None
 
     def resources(self) -> set[str]:
         out: set[str] = set()
@@ -109,30 +107,21 @@ def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
     return len(layered_schedule(c, depth_weights)[0]) - 1
 
 
-def mul_budget(model: CostModel) -> int:
-    """Triples one Mul or Mux takes, in whole units: the model's rate
-    rounded up. A multiplication uses one; the rest are burned."""
-    return math.ceil(model.triples_per_mul)
+def comparison_budget(bitwidth: int) -> tuple[int, int]:
+    """(triples, random bits) one comparison takes: 20 * bitwidth
+    triples and bitwidth random bits."""
+    return 20 * bitwidth, bitwidth
 
 
-def comparison_budget(model: CostModel, bitwidth: int) -> tuple[int, int]:
-    """(triples, random bits) one comparison takes, in whole units: the
-    model's figures rounded up, or by default 20 * bitwidth triples and
-    bitwidth random bits."""
-    tpc = model.triples_per_comparison
-    bpc = model.bits_per_comparison
-    return (20 * bitwidth if tpc is None else math.ceil(tpc),
-            bitwidth if bpc is None else math.ceil(bpc))
-
-
-def preprocessing(c: Circuit, model: CostModel) -> tuple[int, int]:
-    """(Beaver triples, random bits) of the offline phase: `mul_budget`
-    per Mul or Mux and `comparison_budget` per comparison."""
+def preprocessing(c: Circuit) -> tuple[int, int]:
+    """(Beaver triples, random bits) of the shares backend's offline
+    phase: one triple per Mul or Mux and `comparison_budget` per
+    comparison."""
     kinds = Counter([node.kind for node in c.nodes])
-    tpc, bpc = comparison_budget(model, c.bitwidth)
+    tpc, bpc = comparison_budget(c.bitwidth)
     n_comparisons = sum(kinds[k] for k in COMPARISON_KINDS)
-    return (mul_budget(model) * sum(kinds[k] for k in TRIPLE_KINDS)
-            + tpc * n_comparisons, bpc * n_comparisons)
+    return (sum(kinds[k] for k in TRIPLE_KINDS) + tpc * n_comparisons,
+            bpc * n_comparisons)
 
 
 def estimate(c: Circuit, model: CostModel) -> ResourceReport:
@@ -147,7 +136,7 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
         counts[node.kind] = counts.get(node.kind, 0) + 1
         for resource, cost in model.gate_costs[node.kind].items():
             totals[resource] += cost
-    triples, bits = preprocessing(c, model)
+    triples, bits = preprocessing(c)
     return ResourceReport(
         model_name=model.name,
         totals=totals,
@@ -221,8 +210,7 @@ def additive_model() -> CostModel:
     })
     weights = {GateKind.MUL: 1, GateKind.MUX: 1, GateKind.LT: 7,
                GateKind.LEQ: 7, GateKind.EQ: 10, GateKind.REVEAL: 1}
-    return CostModel("additive", costs, weights,
-                     prime_modulus=(1 << 61) - 1)
+    return CostModel("additive", costs, weights)
 
 
 def boolean_model() -> CostModel:
@@ -257,57 +245,48 @@ def model_to_json_obj(m: CostModel) -> dict:
         "gate_costs": {k.value: {r: _num(v) for r, v in costs.items()}
                        for k, costs in m.gate_costs.items()},
         "depth_weights": {k.value: w for k, w in m.depth_weights.items()},
-        "preprocessing": {
-            "triples_per_mul": _num(m.triples_per_mul),
-            "triples_per_comparison": (
-                None if m.triples_per_comparison is None
-                else _num(m.triples_per_comparison)),
-            "bits_per_comparison": (None if m.bits_per_comparison is None
-                                    else _num(m.bits_per_comparison)),
-        },
-        "prime_modulus": m.prime_modulus,
     }
 
 
+MODEL_KEYS = ("name", "gate_costs", "depth_weights")
+
+
 def model_from_json_obj(obj: dict) -> CostModel:
-    def to_kind(name: str) -> GateKind:
+    name = obj.get("name", "?")
+    unknown = sorted(set(obj) - set(MODEL_KEYS))
+    if unknown:
+        raise ModelCoverageError(
+            f"model '{name}' sets {', '.join(map(repr, unknown))}; a cost "
+            f"model has only {', '.join(MODEL_KEYS)}")
+
+    def to_kind(kind: str) -> GateKind:
         try:
-            return GateKind(name)
+            return GateKind(kind)
         except ValueError:
-            raise ModelCoverageError(f"unknown gate kind '{name}' in model "
-                                     f"'{obj.get('name', '?')}'") from None
+            raise ModelCoverageError(f"unknown gate kind '{kind}' in model "
+                                     f"'{name}'") from None
 
     def frac(v) -> Fraction:
-        f = Fraction(str(v))
+        try:
+            f = Fraction(str(v))
+        except ZeroDivisionError:
+            raise ModelCoverageError(f"cost {v!r} divides by zero") from None
         if f < 0:
             raise ModelCoverageError("costs must be nonnegative")
         return f
 
-    gate_costs = {to_kind(k): {r: frac(v) for r, v in costs.items()}
-                  for k, costs in obj["gate_costs"].items()}
-    weights = {to_kind(k): int(w)
-               for k, w in obj.get("depth_weights", {}).items()}
-    if any(w < 0 for w in weights.values()):
-        raise ModelCoverageError("depth weights must be nonnegative")
-    if obj.get("edge_costs"):
-        raise ModelCoverageError(
-            f"model '{obj.get('name', '?')}' prices edges; per-edge costs "
-            f"are not supported")
-    pre = obj.get("preprocessing", {})
-
-    def opt_frac(key):
-        v = pre.get(key)
-        return None if v is None else frac(v)
+    def weight(w) -> int:
+        if type(w) is not int or w < 0:
+            raise ModelCoverageError(
+                f"depth weight {w!r} is not a nonnegative integer")
+        return w
 
     return CostModel(
         name=obj["name"],
-        gate_costs=gate_costs,
-        depth_weights=weights,
-        triples_per_mul=(frac(pre["triples_per_mul"])
-                         if "triples_per_mul" in pre else Fraction(1)),
-        triples_per_comparison=opt_frac("triples_per_comparison"),
-        bits_per_comparison=opt_frac("bits_per_comparison"),
-        prime_modulus=obj.get("prime_modulus"),
+        gate_costs={to_kind(k): {r: frac(v) for r, v in costs.items()}
+                    for k, costs in obj["gate_costs"].items()},
+        depth_weights={to_kind(k): weight(w)
+                       for k, w in obj.get("depth_weights", {}).items()},
     )
 
 

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 
 import pytest
 
@@ -18,10 +17,10 @@ from mpcc.backends.shares import (
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import (
     BudgetExceededError, IncompleteSharesError, MissingInputError,
-    ModelCoverageError, MuxSelectorError, OverflowContractError,
-    PlayerMismatchError, TripleExhaustedError,
+    MuxSelectorError, OverflowContractError, PlayerMismatchError,
+    TripleExhaustedError,
 )
-from mpcc.estimator import CostModel, additive_model, estimate
+from mpcc.estimator import additive_model, estimate
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import run_passes
 from mpcc.sectypes import AdditiveShare, owners
@@ -268,50 +267,16 @@ def test_trace_matches_estimator_triples():
         assert trace.bits_consumed == report.random_bits, name
 
 
-def test_fractional_comparison_budget_is_met():
-    # a comparison takes whole triples and bits: 5/2 and 3/2 round up to
-    # 3 and 2 in the estimate and in the simulator alike
-    base = additive_model()
-    model = CostModel("fractional", base.gate_costs, base.depth_weights,
-                      triples_per_comparison=Fraction(5, 2),
-                      bits_per_comparison=Fraction(3, 2),
-                      prime_modulus=base.prime_modulus)
-    for name, inputs in (("auction", AUCTION_INPUTS), ("gcd", GCD_INPUTS)):
-        c = build(name, bitwidth=16, scheme="additive")
-        report = estimate(c, model)
-        outs, trace = simulate_shared(c, inputs, 3, seed=0, model=model)
-        assert outs == interpret_clear(c, inputs), name
-        assert trace.triples_consumed == report.triples, name
-        assert trace.bits_consumed == report.random_bits, name
-
-
-@pytest.mark.parametrize("rate, triples", [(Fraction(2), 6),
-                                             (Fraction(1, 2), 3)])
-def test_mul_budget_is_met(rate, triples):
-    # a multiplication takes whole triples: it uses one and burns the rest
-    base = additive_model()
-    model = CostModel("per-mul", base.gate_costs, base.depth_weights,
-                      triples_per_mul=rate,
-                      prime_modulus=base.prime_modulus)
-    c = build("pow8", bitwidth=16, scheme="additive")  # three Mul gates
-    assert estimate(c, model).triples == triples
-    sim = SharedSimulator(c, 3, seed=0, model=model)
-    assert sim.run({(1, "x"): 2}) == {"out0": 256}
-    assert sim.trace.triples_consumed == triples
-    assert sim.triples == []
-
-
 # -- the layered schedule: the estimate predicts the trace --
 
-def assert_estimate_predicts_trace(c, input_sets, model=None):
+def assert_estimate_predicts_trace(c, input_sets):
     """Run c on each input set: outputs equal the clear interpreter's,
-    rounds and multicasts equal the estimator's depth, triples and bits
-    its budget, and every run has the same per-round trace."""
-    model = model or additive_model()
-    report = estimate(c, model)
+    rounds and multicasts equal the additive model's depth, triples and
+    bits its budget, and every run has the same per-round trace."""
+    report = estimate(c, additive_model())
     traces = []
     for seed, inputs in enumerate(input_sets):
-        outs, trace = simulate_shared(c, inputs, 3, seed=seed, model=model)
+        outs, trace = simulate_shared(c, inputs, 3, seed=seed)
         assert outs == interpret_clear(c, inputs)
         assert (trace.rounds, trace.multicasts, trace.triples_consumed,
                 trace.bits_consumed) == (report.depth, report.depth,
@@ -379,30 +344,6 @@ def test_independent_gates_share_a_round():
     assert trace["rounds"] == 70
 
 
-def test_a_weight_on_a_local_gate_adds_rounds_that_open_nothing():
-    base = additive_model()
-    model = CostModel("slow-add", base.gate_costs,
-                      {**base.depth_weights, GateKind.ADD: 2,
-                       GateKind.SUB: 2},
-                      prime_modulus=base.prime_modulus)
-    c = build("sum8", bitwidth=16, scheme="additive")
-    inputs = {(1, f"xs[{k}]"): k - 3 for k in range(8)}
-    trace = simulate_shared(c, inputs, 3, model=model)[1]
-    assert trace.rounds == estimate(c, model).depth == 6
-    assert all(not any(r.values()) for r in trace.per_round)
-    assert_estimate_predicts_trace(c, [inputs], model)
-
-
-def test_shares_backend_needs_a_round_per_interactive_gate():
-    base = additive_model()
-    model = CostModel("free-mul", base.gate_costs,
-                      {**base.depth_weights, GateKind.MUL: 0},
-                      prime_modulus=base.prime_modulus)
-    with pytest.raises(ModelCoverageError, match="gives Mul no round"):
-        simulate_shared(mid_circuit_reveal_circuit(),
-                        {(1, "a"): 3, (2, "b"): 5}, 3, model=model)
-
-
 def test_adds_only_circuit_needs_no_communication():
     c = Circuit(bitwidth=16)
     a = c.add_input(1, "a")
@@ -431,23 +372,6 @@ def test_different_party_counts():
     for n in (2, 3, 5):
         outs, _ = simulate_shared(c, GCD_INPUTS, n, seed=1)
         assert outs == {"g": 5}
-
-
-def test_budget_exceeded_with_starved_model():
-    model = additive_model()
-    starved = CostModel("starved", model.gate_costs, model.depth_weights,
-                        triples_per_mul=0,
-                        triples_per_comparison=model.triples_per_comparison,
-                        bits_per_comparison=model.bits_per_comparison,
-                        prime_modulus=model.prime_modulus)
-    c = Circuit(bitwidth=16)
-    a = c.add_input(1, "a")
-    b = c.add_input(2, "b")
-    m = c.add_node(GateKind.MUL, (a, b))
-    r = c.add_node(GateKind.REVEAL, (m,), PlainMeta(owners(1, 2)))
-    c.add_output(r, owners(1, 2), "out")
-    with pytest.raises(BudgetExceededError):
-        simulate_shared(c, {(1, "a"): 2, (2, "b"): 3}, 3, model=starved)
 
 
 def test_negative_values_roundtrip_through_field():
@@ -529,7 +453,9 @@ def test_only_multiplication_triples_are_expanded(monkeypatch):
     assert sum(t.consumed for t in made) == muls
 
 
-def test_dropped_triple_overruns_inside_a_comparison():
+def assert_dropped_triple_overruns(kind, expected):
+    """With one triple short of the budget, the one gate of `kind` fails
+    before it opens anything or takes a triple."""
     class ShortOffline(SharedSimulator):
         def offline_phase(self):
             super().offline_phase()
@@ -538,16 +464,24 @@ def test_dropped_triple_overruns_inside_a_comparison():
     c = Circuit(bitwidth=16)
     a = c.add_input(1, "a")
     b = c.add_input(2, "b")
-    lt = c.add_node(GateKind.LT, (a, b))
-    r = c.add_node(GateKind.REVEAL, (lt,), PlainMeta(owners(1, 2)))
+    g = c.add_node(kind, (a, b))
+    r = c.add_node(GateKind.REVEAL, (g,), PlainMeta(owners(1, 2)))
     c.add_output(r, owners(1, 2), "out")
     sim = ShortOffline(c, 3)
     with pytest.raises(BudgetExceededError, match="Beaver triples"):
         sim.run({(1, "a"): 2, (2, "b"): 3})
-    assert sim.open_log == []  # the comparison never opened its operands
+    assert sim.open_log == []
     assert sim.trace.triples_consumed == 0
     assert SharedSimulator(c, 3).run({(1, "a"): 2, (2, "b"): 3}) == \
-        {"out": 1}
+        {"out": expected}
+
+
+def test_dropped_triple_overruns_inside_a_comparison():
+    assert_dropped_triple_overruns(GateKind.LT, 1)
+
+
+def test_dropped_triple_overruns_inside_a_multiplication():
+    assert_dropped_triple_overruns(GateKind.MUL, 6)
 
 
 def test_triple_is_fixed_by_the_offline_rng():

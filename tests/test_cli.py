@@ -1,13 +1,14 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import CORPUS, CORPUS_NAMES, ROOT, build, corpus_source
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.gatelist import eval_gatelist, parse_gatelist
 from mpcc.circuit import Level
-from mpcc.cli import main
-from mpcc.estimator import default_model_for, estimate
+from mpcc.cli import BadFileError, load_cost_model, main
+from mpcc.estimator import CostModel, default_model_for, estimate
 from mpcc.pipeline import PipelineConfig, compile
 
 
@@ -332,9 +333,13 @@ def one_line_exit_2(capsys, argv, kind):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("content", ["{}", "[]", '{"name": "m"}',
-                                     '{"name": "m", "gate_costs": []}',
-                                     "{not json"])
+@pytest.mark.parametrize("content", [
+    "{}", "[]", '{"name": "m"}', '{"name": "m", "gate_costs": []}',
+    "{not json",
+    '{"name": "m", "gate_costs": {"Mul": {"rounds": "1/0"}}}',
+    '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": 1.7}}',
+    '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": "3"}}',
+    '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": true}}'])
 def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "m.json"
     path.write_text(content, encoding="utf-8")
@@ -342,14 +347,60 @@ def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
                              str(path)], "cost model")
 
 
-def test_cost_model_with_edge_costs_is_exit_2(tmp_path, capsys):
+def assert_model_key_is_exit_2(tmp_path, capsys, key, value):
+    """arith.json with one more top-level key is refused, not priced."""
     model = json.loads((ROOT / "corpus" / "models" / "arith.json")
                        .read_text(encoding="utf-8"))
-    model["edge_costs"] = {"Mul->Mul": {"hops": 2}}
+    model[key] = value
     path = tmp_path / "m.json"
     path.write_text(json.dumps(model), encoding="utf-8")
     one_line_exit_2(capsys, ["estimate", hml("adder"), "--cost-model",
                              str(path)], "cost model")
+
+
+def test_cost_model_with_edge_costs_is_exit_2(tmp_path, capsys):
+    assert_model_key_is_exit_2(tmp_path, capsys, "edge_costs",
+                               {"Mul->Mul": {"hops": 2}})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("preprocessing", {"triples_per_mul": 2}),
+    ("prime_modulus", (1 << 127) - 1)])
+def test_cost_model_with_a_removed_key_is_exit_2(tmp_path, capsys, key,
+                                                 value):
+    assert_model_key_is_exit_2(tmp_path, capsys, key, value)
+
+
+# leaves that once broke the loader or were silently misread
+odd_leaves = st.sampled_from(["1/0", 1.7, True, -1, "x", None, [], {}, 0, 2])
+json_values = st.recursive(
+    odd_leaves | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+kind_names = st.sampled_from(["Mul", "Add", "Lt", "Const", "Frobnicate"])
+per_kind = st.dictionaries(kind_names, odd_leaves, max_size=3)
+model_shaped = st.fixed_dictionaries(
+    {"name": odd_leaves | st.text(max_size=4),
+     "gate_costs": st.dictionaries(
+         kind_names, st.dictionaries(st.sampled_from(["rounds", "comm"]),
+                                     odd_leaves, max_size=2) | odd_leaves,
+         max_size=3) | odd_leaves},
+    optional={"depth_weights": per_kind | odd_leaves,
+              "preprocessing": json_values, "prime_modulus": odd_leaves})
+
+
+@given(obj=model_shaped | json_values)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cost_model_loader_fails_only_with_bad_file_error(tmp_path, obj):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        model = load_cost_model(str(path))
+    except BadFileError:
+        return
+    assert isinstance(model, CostModel)
 
 
 @pytest.mark.parametrize("payload", [[], {"parties": []},

@@ -23,13 +23,12 @@ adders. Partial products go through a constant-aware And.
 Nothing is emitted to be thrown away: an adder's top cell builds no
 carry-out, a comparison builds the carry chain and the sign bit but no
 sum bit below it, a constant bit is added at its first use, a MuxBit
-between the constant bits 1 and 0 is its selector (between 0 and 1, its
-Not), and a word is built only up to the highest bit a reader reads
-(`_bits_read`): a square never reads its operand's top bit, so a square
-of a square builds one bit less. On the corpus's word fixpoints the
-final dce finds nothing to drop; in the raw circuit, at most a MuxBit
-between two equal constant bits that a later mux_bit read as that
-constant (see mux_bit).
+whose branches are one bit is that bit, one between the constant bits 1
+and 0 is its selector (between 0 and 1, its Not), and a word is built
+only up to the highest bit a reader reads (`_bits_read`): a square
+never reads its operand's top bit, so a square of a square builds one
+bit less. On the corpus's word fixpoints the final dce finds nothing to
+drop, in the raw circuit as in the optimized one.
 
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
@@ -66,7 +65,6 @@ class _BitBuilder:
         self.metas: list = []
         self._const_cache: dict[int, int] = {}  # bit -> raw value
         self._const_value: dict[int, int] = {}  # raw value -> bit
-        self._muxed_const: dict[int, int] = {}  # see mux_bit
 
     def emit(self, kind, operands, meta=None, payload=None) -> int:
         metas = self.metas
@@ -188,19 +186,15 @@ class _BitBuilder:
         return x if k else self.emit(GateKind.NOT, (x,))
 
     def mux_bit(self, s: int, t: int, e: int) -> int:
-        """s ? t : e; between the constant bits 1 and 0 it is s, and
-        between 0 and 1 it is Not s. A MuxBit between two equal constant
-        bits stays a gate, which keeps its raw metadata, but a later
-        mux_bit reads it as that constant."""
-        consts, muxed = self._const_value, self._muxed_const
-        kt = consts.get(t, muxed.get(t))
-        ke = consts.get(e, muxed.get(e))
+        """s ? t : e; t when both branches are one bit, s between the
+        constant bits 1 and 0, and Not s between 0 and 1."""
+        if t == e:
+            return t
+        consts = self._const_value
+        kt, ke = consts.get(t), consts.get(e)
         if {kt, ke} == {0, 1}:
             return s if kt else self.emit(GateKind.NOT, (s,))
-        v = self.emit(GateKind.MUX_BIT, (s, t, e))
-        if kt is not None and kt == ke:
-            muxed[v] = kt
-        return v
+        return self.emit(GateKind.MUX_BIT, (s, t, e))
 
     def equals(self, a: list[int], b: list[int]) -> int:
         xnors = [self.xnor(x, y) for x, y in zip(a, b)]

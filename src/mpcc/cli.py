@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulated backends")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_pipeline=True):
+    def common(p, with_pipeline=True, with_passes=True):
         p.add_argument("source", help=".hml source or circuit .json")
         p.add_argument("--spec", help="JSON file with default settings "
                                       "(flags win)")
@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", choices=SPEC_CHOICES["level"])
             p.add_argument("--encoding", choices=SPEC_CHOICES["encoding"],
                            help="comparison encoding")
-            p.add_argument("--passes", help="comma-separated pass list")
+            if with_passes:  # `lower` runs no pass
+                p.add_argument("--passes", help="comma-separated pass list")
             p.add_argument("--no-opt", action="store_true",
                            help="disable all optimization passes")
         p.add_argument("-o", "--output", help="write result here instead "
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("check", help="type-check a program"),
            with_pipeline=False)
     common(sub.add_parser("lower", help="compile to circuit JSON without "
-                                        "optimization"))
+                                        "optimization"), with_passes=False)
     common(sub.add_parser("opt", help="optimize a circuit"))
     p_est = sub.add_parser("estimate", help="resource report for a circuit")
     common(p_est)
@@ -110,8 +111,8 @@ def scheme_of(args, spec) -> Scheme:
 
 def pipeline_config(args, spec) -> PipelineConfig:
     passes = None
-    if getattr(args, "no_opt", False) or spec.get("no_opt"):
-        passes = []
+    if args.command == "lower" or setting(args, spec, "no_opt"):
+        passes = []  # `lower` is `lower --no-opt`
     else:
         raw = setting(args, spec, "passes")
         if isinstance(raw, str):
@@ -225,8 +226,7 @@ def cmd_check(args, spec) -> int:
 
 def cmd_circuit(args, spec) -> int:
     """`lower` and `opt` write the circuit; only `opt` runs the passes."""
-    c = compile(read_stage_input(args.source), pipeline_config(args, spec),
-                optimize=args.command == "opt")
+    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
     write_out(args, c.to_json())
     return 0
 

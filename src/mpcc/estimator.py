@@ -1,20 +1,21 @@
 """Resource estimation: per-gate cost totals, the weighted depth and the
 offline-phase budgets of a circuit under a `CostModel`.
 
-A `CostModel` describes what a protocol costs: a price per gate kind and
-a depth weight per gate kind. It does not configure a backend.
-`layered_schedule` is the only code that decides which round a gate
-finishes in. `critical_path` reads its last round and the shares backend
-runs its layers under `additive_model()`, so under that model the
-estimated `depth` is the round count of its trace. The offline budget is
-the shares protocol's own: one Beaver triple per Mul or Mux and
-`comparison_budget` per comparison, whatever the model. Costs are exact
-rationals so reports never drift.
+A `CostModel` describes what a protocol costs: a price per gate kind and a
+depth weight per gate kind. It does not configure a backend.
+`finish_rounds` is the only code that decides which round a gate finishes
+in. `critical_path` reads its last round with no list per round; the
+shares backend runs it, grouped by `layered_schedule`, under
+`additive_model()`, so under that model the estimated `depth` is the round
+count of its trace. The offline budget is the shares protocol's own: one
+Beaver triple per Mul or Mux and `comparison_budget` per comparison,
+whatever the model. Costs are exact rationals so reports never drift.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,39 +73,40 @@ def _num(x: Fraction):
     return int(x) if x.denominator == 1 else float(x)
 
 
-def layered_schedule(c: Circuit, depth_weights: dict[GateKind, int]
-                     ) -> tuple[list[list[int]], list[int]]:
-    """When each gate finishes: its depth weight in rounds after its last
-    operand (after round 0 if it has none). Layer r lists, in id order,
-    the gates that finish in round r, and layer 0 always exists. The
-    second list holds the Reveals that no gate reads: delivering an
-    output ends no path, so they take no round and sit in no layer."""
+def finish_rounds(c: Circuit, depth_weights: dict[GateKind, int]
+                  ) -> list[int]:
+    """Each gate's finish round: its depth weight in rounds after its last
+    operand (after round 0 if it has none). A Reveal that no gate reads
+    gets -1: delivering an output ends no path, so it takes no round."""
     # identity tests, since a GateKind lookup in a set is slow
     reveal, reveal_bit = GateKind.REVEAL, GateKind.REVEAL_BIT
     read = {o for node in c.nodes for o in node.operands}
-    done = [0] * len(c.nodes)
-    layers: list[list[int]] = [[]]
-    output_reveals = []
+    done = [-1] * len(c.nodes)
     for nid, node in enumerate(c.nodes):
         kind, ops = node.kind, node.operands
-        if (kind is reveal or kind is reveal_bit) and nid not in read:
-            output_reveals.append(nid)
-            continue
-        r = max(map(done.__getitem__, ops)) if ops else 0
-        w = depth_weights.get(kind)
-        if w:
-            r += w
-            while len(layers) <= r:
-                layers.append([])
-        done[nid] = r
-        layers[r].append(nid)
-    return layers, output_reveals
+        if (kind is not reveal and kind is not reveal_bit) or nid in read:
+            r = max(map(done.__getitem__, ops)) if ops else 0
+            done[nid] = r + depth_weights.get(kind, 0)
+    return done
+
+
+def layered_schedule(c: Circuit, depth_weights: dict[GateKind, int]
+                     ) -> tuple[list[list[int]], list[int]]:
+    """`finish_rounds` as layers: layer r lists, in id order, the gates
+    that finish in round r, and layer 0 always exists. The second list
+    holds the Reveals that no gate reads, which sit in no layer."""
+    done = finish_rounds(c, depth_weights)
+    layers: list[list[int]] = [[] for _ in range(max(done, default=0) + 1)]
+    for nid, r in enumerate(done):
+        if r >= 0:
+            layers[r].append(nid)
+    return layers, [nid for nid, r in enumerate(done) if r < 0]
 
 
 def critical_path(c: Circuit, depth_weights: dict[GateKind, int]) -> int:
     """Longest weighted path: the last round of the layered schedule, so
     under a protocol's model it is that protocol's round count."""
-    return len(layered_schedule(c, depth_weights)[0]) - 1
+    return max(finish_rounds(c, depth_weights), default=0)
 
 
 def comparison_budget(bitwidth: int) -> tuple[int, int]:
@@ -267,6 +269,9 @@ def model_from_json_obj(obj: dict) -> CostModel:
                                      f"'{name}'") from None
 
     def frac(v) -> Fraction:
+        if isinstance(v, str) and not re.fullmatch(r"\d+(\.\d+)?|\d+/\d+", v):
+            # Fraction would expand an exponent string ("1e10000000") in full
+            raise ModelCoverageError(f"cost {v!r} is not a decimal or a/b")
         try:
             f = Fraction(str(v))
         except ZeroDivisionError:

@@ -8,7 +8,8 @@ the clear backend runs. Static values drive everything that must be
 resolved during compilation: loop unrolling, recursion fuel, array
 lengths, slice bounds and plaintext array indices. Private control
 flow never consults values, so the produced circuit is a function of the
-program and its public parameters only.
+program and its public parameters only. Nothing is optimized here:
+pow(x, n) is a chain of n - 1 Muls for `optimizer.pow_rewrite`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class LowerConfig:
     bitwidth: int = 64
     comparison_encoding: str = "auto"  # "direct" | "rewrite" | "auto"
     scheme: Scheme = Generic()
-    pow_rewrite: bool = True     # square-and-multiply instead of a chain
 
     def __post_init__(self):
         if not (2 <= self.bitwidth <= 64):
@@ -516,30 +516,10 @@ class Lowering:
             raise LowerError("NotScalar", "pow of an array")
         if n == 0:
             return self.const(1)
-        if not self.cfg.pow_rewrite:
-            acc = base
-            for _ in range(n - 1):
-                acc = self.emit(GateKind.MUL, [acc, base])
-            return acc
-        return self.pow_chain(n, base, {1: base})
-
-    # pow_chain and select recurse as methods, not as nested functions: a
-    # recursive closure that captures `self` is a reference cycle, which
-    # would keep the Lowering and its circuit alive until the next cycle
-    # collection.
-
-    def pow_chain(self, k: int, base: Wire, memo: dict[int, Wire]) -> Wire:
-        """base**k by square-and-multiply; `memo` shares the powers."""
-        if k in memo:
-            return memo[k]
-        if k % 2 == 0:
-            half = self.pow_chain(k // 2, base, memo)
-            out = self.emit(GateKind.MUL, [half, half])
-        else:
-            out = self.emit(GateKind.MUL,
-                            [base, self.pow_chain(k - 1, base, memo)])
-        memo[k] = out
-        return out
+        acc = base
+        for _ in range(n - 1):
+            acc = self.emit(GateKind.MUL, [acc, base])
+        return acc
 
     def balanced_reduce(self, op: str, wires: list[Wire]) -> Wire:
         def combine(x: Wire, y: Wire) -> Wire:

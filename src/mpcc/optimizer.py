@@ -6,19 +6,20 @@ the enabled local rules in one place (fold, the peephole identities,
 strength reduction), then looks the node up by (kind, canonical
 operands, payload, meta). The rules are named after the passes
 `const_fold`, `peephole`, `strength_reduce` and `cse`, each one walk
-through a Builder with only its own rule enabled; `dce`, `tree_reduce`
-and `cmp_rewrite` walk through one with no rule; `bitblast` emits
-through one with the rules of its pass list.
+through a Builder with only its own rule enabled; `dce`, `pow_rewrite`,
+`tree_reduce` and `cmp_rewrite` walk through one with no rule;
+`bitblast` emits through one with the rules of its pass list.
 
 Passes never mutate their input. A walk copies nothing before the first
 node it changes and shares every unchanged `Node`; a pass that changes
 nothing returns its input itself, so never mutate a pass's result. The
-pipeline runs its passes to a fixpoint (at most ten rounds).
-`pow_rewrite` runs while lowering emits gates (LowerConfig.pow_rewrite).
+pipeline runs its passes to a fixpoint (at most ten rounds), on source
+and on circuit JSON alike.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 
 from .circuit import (
@@ -30,8 +31,6 @@ from .estimator import additive_model
 
 DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
                   "cse", "dce", "cmp_rewrite"]
-
-PRE_LOWERING_PASSES = {"pow_rewrite"}
 
 # globals for the kinds rules test on every node (a GateKind lookup is slow)
 ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX, CONST = (
@@ -227,65 +226,99 @@ def dce(c: Circuit) -> Circuit:
                           lambda oid, _node, _ops: None if live[oid] else -1)
 
 
-def tree_reduce(c: Circuit) -> Circuit:
-    """Rebalance linear chains of one associative gate kind into trees of
-    logarithmic depth. Only single-use, non-output intermediates move; a
-    chain that already is that tree stays where it is, so at its
-    fixpoint the pass starts no walk."""
-    uses = Counter(o for node in c.nodes for o in node.operands)
+def _rechain(c: Circuit, kinds, wanted, shared: bool = False) -> Circuit:
+    """Rebuild chains as the `balanced` tree over their leaves, each
+    distinct pair built once when `shared`. A chain is a tree of one gate
+    kind in `kinds`, its interior links single-use and no output. Heads
+    are tried from the last node down and each chain is walked once:
+    `wanted(leaves, links)` gets a chain on four leaves or more, its links
+    in preorder from the head, and returns the (head, leaves, links) of
+    the chains in it to rebuild."""
+    nodes = c.nodes
+    uses = Counter(o for node in nodes for o in node.operands)
     pinned = {nid for nid, _a, _n in c.outputs}
-    chain_kinds = (ADD, MUL, AND, OR, XOR)
-
-    def chain_link(nid: int, kind) -> bool:
-        node = c.nodes[nid]
-        return node.kind == kind and uses[nid] == 1 and nid not in pinned
-
-    def built(nid: int, leaves: list[int], links: list[int]) -> bool:
-        """Whether the links already are the tree `balanced` would build."""
-        meta = c.nodes[nid].meta
-        made = {c.nodes[link].operands: link for link in links
-                if c.nodes[link].meta == meta}
-        return balanced(leaves, lambda x, y: made.get((x, y), -1)) == nid
-
-    # heads are chain tops; every interior link is single-use
-    interior: set[int] = set()
-    kept: set[int] = set()  # the links of chains that already are trees
-    plans: dict[int, list[int]] = {}
-    for nid in range(len(c.nodes) - 1, -1, -1):
-        node = c.nodes[nid]
-        if node.kind not in chain_kinds or nid in interior or nid in kept:
+    settled: set[int] = set()  # links of chains already walked
+    interior, plans = set(), {}  # plans: head -> leaves
+    for nid in range(len(nodes) - 1, -1, -1):
+        kind = nodes[nid].kind
+        if kind not in kinds or nid in settled:
             continue
-        leaves: list[int] = []
-        links: list[int] = []
-        stack = [nid]
+        leaves, links, stack = [], [], [nid]
         while stack:
             cur = stack.pop()
-            if cur != nid and not chain_link(cur, node.kind):
+            if cur != nid and (nodes[cur].kind is not kind or uses[cur] != 1
+                               or cur in pinned):
                 leaves.append(cur)
                 continue
             links.append(cur)
             # right-to-left keeps leaf order stable for determinism
-            stack.extend(reversed(c.nodes[cur].operands))
-        if len(leaves) < 4 or len(links) != len(leaves) - 1:
-            continue
-        if built(nid, leaves, links):
-            kept.update(links)
-        else:
-            plans[nid] = leaves
-            interior.update(set(links) - {nid})
+            stack.extend(reversed(nodes[cur].operands))
+        settled.update(links)
+        if len(leaves) >= 4:
+            for head, sub_leaves, sub_links in wanted(leaves, links):
+                plans[head] = sub_leaves
+                interior.update(sub_links[1:])
     if not plans:
         return c
 
     b = Builder()
 
-    def step(oid, node, ops):
+    def step(oid, node, _ops):
         if oid in interior:
             return -1
         if oid in plans:
+            def pair(x, y):
+                return b.add(node.kind, (x, y), node.meta)
             return balanced([b.map[leaf] for leaf in plans[oid]],
-                            lambda x, y: b.add(node.kind, (x, y), node.meta))
+                            functools.cache(pair) if shared else pair)
 
     return b.walk(c, min(interior.union(plans)), step)
+
+
+def tree_reduce(c: Circuit) -> Circuit:
+    """Rebalance linear chains of one associative gate kind into trees of
+    logarithmic depth. Only single-use, non-output intermediates move; a
+    chain that already is that tree stays where it is, so at its
+    fixpoint the pass starts no walk."""
+
+    def unbuilt(leaves: list[int], links: list[int]):
+        """The chain unless it already is the tree `balanced` builds."""
+        head, meta = links[0], c.nodes[links[0]].meta
+        made = {c.nodes[link].operands: link for link in links
+                if c.nodes[link].meta == meta}
+        built = balanced(leaves, lambda x, y: made.get((x, y), -1)) == head
+        return [] if built else [(head, leaves, links)]
+
+    return _rechain(c, (ADD, MUL, AND, OR, XOR), unbuilt)
+
+
+def pow_rewrite(c: Circuit) -> Circuit:
+    """Each largest Mul chain over one node x, such as pow(x, n) as
+    lowering emits it, becomes the `balanced` tree over its leaves with
+    each distinct pair built once: x^n at depth ceil(log2 n) and at most
+    floor(log2 n) + popcount(n) - 1 Muls, its shared pairs no chain."""
+    nodes = c.nodes
+    if not any(n.kind is MUL and MUL in (nodes[n.operands[0]].kind,
+                                         nodes[n.operands[1]].kind)
+               for n in nodes):  # a chain of four leaves has such a Mul
+        return c
+
+    def uniform(_leaves, links: list[int]):
+        """The largest sub-chains over four or more leaves that are one
+        node; in preorder, a sub-chain's links are a slice of `links`."""
+        linked, base, count, inner = set(links), {}, {}, set()
+        for link in reversed(links):  # operands before their readers
+            ops = nodes[link].operands
+            x, y = (base.get(o, -1) if o in linked else o for o in ops)
+            if x == y != -1:
+                base[link] = x
+                count[link] = sum(count.get(o, 1) for o in ops)
+                inner.update(ops)
+        return [(k, [base[k]] * count[k], links[i:i + count[k] - 1])
+                for i, k in enumerate(links)
+                if count.get(k, 0) >= 4 and k not in inner]
+
+    return _rechain(c, (MUL,), uniform, shared=True)
 
 
 # -- cost-model-driven comparison re-encoding --
@@ -355,6 +388,7 @@ PASSES = {
     "cse": cse,
     "dce": dce,
     "strength_reduce": strength_reduce,
+    "pow_rewrite": pow_rewrite,
     "tree_reduce": tree_reduce,
     "cmp_rewrite": cmp_rewrite,
 }
@@ -365,7 +399,7 @@ MAX_ROUNDS = 10
 def check_pass_names(passes: list[str]):
     """Raise LowerError("UnknownPass") for a name that is not a pass."""
     for name in passes:
-        if name not in PASSES and name not in PRE_LOWERING_PASSES:
+        if name not in PASSES:
             raise LowerError("UnknownPass", name)
 
 
@@ -382,8 +416,6 @@ def run_passes(c: Circuit, passes: list[str] | None = None) -> Circuit:
     for _ in range(MAX_ROUNDS):
         before = c
         for name in passes:
-            if name in PRE_LOWERING_PASSES:
-                continue
             fn = PASSES[name]
             c = fn(c, model) if name == "cmp_rewrite" else fn(c)
         if c is before:

@@ -13,7 +13,7 @@ from .circuit import Circuit, Level
 from .errors import MalformedCircuitError
 from .frontend import parse_source
 from .lowering import LowerConfig, lower_program
-from .optimizer import DEFAULT_PASSES, run_passes
+from .optimizer import run_passes
 from .sectypes import Scheme, Generic
 from .typecheck import check_program
 
@@ -26,28 +26,16 @@ class PipelineConfig:
     comparison_encoding: str = "auto"
     passes: list[str] | None = None  # None = DEFAULT_PASSES, [] = no-opt
 
-    def pass_list(self) -> list[str]:
-        return DEFAULT_PASSES if self.passes is None else self.passes
 
-    def lower_config(self) -> LowerConfig:
-        return LowerConfig(
-            bitwidth=self.bitwidth,
-            comparison_encoding=self.comparison_encoding,
-            scheme=self.scheme,
-            pow_rewrite="pow_rewrite" in self.pass_list(),
-        )
-
-
-def compile(source: str | Circuit, cfg: PipelineConfig,
-            optimize: bool = True) -> Circuit:
+def compile(source: str | Circuit, cfg: PipelineConfig) -> Circuit:
     """Compile program text, or take an already lowered circuit, to a
     circuit at cfg.target_level.
 
-    Passes run (when `optimize` is set) at the level the circuit has
-    before bitblasting: word level for source, bool level for a bool
-    circuit. Bitblast emits through the pass list's local rules: the bool
-    fixpoint, or the raw circuit when not optimizing. Raises
-    MalformedCircuitError if a given circuit is not well-formed.
+    Passes run at the level the circuit has before bitblasting: word
+    level for source, bool level for a bool circuit. Bitblast emits
+    through the pass list's local rules: the bool fixpoint, or the raw
+    circuit when the list is empty. Raises MalformedCircuitError if a
+    given circuit is not well-formed.
     """
     if isinstance(source, Circuit):
         c = source
@@ -56,10 +44,9 @@ def compile(source: str | Circuit, cfg: PipelineConfig,
             raise MalformedCircuitError("; ".join(violations))
     else:
         tp = check_program(parse_source(source), cfg.scheme)
-        c = lower_program(tp, cfg.lower_config())
-    passes = cfg.pass_list()
-    if optimize and passes:
-        c = run_passes(c, passes)
+        c = lower_program(tp, LowerConfig(cfg.bitwidth,
+                                          cfg.comparison_encoding, cfg.scheme))
+    c = run_passes(c, cfg.passes)
     if cfg.target_level == Level.BOOL and c.level == Level.ARITH:
-        c = bitblast(c, cfg.bitwidth, passes if optimize else [])
+        c = bitblast(c, cfg.bitwidth, cfg.passes)
     return c

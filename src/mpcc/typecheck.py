@@ -19,6 +19,7 @@ ARITH_OPS = {"+", "-", "*"}
 CMP_OPS = {"<", "<=", ">", ">="}
 EQ_OPS = {"==", "!="}
 LOGIC_OPS = {"&&", "||"}
+MAX_POW_EXPONENT = 64  # pow(x, n) lowers to a chain of n - 1 Muls
 
 
 @dataclass
@@ -149,8 +150,9 @@ class Checker:
                 return Owned("int", at.owner)
             case S.Pow(base=base, exponent=n):
                 bt = self.check_expr(env, base)
-                if n < 0:
-                    self.error("pow exponent must be nonnegative", e.pos, "pow-exp")
+                if not 0 <= n <= MAX_POW_EXPONENT:
+                    self.error(f"pow exponent must be in 0..{MAX_POW_EXPONENT}",
+                               e.pos, "pow-exp")
                 if bt is None:
                     return None
                 if atom(bt) != "int":

@@ -10,7 +10,6 @@ CORPUS = ROOT / "corpus"
 sys.path.insert(0, str(TESTS))
 
 from mpcc.frontend import parse_source  # noqa: E402
-from mpcc.optimizer import DEFAULT_PASSES  # noqa: E402
 from mpcc.pipeline import PipelineConfig, compile  # noqa: E402
 from mpcc.sectypes import AdditiveShare, Generic  # noqa: E402
 
@@ -24,15 +23,13 @@ def corpus_source(name: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def build(name: str, bitwidth: int = 64, scheme: str = "generic",
-          optimize: bool = False, encoding: str = "auto",
-          pow_rewrite: bool = True):
+          optimize: bool = False, encoding: str = "auto"):
     """Compile one corpus program; cached because tests reuse circuits."""
-    passes = None if pow_rewrite else [p for p in DEFAULT_PASSES
-                                       if p != "pow_rewrite"]
     cfg = PipelineConfig(
         scheme=AdditiveShare(3) if scheme == "additive" else Generic(),
-        bitwidth=bitwidth, comparison_encoding=encoding, passes=passes)
-    return compile(corpus_source(name), cfg, optimize=optimize)
+        bitwidth=bitwidth, comparison_encoding=encoding,
+        passes=None if optimize else [])
+    return compile(corpus_source(name), cfg)
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,9 @@ JUDGMENTS = [
       GEN, ("error", "slice-plain")),
     J("reduce over array", "reduce(+, xs)", {"xs": ARR1}, GEN, INT1),
     J("pow keeps ownership", "pow(a, 3)", {"a": INT1}, GEN, INT1),
+    J("pow exponent at its bound", "pow(a, 64)", {"a": INT1}, GEN, INT1),
+    J("pow exponent over its bound", "pow(a, 65)", {"a": INT1}, GEN,
+      ("error", "pow-exp")),
     # statements
     J("skip leaves env", "skip;", {"x": INT1}, GEN, ("env", "x", INT1)),
     J("redeclaration rejection", "val x : int := 6;", {"x": Plain("int")},

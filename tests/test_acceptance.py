@@ -46,7 +46,7 @@ def test_c1_pow_rewrite_gate_and_depth_counts():
     with criterion(1, "pow(x,8) multiplications and depth"):
         t0 = time.time()
         optimized = run_passes(build("pow8"))
-        raw = build("pow8", pow_rewrite=False)
+        raw = build("pow8")
         r_opt = estimate(optimized, arith_model())
         r_raw = estimate(raw, arith_model())
         assert r_opt.gate_counts[GateKind.MUL] == 3
@@ -179,7 +179,7 @@ def test_c6_optimizer_soundness_on_random_programs():
             program = random_program(seed)
             assert count_nodes(program) <= MAX_NODES
             tp = check_program(program, Generic())
-            c0 = lower_program(tp, LowerConfig(pow_rewrite=False))
+            c0 = lower_program(tp, LowerConfig())
             c1 = run_passes(c0)
             assert len(c1.nodes) <= len(c0.nodes)
             for fn in (cse, dce_pass, peephole, strength_reduce):

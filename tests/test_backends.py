@@ -528,7 +528,8 @@ def test_beaver_opens_only_masked_values():
 
 
 def test_simulator_multiply_is_one_beaver_round():
-    c = build("pow8", bitwidth=16, scheme="additive")  # three Mul gates
+    c = build("pow8", bitwidth=16, scheme="additive",
+              optimize=True)  # three Mul gates
     sim = SharedSimulator(c, 3, seed=1)
     assert sim.run({(1, "x"): 2}) == {"out0": 256}
     assert sim.open_log == [("beaver-open", k) for k in range(6)] + \

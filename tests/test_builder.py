@@ -97,9 +97,8 @@ def test_bitblast_leaves_nothing_to_sweep(name, width):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_raw_bitblast_builds_no_bit_no_reader_reads(name, width, optimize):
     # not the upper bits of a bit word read as a Mux selector, the top
-    # bit of a square's operand or a word no output reaches; only a
-    # MuxBit between two equal constant bits, which a later mux_bit reads
-    # as that constant, may be left for dce
+    # bit of a square's operand or a word no output reaches: nothing is
+    # left for dce
     word = build(name, bitwidth=width, optimize=optimize)
     b = bitblast(word, passes=[])
     live = [False] * len(b.nodes)
@@ -109,26 +108,28 @@ def test_raw_bitblast_builds_no_bit_no_reader_reads(name, width, optimize):
         if live[nid]:
             for o in b.nodes[nid].operands:
                 live[o] = True
-    for nid, node in enumerate(b.nodes):
-        if not live[nid]:
-            _s, t, e = node.operands
-            assert node.kind == GateKind.MUX_BIT and t == e
-            assert b.nodes[t].kind == GateKind.CONST_BIT
+    assert all(live)
 
 
 def test_a_gate_keeps_its_raw_metadata():
-    # bit 0 of r is Mux(s<3, 1, 1), which folds to the plain constant 1;
-    # the Xor of that bit with y's bit 0 survives, and as in the raw
-    # circuit its metadata still names party 1
+    # r's branches are two copies of y + 1, so each MuxBit of r has two
+    # distinct raw branches that cse merges, and the MuxBit folds to a bit
+    # of y + 1; the Xor of r's bit 0 with y's bit 0 survives, and as in
+    # the raw circuit its metadata still names party 1, which neither of
+    # its operands' does
     src = ("parties 1, 2;\ninput s : int@{1} from 1;\n"
            "input y : int@{2} from 2;\n"
-           "val r : int@{1} := if (s < 3) { 5 } else { 7 };\n"
+           "val r : int@{1, 2} := if (s < 3) { y + 1 } else { y + 1 };\n"
            "output eval({1, 2}, r + y);\n")
-    word = compile(src, PipelineConfig(bitwidth=4))
+    word = compile(src, PipelineConfig(bitwidth=4, passes=[]))
+    raw = bitblast(word, passes=[])
+    assert raw.counts()[GateKind.MUX_BIT] == 4
     b = bitblast(word)
-    assert b == run_passes(bitblast(word, passes=[]))
+    assert b == run_passes(raw)
+    assert GateKind.MUX_BIT not in b.counts()
+    party2 = EncMeta(frozenset({2}))
     assert any(n.kind == GateKind.XOR and n.meta == EncMeta(frozenset({1, 2}))
-               and b.nodes[n.operands[0]].kind == GateKind.CONST_BIT
+               and all(b.nodes[o].meta == party2 for o in n.operands)
                for n in b.nodes)
 
 

@@ -144,9 +144,8 @@ def test_emit_reveal_that_feeds_gates(tmp_path, capsys, flags):
     assert run_cli("emit", str(path), "--level", "bool", "--bitwidth", "4",
                    *flags) == 0
     gl = parse_gatelist(capsys.readouterr().out)
-    b = compile(REVEAL_FEEDS_GATES, PipelineConfig(bitwidth=4,
-                                                   target_level=Level.BOOL),
-                optimize=not flags)
+    b = compile(REVEAL_FEEDS_GATES, PipelineConfig(
+        bitwidth=4, target_level=Level.BOOL, passes=[] if flags else None))
     for a in range(-3, 4):
         bits = eval_gatelist(gl, [(a >> k) & 1 for k in range(4)])
         s = sum(bit << k for k, bit in enumerate(bits))
@@ -164,6 +163,41 @@ def test_pipe_composability(tmp_path, capsys):
     assert run_cli("estimate", hml("pow8")) == 0
     direct = capsys.readouterr().out
     assert piped == direct
+
+
+def test_lower_is_lowering_only_and_opt_rewrites_pow(tmp_path, capsys):
+    lowered = tmp_path / "c.json"
+    assert run_cli("lower", hml("pow8"), "--no-opt", "-o", str(lowered)) == 0
+    assert cli_out(capsys, "lower", hml("pow8")) == lowered.read_text()
+    piped = cli_out(capsys, "opt", str(lowered))
+    assert piped == cli_out(capsys, "opt", hml("pow8"))
+    assert json.loads(lowered.read_text())["nodes"] != \
+        json.loads(piped)["nodes"]
+    optimized = tmp_path / "c2.json"
+    optimized.write_text(piped, encoding="utf-8")
+    report = json.loads(cli_out(capsys, "estimate", str(optimized)))
+    assert report["gate_counts"]["Mul"] == 3
+    assert report["depth"] == 3
+
+
+def test_lower_takes_no_pass_list(capsys):
+    with pytest.raises(SystemExit) as ex:
+        run_cli("lower", hml("pow8"), "--passes", "cse")
+    assert ex.value.code == 2
+    assert "--passes" in capsys.readouterr().err
+
+
+def test_huge_pow_exponent_is_one_diagnostic(tmp_path, capsys):
+    # a raw pow(x, n) is n - 1 Muls: the bound keeps lowering small
+    src = tmp_path / "huge.hml"
+    src.write_text("parties 1;\ninput x : int from 1;\n"
+                   "output eval({1}, pow(x, 1000000000));\n",
+                   encoding="utf-8")
+    for command in ("lower", "opt"):
+        assert run_cli(command, str(src)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{src}:3:18: error[pow-exp]: "
+                       "pow exponent must be in 0..64"]
 
 
 def test_opt_only_touches_circuit(tmp_path):
@@ -255,9 +289,9 @@ def cli_out(capsys, *argv):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_cli_matches_in_process_pipeline(tmp_path, capsys, name, bitwidth):
     w = str(bitwidth)
-    cfg = PipelineConfig(bitwidth=bitwidth)
-    lowered = compile(corpus_source(name), cfg, optimize=False)
-    optimized = compile(corpus_source(name), cfg)
+    lowered = compile(corpus_source(name),
+                      PipelineConfig(bitwidth=bitwidth, passes=[]))
+    optimized = compile(corpus_source(name), PipelineConfig(bitwidth=bitwidth))
     direct = estimate(optimized, default_model_for(optimized)).to_json()
     assert cli_out(capsys, "lower", hml(name), "--bitwidth", w) == \
         lowered.to_json()
@@ -273,12 +307,12 @@ def test_cli_matches_in_process_pipeline(tmp_path, capsys, name, bitwidth):
 
 @pytest.mark.parametrize("name", ["adder", "auction", "sum8", "gcd"])
 def test_cli_matches_in_process_pipeline_at_bool_level(capsys, name):
-    cfg = PipelineConfig(bitwidth=16, target_level=Level.BOOL)
-    for command, optimize in (("lower", False), ("opt", True)):
+    for command, passes in (("lower", []), ("opt", None)):
         text = cli_out(capsys, command, hml(name), "--bitwidth", "16",
                        "--level", "bool")
-        assert text == compile(corpus_source(name), cfg,
-                               optimize=optimize).to_json()
+        cfg = PipelineConfig(bitwidth=16, target_level=Level.BOOL,
+                             passes=passes)
+        assert text == compile(corpus_source(name), cfg).to_json()
 
 
 def no_nodes(obj):
@@ -337,6 +371,7 @@ def one_line_exit_2(capsys, argv, kind):
     "{}", "[]", '{"name": "m"}', '{"name": "m", "gate_costs": []}',
     "{not json",
     '{"name": "m", "gate_costs": {"Mul": {"rounds": "1/0"}}}',
+    '{"name": "m", "gate_costs": {"Mul": {"rounds": "1e10000000"}}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": 1.7}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": "3"}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": true}}'])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ def chain_circuit(kind, length, fan_in=1):
 
 def test_pow8_reports():
     opt = run_passes(build("pow8"))
-    raw = build("pow8", pow_rewrite=False)
+    raw = build("pow8")
     r_opt = estimate(opt, arith_model())
     r_raw = estimate(raw, arith_model())
     assert r_opt.gate_counts[GateKind.MUL] == 3
@@ -61,6 +62,26 @@ def test_depth_of_balanced_tree():
 def test_depth_of_empty_circuit():
     assert critical_path(Circuit(), {GateKind.ADD: 1}) == 0
     assert layered_schedule(Circuit(), {GateKind.ADD: 1}) == ([[]], [])
+
+
+def scaled_depth_and_peak(c, weights, k):
+    """critical_path under `weights` times k, and the peak bytes it
+    allocated."""
+    tracemalloc.start()
+    try:
+        depth = critical_path(c, {kind: w * k for kind, w in weights.items()})
+        return depth, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_depth_scales_with_the_weights_and_not_memory():
+    c = build("gcd", bitwidth=16)
+    weights = additive_model().depth_weights
+    k = 10 ** 9
+    depth, peak = scaled_depth_and_peak(c, weights, k)
+    assert depth == critical_path(c, weights) * k
+    assert peak < 1 << 20
 
 
 def test_depth_ignores_zero_weight_kinds():
@@ -199,6 +220,7 @@ def test_shipped_model_files_load():
     for name in ("arith", "additive", "boolean"):
         m = load_model(str(ROOT / "corpus" / "models" / f"{name}.json"))
         assert m.name == name
+        assert m == load_model(name)
 
 
 def test_unknown_gate_kind_is_load_error():

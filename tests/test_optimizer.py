@@ -11,8 +11,8 @@ from mpcc.circuit import PLAIN, Circuit, GateKind, Node, PlainMeta
 from mpcc.estimator import CostModel, additive_model, critical_path
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
-    PASSES, Builder, cmp_rewrite, const_fold, cse, dce, peephole, run_passes,
-    strength_reduce, tree_reduce,
+    PASSES, Builder, cmp_rewrite, const_fold, cse, dce, peephole, pow_rewrite,
+    run_passes, strength_reduce, tree_reduce,
 )
 from mpcc.sectypes import Generic, owners
 from mpcc.typecheck import check_program
@@ -267,37 +267,76 @@ def test_matvec_strength_reduction_counts():
     assert reduced.counts()[GateKind.MUL_PLAIN] == 15
 
 
-# -- pow rewrite (applied during lowering) --
+# -- pow rewrite --
+
+def lowered(src: str):
+    from mpcc.frontend import parse_source
+    return lower_program(check_program(parse_source(src), Generic()),
+                         LowerConfig())
+
+
+def lowered_pow(n: int):
+    """pow(x, n) as lowering emits it: a chain of n - 1 Muls."""
+    return lowered(f"parties 1;\ninput x : int from 1;\n"
+                   f"output eval({{1}}, pow(x, {n}));\n")
+
 
 def test_pow_counts_for_powers_of_two():
-    from mpcc.frontend import parse_source
     for k in range(1, 7):
-        src = (f"parties 1;\ninput x : int from 1;\n"
-               f"output eval({{1}}, pow(x, {1 << k}));\n")
-        tp = check_program(parse_source(src), Generic())
-        c = lower_program(tp, LowerConfig(pow_rewrite=True))
+        c = pow_rewrite(lowered_pow(1 << k))
         assert c.counts()[GateKind.MUL] == k
         assert critical_path(c, {GateKind.MUL: 1}) == k
 
 
 def test_pow_general_exponent_bound():
-    from mpcc.frontend import parse_source
-    import math
-    for n in (3, 5, 6, 7, 9, 12, 15, 31):
-        src = (f"parties 1;\ninput x : int from 1;\n"
-               f"output eval({{1}}, pow(x, {n}));\n")
-        tp = check_program(parse_source(src), Generic())
-        c = lower_program(tp, LowerConfig(pow_rewrite=True))
-        assert c.counts()[GateKind.MUL] <= 2 * int(math.log2(n))
+    for n in range(2, 65):
+        raw = lowered_pow(n)
+        assert raw.counts()[GateKind.MUL] == n - 1
+        c = pow_rewrite(raw)
+        # floor(log2 n) + popcount(n) - 1, never above 2 * floor(log2 n)
+        log2 = n.bit_length() - 1
+        assert c.counts()[GateKind.MUL] <= log2 + bin(n).count("1") - 1
+        assert critical_path(c, {GateKind.MUL: 1}) == (n - 1).bit_length()
         assert interpret_clear(c, {(1, "x"): 3}) == {"out0": 3 ** n}
+        assert pow_rewrite(c) is c
+
+
+def test_pow_rewrite_rewrites_a_written_out_chain():
+    c, a, _b = two_input_circuit()
+    acc = a
+    for _ in range(3):
+        acc = c.add_node(GateKind.MUL, (acc, a))
+    reveal_out(c, acc)
+    out = pow_rewrite(c)
+    assert out.counts()[GateKind.MUL] == 2
+    assert critical_path(out, {GateKind.MUL: 1}) == 2
+    assert interpret_clear(out, {(1, "a"): 5, (2, "b"): 0}) == {"out": 625}
+    assert pow_rewrite(out) is out
+
+
+def test_pow_rewrite_finds_a_power_inside_a_product():
+    c = lowered("parties 1;\ninput x : int from 1;\ninput y : int from 1;\n"
+                "output eval({1}, y * pow(x, 8) * y);\n")
+    assert c.counts()[GateKind.MUL] == 9
+    out = pow_rewrite(c)
+    assert out.counts()[GateKind.MUL] == 5
+    assert critical_path(out, {GateKind.MUL: 1}) == 5
+    ins = {(1, "x"): 3, (1, "y"): 5}
+    assert interpret_clear(out, ins) == {"out0": 3 ** 8 * 25}
+    assert pow_rewrite(out) is out
+
+
+def test_pow_rewrite_leaves_a_chain_of_distinct_leaves():
+    c, a, b = two_input_circuit()
+    acc = c.add_node(GateKind.MUL, (a, b))
+    for x in (a, b):
+        acc = c.add_node(GateKind.MUL, (acc, x))
+    reveal_out(c, acc)
+    assert pow_rewrite(c) is c
 
 
 def test_pow_one_is_wire():
-    from mpcc.frontend import parse_source
-    src = "parties 1;\ninput x : int from 1;\noutput eval({1}, pow(x, 1));\n"
-    tp = check_program(parse_source(src), Generic())
-    c = lower_program(tp, LowerConfig(pow_rewrite=True))
-    assert GateKind.MUL not in c.counts()
+    assert GateKind.MUL not in lowered_pow(1).counts()
 
 
 # -- cmp_rewrite --
@@ -453,8 +492,8 @@ def test_pipeline_idempotent_on_corpus():
 # 16 bits
 BOOL_SIZES = {
     "gcd": (1365, 1205, 496),
-    "auction": (400, 342, 110),
-    "mergesort": (1347, 848, 341),
+    "auction": (371, 342, 110),
+    "mergesort": (863, 848, 341),
     "matvec": (5028, 4866, 852),
     "pow8": (540, 538, 202),
     "adder": (122, 122, 15),
@@ -525,7 +564,7 @@ def test_unknown_pass_rejected():
 def test_passes_preserve_semantics_and_never_grow(seed):
     program = random_program(seed)
     tp = check_program(program, Generic())
-    c0 = lower_program(tp, LowerConfig(pow_rewrite=False))
+    c0 = lower_program(tp, LowerConfig())
     c1 = run_passes(c0)
     assert len(c1.nodes) <= len(c0.nodes)
     for name, fn in (("cse", cse), ("dce", dce), ("peephole", peephole),

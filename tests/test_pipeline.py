@@ -12,8 +12,7 @@ BOOL4 = PipelineConfig(bitwidth=4, target_level=Level.BOOL)
 
 
 def test_source_and_circuit_inputs_meet_the_same_passes():
-    lowered = compile(corpus_source("matvec"), PipelineConfig(),
-                      optimize=False)
+    lowered = compile(corpus_source("matvec"), PipelineConfig(passes=[]))
     assert lowered.nodes == build("matvec").nodes
     optimized = compile(lowered, PipelineConfig())
     assert optimized.nodes == build("matvec", optimize=True).nodes
@@ -27,8 +26,8 @@ def test_bitblast_runs_once_and_only_for_bool_targets():
     blasted = compile(corpus_source("adder"), BOOL4)
     assert blasted.level == Level.BOOL
     assert compile(arith, BOOL4).nodes == blasted.nodes
-    assert compile(arith, BOOL4, optimize=False).nodes == \
-        bitblast(arith, 4, passes=[]).nodes
+    raw4 = PipelineConfig(bitwidth=4, target_level=Level.BOOL, passes=[])
+    assert compile(arith, raw4).nodes == bitblast(arith, 4, passes=[]).nodes
     # a bool circuit is not bitblasted again; its passes run at bool level
     again = compile(blasted, BOOL4)
     assert again.level == Level.BOOL

@@ -65,7 +65,7 @@ def small_programs(draw):
 @settings(max_examples=60, deadline=None)
 def test_every_pass_preserves_cleartext_semantics(program, a, b):
     tp = check_program(program, Generic())
-    c = lower_program(tp, LowerConfig(pow_rewrite=False))
+    c = lower_program(tp, LowerConfig())
     inputs = {(1, "a"): a, (2, "b"): b}
     expected = interpret_clear(c, inputs)
     for pass_fn in (const_fold, peephole, cse, dce, strength_reduce):

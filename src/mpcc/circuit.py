@@ -293,28 +293,34 @@ class Circuit:
 
     # -- serialization --
 
+    def _json_ends(self) -> tuple[dict, dict]:
+        """The keys before "nodes" and the keys after it."""
+        return ({"level": self.level.value, "bitwidth": self.bitwidth,
+                 "signed": self.signed},
+                {"inputs": [[nid, party, name]
+                            for nid, party, name in self.inputs],
+                 "outputs": [[nid, sorted(aud), name]
+                             for nid, aud, name in self.outputs]})
+
+    def _node_json(self, nid: int) -> dict:
+        n = self.nodes[nid]
+        return {"id": nid, "kind": n.kind.value, "operands": list(n.operands),
+                "meta": meta_to_json(n.meta), "payload": n.payload}
+
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level.value,
-            "bitwidth": self.bitwidth,
-            "signed": self.signed,
-            "nodes": [
-                {
-                    "id": nid,
-                    "kind": n.kind.value,
-                    "operands": list(n.operands),
-                    "meta": meta_to_json(n.meta),
-                    "payload": n.payload,
-                }
-                for nid, n in enumerate(self.nodes)
-            ],
-            "inputs": [[nid, party, name] for nid, party, name in self.inputs],
-            "outputs": [[nid, sorted(aud), name]
-                        for nid, aud, name in self.outputs],
-        }
+        head, tail = self._json_ends()
+        return {**head, "nodes": [self._node_json(nid)
+                                  for nid in range(len(self.nodes))], **tail}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """`to_json_obj` as text, one compact node object per line. No
+        node dict outlives its line, so the peak memory stays a small
+        multiple of the text's length."""
+        head, tail = self._json_ends()
+        nodes = ",\n".join(_compact(self._node_json(nid))
+                           for nid in range(len(self.nodes)))
+        return (f'{_compact(head)[:-1]},"nodes":[\n{nodes}\n],'
+                f'{_compact(tail)[1:]}\n')
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Circuit":
@@ -350,9 +356,13 @@ class Circuit:
     def from_json(text: str) -> "Circuit":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as ex:
+        except (json.JSONDecodeError, RecursionError) as ex:
             raise MalformedCircuitError(f"not JSON: {ex}") from ex
         return Circuit.from_json_obj(obj)
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _json_int(v) -> int:

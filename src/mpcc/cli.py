@@ -33,11 +33,11 @@ from .typecheck import check_program
 SPEC_CHOICES = {
     "scheme": ("generic", "tfhe", "additive"),
     "level": ("arith", "bool"),
-    "encoding": ("direct", "rewrite", "auto"),
     "backend": ("clear", "shares"),
 }
 SPEC_INTS = ("bitwidth", "parties", "seed")
 SPEC_NAMES = ("passes", "cost_model")  # one name or a list of names
+SPEC_KEYS = {*SPEC_CHOICES, *SPEC_INTS, *SPEC_NAMES, "objective", "no_opt"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_pipeline:
             p.add_argument("--bitwidth", type=int)
             p.add_argument("--level", choices=SPEC_CHOICES["level"])
-            p.add_argument("--encoding", choices=SPEC_CHOICES["encoding"],
-                           help="comparison encoding")
             if with_passes:  # `lower` runs no pass
                 p.add_argument("--passes", help="comma-separated pass list")
             p.add_argument("--no-opt", action="store_true",
@@ -123,7 +121,6 @@ def pipeline_config(args, spec) -> PipelineConfig:
         scheme=scheme_of(args, spec),
         bitwidth=int(setting(args, spec, "bitwidth", 64)),
         target_level=Level(setting(args, spec, "level", "arith")),
-        comparison_encoding=setting(args, spec, "encoding", "auto"),
         passes=passes,
     )
 
@@ -153,7 +150,7 @@ class BadFileError(Exception):
 def read_json_file(path: str, kind: str):
     try:
         return json.loads(read_source(path))
-    except json.JSONDecodeError as ex:
+    except (json.JSONDecodeError, RecursionError) as ex:
         raise BadFileError(kind, ex) from ex
 
 
@@ -168,6 +165,8 @@ def load_spec_defaults(args) -> dict:
     if not isinstance(spec, dict):
         raise BadFileError("spec", "expected a JSON object of settings")
     for name, value in spec.items():
+        if name not in SPEC_KEYS:
+            raise BadFileError("spec", f"unknown setting {name!r}")
         if name in SPEC_CHOICES and value not in SPEC_CHOICES[name]:
             raise BadFileError("spec", f"{name} must be one of "
                                        f"{', '.join(SPEC_CHOICES[name])}")
@@ -180,6 +179,8 @@ def load_spec_defaults(args) -> dict:
                                        f"of names")
         if name == "objective" and not isinstance(value, str):
             raise BadFileError("spec", "objective must be a name")
+        if name == "no_opt" and not isinstance(value, bool):
+            raise BadFileError("spec", "no_opt must be true or false")
     return spec
 
 
@@ -205,7 +206,7 @@ def load_cost_model(name: str):
         return load_model(name)
     except KeyError as ex:
         raise BadFileError("cost model", f"missing key {ex}") from ex
-    except (AttributeError, TypeError, ValueError,
+    except (AttributeError, TypeError, ValueError, RecursionError,
             ModelCoverageError) as ex:
         raise BadFileError("cost model", ex) from ex
 
@@ -307,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except CompilerError as ex:
         print(f"{args.source}: error: {ex}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(f"{args.source}: error: program nested too deeply",
+              file=sys.stderr)
         return 1
     except ValueError as ex:
         print(f"mpcc: {ex}", file=sys.stderr)

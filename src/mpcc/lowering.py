@@ -9,7 +9,9 @@ resolved during compilation: loop unrolling, recursion fuel, array
 lengths, slice bounds and plaintext array indices. Private control
 flow never consults values, so the produced circuit is a function of the
 program and its public parameters only. Nothing is optimized here:
-pow(x, n) is a chain of n - 1 Muls for `optimizer.pow_rewrite`.
+pow(x, n) is a chain of n - 1 Muls for `optimizer.pow_rewrite`, and
+x >= y, x <= y and x != y are each the sum of two comparisons for
+`optimizer.cmp_rewrite`.
 """
 
 from __future__ import annotations
@@ -29,15 +31,12 @@ from .typecheck import TypedProgram
 @dataclass
 class LowerConfig:
     bitwidth: int = 64
-    comparison_encoding: str = "auto"  # "direct" | "rewrite" | "auto"
     scheme: Scheme = Generic()
 
     def __post_init__(self):
         if not (2 <= self.bitwidth <= 64):
             raise LowerError("BadBitwidth",
                              f"bitwidth {self.bitwidth} outside [2, 64]")
-        if self.comparison_encoding not in ("direct", "rewrite", "auto"):
-            raise LowerError("BadEncoding", self.comparison_encoding)
 
 
 @dataclass(frozen=True)
@@ -479,29 +478,17 @@ class Lowering:
             return self.emit(GateKind.LT, [b, a])
         if op == "==":
             return self.emit(GateKind.EQ, [a, b])
-        rewrite = self.cfg.comparison_encoding == "rewrite"
-        if op == ">=":
-            if rewrite:
-                return self.negate_bit(self.emit(GateKind.LT, [a, b]))
-            lt = self.emit(GateKind.LT, [b, a])
-            eq = self.emit(GateKind.EQ, [a, b])
-            return self.emit(GateKind.ADD, [lt, eq])
-        if op == "<=":
-            if rewrite:
-                return self.negate_bit(self.emit(GateKind.LT, [b, a]))
-            lt = self.emit(GateKind.LT, [a, b])
+        # a sum of two exclusive bits; `optimizer.cmp_rewrite` turns each
+        # into one comparison subtracted from 1
+        if op in (">=", "<="):
+            lt = self.emit(GateKind.LT, [b, a] if op == ">=" else [a, b])
             eq = self.emit(GateKind.EQ, [a, b])
             return self.emit(GateKind.ADD, [lt, eq])
         if op == "!=":
-            if rewrite:
-                return self.negate_bit(self.emit(GateKind.EQ, [a, b]))
             lt = self.emit(GateKind.LT, [a, b])
             gt = self.emit(GateKind.LT, [b, a])
             return self.emit(GateKind.ADD, [lt, gt])
         raise AssertionError(op)
-
-    def negate_bit(self, w: Wire) -> Wire:
-        return self.emit(GateKind.SUB, [self.const(1), w])
 
     def lower_logic(self, op: str, a: Wire, b: Wire) -> Wire:
         if op == "&&":

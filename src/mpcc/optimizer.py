@@ -10,11 +10,12 @@ through a Builder with only its own rule enabled; `dce`, `pow_rewrite`,
 `tree_reduce` and `cmp_rewrite` walk through one with no rule;
 `bitblast` emits through one with the rules of its pass list.
 
-Passes never mutate their input. A walk copies nothing before the first
-node it changes and shares every unchanged `Node`; a pass that changes
-nothing returns its input itself, so never mutate a pass's result. The
-pipeline runs its passes to a fixpoint (at most ten rounds), on source
-and on circuit JSON alike.
+A pass is a function of the circuit alone, `PASSES[name](c)`, with no
+setting or cost model. Passes never mutate their input. A walk copies
+nothing before the first node it changes and shares every unchanged
+`Node`; a pass that changes nothing returns its input itself, so never
+mutate a pass's result. The pipeline runs its passes to a fixpoint (at
+most ten rounds), on source and on circuit JSON alike.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .circuit import (
     balanced, word_value,
 )
 from .errors import LowerError
-from .estimator import additive_model
 
 DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
                   "cse", "dce", "cmp_rewrite"]
@@ -321,60 +321,44 @@ def pow_rewrite(c: Circuit) -> Circuit:
     return _rechain(c, (MUL,), uniform, shared=True)
 
 
-# -- cost-model-driven comparison re-encoding --
+# -- comparison re-encoding --
 
-def _scalar_cost(model, *kinds: GateKind):
-    return sum(sum(model.gate_costs.get(k, {}).values()) for k in kinds)
+def cmp_rewrite(c: Circuit) -> Circuit:
+    """Re-encode lowering's derived comparisons as one comparison
+    subtracted from 1:
 
+        x >= y   Add(Lt(y,x), Eq(x,y))  ->  Sub(Const 1, Lt(x,y))
+        x != y   Add(Lt(x,y), Lt(y,x))  ->  Sub(Const 1, Eq(x,y))
 
-def cmp_rewrite(c: Circuit, model) -> Circuit:
-    """Re-encode derived comparisons (>=, <=, !=) with whichever gate
-    pattern the cost model prices lower.
-
-    Recognized forms for x >= y:   Add(Lt(y,x), Eq(x,y))   and
-                                   Sub(Const 1, Lt(x,y))
-    and for x != y:                Add(Lt(x,y), Lt(y,x))   and
-                                   Sub(Const 1, Eq(x,y)).
+    (x <= y is x >= y with its operands swapped.) One comparison in
+    place of two takes fewer gates at bool level and under `arith_model`.
+    Under `additive_model` it takes half the preprocessing, though x != y
+    then takes an Eq's 10 rounds where two parallel Lts took 7.
     """
-    geq_direct = _scalar_cost(model, LT, EQ, ADD)
-    geq_rewrite = _scalar_cost(model, LT, SUB)
-    neq_direct = _scalar_cost(model, LT, LT, ADD)
-    neq_rewrite = _scalar_cost(model, EQ, SUB)
     one = (CONST, (), PLAIN, 1)
 
     def replacement(nodes, kind, ops):
-        """(outer kind, first operand, second operand) of the cheaper
-        form of kind(ops), each operand as `Builder.add` arguments; None
-        when kind(ops) is not a derived comparison to re-encode."""
-        if kind is not ADD and kind is not SUB:
+        """The comparison to subtract from 1, as `Builder.add` arguments;
+        None when kind(ops) is not a derived comparison."""
+        if kind is not ADD:
             return None
         n0, n1 = nodes[ops[0]], nodes[ops[1]]
-        if kind is ADD and {n0.kind, n1.kind} == {LT, EQ}:
+        if {n0.kind, n1.kind} == {LT, EQ}:
             lt, eq = (n0, n1) if n0.kind is LT else (n1, n0)
             y, x = lt.operands  # Lt(y, x) means x >= y
-            if (geq_rewrite < geq_direct
-                    and sorted(lt.operands) == sorted(eq.operands)):
-                return SUB, one, (LT, (x, y), lt.meta)
-        elif kind is ADD and n0.kind is LT and n1.kind is LT:
-            if neq_rewrite < neq_direct and n0.operands == n1.operands[::-1]:
-                return SUB, one, (EQ, n0.operands, n0.meta)
-        elif (kind is SUB and n0.kind in CONST_KINDS and n0.payload == 1
-              and n1.kind in (LT, EQ)):
-            x, y = n1.operands
-            if n1.kind is LT and geq_direct < geq_rewrite:
-                # 1 - Lt(x,y) means x >= y
-                return ADD, (LT, (y, x), n1.meta), (EQ, (x, y), n1.meta)
-            if n1.kind is EQ and neq_direct < neq_rewrite:
-                return ADD, (LT, (x, y), n1.meta), (LT, (y, x), n1.meta)
+            if sorted(lt.operands) == sorted(eq.operands):
+                return LT, (x, y), lt.meta
+        elif (n0.kind is LT and n1.kind is LT
+              and n0.operands == n1.operands[::-1]):
+            return EQ, n0.operands, n0.meta
         return None
 
     b = Builder()
 
     def step(_oid, node, ops):
-        new = replacement(b.nodes, node.kind, ops)
-        if new:
-            kind, first, second = new
-            return b.add(kind, (b.add(*first), b.add(*second)), node.meta)
+        cmp = replacement(b.nodes, node.kind, ops)
+        if cmp:
+            return b.add(SUB, (b.add(*one), b.add(*cmp)), node.meta)
 
     for nid, node in enumerate(c.nodes):
         if replacement(c.nodes, node.kind, node.operands):
@@ -408,16 +392,13 @@ def run_passes(c: Circuit, passes: list[str] | None = None) -> Circuit:
 
     The fixpoint is the round in which every pass returned its input. A
     circuit already at its fixpoint comes back as the very same object,
-    so never mutate the result: it may be the circuit passed in.
-    `cmp_rewrite` prices its encodings under `additive_model()`."""
+    so never mutate the result: it may be the circuit passed in."""
     passes = DEFAULT_PASSES if passes is None else passes
     check_pass_names(passes)
-    model = additive_model()
     for _ in range(MAX_ROUNDS):
         before = c
         for name in passes:
-            fn = PASSES[name]
-            c = fn(c, model) if name == "cmp_rewrite" else fn(c)
+            c = PASSES[name](c)
         if c is before:
             break
     return c

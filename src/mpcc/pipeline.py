@@ -23,7 +23,6 @@ class PipelineConfig:
     scheme: Scheme = Generic()
     bitwidth: int = 64
     target_level: Level = Level.ARITH
-    comparison_encoding: str = "auto"
     passes: list[str] | None = None  # None = DEFAULT_PASSES, [] = no-opt
 
 
@@ -44,8 +43,7 @@ def compile(source: str | Circuit, cfg: PipelineConfig) -> Circuit:
             raise MalformedCircuitError("; ".join(violations))
     else:
         tp = check_program(parse_source(source), cfg.scheme)
-        c = lower_program(tp, LowerConfig(cfg.bitwidth,
-                                          cfg.comparison_encoding, cfg.scheme))
+        c = lower_program(tp, LowerConfig(cfg.bitwidth, cfg.scheme))
     c = run_passes(c, cfg.passes)
     if cfg.target_level == Level.BOOL and c.level == Level.ARITH:
         c = bitblast(c, cfg.bitwidth, cfg.passes)

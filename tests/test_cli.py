@@ -457,9 +457,38 @@ def test_malformed_inputs_file_is_exit_2(tmp_path, capsys, payload):
     ("opt", {"seed": None}), ("opt", {"parties": True}),
     ("opt", {"level": "x"}), ("opt", {"scheme": 5}),
     ("opt", {"passes": 5}),
+    # a removed or misspelt setting would do nothing, and a string no_opt
+    # would be true
+    ("estimate", {"encoding": "rewrite"}), ("opt", {"bitwdith": 16}),
+    ("estimate", {"no_opt": "false"}),
 ])
 def test_malformed_spec_file_is_exit_2(tmp_path, capsys, command, payload):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     one_line_exit_2(capsys, [command, hml("adder"), "--spec", str(path)],
                     "spec")
+
+
+def test_deeply_nested_program_is_one_diagnostic(tmp_path, capsys):
+    # typecheck and lowering recurse on the expression tree
+    terms = " * ".join(f"(a + {i})" for i in range(400))
+    src = tmp_path / "deep.hml"
+    src.write_text(f"parties 1;\ninput a : int from 1;\n"
+                   f"output eval({{1}}, {terms});\n", encoding="utf-8")
+    for command in ("check", "lower"):
+        assert run_cli(command, str(src)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{src}: error: program nested too deeply\n"
+
+
+def test_json_file_nested_too_deeply_is_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "deep.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[" * 100000)
+    for argv, kind in ((["opt", path], "circuit"),
+                       (["opt", hml("adder"), "--spec", path], "spec"),
+                       (["run", hml("adder"), "--inputs", path], "inputs"),
+                       (["estimate", hml("adder"), "--cost-model", path],
+                        "cost model")):
+        one_line_exit_2(capsys, argv, kind)

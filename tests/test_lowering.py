@@ -15,6 +15,7 @@ from mpcc.errors import LowerError
 from mpcc.estimator import critical_path
 from mpcc.frontend import parse_source
 from mpcc.lowering import LowerConfig, lower_program
+from mpcc.optimizer import run_passes
 from mpcc.sectypes import Generic
 from mpcc.typecheck import check_program
 
@@ -290,41 +291,63 @@ def test_plaintext_update_is_positional():
 
 # -- comparisons and modulo --
 
-def comparison_counts(op, encoding):
-    src = (f"parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
-           f"output eval({{1, 2}}, a {op} b);\n")
-    c = lower_src(src, LowerConfig(comparison_encoding=encoding))
-    return {k: v for k, v in c.counts().items()
-            if k in (GateKind.LT, GateKind.LEQ, GateKind.EQ, GateKind.ADD,
-                     GateKind.SUB)}
+COMPARE = ("parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
+           "output eval({{1, 2}}, a {op} b);\n")
+
+
+def output_tree(c):
+    """The revealed output's gate tree: nested (kind, operands...) with
+    inputs by name and constants by value."""
+    names = {nid: name for nid, _party, name in c.inputs}
+
+    def tree(nid):
+        node = c.nodes[nid]
+        if nid in names:
+            return names[nid]
+        if node.kind is GateKind.CONST:
+            return node.payload
+        return (node.kind.value, *map(tree, node.operands))
+
+    return tree(c.nodes[c.outputs[0][0]].operands[0])
+
+
+def comparison_form(op, form):
+    """a op b as lowered ("direct"), or after cmp_rewrite ("rewrite")."""
+    c = lower_src(COMPARE.format(op=op))
+    if form == "rewrite":
+        c = run_passes(c, ["cmp_rewrite", "dce"])
+    return c
 
 
 def test_geq_direct_encoding():
-    assert comparison_counts(">=", "direct") == {
-        GateKind.LT: 1, GateKind.ADD: 1, GateKind.EQ: 1}
+    assert output_tree(comparison_form(">=", "direct")) == (
+        "Add", ("Lt", "b", "a"), ("Eq", "a", "b"))
 
 
-def test_geq_rewrite_encoding():
-    assert comparison_counts(">=", "rewrite") == {
-        GateKind.LT: 1, GateKind.SUB: 1}
-
-
-def test_neq_rewrite_encoding():
-    assert comparison_counts("!=", "rewrite") == {
-        GateKind.EQ: 1, GateKind.SUB: 1}
+def test_leq_direct_encoding():
+    assert output_tree(comparison_form("<=", "direct")) == (
+        "Add", ("Lt", "a", "b"), ("Eq", "a", "b"))
 
 
 def test_neq_direct_encoding():
-    assert comparison_counts("!=", "direct") == {
-        GateKind.LT: 2, GateKind.ADD: 1}
+    assert output_tree(comparison_form("!=", "direct")) == (
+        "Add", ("Lt", "a", "b"), ("Lt", "b", "a"))
+
+
+def test_geq_rewrite_encoding():
+    assert output_tree(comparison_form(">=", "rewrite")) == (
+        "Sub", 1, ("Lt", "a", "b"))
+
+
+def test_neq_rewrite_encoding():
+    assert output_tree(comparison_form("!=", "rewrite")) == (
+        "Sub", 1, ("Eq", "a", "b"))
 
 
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "==", "!="])
-@pytest.mark.parametrize("encoding", ["direct", "rewrite"])
-def test_comparison_semantics(op, encoding):
-    src = (f"parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
-           f"output eval({{1, 2}}, a {op} b);\n")
-    c = lower_src(src, LowerConfig(comparison_encoding=encoding))
+@pytest.mark.parametrize("form", ["direct", "rewrite"])
+def test_comparison_semantics(op, form):
+    c = comparison_form(op, form)
     py = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
           ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
           "==": lambda a, b: a == b, "!=": lambda a, b: a != b}[op]

@@ -1,5 +1,4 @@
 import functools
-from fractions import Fraction
 
 import pytest
 
@@ -8,7 +7,7 @@ from conftest import CORPUS_NAMES, build
 from mpcc.backends.clear import interpret_clear
 from mpcc.bitblast import bitblast
 from mpcc.circuit import PLAIN, Circuit, GateKind, Node, PlainMeta
-from mpcc.estimator import CostModel, additive_model, critical_path
+from mpcc.estimator import critical_path
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
     PASSES, Builder, cmp_rewrite, const_fold, cse, dce, peephole, pow_rewrite,
@@ -341,17 +340,16 @@ def test_pow_one_is_wire():
 
 # -- cmp_rewrite --
 
-def geq_circuit(encoding):
+def lowered_comparison(op):
     from mpcc.frontend import parse_source
     src = ("parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
-           "output eval({1, 2}, a >= b);\n")
+           f"output eval({{1, 2}}, a {op} b);\n")
     tp = check_program(parse_source(src), Generic())
-    return lower_program(tp, LowerConfig(comparison_encoding=encoding))
+    return lower_program(tp, LowerConfig())
 
 
 def test_cmp_rewrite_prefers_sub_form_under_sharing_model():
-    c = geq_circuit("direct")
-    out = dce(cmp_rewrite(c, additive_model()))
+    out = dce(cmp_rewrite(lowered_comparison(">=")))
     counts = out.counts()
     assert counts[GateKind.LT] == 1
     assert counts[GateKind.SUB] == 1
@@ -361,45 +359,8 @@ def test_cmp_rewrite_prefers_sub_form_under_sharing_model():
             {"out0": int(a >= b)}
 
 
-def test_cmp_rewrite_keeps_direct_when_eq_is_free():
-    model = CostModel("weird", {
-        GateKind.LT: {"c": Fraction(1)},
-        GateKind.EQ: {},
-        GateKind.ADD: {},
-        GateKind.SUB: {"c": Fraction(10 ** 9)},
-    })
-    c = geq_circuit("direct")
-    out = dce(cmp_rewrite(c, model))
-    counts = out.counts()
-    assert counts[GateKind.EQ] == 1
-    assert counts[GateKind.ADD] == 1
-    assert GateKind.SUB not in counts
-
-
-def test_cmp_rewrite_converts_rewrite_to_direct_when_cheaper():
-    model = CostModel("weird", {
-        GateKind.LT: {"c": Fraction(1)},
-        GateKind.EQ: {},
-        GateKind.ADD: {},
-        GateKind.SUB: {"c": Fraction(10 ** 9)},
-    })
-    c = geq_circuit("rewrite")
-    out = dce(cmp_rewrite(c, model))
-    counts = out.counts()
-    assert GateKind.SUB not in counts
-    assert counts[GateKind.EQ] == 1
-    for a, b in [(1, 2), (2, 2), (3, 2)]:
-        assert interpret_clear(out, {(1, "a"): a, (2, "b"): b}) == \
-            {"out0": int(a >= b)}
-
-
 def test_cmp_rewrite_neq_both_directions():
-    from mpcc.frontend import parse_source
-    src = ("parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
-           "output eval({1, 2}, a != b);\n")
-    tp = check_program(parse_source(src), Generic())
-    direct = lower_program(tp, LowerConfig(comparison_encoding="direct"))
-    out = dce(cmp_rewrite(direct, additive_model()))
+    out = dce(cmp_rewrite(lowered_comparison("!=")))
     assert out.counts()[GateKind.EQ] == 1
     assert out.counts().get(GateKind.LT) is None
     for a, b in [(1, 2), (2, 2)]:
@@ -513,11 +474,6 @@ def test_bool_fixpoint_sizes(name):
     assert len(bitblast(word, 16).nodes) == BOOL_SIZES[name][1]
 
 
-def apply_pass(name: str, c: Circuit) -> Circuit:
-    fn = PASSES[name]
-    return fn(c, additive_model()) if name == "cmp_rewrite" else fn(c)
-
-
 @pytest.mark.parametrize("level", ["arith", "bool"])
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_passes_return_their_input_at_the_fixpoint(name, level):
@@ -525,7 +481,7 @@ def test_passes_return_their_input_at_the_fixpoint(name, level):
     fixed = run_passes(c, list(PASSES))
     assert run_passes(fixed, list(PASSES)) is fixed
     for p in PASSES:
-        assert apply_pass(p, fixed) is fixed, p
+        assert PASSES[p](fixed) is fixed, p
     default = run_passes(c)
     assert run_passes(default) is default
 
@@ -536,7 +492,7 @@ def test_passes_do_not_mutate_their_input(name):
     for program in ("gcd", "auction", "mergesort", "matvec", "pow8"):
         for c in (build(program, bitwidth=16), blasted(program)):
             before = c.to_json()
-            out = apply_pass(name, c)
+            out = PASSES[name](c)
             assert c.to_json() == before, program
             rewritten += out is not c
     assert rewritten  # the pass did rewrite some of these circuits

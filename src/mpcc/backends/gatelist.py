@@ -35,83 +35,71 @@ NAME_ARITY = {name: ARITY[kind] for kind, name in KIND_NAMES.items()}
 def emit_gatelist(c: Circuit) -> str:
     if c.level != Level.BOOL:
         raise LevelError("gate lists are emitted from bool-level circuits")
+    nodes = c.nodes
     input_ids = [nid for nid, _p, _n in c.inputs]
     const_ids, gate_ids, reveal_ids = [], [], []
-    for nid, node in enumerate(c.nodes):
+    for nid, node in enumerate(nodes):
         if node.kind in KIND_NAMES:
             gate_ids.append(nid)
         elif node.kind == GateKind.CONST_BIT:
             const_ids.append(nid)
         elif node.kind == GateKind.REVEAL_BIT:
             reveal_ids.append(nid)
-    source_of = {}
-    for out_index, (nid, _aud, _name) in enumerate(c.outputs):
-        node = c.nodes[nid]
-        src = node.operands[0] if node.kind == GateKind.REVEAL_BIT else nid
-        source_of[out_index] = src
+    source_of = [nodes[nid].operands[0]
+                 if nodes[nid].kind == GateKind.REVEAL_BIT else nid
+                 for nid, _aud, _name in c.outputs]
 
     # decide which gates sit in the output block and which need copies
     out_wire_owner: dict[int, int] = {}  # gate node -> output index
     needs_copy: list[int] = []
-    for out_index in range(len(c.outputs)):
-        src = source_of[out_index]
-        direct = (c.nodes[src].kind in KIND_NAMES
-                  and src not in out_wire_owner)
-        if direct:
+    for out_index, src in enumerate(source_of):
+        if nodes[src].kind in KIND_NAMES and src not in out_wire_owner:
             out_wire_owner[src] = out_index
         else:
             needs_copy.append(out_index)
 
-    wire: dict[int, int] = {}
-    next_wire = 0
-    for nid in input_ids:
-        wire[nid] = next_wire
-        next_wire += 1
-    const_lines = []
-    zero_wire = None
-    for nid in const_ids:
-        wire[nid] = next_wire
-        if c.nodes[nid].payload & 1 == 0 and zero_wire is None:
-            zero_wire = next_wire
-        const_lines.append(f"const {next_wire} {c.nodes[nid].payload & 1}")
-        next_wire += 1
+    wire = {nid: w for w, nid in enumerate(input_ids)}
+    next_wire = len(input_ids)
+    bits = [nodes[nid].payload & 1 for nid in const_ids]
+    const_lines = [f"const {next_wire + i} {b}" for i, b in enumerate(bits)]
+    wire.update((nid, next_wire + i) for i, nid in enumerate(const_ids))
+    zero_wire = next_wire + bits.index(0) if 0 in bits else None
+    next_wire += len(bits)
     # copies pass a bit through XOR-with-zero; reserve a generated zero
     # wire in the internal block when no constant provides one
-    zero_gen_line = None
+    lines = []
     if needs_copy and zero_wire is None:
         base = wire[input_ids[0]] if input_ids else wire[const_ids[0]]
         zero_wire = next_wire
-        zero_gen_line = f"2 1 {base} {base} {zero_wire} XOR"
+        lines.append(f"2 1 {base} {base} {zero_wire} XOR")
         next_wire += 1
-    internal = [nid for nid in gate_ids if nid not in out_wire_owner]
-    for nid in internal:
-        wire[nid] = next_wire
-        next_wire += 1
-    n_outputs = len(c.outputs)
-    out_base = next_wire
-    for out_index in range(n_outputs):
-        src = source_of[out_index]
-        if src in out_wire_owner and out_wire_owner[src] == out_index:
-            wire[src] = out_base + out_index
-    n_wires = out_base + n_outputs
-    for nid in reveal_ids:
-        wire[nid] = wire[c.nodes[nid].operands[0]]
-
-    lines = []
-    if zero_gen_line is not None:
-        lines.append(zero_gen_line)
     for nid in gate_ids:
-        node = c.nodes[nid]
-        ins = " ".join(str(wire[o]) for o in node.operands)
-        lines.append(f"{len(node.operands)} 1 {ins} {wire[nid]} "
-                     f"{KIND_NAMES[node.kind]}")
+        if nid not in out_wire_owner:  # an internal gate
+            wire[nid] = next_wire
+            next_wire += 1
+    out_base = next_wire
+    for src, out_index in out_wire_owner.items():
+        wire[src] = out_base + out_index
+    for nid in reveal_ids:
+        wire[nid] = wire[nodes[nid].operands[0]]
+
+    for nid in gate_ids:
+        node = nodes[nid]
+        ops = node.operands
+        if len(ops) == 2:
+            lines.append(f"2 1 {wire[ops[0]]} {wire[ops[1]]} {wire[nid]} "
+                         f"{KIND_NAMES[node.kind]}")
+        else:
+            ins = " ".join([str(wire[o]) for o in ops])
+            lines.append(f"{len(ops)} 1 {ins} {wire[nid]} "
+                         f"{KIND_NAMES[node.kind]}")
     for out_index in needs_copy:
         src = source_of[out_index]
         lines.append(f"2 1 {wire[src]} {zero_wire} "
                      f"{out_base + out_index} XOR")
 
-    header = [f"{len(lines)} {n_wires}",
-              f"{len(input_ids)} {n_outputs}"]
+    header = [f"{len(lines)} {out_base + len(source_of)}",
+              f"{len(input_ids)} {len(source_of)}"]
     return "\n".join(header + const_lines + lines) + "\n"
 
 

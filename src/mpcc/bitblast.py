@@ -49,7 +49,10 @@ from .circuit import (
     Circuit, GateKind, Level, PLAIN, PlainMeta, balanced, combine_meta,
 )
 from .errors import BitblastError, LevelError
-from .optimizer import DEFAULT_PASSES, Builder, check_pass_names, dce
+from .optimizer import (  # bit kinds as globals: GateKind lookups are slow
+    AND, CONST_BIT, DEFAULT_PASSES, MUX_BIT, NOT, OR, XOR, Builder,
+    check_pass_names, dce,
+)
 
 
 class _BitBuilder:
@@ -66,10 +69,12 @@ class _BitBuilder:
         self._const_cache: dict[int, int] = {}  # bit -> raw value
         self._const_value: dict[int, int] = {}  # raw value -> bit
 
-    def emit(self, kind, operands, meta=None, payload=None) -> int:
+    def emit(self, kind, operands, meta=None) -> int:
         metas = self.metas
-        if meta is None:
-            meta = PLAIN
+        if meta is None:  # combine_meta's: a Reveal's audience is dropped
+            meta = metas[operands[0]]
+            if meta.__class__ is PlainMeta:
+                meta = PLAIN
             for o in operands:
                 if metas[o] is not meta:
                     meta = combine_meta(meta, metas[o])
@@ -77,7 +82,7 @@ class _BitBuilder:
         ops = tuple([ids[o] for o in operands])
         if None in ops:
             ops = tuple([self.node(o) for o in operands])
-        ids.append(self.builder.add(kind, ops, meta, payload))
+        ids.append(self.builder.add(kind, ops, meta))
         metas.append(meta)
         return len(ids) - 1
 
@@ -87,7 +92,7 @@ class _BitBuilder:
         nid = self.ids[v]
         if nid is None:
             nid = self.ids[v] = self.builder.add(
-                GateKind.CONST_BIT, (), PLAIN, self._const_value[v])
+                CONST_BIT, (), PLAIN, self._const_value[v])
         return nid
 
     def const_bit(self, b: int) -> int:
@@ -113,29 +118,28 @@ class _BitBuilder:
         wire, its Not or a constant. Only the raw constants count, never
         what the builder folded, so every pass list picks the same cell."""
         consts = self._const_value
+        s = cout = None
+        if a not in consts and b not in consts and cin not in consts:
+            t = self.emit(XOR, (a, cin))
+            u = self.emit(XOR, (b, cin)) if carry_out else None
+            if sum_out:
+                s = self.emit(XOR, (t, b))
+            if carry_out:
+                cout = self.emit(XOR, (cin, self.emit(AND, (t, u))))
+            return s, cout
         free = [x for x in (a, b, cin) if x not in consts]
         k = sum([consts.get(x, 0) for x in (a, b, cin)])  # the constants' sum
-        s = cout = None
-        if len(free) == 3:
-            t = self.emit(GateKind.XOR, (a, cin))
-            u = self.emit(GateKind.XOR, (b, cin)) if carry_out else None
+        if len(free) == 2:
             if sum_out:
-                s = self.emit(GateKind.XOR, (t, b))
-            if carry_out:
-                g = self.emit(GateKind.AND, (t, u))
-                cout = self.emit(GateKind.XOR, (cin, g))
-        elif len(free) == 2:
-            if sum_out:
-                s = self.emit(GateKind.XOR, tuple(free))
+                s = self.emit(XOR, tuple(free))
                 if k:
-                    s = self.emit(GateKind.NOT, (s,))
+                    s = self.emit(NOT, (s,))
             if carry_out:
-                cout = self.emit(GateKind.OR if k else GateKind.AND,
-                                 tuple(free))
+                cout = self.emit(OR if k else AND, tuple(free))
         elif free:
             x = free[0]
             if sum_out:
-                s = self.emit(GateKind.NOT, (x,)) if k == 1 else x
+                s = self.emit(NOT, (x,)) if k == 1 else x
             if carry_out:
                 cout = x if k == 1 else self.const_bit(k >> 1)
         else:
@@ -158,16 +162,14 @@ class _BitBuilder:
     def negated(self, word: list[int]) -> list[int]:
         """Bitwise Not of `word`, a constant bit k becoming constant 1-k."""
         consts = self._const_value
-        return [self.emit(GateKind.NOT, (v,)) if v not in consts
+        return [self.emit(NOT, (v,)) if v not in consts
                 else self.const_bit(1 - consts[v]) for v in word]
 
-    def negate_then_add(self, a: list[int], b: list[int]) -> list[int]:
-        return self.ripple_add(a, self.negated(b), self.const_bit(1))
-
-    def sign_of_difference(self, a: list[int], b: list[int]) -> int:
-        """The top bit of a - b: the carry chain and that one sum bit."""
-        return self.ripple_add(a, self.negated(b), self.const_bit(1),
-                               low_sums=False)[-1]
+    def difference(self, a: list[int], b: list[int],
+                   low_sums: bool = True) -> list[int]:
+        """a - b as a + Not b + 1, the bits below the top one None unless
+        `low_sums`: the top bit alone is the carry chain and one sum bit."""
+        return self.ripple_add(a, self.negated(b), self.const_bit(1), low_sums)
 
     def zero_extend(self, bit: int) -> list[int]:
         zero = self.const_bit(0)
@@ -180,10 +182,10 @@ class _BitBuilder:
             x, y = y, x
         k = consts.get(y)
         if k is None:
-            return self.emit(GateKind.NOT, (self.emit(GateKind.XOR, (x, y)),))
+            return self.emit(NOT, (self.emit(XOR, (x, y)),))
         if x in consts:
             return self.const_bit(int(consts[x] == k))
-        return x if k else self.emit(GateKind.NOT, (x,))
+        return x if k else self.emit(NOT, (x,))
 
     def mux_bit(self, s: int, t: int, e: int) -> int:
         """s ? t : e; t when both branches are one bit, s between the
@@ -193,12 +195,12 @@ class _BitBuilder:
         consts = self._const_value
         kt, ke = consts.get(t), consts.get(e)
         if {kt, ke} == {0, 1}:
-            return s if kt else self.emit(GateKind.NOT, (s,))
-        return self.emit(GateKind.MUX_BIT, (s, t, e))
+            return s if kt else self.emit(NOT, (s,))
+        return self.emit(MUX_BIT, (s, t, e))
 
     def equals(self, a: list[int], b: list[int]) -> int:
         xnors = [self.xnor(x, y) for x, y in zip(a, b)]
-        return balanced(xnors, lambda x, y: self.emit(GateKind.AND, (x, y)))
+        return balanced(xnors, lambda x, y: self.emit(AND, (x, y)))
 
     def and_bit(self, x: int, y: int) -> int:
         """x & y; beside a constant bit, that 0 or the other bit."""
@@ -207,7 +209,7 @@ class _BitBuilder:
             x, y = y, x
         k = consts.get(y)
         if k is None:
-            return self.emit(GateKind.AND, (x, y))
+            return self.emit(AND, (x, y))
         return x if k else y
 
     def scale_by_bit(self, bit: int, word: list[int]) -> list[int]:
@@ -254,7 +256,7 @@ class _BitBuilder:
         for j in plus[1:]:
             acc = self.ripple_add(acc, self.shifted(a, j), self.const_bit(0))
         for j in minus:
-            acc = self.negate_then_add(acc, self.shifted(a, j))
+            acc = self.difference(acc, self.shifted(a, j))
         return acc
 
 
@@ -310,14 +312,13 @@ def bitblast(c: Circuit, width: int | None = None,
                 word = bb.ripple_add(low[0], low[1], bb.const_bit(0))
             case GateKind.SUB:
                 if nid in boolish:  # 1 - b on a bit is a Not
-                    word = bb.zero_extend(
-                        bb.emit(GateKind.NOT, (bits[a[1]][0],)))
+                    word = bb.zero_extend(bb.emit(NOT, (bits[a[1]][0],)))
                 else:
-                    word = bb.negate_then_add(low[0], low[1])
+                    word = bb.difference(low[0], low[1])
             case GateKind.MUL:
                 if nid in boolish:
                     word = bb.zero_extend(
-                        bb.emit(GateKind.AND, (bits[a[0]][0], bits[a[1]][0])))
+                        bb.emit(AND, (bits[a[0]][0], bits[a[1]][0])))
                 elif a[0] in boolish:
                     word = bb.scale_by_bit(bits[a[0]][0], low[1])
                 elif a[1] in boolish:
@@ -330,10 +331,10 @@ def bitblast(c: Circuit, width: int | None = None,
                 word = bb.mul_plain(low[0], node.payload)
             case GateKind.LT:
                 word = bb.zero_extend(
-                    bb.sign_of_difference(bits[a[0]], bits[a[1]]))
+                    bb.difference(bits[a[0]], bits[a[1]], False)[-1])
             case GateKind.LEQ:
-                gt = bb.sign_of_difference(bits[a[1]], bits[a[0]])
-                word = bb.zero_extend(bb.emit(GateKind.NOT, (gt,)))
+                gt = bb.difference(bits[a[1]], bits[a[0]], False)[-1]
+                word = bb.zero_extend(bb.emit(NOT, (gt,)))
             case GateKind.EQ:
                 word = bb.zero_extend(bb.equals(bits[a[0]], bits[a[1]]))
             case GateKind.MUX:

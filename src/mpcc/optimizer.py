@@ -10,6 +10,11 @@ through a Builder with only its own rule enabled; `dce`, `pow_rewrite`,
 `tree_reduce` and `cmp_rewrite` walk through one with no rule;
 `bitblast` emits through one with the rules of its pass list.
 
+A rule needs a constant operand unless it rewrites a kind in
+`CONST_FREE` (Not, Mux, MuxBit, MulPlain): fold needs all of them
+constant, `IDENTITIES` and strength reduction one. So `rewrite` turns
+any other gate with no constant operand away at once.
+
 A pass is a function of the circuit alone, `PASSES[name](c)`, with no
 setting or cost model. Passes never mutate their input. A walk copies
 nothing before the first node it changes and shares every unchanged
@@ -40,6 +45,9 @@ AND, OR, XOR, NOT, MUX_BIT, CONST_BIT = (
     GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
     GateKind.MUX_BIT, GateKind.CONST_BIT)
 CONST_KINDS = frozenset({CONST, CONST_BIT})
+# the kinds a rule rewrites with no constant operand: Not(Not x),
+# Mux(s,x,x), MuxBit(s,x,x) and MulPlain(x, 0 or 1)
+CONST_FREE = frozenset({NOT, MUX, MUX_BIT, MUL_PLAIN})
 
 # kind -> (operand, constant, result): kind(ops) is ops[result] when
 # ops[operand] is that constant (x+0 = x, x*1 = x, x&&0 = 0, 1?t:e = t, ...)
@@ -74,13 +82,6 @@ def _fold(kind, args: list[Node], payload):
     return word_value(kind, [a.payload for a in args], payload)
 
 
-def _key(kind, ops: tuple, meta, payload) -> tuple:
-    """Hash key of a node; Add(a,b) and Add(b,a) share one."""
-    if kind in COMMUTATIVE and ops[0] > ops[1]:
-        ops = (ops[1], ops[0])
-    return (kind, ops, payload, meta)
-
-
 class Builder:
     """Appends nodes to `nodes`, rewriting each on the way in with the
     local rules named in `rules` (other names are ignored)."""
@@ -99,7 +100,14 @@ class Builder:
         """What the enabled rules make of kind(ops): None when none
         applies, the id of an existing node it equals, or the
         (kind, operands, meta, payload) of the node that replaces it."""
-        args = [self.nodes[o] for o in ops]
+        nodes = self.nodes
+        if kind not in CONST_FREE:
+            for o in ops:
+                if nodes[o].kind in CONST_KINDS:
+                    break
+            else:
+                return None  # every rule for kind needs a constant operand
+        args = [nodes[o] for o in ops]
         if self.fold:
             value = _fold(kind, args, payload)
             if value is not None:
@@ -136,23 +144,16 @@ class Builder:
                 return r if type(r) is int else self.add(*r)
         nodes = self.nodes
         nid = len(nodes)
-        if self.table is not None and kind not in INPUT_KINDS:
-            found = self.table.setdefault(_key(kind, ops, meta, payload), nid)
+        table = self.table
+        if table is not None and kind not in INPUT_KINDS:
+            key = ((ops[1], ops[0]) if kind in COMMUTATIVE and ops[0] > ops[1]
+                   else ops)
+            found = table.setdefault((kind, key, payload, meta), nid)
             if found != nid:
                 return found
         nodes.append(node if node is not None and node.operands == ops
                      else Node(kind, ops, meta, payload))
         return nid
-
-    def settled(self, nid: int, node: Node) -> bool:
-        """Whether `add` keeps node `nid` of the list read; hashes it if so."""
-        kind = node.kind
-        if kind in self.ruled and self.rewrite(
-                kind, node.operands, node.meta, node.payload) is not None:
-            return False
-        return (self.table is None or kind in INPUT_KINDS
-                or self.table.setdefault(_key(kind, node.operands, node.meta,
-                                              node.payload), nid) == nid)
 
     def walk(self, c: Circuit, start: int, step=None) -> Circuit:
         """Keep c.nodes[:start] and rebuild each later node, its operands
@@ -179,10 +180,20 @@ class Builder:
 
 
 def _rewrite(c: Circuit, rule: str) -> Circuit:
-    """One walk of `c` through a Builder with only `rule` enabled."""
+    """One walk of `c` through a Builder with only `rule` enabled, from
+    the first node `add` would not keep; `c` itself if there is none."""
     b = Builder((rule,), c.nodes)
+    ruled, table = b.ruled, b.table
     for nid, node in enumerate(c.nodes):
-        if not b.settled(nid, node):
+        kind, ops = node.kind, node.operands
+        if kind in ruled and b.rewrite(kind, ops, node.meta,
+                                       node.payload) is not None:
+            return b.walk(c, nid)
+        if table is None or kind in INPUT_KINDS:
+            continue
+        if kind in COMMUTATIVE and ops[0] > ops[1]:
+            ops = (ops[1], ops[0])
+        if table.setdefault((kind, ops, node.payload, node.meta), nid) != nid:
             return b.walk(c, nid)
     return c
 
@@ -337,11 +348,9 @@ def cmp_rewrite(c: Circuit) -> Circuit:
     """
     one = (CONST, (), PLAIN, 1)
 
-    def replacement(nodes, kind, ops):
-        """The comparison to subtract from 1, as `Builder.add` arguments;
-        None when kind(ops) is not a derived comparison."""
-        if kind is not ADD:
-            return None
+    def replacement(nodes, ops):
+        """The comparison to subtract from Add(ops), as `Builder.add`
+        arguments; None when the Add is not a derived comparison."""
         n0, n1 = nodes[ops[0]], nodes[ops[1]]
         if {n0.kind, n1.kind} == {LT, EQ}:
             lt, eq = (n0, n1) if n0.kind is LT else (n1, n0)
@@ -356,12 +365,12 @@ def cmp_rewrite(c: Circuit) -> Circuit:
     b = Builder()
 
     def step(_oid, node, ops):
-        cmp = replacement(b.nodes, node.kind, ops)
+        cmp = node.kind is ADD and replacement(b.nodes, ops)
         if cmp:
             return b.add(SUB, (b.add(*one), b.add(*cmp)), node.meta)
 
     for nid, node in enumerate(c.nodes):
-        if replacement(c.nodes, node.kind, node.operands):
+        if node.kind is ADD and replacement(c.nodes, node.operands):
             return b.walk(c, nid, step)
     return c
 

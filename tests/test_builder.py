@@ -2,6 +2,8 @@
 circuit through it, and the bitblast that emits the bool fixpoint
 through it."""
 
+import functools
+import itertools
 import random
 
 import pytest
@@ -10,14 +12,17 @@ from conftest import CORPUS_NAMES, build
 from mpcc import optimizer
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.bitblast import bitblast
-from mpcc.circuit import PLAIN, EncMeta, GateKind, Level
+from mpcc.circuit import (
+    ARITH_KINDS, ARITY, PLAIN, Circuit, EncMeta, GateKind, Level, PlainMeta,
+    combine_meta,
+)
 from mpcc.errors import LowerError
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
     DEFAULT_PASSES, PASSES, RULE_KINDS, Builder, run_passes,
 )
 from mpcc.pipeline import PipelineConfig, compile
-from mpcc.sectypes import Generic
+from mpcc.sectypes import Generic, owners
 from mpcc.typecheck import check_program
 from proggen import random_program
 
@@ -55,6 +60,34 @@ def test_a_rule_that_is_not_enabled_does_nothing():
         x = b.add(GateKind.INPUT_BIT)
         t = b.add(GateKind.CONST_BIT, (), PLAIN, 1)
         assert b.add(GateKind.AND, (x, t)) == 2  # peephole's identity
+
+
+def test_each_const_free_kind_rewrites_without_a_constant():
+    assert optimizer.CONST_FREE == {GateKind.NOT, GateKind.MUX,
+                                    GateKind.MUX_BIT, GateKind.MUL_PLAIN}
+    b = Builder(RULE_KINDS)
+    x, s = b.add(GateKind.INPUT), b.add(GateKind.INPUT)
+    xb, sb = b.add(GateKind.INPUT_BIT), b.add(GateKind.INPUT_BIT)
+    assert b.add(GateKind.NOT, (b.add(GateKind.NOT, (xb,)),)) == xb
+    assert b.add(GateKind.MUX, (s, x, x)) == x
+    assert b.add(GateKind.MUX_BIT, (sb, xb, xb)) == xb
+    assert b.add(GateKind.MUL_PLAIN, (x,), PLAIN, 1) == x
+
+
+def test_no_other_rule_fires_without_a_constant(monkeypatch):
+    """A gate of any other ruled kind over inputs alone, repeated or not,
+    is appended as it is, even with the early rejection off (every kind
+    in CONST_FREE): a rule that fires without a constant on a kind
+    outside CONST_FREE, which that rejection would hide, fails here."""
+    kinds = frozenset().union(*RULE_KINDS.values()) - optimizer.CONST_FREE
+    monkeypatch.setattr(optimizer, "CONST_FREE", frozenset(GateKind))
+    for kind in sorted(kinds):
+        leaf = GateKind.INPUT if kind in ARITH_KINDS else GateKind.INPUT_BIT
+        for picks in itertools.product(range(2), repeat=ARITY[kind]):
+            b = Builder(RULE_KINDS)
+            leaves = [b.add(leaf), b.add(leaf)]
+            assert b.add(kind, tuple(leaves[i] for i in picks)) == 2, kind
+            assert b.nodes[2].kind is kind
 
 
 def test_bitblast_rejects_unknown_passes():
@@ -125,6 +158,33 @@ def test_a_gate_keeps_its_raw_metadata():
     assert any(n.kind == GateKind.XOR and n.meta == EncMeta(frozenset({1, 2}))
                and all(b.nodes[o].meta == party2 for o in n.operands)
                for n in b.nodes)
+
+
+@pytest.mark.parametrize("passes", [[], None])
+def test_a_gate_reading_a_reveal_is_plain(passes):
+    # a revealed bit's audience is not passed on: Add(r, r) over the bits
+    # of r = Reveal(x) is plain, as combine_meta makes it, and a gate of
+    # Add(r, y) takes y's metadata
+    c = Circuit(bitwidth=4)
+    x, y = c.add_input(1, "x"), c.add_input(2, "y")
+    r = c.add_node(GateKind.REVEAL, (x,), PlainMeta(owners(1, 2)))
+    for name, other in (("rr", r), ("ry", y)):
+        total = c.add_node(GateKind.ADD, (r, other))
+        c.add_output(c.add_node(GateKind.REVEAL, (total,),
+                                PlainMeta(owners(1, 2))), owners(1, 2), name)
+    b = bitblast(c, passes=passes)
+    reveal_bits = {nid for nid, n in enumerate(b.nodes)  # those of r
+                   if n.kind is GateKind.REVEAL_BIT
+                   and b.nodes[n.operands[0]].kind is GateKind.INPUT_BIT}
+    readers = [n for n in b.nodes if n.kind is not GateKind.REVEAL_BIT
+               and set(n.operands) & reveal_bits]
+    assert readers
+    for n in readers:
+        want = functools.reduce(
+            combine_meta, [b.nodes[o].meta for o in n.operands], PLAIN)
+        assert n.meta == want
+        assert n.meta in (PLAIN, EncMeta(owners(2)))
+    assert any(n.meta == PLAIN for n in readers)
 
 
 @pytest.mark.parametrize("width", [8, 16, 64])

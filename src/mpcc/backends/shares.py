@@ -12,9 +12,9 @@ ever expanded.
 
 The online phase runs `estimator.layered_schedule` under the additive
 model's depth weights, layer by layer: a gate finishes 1 round after its
-last operand for Mul and Mux, 7 for Lt and Leq, 10 for Eq, 1 for a
-Reveal that another gate reads and none for a local gate. A Reveal that
-only delivers an output is opened after the last round.
+last operand for Mul and Mux, 7 for Lt, 10 for Eq, 1 for a Reveal that
+another gate reads and none for a local gate. A Reveal that only
+delivers an output is opened after the last round.
 `estimate(c, additive_model()).depth` reads the same schedule, so it is
 the trace's round count. Every masked Beaver value of a round goes out
 in one batched open, and each round is one multicast, as in SPDZ
@@ -63,18 +63,8 @@ def centered(v: int) -> int:
 
 @dataclass
 class ShareVector:
+    """One share per player: n-out-of-n, so every share is needed."""
     shares: list[int | None]
-    players: frozenset
-    threshold: int
-
-    def __post_init__(self):
-        if len(self.shares) != len(self.players):
-            raise PlayerMismatchError(
-                f"{len(self.shares)} shares for {len(self.players)} players")
-        if self.threshold != len(self.players):
-            raise PlayerMismatchError(
-                "additive sharing is n-out-of-n: threshold must equal the "
-                "player count")
 
 
 def share(value: int, n: int, rng: random.Random) -> ShareVector:
@@ -84,15 +74,15 @@ def share(value: int, n: int, rng: random.Random) -> ShareVector:
         raise PlayerMismatchError("need at least 2 parties")
     parts = [rng.randrange(PRIME) for _ in range(n - 1)]
     last = (value - sum(parts)) % PRIME
-    return ShareVector(parts + [last], frozenset(range(n)), n)
+    return ShareVector(parts + [last])
 
 
 def reconstruct(sv: ShareVector) -> int:
     if any(s is None for s in sv.shares):
         missing = [i for i, s in enumerate(sv.shares) if s is None]
         raise IncompleteSharesError(
-            f"shares of players {missing} are missing; all {sv.threshold} "
-            f"are required")
+            f"shares of players {missing} are missing; all "
+            f"{len(sv.shares)} are required")
     return sum(sv.shares) % PRIME
 
 
@@ -161,7 +151,7 @@ def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple
                  ) -> tuple[ShareVector, ShareVector]:
     """The first half of `beaver_mul`: use up `t` and return the shares
     of d = x-a and e = y-b, the only values a multiplication opens."""
-    if x.players != y.players or x.players != t.a.players:
+    if not len(x.shares) == len(y.shares) == t.n:
         raise PlayerMismatchError("operands and triple must share players")
     if t.consumed:
         raise TripleExhaustedError("Beaver triple already consumed")
@@ -176,14 +166,13 @@ def beaver_combine(t: BeaverTriple, d: int, e: int) -> ShareVector:
     out = [(c.shares[i] + d * b.shares[i] + e * a.shares[i]) % PRIME
            for i in range(len(c.shares))]
     out[0] = (out[0] + d * e) % PRIME
-    return ShareVector(out, c.players, c.threshold)
+    return ShareVector(out)
 
 
 def _masked(x: ShareVector, mask: ShareVector) -> ShareVector:
     """x - mask, share by share; a missing share of x stays missing."""
     return ShareVector([None if s is None else (s - m) % PRIME
-                        for s, m in zip(x.shares, mask.shares)],
-                       x.players, x.threshold)
+                        for s, m in zip(x.shares, mask.shares)])
 
 
 @dataclass
@@ -233,7 +222,6 @@ class SharedSimulator:
         self.circuit = circuit
         self.n = n
         self.rng = random.Random(seed)
-        self.players = frozenset(range(n))
         self.trace = ExecTrace()
         self.open_log: list[tuple[str, int]] = []
         # opens of the round being run, by per-round trace key
@@ -283,14 +271,12 @@ class SharedSimulator:
         return reconstruct(sv)
 
     def public(self, value: int) -> ShareVector:
-        shares = [value % PRIME] + [0] * (self.n - 1)
-        return ShareVector(shares, self.players, self.n)
+        return ShareVector([value % PRIME] + [0] * (self.n - 1))
 
     def local(self, fn, *svs: ShareVector) -> ShareVector:
         """Apply a per-party local operation share-wise."""
-        shares = [fn(*(sv.shares[i] for sv in svs)) % PRIME
-                  for i in range(self.n)]
-        return ShareVector(shares, self.players, self.n)
+        return ShareVector([fn(*(sv.shares[i] for sv in svs)) % PRIME
+                            for i in range(self.n)])
 
     # -- online phase --
 

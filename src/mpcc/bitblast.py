@@ -332,9 +332,6 @@ def bitblast(c: Circuit, width: int | None = None,
             case GateKind.LT:
                 word = bb.zero_extend(
                     bb.difference(bits[a[0]], bits[a[1]], False)[-1])
-            case GateKind.LEQ:
-                gt = bb.difference(bits[a[1]], bits[a[0]], False)[-1]
-                word = bb.zero_extend(bb.emit(NOT, (gt,)))
             case GateKind.EQ:
                 word = bb.zero_extend(bb.equals(bits[a[0]], bits[a[1]]))
             case GateKind.MUX:
@@ -362,7 +359,7 @@ def _boolish(c: Circuit) -> set[int]:
     out: set[int] = set()
     for nid, node in enumerate(c.nodes):
         a, kind = node.operands, node.kind
-        if (kind in (GateKind.LT, GateKind.LEQ, GateKind.EQ)
+        if (kind in (GateKind.LT, GateKind.EQ)
                 or kind is GateKind.CONST and node.payload in (0, 1)
                 or kind is GateKind.SUB and a[1] in out
                 and c.nodes[a[0]].kind is GateKind.CONST
@@ -391,7 +388,7 @@ def _bits_read(c: Circuit, width: int, boolish: set[int]) -> list[int]:
         a, kind = node.operands, node.kind
         if not k or not a:
             continue
-        if kind in (GateKind.LT, GateKind.LEQ, GateKind.EQ):
+        if kind in (GateKind.LT, GateKind.EQ):
             reads = [width, width]
         elif kind is GateKind.MUX:
             reads = [1, k, k]

@@ -34,7 +34,6 @@ class GateKind(str, Enum):
     MUL = "Mul"
     MUL_PLAIN = "MulPlain"
     LT = "Lt"
-    LEQ = "Leq"
     EQ = "Eq"
     MUX = "Mux"
     REVEAL = "Reveal"
@@ -51,7 +50,7 @@ class GateKind(str, Enum):
 
 ARITH_KINDS = frozenset({
     GateKind.CONST, GateKind.INPUT, GateKind.ADD, GateKind.SUB, GateKind.MUL,
-    GateKind.MUL_PLAIN, GateKind.LT, GateKind.LEQ, GateKind.EQ, GateKind.MUX,
+    GateKind.MUL_PLAIN, GateKind.LT, GateKind.EQ, GateKind.MUX,
     GateKind.REVEAL,
 })
 BOOL_KINDS = frozenset({
@@ -61,8 +60,8 @@ BOOL_KINDS = frozenset({
 
 ARITY = {
     GateKind.CONST: 0, GateKind.INPUT: 0, GateKind.ADD: 2, GateKind.SUB: 2,
-    GateKind.MUL: 2, GateKind.MUL_PLAIN: 1, GateKind.LT: 2, GateKind.LEQ: 2,
-    GateKind.EQ: 2, GateKind.MUX: 3, GateKind.REVEAL: 1,
+    GateKind.MUL: 2, GateKind.MUL_PLAIN: 1, GateKind.LT: 2, GateKind.EQ: 2,
+    GateKind.MUX: 3, GateKind.REVEAL: 1,
     GateKind.CONST_BIT: 0, GateKind.INPUT_BIT: 0, GateKind.AND: 2,
     GateKind.OR: 2, GateKind.XOR: 2, GateKind.NOT: 1, GateKind.MUX_BIT: 3,
     GateKind.REVEAL_BIT: 1,
@@ -86,7 +85,6 @@ WORD_OPS = {
     GateKind.SUB: operator.sub,
     GateKind.MUL: operator.mul,
     GateKind.LT: lambda a, b: int(a < b),
-    GateKind.LEQ: lambda a, b: int(a <= b),
     GateKind.EQ: lambda a, b: int(a == b),
 }
 

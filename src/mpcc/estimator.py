@@ -27,7 +27,7 @@ from .errors import ModelCoverageError, ObjectiveMissingError
 ZERO_COST_KINDS = frozenset({GateKind.CONST, GateKind.INPUT,
                              GateKind.CONST_BIT, GateKind.INPUT_BIT})
 
-COMPARISON_KINDS = frozenset({GateKind.LT, GateKind.LEQ, GateKind.EQ})
+COMPARISON_KINDS = frozenset({GateKind.LT, GateKind.EQ})
 TRIPLE_KINDS = frozenset({GateKind.MUL, GateKind.MUX})
 
 
@@ -182,22 +182,21 @@ def arith_model() -> CostModel:
         GateKind.MUL: {"mults": 1},
         GateKind.MUL_PLAIN: {"plain_mults": 1},
         GateKind.LT: {"comparisons": 1},
-        GateKind.LEQ: {"comparisons": 1},
         GateKind.EQ: {"comparisons": 1},
         GateKind.MUX: {"mults": 1},
     })
     weights = {GateKind.MUL: 1, GateKind.MUX: 1, GateKind.LT: 1,
-               GateKind.LEQ: 1, GateKind.EQ: 1}
+               GateKind.EQ: 1}
     return CostModel("arith", costs, weights)
 
 
 def additive_model() -> CostModel:
     """n-out-of-n additive sharing: adds are free. In `totals`, the
-    per-gate sum, a multiplication costs one round and one multicast, a
-    comparison seven of each, an equality one and a half comparisons and
-    a Reveal one. The depth weights are the layered schedule the shares
-    backend runs: a multiplication takes one round, a comparison 7, an
-    equality 10 and a Reveal that another gate reads 1, so
+    per-gate sum, a multiplication costs one round and one multicast, an
+    Lt seven of each, an Eq one and a half Lts and a Reveal one. The
+    depth weights are the layered schedule the shares backend runs: a
+    multiplication takes one round, an Lt 7, an Eq 10 and a Reveal that
+    another gate reads 1, so
     `estimate(c, additive_model()).depth` is its round count (and its
     multicast count, one per round)."""
     costs = _costs({
@@ -206,12 +205,11 @@ def additive_model() -> CostModel:
         GateKind.MUL: {"rounds": 1, "multicasts": 1},
         GateKind.MUX: {"rounds": 1, "multicasts": 1},
         GateKind.LT: {"rounds": 7, "multicasts": 7},
-        GateKind.LEQ: {"rounds": 7, "multicasts": 7},
         GateKind.EQ: {"rounds": "10.5", "multicasts": "10.5"},
         GateKind.REVEAL: {"rounds": 1, "multicasts": 1},
     })
     weights = {GateKind.MUL: 1, GateKind.MUX: 1, GateKind.LT: 7,
-               GateKind.LEQ: 7, GateKind.EQ: 10, GateKind.REVEAL: 1}
+               GateKind.EQ: 10, GateKind.REVEAL: 1}
     return CostModel("additive", costs, weights)
 
 

@@ -9,7 +9,6 @@ from .syntax import (
 
 PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
         "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
-ATOM = 10
 
 
 def owners_text(owners) -> str:

@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 
 Pos = tuple[int, int]
 
-BINOPS = ("==", "!=", "+", "-", "*", "/", "%", "<", "<=", ">", ">=", "&&", "||")
-REDUCE_OPS = ("+", "*", "max", "min")
-
 
 def owner_tuple(parties) -> tuple[int, ...]:
     return tuple(sorted(set(parties)))
@@ -53,7 +50,6 @@ TypeSyntax = AtomType | OwnedType | ArrType
 @dataclass
 class Expr:
     pos: Pos = field(default=(0, 0), compare=False, kw_only=True)
-    sectype: object = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass

@@ -466,9 +466,9 @@ class Lowering:
         max_shift = max(0, self.cfg.bitwidth - 2 - m.bit_length() + 1)
         for j in range(max_shift, -1, -1):
             c = self.const(m << j)
-            fits = self.emit(GateKind.LEQ, [c, r])
+            short = self.emit(GateKind.LT, [r, c])
             diff = self.emit(GateKind.SUB, [r, c])
-            r = self.mux(fits, diff, r)
+            r = self.mux(short, r, diff)
         return r
 
     def lower_comparison(self, op: str, a: Wire, b: Wire) -> Wire:

@@ -33,8 +33,9 @@ def compile(source: str | Circuit, cfg: PipelineConfig) -> Circuit:
     Passes run at the level the circuit has before bitblasting: word
     level for source, bool level for a bool circuit. Bitblast emits
     through the pass list's local rules: the bool fixpoint, or the raw
-    circuit when the list is empty. Raises MalformedCircuitError if a
-    given circuit is not well-formed.
+    circuit when the list is empty. cfg.bitwidth applies to source only:
+    a given circuit keeps its own width. Raises MalformedCircuitError if
+    a given circuit is not well-formed.
     """
     if isinstance(source, Circuit):
         c = source
@@ -46,5 +47,5 @@ def compile(source: str | Circuit, cfg: PipelineConfig) -> Circuit:
         c = lower_program(tp, LowerConfig(cfg.bitwidth, cfg.scheme))
     c = run_passes(c, cfg.passes)
     if cfg.target_level == Level.BOOL and c.level == Level.ARITH:
-        c = bitblast(c, cfg.bitwidth, cfg.passes)
+        c = bitblast(c, passes=cfg.passes)
     return c

@@ -1,8 +1,7 @@
 """Owner-set type checker, parameterized by a security scheme.
 
-Every expression node gets its SecType written into `node.sectype`. All
-errors in a program are collected and reported together; expressions that
-fail to type produce a poison value (None) so checking can continue.
+All errors in a program are collected and reported together; expressions
+that fail to type produce a poison value (None) so checking can continue.
 """
 
 from __future__ import annotations
@@ -97,11 +96,6 @@ class Checker:
     # -- expressions --
 
     def check_expr(self, env: dict, e: S.Expr) -> SecType | None:
-        t = self._expr(env, e)
-        e.sectype = t
-        return t
-
-    def _expr(self, env, e) -> SecType | None:
         match e:
             case S.IntLit():
                 return Plain("int")

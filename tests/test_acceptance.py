@@ -63,8 +63,7 @@ def test_c2_comparison_encodings_and_model_choice():
         tp = check_program(parse_source(src), Generic())
 
         def multiset(c):
-            keep = (GateKind.LT, GateKind.LEQ, GateKind.EQ, GateKind.ADD,
-                    GateKind.SUB)
+            keep = (GateKind.LT, GateKind.EQ, GateKind.ADD, GateKind.SUB)
             return {k.value: v for k, v in c.counts().items() if k in keep}
 
         lowered = lower_program(tp, LowerConfig())

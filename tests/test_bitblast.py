@@ -199,8 +199,7 @@ def test_bitblast_agrees_with_word_interpreter(seed):
         roll = rng.random()
         if roll < 0.5 or not bool_wires:
             kind = rng.choice([GateKind.ADD, GateKind.SUB, GateKind.MUL,
-                               GateKind.MUL_PLAIN, GateKind.LT,
-                               GateKind.LEQ, GateKind.EQ])
+                               GateKind.MUL_PLAIN, GateKind.LT, GateKind.EQ])
             if kind == GateKind.MUL_PLAIN:
                 nid = c.add_node(kind, (rng.choice(wires),),
                                  payload=rng.randrange(0, 5))
@@ -212,7 +211,7 @@ def test_bitblast_agrees_with_word_interpreter(seed):
             else:
                 nid = c.add_node(kind, (rng.choice(wires),
                                         rng.choice(wires)))
-            if kind in (GateKind.LT, GateKind.LEQ, GateKind.EQ):
+            if kind in (GateKind.LT, GateKind.EQ):
                 bool_wires.append(nid)
             else:
                 wires.append(nid)

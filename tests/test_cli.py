@@ -234,11 +234,11 @@ def test_rank_models(capsys, tmp_path):
     m1 = {"name": "alpha", "gate_costs": {
         "Const": {}, "Input": {}, "Reveal": {}, "Add": {}, "Sub": {},
         "MulPlain": {}, "Mux": {"comm": 2}, "Lt": {"comm": 10},
-        "Leq": {"comm": 10}, "Eq": {"comm": 15}, "Mul": {"comm": 2}}}
+        "Eq": {"comm": 15}, "Mul": {"comm": 2}}}
     m2 = {"name": "beta", "gate_costs": {
         "Const": {}, "Input": {}, "Reveal": {}, "Add": {}, "Sub": {},
         "MulPlain": {}, "Mux": {"comm": 1}, "Lt": {"comm": 70},
-        "Leq": {"comm": 70}, "Eq": {"comm": 105}, "Mul": {"comm": 1}}}
+        "Eq": {"comm": 105}, "Mul": {"comm": 1}}}
     p1 = tmp_path / "alpha.json"
     p2 = tmp_path / "beta.json"
     p1.write_text(json.dumps(m1), encoding="utf-8")
@@ -329,9 +329,15 @@ def mixed_level(obj):
     return obj
 
 
+def leq_gate(obj):
+    # the IR's comparisons are Lt and Eq; a <= b is written with them
+    obj["nodes"][2]["kind"] = "Leq"
+    return obj
+
+
 @pytest.mark.parametrize("command", ["estimate", "opt", "run"])
 @pytest.mark.parametrize("breakage", [no_nodes, output_past_end,
-                                      mixed_level])
+                                      mixed_level, leq_gate])
 def test_malformed_circuit_file_is_exit_2(tmp_path, capsys, command,
                                           breakage):
     path = tmp_path / "bad.json"
@@ -374,7 +380,9 @@ def one_line_exit_2(capsys, argv, kind):
     '{"name": "m", "gate_costs": {"Mul": {"rounds": "1e10000000"}}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": 1.7}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": "3"}}',
-    '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": true}}'])
+    '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": true}}',
+    '{"name": "m", "gate_costs": {"Leq": {"comparisons": 1}}}',
+    '{"name": "m", "gate_costs": {}, "depth_weights": {"Leq": 7}}'])
 def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "m.json"
     path.write_text(content, encoding="utf-8")
@@ -470,8 +478,9 @@ def test_malformed_spec_file_is_exit_2(tmp_path, capsys, command, payload):
 
 
 def test_deeply_nested_program_is_one_diagnostic(tmp_path, capsys):
-    # typecheck and lowering recurse on the expression tree
-    terms = " * ".join(f"(a + {i})" for i in range(400))
+    # typecheck and lowering recurse on the expression tree; 2,000 terms
+    # is well past what either reaches
+    terms = " * ".join(f"(a + {i})" for i in range(2000))
     src = tmp_path / "deep.hml"
     src.write_text(f"parties 1;\ninput a : int from 1;\n"
                    f"output eval({{1}}, {terms});\n", encoding="utf-8")

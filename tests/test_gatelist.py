@@ -3,16 +3,21 @@ import random
 
 import pytest
 
+from astref import reference_run
 from conftest import CORPUS_NAMES, build
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.clear import interpret_clear
 from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
 )
+from mpcc.backends.shares import simulate_shared
 from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, Level, PlainMeta
 from mpcc.errors import LevelError, ParseError
-from mpcc.sectypes import owners
+from mpcc.estimator import COMPARISON_KINDS
+from mpcc.frontend import parse_source
+from mpcc.pipeline import PipelineConfig, compile
+from mpcc.sectypes import AdditiveShare, owners
 
 
 def single_and_circuit():
@@ -224,3 +229,56 @@ def test_parse_rejects_bad_wiring(text):
 def test_parse_accepts_the_base_gate_list():
     gl = parse_gatelist(BASE + "2 1 0 1 2 AND\n")
     assert eval_gatelist(gl, [1, 1]) == [1]
+
+
+def modulo_source(m: int) -> str:
+    return f"parties 1;\ninput a : int from 1;\noutput eval({{1}}, a % {m});\n"
+
+
+def dividends(m: int, limit_log: int) -> list[int]:
+    """Nonnegative dividends inside |v| < 2^limit_log: both ends, the
+    divisor's neighbourhood and a few drawn at random."""
+    top = (1 << limit_log) - 1
+    rng = random.Random(f"{m}@{limit_log}")
+    return sorted({0, 1, m - 1, m, m + 1, 2 * m + 1, top - 1, top}
+                  | {rng.randrange(top) for _ in range(4)})
+
+
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("m", [1, 2, 5, 7])
+def test_modulo_matches_the_reference_in_clear_and_bool(m, width):
+    src = modulo_source(m)
+    program = parse_source(src)
+    word = compile(src, PipelineConfig(bitwidth=width))
+    b = compile(src, PipelineConfig(bitwidth=width, target_level=Level.BOOL))
+    gl = parse_gatelist(emit_gatelist(b))
+    for a in dividends(m, width - 2):
+        ins = {(1, "a"): a}
+        want = reference_run(program, ins)
+        assert want == {"out0": a % m}
+        assert interpret_clear(word, ins) == want, a
+        assert interpret_bool(b, ins) == want, a
+        assert decode_words(b, eval_gatelist(gl, input_bits_for(b, ins))) \
+            == want, a
+
+
+@pytest.mark.parametrize("width", [
+    16, pytest.param(64, marks=pytest.mark.xfail(
+        strict=True, reason="the steps of a % m compare with m << j up to "
+        "2^62, which the 61-bit field reduces"))])
+@pytest.mark.parametrize("m", [1, 2, 5, 7])
+def test_modulo_matches_the_reference_on_shares(m, width):
+    src = modulo_source(m)
+    program = parse_source(src)
+    c = compile(src, PipelineConfig(scheme=AdditiveShare(3), bitwidth=width))
+    for a in dividends(m, min(width - 2, 60)):
+        ins = {(1, "a"): a}
+        assert simulate_shared(c, ins, 3, seed=a)[0] == \
+            reference_run(program, ins), a
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_modulo_lowers_to_lt_and_no_other_comparison(width):
+    c = compile(modulo_source(5), PipelineConfig(bitwidth=width, passes=[]))
+    assert {k.value: n for k, n in c.counts().items()
+            if k in COMPARISON_KINDS} == {"Lt": width - 3}

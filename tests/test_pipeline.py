@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from conftest import build, corpus_source
+from mpcc.backends.boolsim import interpret_bool
 from mpcc.bitblast import bitblast
 from mpcc.circuit import GateKind, Level
 from mpcc.errors import MalformedCircuitError
@@ -32,6 +33,17 @@ def test_bitblast_runs_once_and_only_for_bool_targets():
     again = compile(blasted, BOOL4)
     assert again.level == Level.BOOL
     assert len(again.nodes) <= len(blasted.nodes)
+
+
+def test_a_given_circuit_is_bitblasted_at_its_own_width():
+    adder16 = compile(corpus_source("adder"), PipelineConfig(bitwidth=16))
+    for width in (4, 64):
+        cfg = PipelineConfig(bitwidth=width, target_level=Level.BOOL)
+        blasted = compile(adder16, cfg)
+        assert blasted.bitwidth == 16
+        assert len(blasted.inputs) == 2 * 16
+        assert interpret_bool(blasted, {(1, "a"): 100, (2, "b"): 27}) == \
+            {"out0": 127}
 
 
 def test_a_given_circuit_is_validated():

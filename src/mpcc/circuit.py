@@ -4,14 +4,24 @@ Node ids double as topological order: a node may only reference smaller
 ids, so acyclicity is a local check and id order is an evaluation order.
 Circuits are built append-only and treated as immutable once validated;
 passes produce new circuits.
+
+`Node` and the three metadata classes are immutable values: equal by
+value, hashable, and refusing every assignment and deletion, because
+passes share unchanged nodes between circuits and every CSE key holds a
+meta by value. They are built once per kept gate and hashed once per
+lookup, so both run in C where Python allows it: `Node` is a `__slots__`
+class whose `__init__` stores through the slot descriptors, and each
+metadata class is a tuple, compared and hashed as one, except that
+metadata of different classes is never equal.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ArityError, ForwardReferenceError, MalformedCircuitError,
@@ -110,22 +120,30 @@ def word_value(kind: GateKind, values, payload=None) -> int | None:
 
 # -- node metadata --
 
-@dataclass(frozen=True)
-class PlainMeta:
+def _meta_eq(self, other) -> bool:
+    # tuple equality, except that the classes must match too: a
+    # PlainMeta and an EncMeta over the same set are both that 1-tuple.
+    # Each class sets __ne__ to object's, the negation of this, in place
+    # of tuple's.
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+class PlainMeta(NamedTuple):
     audience: frozenset | None = None  # set only on Reveal nodes
+    __eq__, __ne__, __hash__ = _meta_eq, object.__ne__, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class EncMeta:
+class EncMeta(NamedTuple):
     provider: frozenset
+    __eq__, __ne__, __hash__ = _meta_eq, object.__ne__, tuple.__hash__
 
 
-@dataclass(frozen=True)
-class SharedMeta:
+class SharedMeta(NamedTuple):
     provider: frozenset
     players: frozenset
     observers: frozenset
     threshold: int
+    __eq__, __ne__, __hash__ = _meta_eq, object.__ne__, tuple.__hash__
 
 
 Meta = PlainMeta | EncMeta | SharedMeta
@@ -187,12 +205,48 @@ def balanced(layer: list, combine):
     return layer[0]
 
 
-@dataclass(frozen=True)
 class Node:
-    kind: GateKind
-    operands: tuple[int, ...]
-    meta: Meta = PLAIN
-    payload: int | None = None
+    """One gate: its kind, operand ids, metadata and payload (the value
+    of a constant, the factor of a MulPlain). Immutable, and equal and
+    hashed by value."""
+
+    __slots__ = __match_args__ = ("kind", "operands", "meta", "payload")
+
+    def __init__(self, kind: GateKind, operands: tuple[int, ...],
+                 meta: Meta = PLAIN, payload: int | None = None):
+        _set_kind(self, kind)
+        _set_operands(self, operands)
+        _set_meta(self, meta)
+        _set_payload(self, payload)
+
+    def _values(self) -> tuple:
+        return self.kind, self.operands, self.meta, self.payload
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Node:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return ("Node(kind={!r}, operands={!r}, meta={!r}, payload={!r})"
+                .format(*self._values()))
+
+    def __reduce__(self):  # copy and pickle cannot set the slots
+        return Node, self._values()
+
+
+_set_kind, _set_operands, _set_meta, _set_payload = (
+    Node.kind.__set__, Node.operands.__set__, Node.meta.__set__,
+    Node.payload.__set__)
 
 
 @dataclass
@@ -326,8 +380,11 @@ class Circuit:
         unknown level or kind, or badly shaped entry raises
         MalformedCircuitError; call validate() for the semantic checks."""
         try:
+            signed = obj.get("signed", True)
+            if not isinstance(signed, bool):
+                raise TypeError(f"expected true or false, got {signed!r}")
             c = Circuit(Level(obj["level"]), _json_int(obj["bitwidth"]),
-                        obj.get("signed", True))
+                        signed)
             for entry in obj["nodes"]:
                 payload = entry.get("payload")
                 nid = c.add_node(GateKind(entry["kind"]),
@@ -341,7 +398,7 @@ class Circuit:
                         f"{nid}")
             c.inputs = [(_json_int(nid), _json_int(party), _json_str(name))
                         for nid, party, name in obj["inputs"]]
-            c.outputs = [(_json_int(nid), frozenset(map(_json_int, aud)),
+            c.outputs = [(_json_int(nid), _json_parties(aud),
                           _json_str(name))
                          for nid, aud, name in obj["outputs"]]
         except KeyError as ex:
@@ -364,9 +421,15 @@ def _compact(obj) -> str:
 
 
 def _json_int(v) -> int:
-    if not isinstance(v, int):
+    if not isinstance(v, int) or isinstance(v, bool):  # JSON true is no id
         raise TypeError(f"expected an integer, got {v!r}")
     return v
+
+
+def _json_parties(v) -> frozenset:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of parties, got {v!r}")
+    return frozenset(map(_json_int, v))
 
 
 def _json_str(v) -> str:
@@ -392,14 +455,17 @@ def meta_to_json(m: Meta) -> dict:
 
 
 def meta_from_json(obj: dict) -> Meta:
+    """The metadata `meta_to_json` wrote. A badly shaped field raises
+    TypeError, which `Circuit.from_json_obj` reports as malformed."""
     match obj["type"]:
         case "plain":
             aud = obj.get("audience")
-            return PlainMeta(frozenset(aud) if aud is not None else None)
+            return PlainMeta(_json_parties(aud) if aud is not None else None)
         case "enc":
-            return EncMeta(frozenset(obj["provider"]))
+            return EncMeta(_json_parties(obj["provider"]))
         case "shared":
-            return SharedMeta(frozenset(obj["provider"]),
-                              frozenset(obj["players"]),
-                              frozenset(obj["observers"]), obj["threshold"])
+            return SharedMeta(_json_parties(obj["provider"]),
+                              _json_parties(obj["players"]),
+                              _json_parties(obj["observers"]),
+                              _json_int(obj["threshold"]))
     raise MalformedCircuitError(f"unknown meta type {obj['type']!r}")

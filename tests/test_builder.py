@@ -42,6 +42,30 @@ def test_hashing_returns_the_earlier_node():
     assert len(b.nodes) == 4
 
 
+def test_hashing_merges_gates_whose_metadata_is_equal_not_identical():
+    """A CSE key holds a gate's metadata by value: two equal metas built
+    apart merge, and metas that differ, or differ only in class, do not."""
+    b = Builder(["cse"])
+    x = b.add(GateKind.INPUT_BIT, (), EncMeta(owners(1)))
+    y = b.add(GateKind.INPUT_BIT, (), EncMeta(owners(2)))
+    meta, twin = EncMeta(owners(1, 2)), EncMeta(owners(1, 2))
+    assert meta is not twin
+    g = b.add(GateKind.AND, (x, y), meta)
+    assert b.add(GateKind.AND, (x, y), twin) == g
+    assert b.add(GateKind.AND, (x, y), EncMeta(owners(1))) != g
+    assert b.add(GateKind.AND, (x, y), PlainMeta(owners(1, 2))) != g
+    assert len(b.nodes) == 5
+    # so does the cse pass, on a circuit with a fresh meta per gate
+    c = Circuit(Level.BOOL)
+    for meta in (EncMeta(owners(1)), EncMeta(owners(2))):
+        c.add_node(GateKind.INPUT_BIT, (), meta)
+    c.add_node(GateKind.AND, (0, 1), EncMeta(owners(1, 2)))
+    c.add_node(GateKind.AND, (1, 0), EncMeta(owners(1, 2)))
+    assert c.nodes[2].meta is not c.nodes[3].meta
+    assert [n.kind for n in optimizer.cse(c).nodes] == [
+        GateKind.INPUT_BIT, GateKind.INPUT_BIT, GateKind.AND]
+
+
 def test_a_replacement_goes_through_every_rule():
     b = Builder(RULE_KINDS)
     zero = b.add(GateKind.CONST, (), PLAIN, 0)

@@ -1,10 +1,13 @@
+import copy
+import pickle
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build
 from mpcc.circuit import (
-    Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
+    Circuit, EncMeta, GateKind, Level, Node, PLAIN, PlainMeta, SharedMeta,
     combine_meta, combine_share_meta, meta_from_json, meta_to_json,
 )
 from mpcc.errors import (
@@ -97,6 +100,73 @@ def test_combine_enc_meta_reuses_an_operand_that_is_the_union():
     assert combine_meta(one, both) is both
     assert combine_meta(both, one) is both
     assert combine_meta(one, EncMeta(owners(2))) == both
+
+
+# -- the value types --
+
+def sample_values():
+    """A node and one metadata object of each class, with their fields."""
+    return [(Node(GateKind.MUL_PLAIN, (0,), EncMeta(owners(1)), 3),
+             ("kind", "operands", "meta", "payload")),
+            (PlainMeta(owners(1)), ("audience",)),
+            (EncMeta(owners(1)), ("provider",)),
+            (shared({1}, {1, 2}, {2}, 2),
+             ("provider", "players", "observers", "threshold"))]
+
+
+@pytest.mark.parametrize("value, fields", sample_values())
+def test_fields_refuse_assignment_and_deletion(value, fields):
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1  # no field can be added either
+
+
+def test_metadata_of_different_classes_is_never_equal():
+    s = owners(1, 2)
+    assert PlainMeta(s) != EncMeta(s)
+    assert not PlainMeta(s) == EncMeta(s)
+    assert EncMeta(s) != (s,)  # nor equal to the tuple it is built on
+    assert len({PlainMeta(s), EncMeta(s)}) == 2
+
+
+def test_metadata_built_separately_is_equal_and_hashes_equal():
+    for make in (lambda: PlainMeta(), lambda: PlainMeta(owners(1, 2)),
+                 lambda: EncMeta(owners(3)),
+                 lambda: shared({1}, {1, 2, 3}, {2, 3}, 3)):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+    assert EncMeta(owners(1)) != EncMeta(owners(2))
+    assert shared({1}, {1, 2}, {2}, 2) != shared({1}, {1, 2}, {2}, 1)
+
+
+def test_nodes_are_equal_and_hash_by_value():
+    a = Node(GateKind.ADD, (0, 1), EncMeta(owners(1)))
+    b = Node(GateKind.ADD, (0, 1), EncMeta(owners(1)))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert Node(GateKind.ADD, (1, 0), EncMeta(owners(1))) != a
+    assert Node(GateKind.ADD, (0, 1), PlainMeta(owners(1))) != a
+    assert Node(GateKind.CONST, (), PLAIN, 0) != Node(GateKind.CONST, (),
+                                                      PLAIN, 1)
+    assert a != (a.kind, a.operands, a.meta, a.payload)
+    assert repr(a) == ("Node(kind=<GateKind.ADD: 'Add'>, operands=(0, 1), "
+                       "meta=EncMeta(provider=frozenset({1})), payload=None)")
+
+
+def test_circuits_copy_and_pickle_by_value():
+    c = build("auction", bitwidth=16, scheme="additive")
+    for other in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert other.nodes == c.nodes
+        assert other.to_json() == c.to_json()
 
 
 # -- validation --
@@ -220,6 +290,64 @@ def test_malformed_json_raises_one_error_type(breakage):
     breakage(obj)
     with pytest.raises(MalformedCircuitError):
         Circuit.from_json_obj(obj)
+
+
+def json_spots(obj, path=()):
+    """The path of every value in a JSON tree, the root's () included."""
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from json_spots(value, path + (key,))
+
+
+# circuits with plain, audience, encrypted and shared metadata
+FUZZ_SOURCES = [build("auction", bitwidth=16).to_json_obj(),
+                build("auction", bitwidth=16, scheme="additive").to_json_obj()]
+odd_json = st.sampled_from([
+    None, True, -1, 1.5, 1 << 70, "x", "", [], {}, [1, "x"], ["1"], [[1]],
+    [None], {"type": "secret"}, {"type": "enc", "provider": "12"},
+    {"type": "shared", "provider": [1]}]).map(copy.deepcopy)  # fresh
+
+
+@st.composite
+def broken_circuit_json(draw):
+    """A corpus circuit's `to_json_obj` with one to three breakages, each
+    at a drawn spot: the key or element there dropped, or an odd value put
+    in its place. Spots are drawn by region, so that the few top-level
+    keys are drawn as often as the many node fields, and metadata
+    fields, which hold the most shapes, twice as often."""
+    obj = copy.deepcopy(draw(st.sampled_from(FUZZ_SOURCES)))
+    for _ in range(draw(st.integers(1, 3))):
+        spots = list(json_spots(obj))
+        metas = [p for p in spots if len(p) > 2 and p[2] == "meta"]
+        regions = [[p for p in spots if len(p) <= 1],
+                   [p for p in spots if p[:1] in (("inputs",), ("outputs",))],
+                   [p for p in spots if p[:1] == ("nodes",)], metas, metas]
+        path = draw(st.sampled_from(draw(st.sampled_from(
+            [r for r in regions if r]))))
+        if not path:
+            return draw(odd_json)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(odd_json)
+    return obj
+
+
+@given(broken_circuit_json())
+@settings(max_examples=500, deadline=None)
+def test_circuit_loader_fails_only_with_malformed_circuit_error(obj):
+    try:
+        c = Circuit.from_json_obj(obj)
+    except MalformedCircuitError:
+        return
+    # what loads can be checked and written back
+    assert isinstance(c.validate(), list)
+    assert Circuit.from_json(c.to_json()).to_json() == c.to_json()
 
 
 def test_text_that_is_not_json_is_malformed():

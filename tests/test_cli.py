@@ -335,9 +335,43 @@ def leq_gate(obj):
     return obj
 
 
+def text_signed(obj):
+    obj["signed"] = "yes"
+    return obj
+
+
+def true_operand(obj):
+    obj["nodes"][-1]["operands"] = [True]
+    return obj
+
+
+def unknown_meta_type(obj):
+    obj["nodes"][0]["meta"] = {"type": "secret"}
+    return obj
+
+
+def text_provider(obj):
+    obj["nodes"][0]["meta"]["provider"] = "12"
+    return obj
+
+
+def mixed_provider(obj):
+    obj["nodes"][0]["meta"]["provider"] = [1, "x"]
+    return obj
+
+
+def fractional_threshold(obj):
+    obj["nodes"][0]["meta"] = {"type": "shared", "provider": [1],
+                               "players": [1, 2], "observers": [1],
+                               "threshold": 1.5}
+    return obj
+
+
 @pytest.mark.parametrize("command", ["estimate", "opt", "run"])
-@pytest.mark.parametrize("breakage", [no_nodes, output_past_end,
-                                      mixed_level, leq_gate])
+@pytest.mark.parametrize("breakage", [
+    no_nodes, output_past_end, mixed_level, leq_gate, text_signed,
+    true_operand, unknown_meta_type, text_provider, mixed_provider,
+    fractional_threshold])
 def test_malformed_circuit_file_is_exit_2(tmp_path, capsys, command,
                                           breakage):
     path = tmp_path / "bad.json"

@@ -281,4 +281,21 @@ def test_modulo_matches_the_reference_on_shares(m, width):
 def test_modulo_lowers_to_lt_and_no_other_comparison(width):
     c = compile(modulo_source(5), PipelineConfig(bitwidth=width, passes=[]))
     assert {k.value: n for k, n in c.counts().items()
-            if k in COMPARISON_KINDS} == {"Lt": width - 3}
+            if k in COMPARISON_KINDS} == {"Lt": width - 4}
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_modulo_by_a_divisor_at_the_contract_bound(width):
+    # every dividend is below 2^(w-2), so m = 2^(w-2) - 1 takes one step
+    # and m = 2^(w-2) none
+    top = (1 << (width - 2)) - 1
+    for m, steps in ((top, 1), (top + 1, 0)):
+        src = modulo_source(m)
+        word = compile(src, PipelineConfig(bitwidth=width, passes=[]))
+        b = compile(src, PipelineConfig(bitwidth=width,
+                                        target_level=Level.BOOL))
+        assert word.counts().get(GateKind.LT, 0) == steps
+        for a in (0, 1, top - 1, top):
+            want = {"out0": a % m}
+            assert interpret_clear(word, {(1, "a"): a}) == want, (m, a)
+            assert interpret_bool(b, {(1, "a"): a}) == want, (m, a)

@@ -8,7 +8,7 @@ order, so the number of gate evaluations is |nodes| regardless of input
 values.
 """
 
-from ..circuit import Circuit, GateKind, Level, word_value
+from ..circuit import Circuit, GateKind, Level, contract_log, word_value
 from ..errors import (
     LevelError, MissingInputError, MuxSelectorError, OverflowContractError,
 )
@@ -62,7 +62,7 @@ class ClearInterpreter:
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
-        input_values = bind_inputs(c, inputs, c.bitwidth - 2)
+        input_values = bind_inputs(c, inputs, contract_log(c.bitwidth))
         values: list[int] = [0] * len(c.nodes)
         for nid, node in enumerate(c.nodes):
             kind = node.kind

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..circuit import WORD_OPS, Circuit, GateKind, Level
+from ..circuit import WORD_OPS, Circuit, GateKind, Level, contract_log
 from ..errors import (
     BudgetExceededError, IncompleteSharesError, LevelError,
     MuxSelectorError, PlayerMismatchError, TripleExhaustedError,
@@ -361,10 +361,11 @@ class SharedSimulator:
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
         c = self.circuit
-        # the range contract |v| < 2^(w-2), capped by what centered() can
-        # lift back out of the field: |v| < 2^60 for PRIME = 2^61 - 1
+        # the range contract, capped by what centered() can lift back out
+        # of the field: |v| < 2^60 for PRIME = 2^61 - 1
         input_values = bind_inputs(
-            c, inputs, min(c.bitwidth - 2, (PRIME // 2 + 1).bit_length() - 1))
+            c, inputs, min(contract_log(c.bitwidth),
+                           (PRIME // 2 + 1).bit_length() - 1))
         self.offline_phase()
         layers, output_reveals = layered_schedule(
             c, additive_model().depth_weights)

@@ -98,6 +98,14 @@ WORD_OPS = {
     GateKind.EQ: lambda a, b: int(a == b),
 }
 
+
+def contract_log(bitwidth: int) -> int:
+    """The range contract's exponent: every input of a w-bit circuit
+    satisfies |v| < 2^(w-2). The clear and shares backends check it, and
+    `optimizer.range_fold` assumes it."""
+    return bitwidth - 2
+
+
 # globals for word_value's tests (a GateKind lookup is slow)
 _CONST, _MUL_PLAIN, _MUX = GateKind.CONST, GateKind.MUL_PLAIN, GateKind.MUX
 
@@ -269,8 +277,10 @@ class Circuit:
             if not (0 <= o < nid):
                 raise ForwardReferenceError(
                     f"operand {o} of node {nid} is not an earlier node")
-        if kind in PAYLOAD_KINDS and payload is None:
-            raise ArityError(f"{kind.value} requires a payload")
+        if (kind in PAYLOAD_KINDS) != (payload is not None):
+            raise ArityError(f"{kind.value} requires a payload"
+                             if payload is None
+                             else f"{kind.value} takes no payload")
         self.nodes.append(Node(kind, operands, meta, payload))
         return nid
 
@@ -305,8 +315,10 @@ class Circuit:
             for o in node.operands:
                 if not (0 <= o < nid):
                     violations.append(f"node {nid}: forward reference to {o}")
-            if node.kind in PAYLOAD_KINDS and node.payload is None:
-                violations.append(f"node {nid}: missing payload")
+            if (node.kind in PAYLOAD_KINDS) != (node.payload is not None):
+                violations.append(f"node {nid}: missing payload"
+                                  if node.payload is None
+                                  else f"node {nid}: unexpected payload")
             if node.kind in (GateKind.REVEAL, GateKind.REVEAL_BIT):
                 if not (isinstance(node.meta, PlainMeta)
                         and node.meta.audience):

@@ -119,26 +119,34 @@ def preprocessing(c: Circuit) -> tuple[int, int]:
     """(Beaver triples, random bits) of the shares backend's offline
     phase: one triple per Mul or Mux and `comparison_budget` per
     comparison."""
-    kinds = Counter([node.kind for node in c.nodes])
-    tpc, bpc = comparison_budget(c.bitwidth)
+    return _preprocessing(Counter([node.kind for node in c.nodes]),
+                          c.bitwidth)
+
+
+def _preprocessing(kinds: Counter, bitwidth: int) -> tuple[int, int]:
+    """`preprocessing` from the circuit's count of each kind."""
+    tpc, bpc = comparison_budget(bitwidth)
     n_comparisons = sum(kinds[k] for k in COMPARISON_KINDS)
     return (sum(kinds[k] for k in TRIPLE_KINDS) + tpc * n_comparisons,
             bpc * n_comparisons)
 
 
 def estimate(c: Circuit, model: CostModel) -> ResourceReport:
+    """Price each kind once, count times cost. The first kind in node
+    order that `model` does not price raises ModelCoverageError."""
+    kinds = Counter([node.kind for node in c.nodes])
     counts: dict[GateKind, int] = {}
     totals: dict[str, Fraction] = {r: Fraction(0) for r in model.resources()}
-    for node in c.nodes:
-        if node.kind not in model.gate_costs:
+    for kind, n in kinds.items():  # first-seen order
+        if kind not in model.gate_costs:
             raise ModelCoverageError(
-                f"model '{model.name}' does not price {node.kind.value}")
-        if node.kind in ZERO_COST_KINDS:
+                f"model '{model.name}' does not price {kind.value}")
+        if kind in ZERO_COST_KINDS:
             continue
-        counts[node.kind] = counts.get(node.kind, 0) + 1
-        for resource, cost in model.gate_costs[node.kind].items():
-            totals[resource] += cost
-    triples, bits = preprocessing(c)
+        counts[kind] = n
+        for resource, cost in model.gate_costs[kind].items():
+            totals[resource] += n * cost
+    triples, bits = _preprocessing(kinds, c.bitwidth)
     return ResourceReport(
         model_name=model.name,
         totals=totals,

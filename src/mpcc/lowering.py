@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .circuit import (
     Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
-    balanced, combine_meta, word_value,
+    balanced, combine_meta, contract_log, word_value,
 )
 from .errors import LowerError
 from .frontend import syntax as S
@@ -461,10 +461,11 @@ class Lowering:
         if a.static is not None:
             return self.const(int(a.static) % m)
         # conditional subtraction of shifted multiples; dividend must be
-        # nonnegative and below 2^(bitwidth-2), which m << max_shift is
-        # not, so the steps start one shift lower
+        # nonnegative and inside the range contract, which m << max_shift
+        # is not, so the steps start one shift lower
         r = a
-        max_shift = max(0, self.cfg.bitwidth - 2 - m.bit_length() + 1)
+        max_shift = max(0, contract_log(self.cfg.bitwidth)
+                        - m.bit_length() + 1)
         for j in range(max_shift - 1, -1, -1):
             c = self.const(m << j)
             short = self.emit(GateKind.LT, [r, c])

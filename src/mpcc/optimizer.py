@@ -7,8 +7,8 @@ strength reduction), then looks the node up by (kind, canonical
 operands, payload, meta). The rules are named after the passes
 `const_fold`, `peephole`, `strength_reduce` and `cse`, each one walk
 through a Builder with only its own rule enabled; `dce`, `pow_rewrite`,
-`tree_reduce` and `cmp_rewrite` walk through one with no rule;
-`bitblast` emits through one with the rules of its pass list.
+`tree_reduce`, `cmp_rewrite` and `range_fold` walk through one with no
+rule; `bitblast` emits through one with the rules of its pass list.
 
 A rule needs a constant operand unless it rewrites a kind in
 `CONST_FREE` (Not, Mux, MuxBit, MulPlain): fold needs all of them
@@ -21,6 +21,11 @@ nothing before the first node it changes and shares every unchanged
 `Node`; a pass that changes nothing returns its input itself, so never
 mutate a pass's result. The pipeline runs its passes to a fixpoint (at
 most ten rounds), on source and on circuit JSON alike.
+
+`range_fold`, a default pass, is the one pass that assumes the range
+contract: it decides comparisons from intervals that start at
+|v| < 2^(w-2) for every input, which the clear and shares backends
+check. Every other pass keeps the outputs on any input.
 """
 
 from __future__ import annotations
@@ -29,18 +34,21 @@ import functools
 from collections import Counter
 
 from .circuit import (
-    COMMUTATIVE, INPUT_KINDS, PLAIN, WORD_OPS, Circuit, GateKind, Node,
-    balanced, word_value,
+    COMMUTATIVE, INPUT_KINDS, PLAIN, WORD_OPS, Circuit, GateKind, Level, Node,
+    balanced, contract_log, word_value,
 )
 from .errors import LowerError
 
+# range_fold runs before cse and dce, which merge the constants it adds
+# and sweep what it leaves unread in the same round
 DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
-                  "cse", "dce", "cmp_rewrite"]
+                  "range_fold", "cse", "dce", "cmp_rewrite"]
 
 # globals for the kinds rules test on every node (a GateKind lookup is slow)
-ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX, CONST = (
+ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX, CONST, INPUT, REVEAL = (
     GateKind.ADD, GateKind.SUB, GateKind.MUL, GateKind.MUL_PLAIN,
-    GateKind.LT, GateKind.EQ, GateKind.MUX, GateKind.CONST)
+    GateKind.LT, GateKind.EQ, GateKind.MUX, GateKind.CONST, GateKind.INPUT,
+    GateKind.REVEAL)
 AND, OR, XOR, NOT, MUX_BIT, CONST_BIT = (
     GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
     GateKind.MUX_BIT, GateKind.CONST_BIT)
@@ -375,6 +383,138 @@ def cmp_rewrite(c: Circuit) -> Circuit:
     return c
 
 
+# -- value ranges --
+
+FOLDS = frozenset({LT, EQ, MUX})  # the kinds range_fold rewrites
+
+
+def _cmp_plan(kind, x, y, lo, hi):
+    """What range_fold makes of comparison kind(x, y) from the intervals
+    `lo`, `hi` (None: unbounded): None, or (v, i, negate) for the Const v
+    (i None), Sub(Const v, operand i) (negate) or operand i minus v."""
+    xl, xh, yl, yh = lo[x], hi[x], lo[y], hi[y]
+    if xl is None or yl is None:
+        return None
+    if kind is LT:
+        if xh < yl or xl >= yh:
+            return int(xh < yl), None, False
+        if yl == yh and xh == xl + 1:  # Lt(x, v+1), x in {v, v+1}
+            return xh, 0, True
+        if xl == xh and yh == yl + 1:  # Lt(v, y), y in {v, v+1}
+            return yl, 1, False
+        return None
+    if xh < yl or yh < xl:
+        return 0, None, False
+    if xl == xh == yl == yh:
+        return 1, None, False
+    for i, (zl, zh, cl, ch) in enumerate(((xl, xh, yl, yh),
+                                          (yl, yh, xl, xh))):
+        if zh == zl + 1 and cl == ch:
+            # Eq(z, v) is v+1 - z and Eq(z, v+1) is z - v, z in {v, v+1}
+            return (zh, i, True) if cl == zl else (zl, i, False)
+    return None
+
+
+def range_fold(c: Circuit) -> Circuit:
+    """Fold what value ranges decide (interval analysis, Cousot and
+    Cousot, POPL 1977). One forward walk gives each word an interval
+    over exact integers: an Input the range contract |v| < 2^(w-2), a
+    Const its value, Add, Sub, Mul and MulPlain interval arithmetic, a
+    comparison [0, 1] (its value when decided), a Mux the hull of its
+    arms and a Reveal its operand's. An end past 2^(2w) widens to
+    unbounded. The walk then rebuilds from the first gate it changes:
+
+        Lt(x, y)            hi(x) < lo(y): 1,  lo(x) >= hi(y): 0
+        Eq(x, y)            disjoint intervals: 0, one equal point: 1
+        x in {v, v+1}       Lt(x, v+1), Eq(x, v)  ->  Sub(Const v+1, x)
+                            Lt(v, x), Eq(x, v+1)  ->  x - v (x if v = 0)
+        s in [0, 1]         Mux(s, 1, 0) -> s,  Mux(s, 0, 1) -> 1 - s
+
+    The clear interpreter computes on exact integers and accepts only
+    inputs inside the contract, so on every input it accepts the folded
+    circuit has the same outputs. A Mux whose selector is not proven a
+    bit stays, so the backends still refuse a selector that is not one.
+    Bool circuits come back unchanged.
+    """
+    if c.level == Level.BOOL:
+        return c
+    nodes = c.nodes
+    # only comparisons and Muxes fold: the walk ends at the last of them
+    end = next((nid + 1 for nid in range(len(nodes) - 1, -1, -1)
+                if nodes[nid].kind in FOLDS), 0)
+    cap = 1 << (2 * c.bitwidth)
+    bound = (1 << contract_log(c.bitwidth)) - 1
+    lo: list[int | None] = []
+    hi: list[int | None] = []
+    plans = {}  # oid -> (v, i, negate), as _cmp_plan returns
+    for nid in range(end):
+        node = nodes[nid]
+        kind, ops = node.kind, node.operands
+        if kind is MUX:
+            s, t, e = ops
+            tl, th, el, eh = lo[t], hi[t], lo[e], hi[e]
+            if tl is None or el is None:
+                low = high = None
+            else:
+                low = tl if tl < el else el
+                high = th if th > eh else eh
+                if (low == 0 and high == 1 and tl == th and el == eh
+                        and lo[s] is not None and lo[s] >= 0 and hi[s] <= 1):
+                    plans[nid] = (el, 0, el == 1)  # s, or 1 - s
+        elif kind is LT or kind is EQ:
+            plan = _cmp_plan(kind, ops[0], ops[1], lo, hi)
+            low, high = 0, 1
+            if plan is not None:
+                plans[nid] = plan
+                if plan[1] is None:
+                    low = high = plan[0]
+        elif kind is CONST:
+            low = high = node.payload
+        elif kind is INPUT:
+            low, high = -bound, bound
+        elif kind is REVEAL:
+            low, high = lo[ops[0]], hi[ops[0]]
+        else:
+            xl, xh = lo[ops[0]], hi[ops[0]]
+            if kind is MUL_PLAIN:
+                yl = yh = node.payload
+            else:
+                yl, yh = lo[ops[1]], hi[ops[1]]
+            if xl is None or yl is None:
+                low = high = None
+            elif kind is ADD:
+                low, high = xl + yl, xh + yh
+            elif kind is SUB:
+                low, high = xl - yh, xh - yl
+            else:  # Mul, MulPlain
+                ends = (xl * yl, xl * yh, xh * yl, xh * yh)
+                low, high = min(ends), max(ends)
+            if low is not None and (low < -cap or high > cap):
+                low = high = None
+        lo.append(low)
+        hi.append(high)
+    if not plans:
+        return c
+
+    b = Builder()
+
+    def const(v):
+        return b.add(CONST, (), PLAIN, v)
+
+    def step(oid, node, ops):
+        plan = plans.get(oid)
+        if plan is not None:
+            v, i, negate = plan
+            if i is None:
+                return const(v)
+            if negate:
+                return b.add(SUB, (const(v), ops[i]), node.meta)
+            return ops[i] if v == 0 else b.add(SUB, (ops[i], const(v)),
+                                               node.meta)
+
+    return b.walk(c, min(plans), step)
+
+
 PASSES = {
     "const_fold": const_fold,
     "peephole": peephole,
@@ -384,6 +524,7 @@ PASSES = {
     "pow_rewrite": pow_rewrite,
     "tree_reduce": tree_reduce,
     "cmp_rewrite": cmp_rewrite,
+    "range_fold": range_fold,
 }
 
 MAX_ROUNDS = 10

@@ -50,6 +50,16 @@ def test_arity_checked():
         c.add_node(GateKind.ADD, (0,))
     with pytest.raises(ArityError):
         c.add_node(GateKind.CONST, ())  # payload required
+    with pytest.raises(ArityError, match="Reveal takes no payload"):
+        c.add_node(GateKind.REVEAL, (0,), PlainMeta(owners(1)), payload=7)
+    assert len(c.nodes) == 1
+
+
+def test_validate_reports_a_payload_on_a_kind_that_takes_none():
+    c = Circuit()
+    c.add_node(GateKind.CONST, (), payload=1)
+    c.nodes.append(Node(GateKind.MUL, (0, 0), payload=7))
+    assert c.validate() == ["node 1: unexpected payload"]
 
 
 # -- share metadata combination --

@@ -367,11 +367,17 @@ def fractional_threshold(obj):
     return obj
 
 
+def payload_on_reveal(obj):
+    # only Const, ConstBit and MulPlain take a payload
+    next(n for n in obj["nodes"] if n["kind"] == "Reveal")["payload"] = 7
+    return obj
+
+
 @pytest.mark.parametrize("command", ["estimate", "opt", "run"])
 @pytest.mark.parametrize("breakage", [
     no_nodes, output_past_end, mixed_level, leq_gate, text_signed,
     true_operand, unknown_meta_type, text_provider, mixed_provider,
-    fractional_threshold])
+    fractional_threshold, payload_on_reveal])
 def test_malformed_circuit_file_is_exit_2(tmp_path, capsys, command,
                                           breakage):
     path = tmp_path / "bad.json"

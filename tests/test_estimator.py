@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import ROOT, build
+from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import ModelCoverageError, ObjectiveMissingError
 from mpcc.estimator import (
-    CostModel, additive_model, arith_model, boolean_model, critical_path,
-    estimate, layered_schedule, load_model, model_from_json_obj,
-    model_to_json_obj, rank_backends,
+    ZERO_COST_KINDS, CostModel, additive_model, arith_model, boolean_model,
+    critical_path, estimate, layered_schedule, load_model,
+    model_from_json_obj, model_to_json_obj, rank_backends,
 )
 from mpcc.optimizer import run_passes
 from mpcc.sectypes import owners
@@ -135,6 +136,29 @@ def test_model_coverage_error():
     tiny = CostModel("tiny", {GateKind.ADD: {}})
     with pytest.raises(ModelCoverageError):
         estimate(chain_circuit(GateKind.MUL, 1), tiny)
+
+
+def test_model_coverage_names_the_first_unpriced_kind():
+    # Mul comes before Reveal in node order; neither is priced
+    with pytest.raises(ModelCoverageError, match="does not price Mul$"):
+        estimate(chain_circuit(GateKind.MUL, 2),
+                 CostModel("tiny", {GateKind.INPUT: {}}))
+
+
+@pytest.mark.parametrize("name", ["gcd", "auction", "mergesort", "matvec"])
+def test_estimate_totals_are_the_sum_over_gates(name):
+    for c, model in ((build(name, bitwidth=16), additive_model()),
+                     (build(name, bitwidth=16), arith_model()),
+                     (bitblast(build(name, bitwidth=16), 16),
+                      boolean_model())):
+        totals = dict.fromkeys(model.resources(), Fraction(0))
+        for node in c.nodes:
+            for resource, cost in model.gate_costs[node.kind].items():
+                totals[resource] += cost
+        report = estimate(c, model)
+        assert report.totals == totals
+        assert sum(report.gate_counts.values()) == sum(
+            n.kind not in ZERO_COST_KINDS for n in c.nodes)
 
 
 def test_rank_backends_orders_and_breaks_ties():

@@ -22,13 +22,13 @@ from mpcc.pipeline import PipelineConfig, compile
 GOLDEN = {
     ("gcd", 16): ("5cfac3f73e31e935", "4b1c52f200f1c208", "e478f13234669676"),
     ("gcd", 64): ("8a097cd50c03fa7c", "98462f3e7c2428e2", "28cb9459d8aeb76a"),
-    ("auction", 16): ("be51913a02e4d5f7", "a5e6cfdae74d8122",
+    ("auction", 16): ("7894288e6a160ea4", "a5e6cfdae74d8122",
                       "7dc8e91f5bbde36d"),
-    ("auction", 64): ("59db4adbf474050a", "da8b91e0424f39fc",
+    ("auction", 64): ("68c055f92d80a650", "da8b91e0424f39fc",
                       "fc1a45aa9ef6df6f"),
-    ("mergesort", 16): ("0e08ce26f4fe6b1f", "4372768823eadbeb",
+    ("mergesort", 16): ("17ab14c70afe1ca8", "4372768823eadbeb",
                         "39693c76d37b7167"),
-    ("mergesort", 64): ("66d0d9fb495c80ca", "da3968b0b995a87c",
+    ("mergesort", 64): ("f7dcaf2f5e2750d7", "da3968b0b995a87c",
                         "c32f3367bd355981"),
     ("matvec", 16): ("2b606b48cadbff18", "1640d08e3c2c61bf",
                      "ffa26975845d1b8c"),

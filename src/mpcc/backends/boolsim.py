@@ -7,7 +7,7 @@ when the circuit is marked signed. Gates run through the gate-list
 kernel `gatelist.run_gates`, with one wire per node.
 """
 
-from ..circuit import Circuit, GateKind, Level
+from ..circuit import CONST, INPUT, REVEAL, Circuit, Level
 from ..errors import LevelError, MissingInputError
 from .gatelist import KIND_NAMES, run_gates
 
@@ -47,13 +47,13 @@ class BoolInterpreter:
             name = KIND_NAMES.get(kind)
             if name is not None:
                 ops = node.operands
-            elif kind == GateKind.REVEAL_BIT:
+            elif kind is REVEAL:
                 name, ops = "XOR", (node.operands[0], zero)
-            elif kind == GateKind.INPUT_BIT:
+            elif kind is INPUT:
                 values[nid] = input_bits[nid]
                 continue
-            elif kind == GateKind.CONST_BIT:
-                values[nid] = node.payload & 1
+            elif kind is CONST:
+                values[nid] = node.payload
                 continue
             else:
                 raise LevelError(f"{kind.value} in bool circuit")

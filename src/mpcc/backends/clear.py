@@ -8,13 +8,12 @@ order, so the number of gate evaluations is |nodes| regardless of input
 values.
 """
 
-from ..circuit import Circuit, GateKind, Level, contract_log, word_value
+from ..circuit import (
+    INPUT, MUX, REVEAL, Circuit, Level, contract_log, word_value,
+)
 from ..errors import (
     LevelError, MissingInputError, MuxSelectorError, OverflowContractError,
 )
-
-# globals for the kinds run() tests on every node (a GateKind lookup is slow)
-INPUT, MUX, REVEAL = GateKind.INPUT, GateKind.MUX, GateKind.REVEAL
 
 
 def flatten_inputs(parties: dict) -> dict[tuple[int, str], int]:

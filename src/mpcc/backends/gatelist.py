@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..circuit import ARITY, Circuit, GateKind, Level
+from ..circuit import (
+    AND, ARITY, CONST, MUX_BIT, NOT, OR, REVEAL, XOR, Circuit, Level,
+)
 from ..errors import LevelError, ParseError
 
-KIND_NAMES = {GateKind.AND: "AND", GateKind.OR: "OR", GateKind.XOR: "XOR",
-              GateKind.NOT: "INV", GateKind.MUX_BIT: "MUX"}
+KIND_NAMES = {AND: "AND", OR: "OR", XOR: "XOR", NOT: "INV", MUX_BIT: "MUX"}
 NAME_ARITY = {name: ARITY[kind] for kind, name in KIND_NAMES.items()}
 
 
@@ -41,12 +42,12 @@ def emit_gatelist(c: Circuit) -> str:
     for nid, node in enumerate(nodes):
         if node.kind in KIND_NAMES:
             gate_ids.append(nid)
-        elif node.kind == GateKind.CONST_BIT:
+        elif node.kind is CONST:
             const_ids.append(nid)
-        elif node.kind == GateKind.REVEAL_BIT:
+        elif node.kind is REVEAL:
             reveal_ids.append(nid)
     source_of = [nodes[nid].operands[0]
-                 if nodes[nid].kind == GateKind.REVEAL_BIT else nid
+                 if nodes[nid].kind is REVEAL else nid
                  for nid, _aud, _name in c.outputs]
 
     # decide which gates sit in the output block and which need copies
@@ -60,7 +61,7 @@ def emit_gatelist(c: Circuit) -> str:
 
     wire = {nid: w for w, nid in enumerate(input_ids)}
     next_wire = len(input_ids)
-    bits = [nodes[nid].payload & 1 for nid in const_ids]
+    bits = [nodes[nid].payload for nid in const_ids]
     const_lines = [f"const {next_wire + i} {b}" for i, b in enumerate(bits)]
     wire.update((nid, next_wire + i) for i, nid in enumerate(const_ids))
     zero_wire = next_wire + bits.index(0) if 0 in bits else None

@@ -35,7 +35,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..circuit import WORD_OPS, Circuit, GateKind, Level, contract_log
+from ..circuit import (
+    ADD, CONST, INPUT, MUL, MUL_PLAIN, MUX, REVEAL, SUB, WORD_OPS, Circuit,
+    GateKind, Level, contract_log,
+)
 from ..errors import (
     BudgetExceededError, IncompleteSharesError, LevelError,
     MuxSelectorError, PlayerMismatchError, TripleExhaustedError,
@@ -47,12 +50,6 @@ from ..estimator import (
 from .clear import bind_inputs
 
 PRIME = (1 << 61) - 1
-
-# globals for the kinds the online phase tests on every gate (a GateKind
-# lookup is slow)
-CONST, INPUT, ADD, SUB, MUL_PLAIN, MUL, MUX, REVEAL = (
-    GateKind.CONST, GateKind.INPUT, GateKind.ADD, GateKind.SUB,
-    GateKind.MUL_PLAIN, GateKind.MUL, GateKind.MUX, GateKind.REVEAL)
 
 
 def centered(v: int) -> int:

@@ -46,13 +46,12 @@ the default passes).
 from __future__ import annotations
 
 from .circuit import (
-    Circuit, GateKind, Level, PLAIN, PlainMeta, balanced, combine_meta,
+    AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR, PLAIN,
+    REVEAL, SUB, XOR, Circuit, GateKind, Level, PlainMeta, balanced,
+    combine_meta,
 )
 from .errors import BitblastError, LevelError
-from .optimizer import (  # bit kinds as globals: GateKind lookups are slow
-    AND, CONST_BIT, DEFAULT_PASSES, MUX_BIT, NOT, OR, XOR, Builder,
-    check_pass_names, dce,
-)
+from .optimizer import DEFAULT_PASSES, Builder, check_pass_names, dce
 
 
 class _BitBuilder:
@@ -92,7 +91,7 @@ class _BitBuilder:
         nid = self.ids[v]
         if nid is None:
             nid = self.ids[v] = self.builder.add(
-                CONST_BIT, (), PLAIN, self._const_value[v])
+                CONST, (), PLAIN, self._const_value[v])
         return nid
 
     def const_bit(self, b: int) -> int:
@@ -296,7 +295,7 @@ def bitblast(c: Circuit, width: int | None = None,
 
     for nid, node in enumerate(c.nodes):
         a, k = node.operands, need[nid]
-        if not k and node.kind is not GateKind.INPUT:
+        if not k and node.kind is not INPUT:
             bits[nid] = unread  # no bit of it is read
             continue
         low = [bits[o][:k] for o in a]  # what the arithmetic cases read
@@ -305,8 +304,7 @@ def bitblast(c: Circuit, width: int | None = None,
                 word = bb.const_word(node.payload)
             case GateKind.INPUT:
                 party, name = input_keys[nid]
-                word = [bb.emit(GateKind.INPUT_BIT, (), node.meta)
-                        for _ in range(width)]
+                word = [bb.emit(INPUT, (), node.meta) for _ in range(width)]
                 inputs += [(bb.ids[v], party, name) for v in word]
             case GateKind.ADD:
                 word = bb.ripple_add(low[0], low[1], bb.const_bit(0))
@@ -339,8 +337,7 @@ def bitblast(c: Circuit, width: int | None = None,
                 word = [bb.mux_bit(sel, t, e) for t, e in zip(low[1], low[2])]
             case GateKind.REVEAL:
                 meta = PlainMeta(node.meta.audience)
-                word = [bb.emit(GateKind.REVEAL_BIT, (bit,), meta=meta)
-                        for bit in low[0]]
+                word = [bb.emit(REVEAL, (bit,), meta=meta) for bit in low[0]]
             case _:
                 raise BitblastError(
                     f"cannot bit-blast {node.kind.value}")
@@ -359,16 +356,13 @@ def _boolish(c: Circuit) -> set[int]:
     out: set[int] = set()
     for nid, node in enumerate(c.nodes):
         a, kind = node.operands, node.kind
-        if (kind in (GateKind.LT, GateKind.EQ)
-                or kind is GateKind.CONST and node.payload in (0, 1)
-                or kind is GateKind.SUB and a[1] in out
-                and c.nodes[a[0]].kind is GateKind.CONST
-                and c.nodes[a[0]].payload == 1
-                or kind in (GateKind.MUL, GateKind.REVEAL)
-                and all(o in out for o in a)
-                or kind is GateKind.MUL_PLAIN and node.payload == 1
-                and a[0] in out
-                or kind is GateKind.MUX and a[1] in out and a[2] in out):
+        if (kind in (LT, EQ)
+                or kind is CONST and node.payload in (0, 1)
+                or kind is SUB and a[1] in out
+                and c.nodes[a[0]].kind is CONST and c.nodes[a[0]].payload == 1
+                or kind in (MUL, REVEAL) and all(o in out for o in a)
+                or kind is MUL_PLAIN and node.payload == 1 and a[0] in out
+                or kind is MUX and a[1] in out and a[2] in out):
             out.add(nid)
     return out
 
@@ -388,17 +382,17 @@ def _bits_read(c: Circuit, width: int, boolish: set[int]) -> list[int]:
         a, kind = node.operands, node.kind
         if not k or not a:
             continue
-        if kind in (GateKind.LT, GateKind.EQ):
+        if kind in (LT, EQ):
             reads = [width, width]
-        elif kind is GateKind.MUX:
+        elif kind is MUX:
             reads = [1, k, k]
-        elif kind is GateKind.SUB and nid in boolish:
+        elif kind is SUB and nid in boolish:
             reads = [k, 1]
-        elif kind is GateKind.MUL and (a[0] in boolish or a[1] in boolish):
+        elif kind is MUL and (a[0] in boolish or a[1] in boolish):
             reads = [1 if o in boolish else k for o in a]
-        elif kind is GateKind.MUL and a[0] == a[1]:
+        elif kind is MUL and a[0] == a[1]:
             reads = [max(k - 1, 1)] * 2
-        elif kind is GateKind.MUL_PLAIN:
+        elif kind is MUL_PLAIN:
             low = node.payload % (1 << k)
             reads = [k + 1 - (low & -low).bit_length() if low else 0]
         else:

@@ -36,7 +36,8 @@ class Level(str, Enum):
 
 
 class GateKind(str, Enum):
-    # word level
+    # Const, Input and Reveal serve both levels: a circuit's level says
+    # whether they carry words or bits
     CONST = "Const"
     INPUT = "Input"
     ADD = "Add"
@@ -47,55 +48,47 @@ class GateKind(str, Enum):
     EQ = "Eq"
     MUX = "Mux"
     REVEAL = "Reveal"
-    # bit level
-    CONST_BIT = "ConstBit"
-    INPUT_BIT = "InputBit"
+    # bit level only
     AND = "And"
     OR = "Or"
     XOR = "Xor"
     NOT = "Not"
     MUX_BIT = "MuxBit"
-    REVEAL_BIT = "RevealBit"
 
 
-ARITH_KINDS = frozenset({
+# the kinds as module globals, which every layer imports: the per-node
+# loops test kinds by identity, and a GateKind attribute lookup is slow
+CONST, INPUT, ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX, REVEAL = (
     GateKind.CONST, GateKind.INPUT, GateKind.ADD, GateKind.SUB, GateKind.MUL,
     GateKind.MUL_PLAIN, GateKind.LT, GateKind.EQ, GateKind.MUX,
-    GateKind.REVEAL,
-})
-BOOL_KINDS = frozenset({
-    GateKind.CONST_BIT, GateKind.INPUT_BIT, GateKind.AND, GateKind.OR,
-    GateKind.XOR, GateKind.NOT, GateKind.MUX_BIT, GateKind.REVEAL_BIT,
-})
+    GateKind.REVEAL)
+AND, OR, XOR, NOT, MUX_BIT = (
+    GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT, GateKind.MUX_BIT)
+
+ARITH_KINDS = frozenset({CONST, INPUT, ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX,
+                         REVEAL})
+BOOL_KINDS = frozenset({CONST, INPUT, REVEAL, AND, OR, XOR, NOT, MUX_BIT})
 
 ARITY = {
-    GateKind.CONST: 0, GateKind.INPUT: 0, GateKind.ADD: 2, GateKind.SUB: 2,
-    GateKind.MUL: 2, GateKind.MUL_PLAIN: 1, GateKind.LT: 2, GateKind.EQ: 2,
-    GateKind.MUX: 3, GateKind.REVEAL: 1,
-    GateKind.CONST_BIT: 0, GateKind.INPUT_BIT: 0, GateKind.AND: 2,
-    GateKind.OR: 2, GateKind.XOR: 2, GateKind.NOT: 1, GateKind.MUX_BIT: 3,
-    GateKind.REVEAL_BIT: 1,
+    CONST: 0, INPUT: 0, ADD: 2, SUB: 2, MUL: 2, MUL_PLAIN: 1, LT: 2, EQ: 2,
+    MUX: 3, REVEAL: 1, AND: 2, OR: 2, XOR: 2, NOT: 1, MUX_BIT: 3,
 }
 
-INPUT_KINDS = frozenset({GateKind.INPUT, GateKind.INPUT_BIT})
-
-PAYLOAD_KINDS = frozenset({GateKind.CONST, GateKind.CONST_BIT,
-                           GateKind.MUL_PLAIN})
+PAYLOAD_KINDS = frozenset({CONST, MUL_PLAIN})
 
 # commutative gates canonicalize operand order during CSE
-COMMUTATIVE = frozenset({GateKind.ADD, GateKind.MUL, GateKind.EQ,
-                         GateKind.AND, GateKind.OR, GateKind.XOR})
+COMMUTATIVE = frozenset({ADD, MUL, EQ, AND, OR, XOR})
 
 # -- word-gate semantics: the one definition, which lowering's
 # compile-time values, const_fold and the clear and shares backends read --
 
 # what each binary word gate computes on exact Python integers
 WORD_OPS = {
-    GateKind.ADD: operator.add,
-    GateKind.SUB: operator.sub,
-    GateKind.MUL: operator.mul,
-    GateKind.LT: lambda a, b: int(a < b),
-    GateKind.EQ: lambda a, b: int(a == b),
+    ADD: operator.add,
+    SUB: operator.sub,
+    MUL: operator.mul,
+    LT: lambda a, b: int(a < b),
+    EQ: lambda a, b: int(a == b),
 }
 
 
@@ -106,10 +99,6 @@ def contract_log(bitwidth: int) -> int:
     return bitwidth - 2
 
 
-# globals for word_value's tests (a GateKind lookup is slow)
-_CONST, _MUL_PLAIN, _MUX = GateKind.CONST, GateKind.MUL_PLAIN, GateKind.MUX
-
-
 def word_value(kind: GateKind, values, payload=None) -> int | None:
     """The value of word gate `kind` on operand values `values` and its
     `payload`; None for Input, Reveal and the bit gates. A Mux selector is
@@ -117,11 +106,11 @@ def word_value(kind: GateKind, values, payload=None) -> int | None:
     fn = WORD_OPS.get(kind)
     if fn is not None:
         return fn(values[0], values[1])
-    if kind is _CONST:
+    if kind is CONST:
         return payload
-    if kind is _MUL_PLAIN:
+    if kind is MUL_PLAIN:
         return values[0] * payload
-    if kind is _MUX:
+    if kind is MUX:
         return values[1] if values[0] else values[2]
     return None
 
@@ -286,9 +275,7 @@ class Circuit:
 
     def add_input(self, party: int, name: str,
                   meta: Meta | None = None) -> int:
-        kind = (GateKind.INPUT if self.level != Level.BOOL
-                else GateKind.INPUT_BIT)
-        nid = self.add_node(kind, (), meta if meta is not None
+        nid = self.add_node(INPUT, (), meta if meta is not None
                             else EncMeta(frozenset({party})))
         self.inputs.append((nid, party, name))
         return nid
@@ -308,7 +295,7 @@ class Circuit:
                 violations.append(
                     f"node {nid}: {node.kind.value} not allowed at level "
                     f"{self.level.value}")
-            if node.kind in INPUT_KINDS and nid not in listed:
+            if node.kind is INPUT and nid not in listed:
                 violations.append(f"node {nid}: input missing from inputs")
             if len(node.operands) != ARITY[node.kind]:
                 violations.append(f"node {nid}: bad arity")
@@ -319,10 +306,13 @@ class Circuit:
                 violations.append(f"node {nid}: missing payload"
                                   if node.payload is None
                                   else f"node {nid}: unexpected payload")
-            if node.kind in (GateKind.REVEAL, GateKind.REVEAL_BIT):
-                if not (isinstance(node.meta, PlainMeta)
-                        and node.meta.audience):
-                    violations.append(f"node {nid}: reveal without audience")
+            if (node.kind is CONST and self.level == Level.BOOL
+                    and node.payload not in (0, 1, None)):
+                violations.append(f"node {nid}: bit constant {node.payload} "
+                                  f"is not 0 or 1")
+            if node.kind is REVEAL and not (isinstance(node.meta, PlainMeta)
+                                            and node.meta.audience):
+                violations.append(f"node {nid}: reveal without audience")
             metas = [self.nodes[o].meta for o in node.operands
                      if 0 <= o < nid]
             if len(metas) >= 2:
@@ -339,13 +329,12 @@ class Circuit:
         for nid, _party, _name in self.inputs:
             if not (0 <= nid < len(self.nodes)):
                 violations.append(f"input id {nid} out of range")
-            elif self.nodes[nid].kind not in INPUT_KINDS:
+            elif self.nodes[nid].kind is not INPUT:
                 violations.append(f"input id {nid} is not an input node")
         for nid, _aud, _name in self.outputs:
             if not (0 <= nid < len(self.nodes)):
                 violations.append(f"output id {nid} out of range")
-            elif self.nodes[nid].kind not in (GateKind.REVEAL,
-                                              GateKind.REVEAL_BIT):
+            elif self.nodes[nid].kind is not REVEAL:
                 violations.append(f"output id {nid} is not a reveal node")
         return violations
 

@@ -20,15 +20,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circuit import Circuit, GateKind, Level
+from .circuit import (
+    ADD, AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR,
+    REVEAL, SUB, XOR, Circuit, GateKind, Level,
+)
 from .errors import ModelCoverageError, ObjectiveMissingError
 
 # structurally free node kinds, excluded from gate counts
-ZERO_COST_KINDS = frozenset({GateKind.CONST, GateKind.INPUT,
-                             GateKind.CONST_BIT, GateKind.INPUT_BIT})
+ZERO_COST_KINDS = frozenset({CONST, INPUT})
 
-COMPARISON_KINDS = frozenset({GateKind.LT, GateKind.EQ})
-TRIPLE_KINDS = frozenset({GateKind.MUL, GateKind.MUX})
+COMPARISON_KINDS = frozenset({LT, EQ})
+TRIPLE_KINDS = frozenset({MUL, MUX})
 
 
 @dataclass
@@ -78,13 +80,11 @@ def finish_rounds(c: Circuit, depth_weights: dict[GateKind, int]
     """Each gate's finish round: its depth weight in rounds after its last
     operand (after round 0 if it has none). A Reveal that no gate reads
     gets -1: delivering an output ends no path, so it takes no round."""
-    # identity tests, since a GateKind lookup in a set is slow
-    reveal, reveal_bit = GateKind.REVEAL, GateKind.REVEAL_BIT
     read = {o for node in c.nodes for o in node.operands}
     done = [-1] * len(c.nodes)
     for nid, node in enumerate(c.nodes):
         kind, ops = node.kind, node.operands
-        if (kind is not reveal and kind is not reveal_bit) or nid in read:
+        if kind is not REVEAL or nid in read:
             r = max(map(done.__getitem__, ops)) if ops else 0
             done[nid] = r + depth_weights.get(kind, 0)
     return done
@@ -182,19 +182,18 @@ def _costs(mapping: dict[GateKind, dict[str, int | float | str]]):
 def arith_model() -> CostModel:
     """Homomorphic-style word model: multiplications dominate, so the
     depth weight tracks multiplicative depth."""
-    zero = {GateKind.CONST: {}, GateKind.INPUT: {}, GateKind.REVEAL: {}}
+    zero = {CONST: {}, INPUT: {}, REVEAL: {}}
     costs = _costs({
         **zero,
-        GateKind.ADD: {"adds": 1},
-        GateKind.SUB: {"adds": 1},
-        GateKind.MUL: {"mults": 1},
-        GateKind.MUL_PLAIN: {"plain_mults": 1},
-        GateKind.LT: {"comparisons": 1},
-        GateKind.EQ: {"comparisons": 1},
-        GateKind.MUX: {"mults": 1},
+        ADD: {"adds": 1},
+        SUB: {"adds": 1},
+        MUL: {"mults": 1},
+        MUL_PLAIN: {"plain_mults": 1},
+        LT: {"comparisons": 1},
+        EQ: {"comparisons": 1},
+        MUX: {"mults": 1},
     })
-    weights = {GateKind.MUL: 1, GateKind.MUX: 1, GateKind.LT: 1,
-               GateKind.EQ: 1}
+    weights = {MUL: 1, MUX: 1, LT: 1, EQ: 1}
     return CostModel("arith", costs, weights)
 
 
@@ -208,32 +207,28 @@ def additive_model() -> CostModel:
     `estimate(c, additive_model()).depth` is its round count (and its
     multicast count, one per round)."""
     costs = _costs({
-        GateKind.CONST: {}, GateKind.INPUT: {},
-        GateKind.ADD: {}, GateKind.SUB: {}, GateKind.MUL_PLAIN: {},
-        GateKind.MUL: {"rounds": 1, "multicasts": 1},
-        GateKind.MUX: {"rounds": 1, "multicasts": 1},
-        GateKind.LT: {"rounds": 7, "multicasts": 7},
-        GateKind.EQ: {"rounds": "10.5", "multicasts": "10.5"},
-        GateKind.REVEAL: {"rounds": 1, "multicasts": 1},
+        CONST: {}, INPUT: {}, ADD: {}, SUB: {}, MUL_PLAIN: {},
+        MUL: {"rounds": 1, "multicasts": 1},
+        MUX: {"rounds": 1, "multicasts": 1},
+        LT: {"rounds": 7, "multicasts": 7},
+        EQ: {"rounds": "10.5", "multicasts": "10.5"},
+        REVEAL: {"rounds": 1, "multicasts": 1},
     })
-    weights = {GateKind.MUL: 1, GateKind.MUX: 1, GateKind.LT: 7,
-               GateKind.EQ: 10, GateKind.REVEAL: 1}
+    weights = {MUL: 1, MUX: 1, LT: 7, EQ: 10, REVEAL: 1}
     return CostModel("additive", costs, weights)
 
 
 def boolean_model() -> CostModel:
     """Gate-by-gate boolean backend: every logic gate costs one bootstrap."""
     costs = _costs({
-        GateKind.CONST_BIT: {}, GateKind.INPUT_BIT: {},
-        GateKind.REVEAL_BIT: {},
-        GateKind.AND: {"gates": 1},
-        GateKind.OR: {"gates": 1},
-        GateKind.XOR: {"gates": 1},
-        GateKind.NOT: {"gates": 1},
-        GateKind.MUX_BIT: {"gates": 1},
+        CONST: {}, INPUT: {}, REVEAL: {},
+        AND: {"gates": 1},
+        OR: {"gates": 1},
+        XOR: {"gates": 1},
+        NOT: {"gates": 1},
+        MUX_BIT: {"gates": 1},
     })
-    weights = {GateKind.AND: 1, GateKind.OR: 1, GateKind.XOR: 1,
-               GateKind.NOT: 1, GateKind.MUX_BIT: 1}
+    weights = {AND: 1, OR: 1, XOR: 1, NOT: 1, MUX_BIT: 1}
     return CostModel("boolean", costs, weights)
 
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (
-    Circuit, EncMeta, GateKind, Level, PLAIN, PlainMeta, SharedMeta,
-    balanced, combine_meta, contract_log, word_value,
+    ADD, CONST, EQ, LT, MUL, MUL_PLAIN, MUX, PLAIN, REVEAL, SUB, Circuit,
+    EncMeta, GateKind, Level, PlainMeta, SharedMeta, balanced, combine_meta,
+    contract_log, word_value,
 )
 from .errors import LowerError
 from .frontend import syntax as S
@@ -141,7 +142,7 @@ class Lowering:
 
     def const(self, value) -> Wire:
         payload = int(value)
-        return self.emit(GateKind.CONST, [], static=value, payload=payload)
+        return self.emit(CONST, [], static=value, payload=payload)
 
     def input_meta(self, party: int):
         if isinstance(self.cfg.scheme, AdditiveShare):
@@ -156,7 +157,7 @@ class Lowering:
         return EncMeta(frozenset({party}))
 
     def mux(self, cond: Wire, then: Wire, els: Wire) -> Wire:
-        return self.emit(GateKind.MUX, [cond, then, els])
+        return self.emit(MUX, [cond, then, els])
 
     def mux_value(self, cond: Wire, then: Value, els: Value) -> Value:
         if isinstance(then, list) or isinstance(els, list):
@@ -241,7 +242,7 @@ class Lowering:
             raise LowerError("EmptyArray", "update of empty array")
         out = []
         for k, old in enumerate(arr):
-            hit = self.emit(GateKind.EQ, [idx, self.const(k)])
+            hit = self.emit(EQ, [idx, self.const(k)])
             out.append(self.mux(hit, val, old))
         return out
 
@@ -305,8 +306,7 @@ class Lowering:
         else:
             value = self.lower_expr(expr, scope)
             audience = frozenset(self.tp.program.parties) or frozenset({0})
-            wire = self.emit(GateKind.REVEAL, [value],
-                             meta=PlainMeta(audience))
+            wire = self.emit(REVEAL, [value], meta=PlainMeta(audience))
             name = expr.name if isinstance(expr, S.Var) else None
         if name is None or name in self.out_names:
             name = f"out{self.out_counter}"
@@ -328,7 +328,7 @@ class Lowering:
                 v = self.lower_expr(sub, scope)
                 if isinstance(v, list):
                     raise LowerError("EvalArray", "eval of an array", e.pos)
-                return self.emit(GateKind.REVEAL, [v], static=v.static,
+                return self.emit(REVEAL, [v], static=v.static,
                                  meta=PlainMeta(frozenset(aud)))
             case S.BinOp():
                 return self.lower_binop(e, scope)
@@ -400,15 +400,9 @@ class Lowering:
         if isinstance(ty, S.ArrType):
             length = self.static_int(ty.length, scope, "NonConstLength",
                                      "input array length")
-            wires = []
-            for k in range(length):
-                nid = self.circuit.add_node(GateKind.INPUT, (), meta)
-                self.circuit.inputs.append((nid, party, f"{name}[{k}]"))
-                wires.append(Wire(nid))
-            return wires
-        nid = self.circuit.add_node(GateKind.INPUT, (), meta)
-        self.circuit.inputs.append((nid, party, name))
-        return Wire(nid)
+            return [Wire(self.circuit.add_input(party, f"{name}[{k}]", meta))
+                    for k in range(length)]
+        return Wire(self.circuit.add_input(party, name, meta))
 
     decl_name = "in"
 
@@ -421,9 +415,9 @@ class Lowering:
         if isinstance(a, list) or isinstance(b, list):
             raise LowerError("NotScalar", f"'{op}' on arrays", e.pos)
         if op == "+":
-            return self.emit(GateKind.ADD, [a, b])
+            return self.emit(ADD, [a, b])
         if op == "-":
-            return self.emit(GateKind.SUB, [a, b])
+            return self.emit(SUB, [a, b])
         if op == "*":
             return self.lower_mul(a, b)
         if op == "/":
@@ -445,10 +439,10 @@ class Lowering:
     def lower_mul(self, a: Wire, b: Wire) -> Wire:
         sa, sb = a.static, b.static
         if sb is not None and sa is None:
-            return self.emit(GateKind.MUL_PLAIN, [a], payload=int(sb))
+            return self.emit(MUL_PLAIN, [a], payload=int(sb))
         if sa is not None and sb is None:
-            return self.emit(GateKind.MUL_PLAIN, [b], payload=int(sa))
-        return self.emit(GateKind.MUL, [a, b])
+            return self.emit(MUL_PLAIN, [b], payload=int(sa))
+        return self.emit(MUL, [a, b])
 
     def lower_mod(self, a: Wire, b: Wire, pos) -> Wire:
         if b.static is None:
@@ -468,37 +462,37 @@ class Lowering:
                         - m.bit_length() + 1)
         for j in range(max_shift - 1, -1, -1):
             c = self.const(m << j)
-            short = self.emit(GateKind.LT, [r, c])
-            diff = self.emit(GateKind.SUB, [r, c])
+            short = self.emit(LT, [r, c])
+            diff = self.emit(SUB, [r, c])
             r = self.mux(short, r, diff)
         return r
 
     def lower_comparison(self, op: str, a: Wire, b: Wire) -> Wire:
         if op == "<":
-            return self.emit(GateKind.LT, [a, b])
+            return self.emit(LT, [a, b])
         if op == ">":
-            return self.emit(GateKind.LT, [b, a])
+            return self.emit(LT, [b, a])
         if op == "==":
-            return self.emit(GateKind.EQ, [a, b])
+            return self.emit(EQ, [a, b])
         # a sum of two exclusive bits; `optimizer.cmp_rewrite` turns each
         # into one comparison subtracted from 1
         if op in (">=", "<="):
-            lt = self.emit(GateKind.LT, [b, a] if op == ">=" else [a, b])
-            eq = self.emit(GateKind.EQ, [a, b])
-            return self.emit(GateKind.ADD, [lt, eq])
+            lt = self.emit(LT, [b, a] if op == ">=" else [a, b])
+            eq = self.emit(EQ, [a, b])
+            return self.emit(ADD, [lt, eq])
         if op == "!=":
-            lt = self.emit(GateKind.LT, [a, b])
-            gt = self.emit(GateKind.LT, [b, a])
-            return self.emit(GateKind.ADD, [lt, gt])
+            lt = self.emit(LT, [a, b])
+            gt = self.emit(LT, [b, a])
+            return self.emit(ADD, [lt, gt])
         raise AssertionError(op)
 
     def lower_logic(self, op: str, a: Wire, b: Wire) -> Wire:
         if op == "&&":
-            return self.emit(GateKind.MUL, [a, b])
+            return self.emit(MUL, [a, b])
         # a || b  ==  a + b - a*b on {0,1}
-        s = self.emit(GateKind.ADD, [a, b])
-        p = self.emit(GateKind.MUL, [a, b])
-        return self.emit(GateKind.SUB, [s, p])
+        s = self.emit(ADD, [a, b])
+        p = self.emit(MUL, [a, b])
+        return self.emit(SUB, [s, p])
 
     def lower_pow(self, base: Value, n: int) -> Wire:
         if isinstance(base, list):
@@ -507,19 +501,19 @@ class Lowering:
             return self.const(1)
         acc = base
         for _ in range(n - 1):
-            acc = self.emit(GateKind.MUL, [acc, base])
+            acc = self.emit(MUL, [acc, base])
         return acc
 
     def balanced_reduce(self, op: str, wires: list[Wire]) -> Wire:
         def combine(x: Wire, y: Wire) -> Wire:
             if op == "+":
-                return self.emit(GateKind.ADD, [x, y])
+                return self.emit(ADD, [x, y])
             if op == "*":
-                return self.emit(GateKind.MUL, [x, y])
+                return self.emit(MUL, [x, y])
             if op == "max":
-                return self.mux(self.emit(GateKind.LT, [x, y]), y, x)
+                return self.mux(self.emit(LT, [x, y]), y, x)
             if op == "min":
-                return self.mux(self.emit(GateKind.LT, [y, x]), y, x)
+                return self.mux(self.emit(LT, [y, x]), y, x)
             raise AssertionError(op)
 
         return balanced(wires, combine)
@@ -536,7 +530,7 @@ class Lowering:
             return wires[0]
         half = (len(wires) + 1) // 2
         pivot = self.const(lo + half)
-        in_left = self.emit(GateKind.LT, [idx, pivot])
+        in_left = self.emit(LT, [idx, pivot])
         left = self.select(idx, lo, wires[:half])
         right = self.select(idx, lo + half, wires[half:])
         return self.mux(in_left, left, right)

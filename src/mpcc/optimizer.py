@@ -34,7 +34,8 @@ import functools
 from collections import Counter
 
 from .circuit import (
-    COMMUTATIVE, INPUT_KINDS, PLAIN, WORD_OPS, Circuit, GateKind, Level, Node,
+    ADD, AND, COMMUTATIVE, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT,
+    NOT, OR, PLAIN, REVEAL, SUB, WORD_OPS, XOR, Circuit, Level, Node,
     balanced, contract_log, word_value,
 )
 from .errors import LowerError
@@ -44,15 +45,6 @@ from .errors import LowerError
 DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
                   "range_fold", "cse", "dce", "cmp_rewrite"]
 
-# globals for the kinds rules test on every node (a GateKind lookup is slow)
-ADD, SUB, MUL, MUL_PLAIN, LT, EQ, MUX, CONST, INPUT, REVEAL = (
-    GateKind.ADD, GateKind.SUB, GateKind.MUL, GateKind.MUL_PLAIN,
-    GateKind.LT, GateKind.EQ, GateKind.MUX, GateKind.CONST, GateKind.INPUT,
-    GateKind.REVEAL)
-AND, OR, XOR, NOT, MUX_BIT, CONST_BIT = (
-    GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
-    GateKind.MUX_BIT, GateKind.CONST_BIT)
-CONST_KINDS = frozenset({CONST, CONST_BIT})
 # the kinds a rule rewrites with no constant operand: Not(Not x),
 # Mux(s,x,x), MuxBit(s,x,x) and MulPlain(x, 0 or 1)
 CONST_FREE = frozenset({NOT, MUX, MUX_BIT, MUL_PLAIN})
@@ -83,7 +75,7 @@ def _fold(kind, args: list[Node], payload):
     """The value of kind(args) when it folds, else None: word gates over
     word constants, and Not of a bit constant."""
     if kind is NOT:
-        return 1 - args[0].payload if args[0].kind is CONST_BIT else None
+        return 1 - args[0].payload if args[0].kind is CONST else None
     for a in args:
         if a.kind is not CONST:
             return None
@@ -111,7 +103,7 @@ class Builder:
         nodes = self.nodes
         if kind not in CONST_FREE:
             for o in ops:
-                if nodes[o].kind in CONST_KINDS:
+                if nodes[o].kind is CONST:
                     break
             else:
                 return None  # every rule for kind needs a constant operand
@@ -119,8 +111,8 @@ class Builder:
         if self.fold:
             value = _fold(kind, args, payload)
             if value is not None:
-                return (CONST_BIT if kind is NOT else CONST, (), PLAIN, value)
-        consts = [a.payload if a.kind in CONST_KINDS else None for a in args]
+                return (CONST, (), PLAIN, value)
+        consts = [a.payload if a.kind is CONST else None for a in args]
         if self.peephole:
             for i, const, result in IDENTITIES.get(kind, ()):
                 if consts[i] == const:
@@ -153,7 +145,7 @@ class Builder:
         nodes = self.nodes
         nid = len(nodes)
         table = self.table
-        if table is not None and kind not in INPUT_KINDS:
+        if table is not None and kind is not INPUT:
             key = ((ops[1], ops[0]) if kind in COMMUTATIVE and ops[0] > ops[1]
                    else ops)
             found = table.setdefault((kind, key, payload, meta), nid)
@@ -197,7 +189,7 @@ def _rewrite(c: Circuit, rule: str) -> Circuit:
         if kind in ruled and b.rewrite(kind, ops, node.meta,
                                        node.payload) is not None:
             return b.walk(c, nid)
-        if table is None or kind in INPUT_KINDS:
+        if table is None or kind is INPUT:
             continue
         if kind in COMMUTATIVE and ops[0] > ops[1]:
             ops = (ops[1], ops[0])

@@ -47,7 +47,7 @@ def adder_cell(operands, passes, sum_out=True, carry_out=True):
     values, inputs = [], []
     for i, op in enumerate(operands):
         if op == "x":
-            v = bb.emit(GateKind.INPUT_BIT, (), PLAIN)
+            v = bb.emit(GateKind.INPUT, (), PLAIN)
             inputs.append((bb.node(v), 1, f"x{i}"))
         else:
             v = bb.const_bit(op)
@@ -119,7 +119,7 @@ def random_bool_circuit(rng, n_inputs, n_gates):
     c = Circuit(Level.BOOL)
     wires = []
     for i in range(n_inputs):
-        nid = c.add_node(GateKind.INPUT_BIT, ())
+        nid = c.add_node(GateKind.INPUT, ())
         c.inputs.append((nid, 1, f"i{i}"))
         wires.append(nid)
     for _ in range(n_gates):
@@ -128,7 +128,7 @@ def random_bool_circuit(rng, n_inputs, n_gates):
         from mpcc.circuit import ARITY
         ops = tuple(rng.choice(wires) for _ in range(ARITY[kind]))
         wires.append(c.add_node(kind, ops))
-    out = c.add_node(GateKind.REVEAL_BIT, (wires[-1],), PlainMeta(owners(1)))
+    out = c.add_node(GateKind.REVEAL, (wires[-1],), PlainMeta(owners(1)))
     c.add_output(out, owners(1), "out")
     return c
 
@@ -149,22 +149,22 @@ def reference_bits(c, ins):
     for nid, node in enumerate(c.nodes):
         if node.kind in TRUTH:
             values[nid] = TRUTH[node.kind](*(values[o] for o in node.operands))
-        elif node.kind == GateKind.REVEAL_BIT:
+        elif node.kind == GateKind.REVEAL:
             values[nid] = values[node.operands[0]]
     return {name: values[nid] for nid, _a, name in c.outputs}
 
 
 def test_gate_truth_tables():
     c = Circuit(Level.BOOL)
-    a = c.add_node(GateKind.INPUT_BIT, ())
-    b = c.add_node(GateKind.INPUT_BIT, ())
-    s = c.add_node(GateKind.INPUT_BIT, ())
+    a = c.add_node(GateKind.INPUT, ())
+    b = c.add_node(GateKind.INPUT, ())
+    s = c.add_node(GateKind.INPUT, ())
     c.inputs += [(a, 1, "a"), (b, 1, "b"), (s, 1, "s")]
     for kind, ops in ((GateKind.AND, (a, b)), (GateKind.OR, (a, b)),
                       (GateKind.XOR, (a, b)), (GateKind.NOT, (a,)),
                       (GateKind.MUX_BIT, (s, a, b))):
         g = c.add_node(kind, ops)
-        r = c.add_node(GateKind.REVEAL_BIT, (g,), PlainMeta(owners(1)))
+        r = c.add_node(GateKind.REVEAL, (g,), PlainMeta(owners(1)))
         c.add_output(r, owners(1), kind.value)
     gl = parse_gatelist(emit_gatelist(c))
     for x, y, z in itertools.product((0, 1), repeat=3):

@@ -13,7 +13,7 @@ from mpcc import optimizer
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.bitblast import bitblast
 from mpcc.circuit import (
-    ARITH_KINDS, ARITY, PLAIN, Circuit, EncMeta, GateKind, Level, PlainMeta,
+    ARITY, PLAIN, Circuit, EncMeta, GateKind, Level, PlainMeta,
     combine_meta,
 )
 from mpcc.errors import LowerError
@@ -33,8 +33,8 @@ LOCAL_RULES = sorted(RULE_KINDS)
 
 def test_hashing_returns_the_earlier_node():
     b = Builder(["cse"])
-    x = b.add(GateKind.INPUT_BIT)
-    y = b.add(GateKind.INPUT_BIT)
+    x = b.add(GateKind.INPUT)
+    y = b.add(GateKind.INPUT)
     assert x != y  # inputs never merge
     g = b.add(GateKind.AND, (x, y))
     assert b.add(GateKind.AND, (y, x)) == g  # commutative
@@ -46,8 +46,8 @@ def test_hashing_merges_gates_whose_metadata_is_equal_not_identical():
     """A CSE key holds a gate's metadata by value: two equal metas built
     apart merge, and metas that differ, or differ only in class, do not."""
     b = Builder(["cse"])
-    x = b.add(GateKind.INPUT_BIT, (), EncMeta(owners(1)))
-    y = b.add(GateKind.INPUT_BIT, (), EncMeta(owners(2)))
+    x = b.add(GateKind.INPUT, (), EncMeta(owners(1)))
+    y = b.add(GateKind.INPUT, (), EncMeta(owners(2)))
     meta, twin = EncMeta(owners(1, 2)), EncMeta(owners(1, 2))
     assert meta is not twin
     g = b.add(GateKind.AND, (x, y), meta)
@@ -58,31 +58,34 @@ def test_hashing_merges_gates_whose_metadata_is_equal_not_identical():
     # so does the cse pass, on a circuit with a fresh meta per gate
     c = Circuit(Level.BOOL)
     for meta in (EncMeta(owners(1)), EncMeta(owners(2))):
-        c.add_node(GateKind.INPUT_BIT, (), meta)
+        c.add_node(GateKind.INPUT, (), meta)
     c.add_node(GateKind.AND, (0, 1), EncMeta(owners(1, 2)))
     c.add_node(GateKind.AND, (1, 0), EncMeta(owners(1, 2)))
     assert c.nodes[2].meta is not c.nodes[3].meta
     assert [n.kind for n in optimizer.cse(c).nodes] == [
-        GateKind.INPUT_BIT, GateKind.INPUT_BIT, GateKind.AND]
+        GateKind.INPUT, GateKind.INPUT, GateKind.AND]
 
 
 def test_a_replacement_goes_through_every_rule():
-    b = Builder(RULE_KINDS)
-    zero = b.add(GateKind.CONST, (), PLAIN, 0)
-    x = b.add(GateKind.INPUT)
+    # one Builder per level: a word 0 and a bit 0 are one Const node
+    word = Builder(RULE_KINDS)
+    zero = word.add(GateKind.CONST, (), PLAIN, 0)
+    x = word.add(GateKind.INPUT)
     # Mul(x, 0) -> MulPlain(x, 0) -> Const 0, which hashes to `zero`
-    assert b.add(GateKind.MUL, (x, zero)) == zero
-    one = b.add(GateKind.CONST_BIT, (), PLAIN, 1)
+    assert word.add(GateKind.MUL, (x, zero)) == zero
+    assert len(word.nodes) == 2
+    bits = Builder(RULE_KINDS)
+    one = bits.add(GateKind.CONST, (), PLAIN, 1)
     # Not(Not(1)) folds twice and lands on the constant it started from
-    assert b.add(GateKind.NOT, (b.add(GateKind.NOT, (one,)),)) == one
-    assert len(b.nodes) == 4  # the first Not's Const 0 bit is the new node
+    assert bits.add(GateKind.NOT, (bits.add(GateKind.NOT, (one,)),)) == one
+    assert len(bits.nodes) == 2  # the first Not's Const 0 is the new node
 
 
 def test_a_rule_that_is_not_enabled_does_nothing():
     for rules in ([], ["const_fold"], ["cse"]):
         b = Builder(rules)
-        x = b.add(GateKind.INPUT_BIT)
-        t = b.add(GateKind.CONST_BIT, (), PLAIN, 1)
+        x = b.add(GateKind.INPUT)
+        t = b.add(GateKind.CONST, (), PLAIN, 1)
         assert b.add(GateKind.AND, (x, t)) == 2  # peephole's identity
 
 
@@ -91,7 +94,7 @@ def test_each_const_free_kind_rewrites_without_a_constant():
                                     GateKind.MUX_BIT, GateKind.MUL_PLAIN}
     b = Builder(RULE_KINDS)
     x, s = b.add(GateKind.INPUT), b.add(GateKind.INPUT)
-    xb, sb = b.add(GateKind.INPUT_BIT), b.add(GateKind.INPUT_BIT)
+    xb, sb = b.add(GateKind.INPUT), b.add(GateKind.INPUT)
     assert b.add(GateKind.NOT, (b.add(GateKind.NOT, (xb,)),)) == xb
     assert b.add(GateKind.MUX, (s, x, x)) == x
     assert b.add(GateKind.MUX_BIT, (sb, xb, xb)) == xb
@@ -106,10 +109,9 @@ def test_no_other_rule_fires_without_a_constant(monkeypatch):
     kinds = frozenset().union(*RULE_KINDS.values()) - optimizer.CONST_FREE
     monkeypatch.setattr(optimizer, "CONST_FREE", frozenset(GateKind))
     for kind in sorted(kinds):
-        leaf = GateKind.INPUT if kind in ARITH_KINDS else GateKind.INPUT_BIT
         for picks in itertools.product(range(2), repeat=ARITY[kind]):
             b = Builder(RULE_KINDS)
-            leaves = [b.add(leaf), b.add(leaf)]
+            leaves = [b.add(GateKind.INPUT), b.add(GateKind.INPUT)]
             assert b.add(kind, tuple(leaves[i] for i in picks)) == 2, kind
             assert b.nodes[2].kind is kind
 
@@ -198,9 +200,9 @@ def test_a_gate_reading_a_reveal_is_plain(passes):
                                 PlainMeta(owners(1, 2))), owners(1, 2), name)
     b = bitblast(c, passes=passes)
     reveal_bits = {nid for nid, n in enumerate(b.nodes)  # those of r
-                   if n.kind is GateKind.REVEAL_BIT
-                   and b.nodes[n.operands[0]].kind is GateKind.INPUT_BIT}
-    readers = [n for n in b.nodes if n.kind is not GateKind.REVEAL_BIT
+                   if n.kind is GateKind.REVEAL
+                   and b.nodes[n.operands[0]].kind is GateKind.INPUT}
+    readers = [n for n in b.nodes if n.kind is not GateKind.REVEAL
                and set(n.operands) & reveal_bits]
     assert readers
     for n in readers:

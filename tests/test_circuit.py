@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build
 from mpcc.circuit import (
-    Circuit, EncMeta, GateKind, Level, Node, PLAIN, PlainMeta, SharedMeta,
-    combine_meta, combine_share_meta, meta_from_json, meta_to_json,
+    ARITH_KINDS, BOOL_KINDS, Circuit, EncMeta, GateKind, Level, Node, PLAIN,
+    PlainMeta, SharedMeta, combine_meta, combine_share_meta, meta_from_json,
+    meta_to_json,
 )
 from mpcc.errors import (
     ArityError, ForwardReferenceError, MalformedCircuitError,
@@ -60,6 +61,23 @@ def test_validate_reports_a_payload_on_a_kind_that_takes_none():
     c.add_node(GateKind.CONST, (), payload=1)
     c.nodes.append(Node(GateKind.MUL, (0, 0), payload=7))
     assert c.validate() == ["node 1: unexpected payload"]
+
+
+def test_const_input_and_reveal_serve_both_levels():
+    assert ARITH_KINDS | BOOL_KINDS == set(GateKind)
+    assert ARITH_KINDS & BOOL_KINDS == {GateKind.CONST, GateKind.INPUT,
+                                        GateKind.REVEAL}
+
+
+def test_a_bit_constant_is_0_or_1():
+    bits = Circuit(Level.BOOL)
+    for v in (0, 1, 2, -1):
+        bits.add_node(GateKind.CONST, (), payload=v)
+    assert bits.validate() == ["node 2: bit constant 2 is not 0 or 1",
+                               "node 3: bit constant -1 is not 0 or 1"]
+    words = Circuit()
+    words.add_node(GateKind.CONST, (), payload=2)
+    assert words.validate() == []
 
 
 # -- share metadata combination --
@@ -188,8 +206,8 @@ def test_empty_circuit_validates():
 def test_level_purity_violation():
     from mpcc.circuit import Node
     c = Circuit(Level.BOOL)
-    c.add_node(GateKind.INPUT_BIT, ())
-    c.add_node(GateKind.INPUT_BIT, ())
+    c.add_node(GateKind.INPUT, ())
+    c.add_node(GateKind.INPUT, ())
     c.add_node(GateKind.AND, (0, 1))
     # sneak a word-level gate past add_node's checks
     c.nodes.append(Node(GateKind.MUL, (0, 1), PLAIN, None))

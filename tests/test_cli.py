@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -7,7 +8,10 @@ from conftest import CORPUS, CORPUS_NAMES, ROOT, build, corpus_source
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.gatelist import eval_gatelist, parse_gatelist
 from mpcc.circuit import Level
-from mpcc.cli import BadFileError, load_cost_model, main
+from mpcc.cli import (
+    SPEC_CHOICES, SPEC_KEYS, BadFileError, load_cost_model, load_inputs,
+    load_spec_defaults, main,
+)
 from mpcc.estimator import CostModel, default_model_for, estimate
 from mpcc.pipeline import PipelineConfig, compile
 
@@ -315,6 +319,12 @@ def test_cli_matches_in_process_pipeline_at_bool_level(capsys, name):
         assert text == compile(corpus_source(name), cfg).to_json()
 
 
+# the kinds that serve both levels; the name of a kind with "Bit" appended
+# (their bit-level twins before) is no kind in a circuit or cost-model file
+BOTH_LEVELS = ("Const", "Input", "Reveal")
+BIT_TWINS = [f"{kind}Bit" for kind in BOTH_LEVELS]
+
+
 def no_nodes(obj):
     return {"level": "arith", "bitwidth": 64}
 
@@ -368,7 +378,7 @@ def fractional_threshold(obj):
 
 
 def payload_on_reveal(obj):
-    # only Const, ConstBit and MulPlain take a payload
+    # only Const and MulPlain take a payload
     next(n for n in obj["nodes"] if n["kind"] == "Reveal")["payload"] = 7
     return obj
 
@@ -404,13 +414,44 @@ def test_run_refuses_bool_level(tmp_path, capsys, backend):
     assert "word-level" in captured.err
 
 
-def one_line_exit_2(capsys, argv, kind):
+def one_line_exit_2(capsys, argv, kind) -> str:
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"mpcc: bad {kind} file: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    return captured.err
+
+
+def bit_twin(kind):
+    def rename(obj):
+        next(n for n in obj["nodes"] if n["kind"] == kind)["kind"] += "Bit"
+        return obj
+    return rename
+
+
+def bit_constant_2(obj):
+    next(n for n in obj["nodes"] if n["kind"] == "Const")["payload"] = 2
+    return obj
+
+
+@pytest.mark.parametrize("command", ["estimate", "opt", "emit"])
+@pytest.mark.parametrize("breakage, message", [
+    *((bit_twin(kind), f"'{kind}Bit' is not a valid GateKind")
+      for kind in BOTH_LEVELS),
+    (bit_constant_2, "bit constant 2 is not 0 or 1")],
+    ids=[*BIT_TWINS, "bit_constant_2"])
+def test_malformed_bool_circuit_file_is_exit_2(tmp_path, capsys, command,
+                                               breakage, message):
+    # the unoptimized 4-bit bool auction holds Const, Input and Reveal
+    obj = compile(corpus_source("auction"),
+                  PipelineConfig(bitwidth=4, target_level=Level.BOOL,
+                                 passes=[])).to_json_obj()
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(breakage(obj)), encoding="utf-8")
+    assert message in one_line_exit_2(
+        capsys, [command, str(path), "--level", "bool"], "circuit")
 
 
 @pytest.mark.parametrize("content", [
@@ -422,7 +463,11 @@ def one_line_exit_2(capsys, argv, kind):
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": "3"}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": true}}',
     '{"name": "m", "gate_costs": {"Leq": {"comparisons": 1}}}',
-    '{"name": "m", "gate_costs": {}, "depth_weights": {"Leq": 7}}'])
+    '{"name": "m", "gate_costs": {}, "depth_weights": {"Leq": 7}}',
+    *(json.dumps({"name": "m", "gate_costs": {twin: {}}})
+      for twin in BIT_TWINS),
+    *(json.dumps({"name": "m", "gate_costs": {}, "depth_weights": {twin: 1}})
+      for twin in BIT_TWINS)])
 def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "m.json"
     path.write_text(content, encoding="utf-8")
@@ -486,6 +531,49 @@ def test_cost_model_loader_fails_only_with_bad_file_error(tmp_path, obj):
     assert isinstance(model, CostModel)
 
 
+# leaves and keys an inputs or spec file may hold
+party_keys = st.sampled_from(["1", "2", "0", "-1", "x", ""]) | st.text(
+    max_size=3)
+inputs_shaped = st.fixed_dictionaries({"parties": st.dictionaries(
+    party_keys, st.dictionaries(
+        st.text(max_size=3), odd_leaves | st.integers() | st.lists(
+            odd_leaves | st.integers(), max_size=3), max_size=3)
+    | odd_leaves, max_size=3) | odd_leaves})
+spec_shaped = st.dictionaries(
+    st.sampled_from(sorted(SPEC_KEYS)) | st.text(max_size=4),
+    odd_leaves | st.sampled_from([name for names in SPEC_CHOICES.values()
+                                  for name in names])
+    | st.lists(st.text(max_size=3) | odd_leaves, max_size=2),
+    max_size=4)
+
+
+@given(obj=inputs_shaped | json_values)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_inputs_loader_fails_only_with_bad_file_error(tmp_path, obj):
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        inputs = load_inputs(str(path))
+    except BadFileError:
+        return
+    assert all(type(party) is int and isinstance(name, str)
+               and type(v) is int for (party, name), v in inputs.items())
+
+
+@given(obj=spec_shaped | json_values)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_spec_loader_fails_only_with_bad_file_error(tmp_path, obj):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        spec = load_spec_defaults(argparse.Namespace(spec=str(path)))
+    except BadFileError:
+        return
+    assert isinstance(spec, dict) and set(spec) <= SPEC_KEYS
+
+
 @pytest.mark.parametrize("payload", [[], {"parties": []},
                                      {"parties": {"1": 5}},
                                      {"parties": {"one": {"x": 5}}},
@@ -515,6 +603,48 @@ def test_malformed_spec_file_is_exit_2(tmp_path, capsys, command, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     one_line_exit_2(capsys, [command, hml("adder"), "--spec", str(path)],
                     "spec")
+
+
+LOWERING_ERRORS = [
+    ("IndexOutOfRange", "input xs : arr(int, {1}, 3) from 1;\n"
+                        "output eval({1}, xs(5));", ()),
+    ("SliceOutOfRange", "input xs : arr(int, {1}, 3) from 1;\n"
+                        "output eval({1}, reduce(+, xs.slice(1, 5)));", ()),
+    ("DivisionByZero", "output eval({1}, 4 / 0);", ()),
+    ("DivisionByZero", "input a : int from 1;\noutput eval({1}, a % 0);",
+     ()),
+    ("LoopCounterStuck", "input a : int from 1;\nval k : int := 0;\n"
+                         "while (k < 3) { k := k; }\n"
+                         "output eval({1}, a);", ()),
+    ("EmptyArray", "input xs : arr(int, {1}, 0) from 1;\n"
+                   "output eval({1}, reduce(+, xs));", ()),
+    ("ArrayShape", "input a : int from 1;\n"
+                   "input xs : arr(int, {1}, 3) from 1;\n"
+                   "input ys : arr(int, {1}, 2) from 1;\n"
+                   "val zs : arr(int, {1}) := if (a < 0) { xs } else { ys };\n"
+                   "output eval({1}, zs(0));", ()),
+    ("NoBaseCase", "fun f(x : int@{1}) : int@{1} bound 2 {\n"
+                   "  if (x < 0) { f(x - 1) } else { f(x + 1) }\n}\n"
+                   "input a : int from 1;\noutput eval({1}, f(a));", ()),
+    ("BadBitwidth", "input a : int from 1;\noutput eval({1}, a);",
+     ("--bitwidth", "99")),
+    ("UnknownPass", "input a : int from 1;\noutput eval({1}, a);",
+     ("--passes", "nope")),
+]
+
+
+@pytest.mark.parametrize("code, program, flags", LOWERING_ERRORS,
+                         ids=[code for code, _p, _f in LOWERING_ERRORS])
+def test_each_lowering_error_is_one_line_and_exit_1(tmp_path, capsys, code,
+                                                    program, flags):
+    src = tmp_path / "p.hml"
+    src.write_text(f"parties 1;\n{program}\n", encoding="utf-8")
+    assert run_cli("opt", str(src), *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{src}: error: ")
+    assert f"{code}: " in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_deeply_nested_program_is_one_diagnostic(tmp_path, capsys):

@@ -22,11 +22,11 @@ from mpcc.sectypes import AdditiveShare, owners
 
 def single_and_circuit():
     c = Circuit(Level.BOOL)
-    a = c.add_node(GateKind.INPUT_BIT, ())
-    b = c.add_node(GateKind.INPUT_BIT, ())
+    a = c.add_node(GateKind.INPUT, ())
+    b = c.add_node(GateKind.INPUT, ())
     c.inputs += [(a, 1, "a"), (b, 2, "b")]
     g = c.add_node(GateKind.AND, (a, b))
-    r = c.add_node(GateKind.REVEAL_BIT, (g,), PlainMeta(owners(1, 2)))
+    r = c.add_node(GateKind.REVEAL, (g,), PlainMeta(owners(1, 2)))
     c.add_output(r, owners(1, 2), "out")
     return c
 
@@ -100,7 +100,7 @@ def random_bool_circuit(rng, n_inputs, n_gates):
     c = Circuit(Level.BOOL)
     wires = []
     for i in range(n_inputs):
-        nid = c.add_node(GateKind.INPUT_BIT, ())
+        nid = c.add_node(GateKind.INPUT, ())
         c.inputs.append((nid, 1, f"i{i}"))
         wires.append(nid)
     from mpcc.circuit import ARITY
@@ -110,7 +110,7 @@ def random_bool_circuit(rng, n_inputs, n_gates):
         ops = tuple(rng.choice(wires) for _ in range(ARITY[kind]))
         wires.append(c.add_node(kind, ops))
     for k, w in enumerate(rng.sample(wires, min(3, len(wires)))):
-        r = c.add_node(GateKind.REVEAL_BIT, (w,), PlainMeta(owners(1)))
+        r = c.add_node(GateKind.REVEAL, (w,), PlainMeta(owners(1)))
         c.add_output(r, owners(1), f"o{k}")
     return c
 
@@ -131,9 +131,9 @@ def test_reparse_and_evaluate_matches_interpreter(seed):
 
 def test_output_copied_when_source_is_input():
     c = Circuit(Level.BOOL)
-    a = c.add_node(GateKind.INPUT_BIT, ())
+    a = c.add_node(GateKind.INPUT, ())
     c.inputs.append((a, 1, "a"))
-    r = c.add_node(GateKind.REVEAL_BIT, (a,), PlainMeta(owners(1)))
+    r = c.add_node(GateKind.REVEAL, (a,), PlainMeta(owners(1)))
     c.add_output(r, owners(1), "out")
     gl = parse_gatelist(emit_gatelist(c))
     for bit in (0, 1):
@@ -142,12 +142,12 @@ def test_output_copied_when_source_is_input():
 
 def test_duplicate_output_sources_get_copies():
     c = Circuit(Level.BOOL)
-    a = c.add_node(GateKind.INPUT_BIT, ())
-    b = c.add_node(GateKind.INPUT_BIT, ())
+    a = c.add_node(GateKind.INPUT, ())
+    b = c.add_node(GateKind.INPUT, ())
     c.inputs += [(a, 1, "a"), (b, 1, "b")]
     g = c.add_node(GateKind.XOR, (a, b))
     for name in ("o0", "o1"):
-        r = c.add_node(GateKind.REVEAL_BIT, (g,), PlainMeta(owners(1)))
+        r = c.add_node(GateKind.REVEAL, (g,), PlainMeta(owners(1)))
         c.add_output(r, owners(1), name)
     gl = parse_gatelist(emit_gatelist(c))
     for x, y in itertools.product((0, 1), repeat=2):

@@ -20,31 +20,31 @@ from mpcc.pipeline import PipelineConfig, compile
 
 # (name, bitwidth) -> (word JSON, bool JSON, gate list)
 GOLDEN = {
-    ("gcd", 16): ("5cfac3f73e31e935", "4b1c52f200f1c208", "e478f13234669676"),
-    ("gcd", 64): ("8a097cd50c03fa7c", "98462f3e7c2428e2", "28cb9459d8aeb76a"),
-    ("auction", 16): ("7894288e6a160ea4", "a5e6cfdae74d8122",
+    ("gcd", 16): ("5cfac3f73e31e935", "72f24d4572d5b2e0", "e478f13234669676"),
+    ("gcd", 64): ("8a097cd50c03fa7c", "9bcb36c82e1c1c3d", "28cb9459d8aeb76a"),
+    ("auction", 16): ("7894288e6a160ea4", "73700b43bb210c5b",
                       "7dc8e91f5bbde36d"),
-    ("auction", 64): ("68c055f92d80a650", "da8b91e0424f39fc",
+    ("auction", 64): ("68c055f92d80a650", "a9dbe64d324d0f7f",
                       "fc1a45aa9ef6df6f"),
-    ("mergesort", 16): ("17ab14c70afe1ca8", "4372768823eadbeb",
+    ("mergesort", 16): ("17ab14c70afe1ca8", "b04792a5f5aa12aa",
                         "39693c76d37b7167"),
-    ("mergesort", 64): ("f7dcaf2f5e2750d7", "da3968b0b995a87c",
+    ("mergesort", 64): ("f7dcaf2f5e2750d7", "fe1918a770e5a245",
                         "c32f3367bd355981"),
-    ("matvec", 16): ("2b606b48cadbff18", "1640d08e3c2c61bf",
+    ("matvec", 16): ("2b606b48cadbff18", "56cdaeb0a2f39e84",
                      "ffa26975845d1b8c"),
-    ("matvec", 64): ("018dc021bf76055d", "47382fc49badba47",
+    ("matvec", 64): ("018dc021bf76055d", "2759e5df2890fe1e",
                      "1030ccf4d0e95162"),
-    ("pow8", 16): ("9e9263eec5a057b9", "5cf1d7a8f21f026e",
+    ("pow8", 16): ("9e9263eec5a057b9", "504d8733427c31a9",
                    "0b25800e49e54156"),
-    ("pow8", 64): ("4b6edb8aa15791e9", "7391bab56fafb3b0",
+    ("pow8", 64): ("4b6edb8aa15791e9", "63e66c7ecaf25ea8",
                    "6e76b45e2a1aee0c"),
-    ("adder", 16): ("f28a863ae1ae6547", "129c6826e16e99ce",
+    ("adder", 16): ("f28a863ae1ae6547", "8dadd7c9a175262a",
                     "86305f9eb3aa2119"),
-    ("adder", 64): ("6c03fc1185332120", "847238b483af459f",
+    ("adder", 64): ("6c03fc1185332120", "0ba453f74e9390aa",
                     "ef1a110749470e5b"),
-    ("sum8", 16): ("de6aebaa81eced74", "d5ec2332745114b9",
+    ("sum8", 16): ("de6aebaa81eced74", "9f0e59c6fa651f43",
                    "98c9f3b76b246ad1"),
-    ("sum8", 64): ("8b144dca0175a11f", "7488793d4ac75b51",
+    ("sum8", 64): ("8b144dca0175a11f", "a606f940c7d53237",
                    "4966757edee1e1d8"),
 }
 

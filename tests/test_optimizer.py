@@ -73,16 +73,16 @@ def test_fold_leaves_mul_by_const_zero_alone():
 def test_peephole_and_true():
     from mpcc.circuit import Level
     c = Circuit(Level.BOOL)
-    a = c.add_node(GateKind.INPUT_BIT, ())
+    a = c.add_node(GateKind.INPUT, ())
     c.inputs.append((a, 1, "a"))
-    t = c.add_node(GateKind.CONST_BIT, (), payload=1)
+    t = c.add_node(GateKind.CONST, (), payload=1)
     g = c.add_node(GateKind.AND, (a, t))
-    r = c.add_node(GateKind.REVEAL_BIT, (g,), PlainMeta(owners(1)))
+    r = c.add_node(GateKind.REVEAL, (g,), PlainMeta(owners(1)))
     c.add_output(r, owners(1), "out")
     out = peephole(c)
     # the And is gone; the reveal reads the input directly
-    reveal = next(n for n in out.nodes if n.kind == GateKind.REVEAL_BIT)
-    assert out.nodes[reveal.operands[0]].kind == GateKind.INPUT_BIT
+    reveal = next(n for n in out.nodes if n.kind == GateKind.REVEAL)
+    assert out.nodes[reveal.operands[0]].kind == GateKind.INPUT
 
 
 def test_peephole_add_zero_and_mux_same_arms():
@@ -97,16 +97,14 @@ def test_peephole_add_zero_and_mux_same_arms():
     assert GateKind.ADD not in out.counts()
 
 
-@pytest.mark.parametrize("kind, const", [(GateKind.MUX, GateKind.CONST),
-                                         (GateKind.MUX_BIT,
-                                          GateKind.CONST_BIT)])
-def test_peephole_mux_with_constant_selector(kind, const):
+@pytest.mark.parametrize("kind", [GateKind.MUX, GateKind.MUX_BIT])
+def test_peephole_mux_with_constant_selector(kind):
     c, a, b = two_input_circuit()
     picks = {}
     for value in (0, 1):
-        sel = c.add_node(const, (), payload=value)
+        sel = c.add_node(GateKind.CONST, (), payload=value)
         picks[value] = c.add_node(kind, (sel, a, b))
-    odd = c.add_node(kind, (c.add_node(const, (), payload=2), a, b))
+    odd = c.add_node(kind, (c.add_node(GateKind.CONST, (), payload=2), a, b))
     for value, m in picks.items():
         reveal_out(c, m, f"out{value}")
     reveal_out(c, odd, "odd")
@@ -119,8 +117,8 @@ def test_peephole_mux_with_constant_selector(kind, const):
 
 def test_peephole_muxbit_between_constant_bits():
     b = Builder(["peephole"])
-    s = b.add(GateKind.INPUT_BIT)
-    one, zero, one_again = (b.add(GateKind.CONST_BIT, (), PLAIN, k)
+    s = b.add(GateKind.INPUT)
+    one, zero, one_again = (b.add(GateKind.CONST, (), PLAIN, k)
                             for k in (1, 0, 1))
     assert b.add(GateKind.MUX_BIT, (s, one, zero)) == s
     inv = b.nodes[b.add(GateKind.MUX_BIT, (s, zero, one))]
@@ -139,16 +137,15 @@ def test_peephole_muxbit_between_constant_bits():
 def test_no_muxbit_between_constant_bits(name, width):
     b = bitblast(build(name, bitwidth=width, optimize=True), width)
     consts = {nid for nid, n in enumerate(b.nodes)
-              if n.kind == GateKind.CONST_BIT}
+              if n.kind == GateKind.CONST}
     assert not [n for n in b.nodes if n.kind == GateKind.MUX_BIT
                 and {n.operands[1], n.operands[2]} <= consts]
 
 
 def constant_selector_muxes(c):
-    consts = (GateKind.CONST, GateKind.CONST_BIT)
     return [n for n in c.nodes
             if n.kind in (GateKind.MUX, GateKind.MUX_BIT)
-            and c.nodes[n.operands[0]].kind in consts]
+            and c.nodes[n.operands[0]].kind == GateKind.CONST]
 
 
 @pytest.mark.parametrize("seed", [201, 253])
@@ -535,13 +532,13 @@ def test_passes_preserve_semantics_and_never_grow(seed):
 def test_peephole_double_negation_and_xor_zero():
     from mpcc.circuit import Level
     c = Circuit(Level.BOOL)
-    a = c.add_node(GateKind.INPUT_BIT, ())
+    a = c.add_node(GateKind.INPUT, ())
     c.inputs.append((a, 1, "a"))
-    z = c.add_node(GateKind.CONST_BIT, (), payload=0)
+    z = c.add_node(GateKind.CONST, (), payload=0)
     n1 = c.add_node(GateKind.NOT, (a,))
     n2 = c.add_node(GateKind.NOT, (n1,))
     x = c.add_node(GateKind.XOR, (n2, z))
-    r = c.add_node(GateKind.REVEAL_BIT, (x,), PlainMeta(owners(1)))
+    r = c.add_node(GateKind.REVEAL, (x,), PlainMeta(owners(1)))
     c.add_output(r, owners(1), "out")
     out = dce(peephole(peephole(c)))
     assert GateKind.NOT not in out.counts()

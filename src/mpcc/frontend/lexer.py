@@ -1,6 +1,15 @@
-"""Tokenizer for `.hml` source files."""
+"""Tokenizer for `.hml` source files.
 
-from dataclasses import dataclass
+One compiled regex scans each line: blanks (space, tab, carriage
+return), then a `//` comment to the end of the line, a number (ASCII
+`0-9`), a word (a character for which `isalpha()` holds, or `_`, then
+`\\w`, that is `isalnum()` or `_`) or a symbol, longest first. Any other
+character, such as the digits `²` and `٣`, is a `LexError` at its line
+and column, both counted from 1 in characters.
+"""
+
+import re
+from typing import NamedTuple
 
 from ..errors import LexError
 
@@ -12,19 +21,25 @@ KEYWORDS = {
     "parties": "PARTIES", "max": "MAX", "min": "MIN",
 }
 
-# longest match first
-SYMBOLS = [
-    (":=", "ASSIGN"), ("==", "EQ"), ("!=", "NE"), ("<=", "LE"), (">=", "GE"),
-    ("&&", "ANDAND"), ("||", "OROR"),
-    ("{", "LBRACE"), ("}", "RBRACE"), ("(", "LPAREN"), (")", "RPAREN"),
-    (":", "COLON"), (";", "SEMI"), (",", "COMMA"), ("@", "AT"), (".", "DOT"),
-    ("+", "PLUS"), ("-", "MINUS"), ("*", "STAR"), ("/", "SLASH"), ("%", "PERCENT"),
-    ("<", "LT"), (">", "GT"), ("=", "EQ"),
-]
+SYMBOLS = {
+    ":=": "ASSIGN", "==": "EQ", "!=": "NE", "<=": "LE", ">=": "GE",
+    "&&": "ANDAND", "||": "OROR",
+    "{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+    ":": "COLON", ";": "SEMI", ",": "COMMA", "@": "AT", ".": "DOT",
+    "+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH", "%": "PERCENT",
+    "<": "LT", ">": "GT", "=": "EQ",
+}
+
+# UWORD is checked for isalpha(), since `[^\W\d]` also admits `²` and
+# `½`; BAD excludes the blanks, so that trailing blanks match nothing.
+_SCAN = re.compile(
+    r"[ \t\r]*(?:(?P<COMMENT>//)|(?P<NUM>[0-9]+)|(?P<WORD>[A-Za-z_]\w*)"
+    r"|(?P<UWORD>[^\W\d]\w*)|(?P<SYM>"
+    + "|".join(map(re.escape, sorted(SYMBOLS, key=len, reverse=True)))
+    + r")|(?P<BAD>[^ \t\r]))").finditer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -42,44 +57,20 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Scan source text into tokens; `// ...` comments are discarded."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            toks.append(Token("NUM", source[start:i], line, col))
-            col += i - start
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            toks.append(Token(KEYWORDS.get(text, "IDENT"), text, line, col))
-            col += i - start
-            continue
-        for sym, kind in SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token(kind, sym, line, col))
-                i += len(sym)
-                col += len(sym)
+    for line, text in enumerate(source.split("\n"), 1):
+        for m in _SCAN(text):
+            group = m.lastgroup
+            tok = m[group]
+            col = m.start(group) + 1
+            if group == "SYM":
+                kind = SYMBOLS[tok]
+            elif group == "WORD" or (group == "UWORD" and tok[0].isalpha()):
+                kind = KEYWORDS.get(tok, "IDENT")
+            elif group == "NUM":
+                kind = group
+            elif group == "COMMENT":
                 break
-        else:
-            raise LexError(f"illegal character {c!r}", (line, col))
+            else:
+                raise LexError(f"illegal character {tok[0]!r}", (line, col))
+            toks.append(Token(kind, tok, line, col))
     return toks

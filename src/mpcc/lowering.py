@@ -1,17 +1,17 @@
 """Lowering from a type-checked program to a validated arithmetic circuit.
 
-Every expression is translated directly into gates ("2+3" really emits
-Const/Const/Add); alongside each wire the lowering tracks a static value
-when one is known at compile time: a gate whose operands all have one
-gets its `circuit.word_value`, the table the optimizer folds with and
-the clear backend runs. Static values drive everything that must be
-resolved during compilation: loop unrolling, recursion fuel, array
-lengths, slice bounds and plaintext array indices. Private control
-flow never consults values, so the produced circuit is a function of the
-program and its public parameters only. Nothing is optimized here:
-pow(x, n) is a chain of n - 1 Muls for `optimizer.pow_rewrite`, and
-x >= y, x <= y and x != y are each the sum of two comparisons for
-`optimizer.cmp_rewrite`.
+Every expression is translated directly into gates, and each constant
+value is one Const node per circuit, as in bitblast. Alongside each wire
+the lowering tracks a static value when one is known at compile time: a
+gate whose operands all have one gets its `circuit.word_value`, the
+table the optimizer folds with and the clear backend runs. Static values
+drive everything that must be resolved during compilation: loop
+unrolling, recursion fuel, array lengths, slice bounds and plaintext
+array indices. Private control flow never consults values, so the
+produced circuit is a function of the program and its public parameters
+only. Nothing is optimized here: pow(x, n) is a chain of n - 1 Muls for
+`optimizer.pow_rewrite`, and x >= y, x <= y and x != y are each the sum
+of two comparisons for `optimizer.cmp_rewrite`.
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ class Lowering:
         self.inline_stack: dict[str, int | None] = {}
         self.out_counter = 0
         self.out_names: set[str] = set()
+        self.consts: dict[int, int] = {}  # payload -> Const node id
         self.stats = {"inline_copies": {}, "base_copies": {}}
 
     # -- gate emission helpers --
@@ -142,7 +143,11 @@ class Lowering:
 
     def const(self, value) -> Wire:
         payload = int(value)
-        return self.emit(CONST, [], static=value, payload=payload)
+        nid = self.consts.get(payload)
+        if nid is None:
+            nid = self.consts[payload] = self.circuit.add_node(
+                CONST, [], PLAIN, payload)
+        return Wire(nid, value)
 
     def input_meta(self, party: int):
         if isinstance(self.cfg.scheme, AdditiveShare):

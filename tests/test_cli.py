@@ -204,6 +204,16 @@ def test_huge_pow_exponent_is_one_diagnostic(tmp_path, capsys):
                        "pow exponent must be in 0..64"]
 
 
+def test_a_non_ascii_digit_is_one_diagnostic(tmp_path, capsys):
+    # isdigit() holds for a superscript two, but int() refuses it
+    src = tmp_path / "square.hml"
+    src.write_text("parties 1;\ninput x : int from 1;\n"
+                   "output eval({1}, x + 2\u00b2);\n", encoding="utf-8")
+    assert run_cli("check", str(src)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{src}: error: 3:23: illegal character '\u00b2'"]
+
+
 def test_opt_only_touches_circuit(tmp_path):
     lowered = tmp_path / "c.json"
     optimized = tmp_path / "c2.json"

@@ -1,7 +1,9 @@
 import pytest
 
+from conftest import CORPUS
 from mpcc.errors import LexError
-from mpcc.frontend import tokenize
+from mpcc.frontend import pretty_print, tokenize
+from proggen import random_program
 
 
 def kinds(source):
@@ -57,3 +59,52 @@ def test_illegal_character():
 def test_number_values():
     toks = tokenize("399 0 7")
     assert [t.value for t in toks] == [399, 0, 7]
+
+
+def test_longest_symbol_first():
+    toks = tokenize("a<=-b")
+    assert [(t.kind, t.text, t.col) for t in toks] == [
+        ("IDENT", "a", 1), ("LE", "<=", 2), ("MINUS", "-", 4),
+        ("IDENT", "b", 5)]
+
+
+@pytest.mark.parametrize("source, char, pos", [
+    ("skip;\n// a # in a comment is fine\n  x $ y;\n", "$", (3, 5)),
+    ("x := 2\u00b2;", "\u00b2", (1, 7)),  # isdigit() holds, int() refuses it
+    ("x := \u00b2;", "\u00b2", (1, 6)),
+    ("x := \u00bd;", "\u00bd", (1, 6)),   # numeric, neither digit nor letter
+    ("x := \u0663;", "\u0663", (1, 6)),   # a decimal digit, but not ASCII
+])
+def test_an_illegal_character_is_an_error_at_its_position(source, char, pos):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert exc.value.message == f"illegal character {char!r}"
+    assert exc.value.pos == pos
+
+
+def test_a_word_goes_on_with_any_alphanumeric():
+    assert [(t.kind, t.text) for t in tokenize("x² _1 été")] == [
+        ("IDENT", "x²"), ("IDENT", "_1"), ("IDENT", "été")]
+
+
+@pytest.mark.parametrize("source, expect", [
+    ("skip;\r\nval x\r\n",
+     [("skip", 1, 1), (";", 1, 5), ("val", 2, 1), ("x", 2, 5)]),
+    ("\tval\t x", [("val", 1, 2), ("x", 1, 7)]),  # a tab is one column
+    ("skip; \t \r\n  \n", [("skip", 1, 1), (";", 1, 5)]),
+    ("skip; // the end", [("skip", 1, 1), (";", 1, 5)]),
+    ("skip;//", [("skip", 1, 1), (";", 1, 5)]),
+])
+def test_blanks_line_ends_and_comments(source, expect):
+    assert [(t.text, t.line, t.col) for t in tokenize(source)] == expect
+
+
+def test_every_token_sits_at_its_position():
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(CORPUS.glob("*.hml"))]
+    sources += [pretty_print(random_program(s)) for s in range(200)]
+    for source in sources:
+        lines = source.split("\n")
+        for t in tokenize(source):
+            line = lines[t.line - 1]
+            assert line[t.col - 1:t.col - 1 + len(t.text)] == t.text, t

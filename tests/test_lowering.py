@@ -13,11 +13,13 @@ from mpcc.backends.clear import ClearInterpreter, flatten_inputs, \
 from mpcc.circuit import GateKind
 from mpcc.errors import LowerError
 from mpcc.estimator import critical_path
-from mpcc.frontend import parse_source
+from mpcc.frontend import parse_source, pretty_print
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import run_passes
+from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import Generic
 from mpcc.typecheck import check_program
+from proggen import random_program
 
 
 def lower_src(src, cfg=None, stats=False):
@@ -36,6 +38,26 @@ def test_direct_translation_of_constant_addition():
     assert [n.kind for n in c.nodes] == [
         GateKind.CONST, GateKind.CONST, GateKind.ADD, GateKind.REVEAL]
     assert interpret_clear(c, {}) == {"x": 5}
+
+
+def test_a_repeated_constant_is_one_node():
+    c = lower_src("parties 1;\nval x : int := 2 + 2 * 1;\noutput x;\n")
+    assert [(n.kind, n.operands, n.payload) for n in c.nodes] == [
+        (GateKind.CONST, (), 2), (GateKind.CONST, (), 1),
+        (GateKind.MUL, (0, 1), None), (GateKind.ADD, (0, 2), None),
+        (GateKind.REVEAL, (3,), None)]
+    assert interpret_clear(c, {}) == {"x": 4}
+
+
+def test_the_raw_circuit_holds_each_constant_once():
+    sources = [corpus_source(name) for name in CORPUS_NAMES]
+    sources += [pretty_print(random_program(s)) for s in range(100)]
+    for source in sources:
+        raw = compile(source, PipelineConfig(passes=[]))
+        payloads = [n.payload for n in raw.nodes if n.kind is GateKind.CONST]
+        assert len(payloads) == len(set(payloads))
+        assert (run_passes(raw).to_json_obj()
+                == compile(source, PipelineConfig()).to_json_obj())
 
 
 def test_gcd_inlines_exactly_bound_iterations():

@@ -126,8 +126,9 @@ def pipeline_config(args, spec) -> PipelineConfig:
 
 
 def read_source(path: str) -> str:
+    """The text of `path` as UTF-8, a leading byte-order mark dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as ex:
         raise EnvironmentError(f"cannot read {path}: {ex}") from ex
@@ -307,7 +308,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{err.message}", file=sys.stderr)
         return 1
     except CompilerError as ex:
-        print(f"{args.source}: error: {ex}", file=sys.stderr)
+        where = (args.source if ex.pos is None
+                 else f"{args.source}:{ex.pos[0]}:{ex.pos[1]}")
+        print(f"{where}: error: {ex.message}", file=sys.stderr)
         return 1
     except RecursionError:
         print(f"{args.source}: error: program nested too deeply",

@@ -36,7 +36,7 @@ from collections import Counter
 from .circuit import (
     ADD, AND, COMMUTATIVE, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT,
     NOT, OR, PLAIN, REVEAL, SUB, WORD_OPS, XOR, Circuit, Level, Node,
-    balanced, contract_log, word_value,
+    balanced, combine_meta, contract_log, word_value,
 )
 from .errors import LowerError
 
@@ -380,11 +380,11 @@ def cmp_rewrite(c: Circuit) -> Circuit:
 FOLDS = frozenset({LT, EQ, MUX})  # the kinds range_fold rewrites
 
 
-def _cmp_plan(kind, x, y, lo, hi):
+def _cmp_plan(kind, xl, xh, yl, yh):
     """What range_fold makes of comparison kind(x, y) from the intervals
-    `lo`, `hi` (None: unbounded): None, or (v, i, negate) for the Const v
-    (i None), Sub(Const v, operand i) (negate) or operand i minus v."""
-    xl, xh, yl, yh = lo[x], hi[x], lo[y], hi[y]
+    [xl, xh] of x and [yl, yh] of y (None: unbounded): None, or
+    (v, i, negate) for the Const v (i None), Sub(Const v, operand i)
+    (negate) or operand i minus v."""
     if xl is None or yl is None:
         return None
     if kind is LT:
@@ -407,6 +407,101 @@ def _cmp_plan(kind, x, y, lo, hi):
     return None
 
 
+def _emit(b: Builder, plan, x, meta) -> int:
+    """The id in `b` of what `plan`, as _cmp_plan returns, makes of x."""
+    v, i, negate = plan
+    if i is not None and not negate and v == 0:
+        return x
+    k = b.add(CONST, (), PLAIN, v)
+    if i is None:
+        return k
+    return b.add(SUB, (k, x) if negate else (x, k), meta)
+
+
+class _Cases:
+    """range_fold's split of comparisons with a constant, over the
+    intervals `lo`, `hi` of `nodes`. A case is kind(word nid, v), or
+    kind(v, word nid) if `side` is 1, keyed (kind, side, nid, v)."""
+
+    def __init__(self, nodes: list[Node], lo: list, hi: list, width: int):
+        self.nodes, self.lo, self.hi, self.width = nodes, lo, hi, width
+        self.planned = set()  # the Mux cases of the comparisons split so far
+        self.made = {}  # case key -> the id of its value, built once
+
+    def point(self, nid):
+        lo = self.lo[nid]
+        return lo if lo is not None and lo == self.hi[nid] else None
+
+    def case(self, kind, side, nid, v):
+        """The case kind(word nid, v) equals, through each Add and Sub of
+        a constant: its key and plan."""
+        lo, hi, point = self.lo, self.hi, self.point
+        while True:
+            plan = (_cmp_plan(kind, lo[nid], hi[nid], v, v) if side == 0
+                    else _cmp_plan(kind, v, v, lo[nid], hi[nid]))
+            node = self.nodes[nid]
+            if plan is not None or (node.kind is not ADD
+                                    and node.kind is not SUB):
+                return (kind, side, nid, v), plan
+            x, y = node.operands
+            if point(y) is not None:
+                # Lt(x + k, v) is Lt(x, v - k), Lt(x - k, v) is Lt(x, v + k)
+                nid, v = x, v - lo[y] if node.kind is ADD else v + lo[y]
+            elif point(x) is not None:
+                # Lt(k + y, v) is Lt(y, v - k), Lt(k - y, v) is Lt(k - v, y)
+                side ^= node.kind is SUB
+                nid, v = y, v - lo[x] if node.kind is ADD else lo[x] - v
+            else:
+                return (kind, side, nid, v), None
+
+    def arms(self, key):
+        """The cases of a Mux's arms, for the key of a case of that Mux."""
+        kind, side, nid, v = key
+        _s, t, e = self.nodes[nid].operands
+        return self.case(kind, side, t, v), self.case(kind, side, e, v)
+
+    def top(self, kind, ops):
+        """The case of comparison kind(ops) if one operand is a point and
+        each leaf of its cases has a plan, with at most w Mux cases that
+        no earlier split made; else None."""
+        for side, (word, other) in enumerate((ops, ops[::-1])):
+            if self.point(other) is not None:
+                top, new = self.case(kind, side, word, self.lo[other]), []
+                if self.within(*top, new):
+                    return top
+                self.planned.difference_update(new)
+                break
+        return None
+
+    def within(self, key, plan, new: list) -> bool:
+        """Whether each leaf of the case has a plan and it adds at most w
+        Mux cases to `new` (and to `planned`), so it recurses at most w
+        deep."""
+        if plan is not None or key in self.planned:
+            return True
+        if self.nodes[key[2]].kind is not MUX or len(new) == self.width:
+            return False
+        self.planned.add(key)
+        new.append(key)
+        return all(self.within(*arm, new) for arm in self.arms(key))
+
+    def split(self, b: Builder, key, plan) -> int:
+        """The id in `b`, during its walk, of a case's value: its leaf,
+        or a Mux of its arms' on the Mux's own selector."""
+        nid = self.made.get(key)
+        if nid is None:
+            node = self.nodes[key[2]]
+            if plan is not None:
+                nid = _emit(b, plan, b.map[key[2]],
+                            combine_meta(PLAIN, node.meta))
+            else:
+                t, e = self.arms(key)
+                nid = b.add(MUX, (b.map[node.operands[0]], self.split(b, *t),
+                                  self.split(b, *e)), node.meta)
+            self.made[key] = nid
+        return nid
+
+
 def range_fold(c: Circuit) -> Circuit:
     """Fold what value ranges decide (interval analysis, Cousot and
     Cousot, POPL 1977). One forward walk gives each word an interval
@@ -421,6 +516,19 @@ def range_fold(c: Circuit) -> Circuit:
         x in {v, v+1}       Lt(x, v+1), Eq(x, v)  ->  Sub(Const v+1, x)
                             Lt(v, x), Eq(x, v+1)  ->  x - v (x if v = 0)
         s in [0, 1]         Mux(s, 1, 0) -> s,  Mux(s, 0, 1) -> 1 - s
+
+    A comparison with a constant v that intervals leave open is split by
+    cases (trace partitioning, Mauborgne and Rival, ESOP 2005):
+
+        Lt(Mux(s, t, e), v)     ->  Mux(s, Lt(t, v), Lt(e, v))
+        Lt(x + k, v)            ->  Lt(x, v - k), and x - k, k + x, k - x alike
+
+    and likewise Eq and v on the left. It is rewritten when every case
+    ends in a leaf that the rules above make a Const or a local Sub, and
+    it adds at most w Mux cases that no earlier split made, each one
+    multiplication where a w-bit comparison takes at least w. Each Mux
+    case keeps its Mux's selector, and the comparison sat above that
+    Mux, so no depth rises.
 
     The clear interpreter computes on exact integers and accepts only
     inputs inside the contract, so on every input it accepts the folded
@@ -439,6 +547,8 @@ def range_fold(c: Circuit) -> Circuit:
     lo: list[int | None] = []
     hi: list[int | None] = []
     plans = {}  # oid -> (v, i, negate), as _cmp_plan returns
+    splits = {}  # oid -> the (key, plan) of a comparison split by cases
+    cases = _Cases(nodes, lo, hi, c.bitwidth)
     for nid in range(end):
         node = nodes[nid]
         kind, ops = node.kind, node.operands
@@ -454,12 +564,17 @@ def range_fold(c: Circuit) -> Circuit:
                         and lo[s] is not None and lo[s] >= 0 and hi[s] <= 1):
                     plans[nid] = (el, 0, el == 1)  # s, or 1 - s
         elif kind is LT or kind is EQ:
-            plan = _cmp_plan(kind, ops[0], ops[1], lo, hi)
+            x, y = ops
+            plan = _cmp_plan(kind, lo[x], hi[x], lo[y], hi[y])
             low, high = 0, 1
             if plan is not None:
                 plans[nid] = plan
                 if plan[1] is None:
                     low = high = plan[0]
+            else:
+                top = cases.top(kind, ops)
+                if top is not None:
+                    splits[nid] = top
         elif kind is CONST:
             low = high = node.payload
         elif kind is INPUT:
@@ -485,26 +600,21 @@ def range_fold(c: Circuit) -> Circuit:
                 low = high = None
         lo.append(low)
         hi.append(high)
-    if not plans:
+    if not plans and not splits:
         return c
 
     b = Builder()
 
-    def const(v):
-        return b.add(CONST, (), PLAIN, v)
-
     def step(oid, node, ops):
         plan = plans.get(oid)
         if plan is not None:
-            v, i, negate = plan
-            if i is None:
-                return const(v)
-            if negate:
-                return b.add(SUB, (const(v), ops[i]), node.meta)
-            return ops[i] if v == 0 else b.add(SUB, (ops[i], const(v)),
-                                               node.meta)
+            return _emit(b, plan, None if plan[1] is None else ops[plan[1]],
+                         node.meta)
+        top = splits.get(oid)
+        if top is not None:
+            return cases.split(b, *top)
 
-    return b.walk(c, min(plans), step)
+    return b.walk(c, min(plans.keys() | splits.keys()), step)
 
 
 PASSES = {

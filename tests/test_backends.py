@@ -341,7 +341,7 @@ def test_independent_gates_share_a_round():
     products = sum(n.kind in (GateKind.MUL, GateKind.MUX) for n in c.nodes)
     assert sum(r["beaver"] for r in trace["per_round"]) == 2 * products
     assert max(r["beaver"] for r in trace["per_round"]) > 2
-    assert trace["rounds"] == 60
+    assert trace["rounds"] == 46
 
 
 def test_adds_only_circuit_needs_no_communication():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -211,7 +212,38 @@ def test_a_non_ascii_digit_is_one_diagnostic(tmp_path, capsys):
                    "output eval({1}, x + 2\u00b2);\n", encoding="utf-8")
     assert run_cli("check", str(src)) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"{src}: error: 3:23: illegal character '\u00b2'"]
+        f"{src}:3:23: error: illegal character '\u00b2'"]
+
+
+def test_a_source_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # some Windows editors start a UTF-8 file with EF BB BF
+    plain, marked = tmp_path / "plain.hml", tmp_path / "marked.hml"
+    text = corpus_source("gcd").replace("\n", "\r\n")
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for command in ("check", "estimate"):
+        assert run_cli(command, str(plain)) == 0
+        want = capsys.readouterr()
+        assert run_cli(command, str(marked)) == 0
+        assert capsys.readouterr() == want
+    # a circuit file too
+    lowered = tmp_path / "gcd.json"
+    assert run_cli("lower", str(plain), "-o", str(lowered)) == 0
+    marked.write_bytes(b"\xef\xbb\xbf" + lowered.read_bytes())
+    marked = marked.rename(tmp_path / "marked.json")
+    assert run_cli("opt", str(lowered)) == 0
+    want = capsys.readouterr()
+    assert run_cli("opt", str(marked)) == 0
+    assert capsys.readouterr() == want
+
+
+def test_a_lexing_or_parse_error_puts_its_position_first(tmp_path, capsys):
+    src = tmp_path / "bad.hml"
+    src.write_text("parties 1;\ninput a : int from 1;\n"
+                   "output eval({1}, a +);\n", encoding="utf-8")
+    assert run_cli("check", str(src)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{src}:3:21: error: ")
 
 
 def test_opt_only_touches_circuit(tmp_path):
@@ -652,9 +684,9 @@ def test_each_lowering_error_is_one_line_and_exit_1(tmp_path, capsys, code,
     assert run_cli("opt", str(src), *flags) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"{src}: error: ")
-    assert f"{code}: " in captured.err
-    assert captured.err.count("\n") == 1
+    # the position, where the error has one, comes before "error:"
+    assert re.fullmatch(rf"{re.escape(str(src))}(:\d+:\d+)?: error: "
+                        rf"{code}: [^\n]*\n", captured.err)
 
 
 def test_deeply_nested_program_is_one_diagnostic(tmp_path, capsys):

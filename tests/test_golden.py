@@ -26,10 +26,10 @@ GOLDEN = {
                       "7dc8e91f5bbde36d"),
     ("auction", 64): ("68c055f92d80a650", "a9dbe64d324d0f7f",
                       "fc1a45aa9ef6df6f"),
-    ("mergesort", 16): ("17ab14c70afe1ca8", "b04792a5f5aa12aa",
-                        "39693c76d37b7167"),
-    ("mergesort", 64): ("f7dcaf2f5e2750d7", "fe1918a770e5a245",
-                        "c32f3367bd355981"),
+    ("mergesort", 16): ("3213b4c4faa6c922", "4a7fa45ae4fbfc21",
+                        "c97fd13b717fa313"),
+    ("mergesort", 64): ("75a7e8fb083be140", "852b5891b3f69038",
+                        "cb86fb7d6369e1b7"),
     ("matvec", 16): ("2b606b48cadbff18", "56cdaeb0a2f39e84",
                      "ffa26975845d1b8c"),
     ("matvec", 64): ("018dc021bf76055d", "2759e5df2890fe1e",

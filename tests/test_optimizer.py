@@ -451,7 +451,7 @@ def test_pipeline_idempotent_on_corpus():
 BOOL_SIZES = {
     "gcd": (1365, 1205, 496),
     "auction": (371, 342, 110),
-    "mergesort": (858, 848, 341),
+    "mergesort": (838, 826, 330),
     "matvec": (5028, 4866, 852),
     "pow8": (540, 538, 202),
     "adder": (122, 122, 15),

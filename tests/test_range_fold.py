@@ -14,7 +14,9 @@ from mpcc.backends.shares import simulate_shared
 from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, PlainMeta, contract_log
 from mpcc.errors import MuxSelectorError
-from mpcc.estimator import additive_model, estimate, preprocessing
+from mpcc.estimator import (
+    additive_model, arith_model, estimate, preprocessing,
+)
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import DEFAULT_PASSES, PASSES, range_fold, run_passes
 from mpcc.sectypes import Generic, owners
@@ -25,9 +27,9 @@ WIDTH = 16
 EDGE = (1 << contract_log(WIDTH)) - 1  # the largest |input| in contract
 
 
-def circuit_with(build_gate):
+def circuit_with(build_gate, width=WIDTH):
     """A two-input circuit revealing `build_gate(c, a, b)`."""
-    c = Circuit(bitwidth=WIDTH)
+    c = Circuit(bitwidth=width)
     a = c.add_input(1, "a")
     b = c.add_input(2, "b")
     out = build_gate(c, a, b)
@@ -42,6 +44,10 @@ def const(c, v):
 
 def kinds(c):
     return [n.kind for n in c.nodes]
+
+
+def comparisons(c) -> int:
+    return sum(n.kind in (GateKind.LT, GateKind.EQ) for n in c.nodes)
 
 
 def agrees(c, folded):
@@ -180,7 +186,7 @@ def test_range_fold_leaves_bool_circuits_unchanged():
 
 
 # mergesort's shares protocol: (Beaver triples, additive rounds) by width
-MERGESORT_COST = {16: (4506, 60), 64: (17946, 60)}
+MERGESORT_COST = {16: (1950, 46), 64: (7710, 46)}
 
 
 @pytest.mark.parametrize("width", sorted(MERGESORT_COST))
@@ -188,8 +194,8 @@ def test_mergesort_protocol_cost(width):
     c = build("mergesort", bitwidth=width, scheme="additive", optimize=True)
     assert (preprocessing(c)[0], estimate(c, additive_model()).depth) == \
         MERGESORT_COST[width]
-    # 14 comparisons where there were 22
-    assert sum(n.kind in (GateKind.LT, GateKind.EQ) for n in c.nodes) == 14
+    # 6 comparisons where there were 22: the data compares of the merges
+    assert comparisons(c) == 6
 
 
 def contract_inputs(c, rng):
@@ -292,3 +298,115 @@ def test_range_fold_keeps_every_output_of_random_circuits(width):
         same_outputs(c, folded, random.Random(seed))
         same_outputs(c, run_passes(c), random.Random(seed))
     assert folds >= 100  # about a quarter of them fold
+
+
+# -- comparisons split by cases through Muxes and constant offsets --
+
+def no_deeper(c, than) -> bool:
+    """`c`'s additive and arith depths are at most `than`'s."""
+    return all(estimate(c, m).depth <= estimate(than, m).depth
+               for m in (additive_model(), arith_model()))
+
+
+def case_tree_circuit(seed: int, width: int) -> Circuit:
+    """Two inputs and a comparison of a word with a constant in [-3, 5]:
+    the word a tree of Muxes, Adds and Subs of constants in [-2, 2] over
+    bits, constants and, one leaf in twenty, an input; its selectors
+    comparisons of the inputs, or one input itself one time in ten."""
+    rng = random.Random(seed)
+    c = Circuit(bitwidth=width)
+    a, b = c.add_input(1, "a"), c.add_input(2, "b")
+    bits = [c.add_node(GateKind.LT, (a, b)), c.add_node(GateKind.LT, (b, a)),
+            c.add_node(GateKind.EQ, (a, const(c, 0)))]
+
+    def word(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.15:
+            leaf = rng.random()
+            return (rng.choice(bits) if leaf < 0.7 else b if leaf < 0.75
+                    else const(c, rng.randrange(-2, 3)))
+        if roll < 0.6:
+            s = rng.choice(bits) if rng.random() < 0.9 else a
+            return c.add_node(GateKind.MUX, (s, word(depth - 1),
+                                             word(depth - 1)))
+        k, x = const(c, rng.randrange(-2, 3)), word(depth - 1)
+        kind = rng.choice((GateKind.ADD, GateKind.SUB))
+        return c.add_node(kind, (x, k) if rng.random() < 0.5 else (k, x))
+
+    x, v = word(rng.randrange(1, 5)), const(c, rng.randrange(-3, 6))
+    kind = rng.choice((GateKind.LT, GateKind.EQ))
+    top = c.add_node(kind, (x, v) if rng.random() < 0.5 else (v, x))
+    r = c.add_node(GateKind.REVEAL, (top,), PlainMeta(owners(1, 2)))
+    c.add_output(r, owners(1, 2), "out")
+    return c
+
+
+def raises_alike(c, folded, ins):
+    """`folded` gives `c`'s outputs on `ins`, or both refuse a selector."""
+    try:
+        want = interpret_clear(c, ins)
+    except MuxSelectorError:
+        with pytest.raises(MuxSelectorError):
+            interpret_clear(folded, ins)
+        return
+    assert interpret_clear(folded, ins) == want, ins
+
+
+@pytest.mark.parametrize("width", [8, 16, 64])
+def test_a_split_comparison_keeps_outputs_and_lowers_no_cost(width):
+    splits = 0
+    for seed in range(400):
+        c = case_tree_circuit(seed, width)
+        folded = range_fold(c)
+        for ins in contract_inputs(c, random.Random(seed)):
+            raises_alike(c, folded, ins)
+        fixed, without = run_passes(c), run_passes(c, WITHOUT)
+        assert comparisons(folded) <= comparisons(c), seed
+        assert comparisons(fixed) <= comparisons(without), seed
+        assert no_deeper(folded, c) and no_deeper(fixed, without), seed
+        splits += comparisons(fixed) < comparisons(without)
+    assert splits >= 250  # most split; an input leaf stops about one in ten
+
+
+def test_a_split_mux_on_a_non_bit_selector_still_raises():
+    def gate(c, a, b):
+        bit = c.add_node(GateKind.LT, (b, const(c, 0)))
+        t = c.add_node(GateKind.ADD, (bit, const(c, 1)))  # in {1, 2}
+        x = c.add_node(GateKind.MUX, (a, t, bit))
+        return c.add_node(GateKind.LT, (x, const(c, 2)))
+
+    c = circuit_with(gate)
+    folded = run_passes(c)
+    # Lt(Mux(a, bit + 1, bit), 2) is Mux(a, 1 - bit, 1): no Lt(x, 2)
+    assert comparisons(folded) == 1
+    assert [n.operands[0] for n in folded.nodes
+            if n.kind is GateKind.MUX] == [folded.inputs[0][0]]
+    for a in (0, 1):
+        for b in (-1, 0):
+            ins = {(1, "a"): a, (2, "b"): b}
+            assert interpret_clear(folded, ins) == interpret_clear(c, ins)
+            assert simulate_shared(folded, ins, 3)[0] == \
+                interpret_clear(c, ins)
+    ins = {(1, "a"): 2, (2, "b"): 0}
+    with pytest.raises(MuxSelectorError):
+        interpret_clear(folded, ins)
+    with pytest.raises(MuxSelectorError):
+        simulate_shared(folded, ins, 3)
+
+
+@pytest.mark.parametrize("width, splits", [(8, False), (64, True)])
+def test_a_split_into_more_than_w_muxes_is_not_made(width, splits):
+    # a counter raised under 8 private conditions, compared mid-range:
+    # its cases hold more than 8 Muxes and fewer than 64
+    def gate(c, a, b):
+        n = const(c, 0)
+        for k in range(8):
+            s = c.add_node(GateKind.LT, (a, const(c, k - 4)))
+            n = c.add_node(GateKind.MUX, (s, c.add_node(
+                GateKind.ADD, (n, const(c, 1))), n))
+        return c.add_node(GateKind.LT, (n, const(c, 4)))
+
+    c = circuit_with(gate, width)
+    folded = range_fold(c)
+    assert comparisons(folded) == comparisons(c) - splits
+    assert same_outputs(c, folded, random.Random(width)) == 11

@@ -178,19 +178,20 @@ def _parse(lines: list[str]) -> GateList:
 def run_gates(gates, values: list[int]) -> None:
     """Evaluate an iterable of (kind-name, ins, out) triples in order,
     reading and writing `values` by wire. The only loop that evaluates
-    bit gates."""
+    bit gates; its cases test the kinds most frequent in the corpus's
+    gate lists first."""
     for kind, ins, out in gates:
         match kind:
-            case "AND":
-                v = values[ins[0]] & values[ins[1]]
-            case "OR":
-                v = values[ins[0]] | values[ins[1]]
             case "XOR":
                 v = values[ins[0]] ^ values[ins[1]]
-            case "INV":
-                v = 1 - values[ins[0]]
+            case "AND":
+                v = values[ins[0]] & values[ins[1]]
             case "MUX":
                 v = values[ins[1]] if values[ins[0]] else values[ins[2]]
+            case "OR":
+                v = values[ins[0]] | values[ins[1]]
+            case "INV":
+                v = 1 - values[ins[0]]
         values[out] = v
 
 

@@ -2,14 +2,16 @@
 
 Adders are ripple-carry with one AND per bit, the only gate that is not
 free under free-XOR (Kolesnikov & Schneider, ICALP 2008): the cell is
-t = a^cin, u = b^cin, s = t^b, cout = cin ^ (t & u). Beside a constant
-operand (subtraction's carry-in of 1, the zero bits of shifted rows) the
-cell is a half cell, x^y and x&y beside a 0 or Not(x^y) and x|y beside a
-1, and beside two constants a wire, its Not or a constant. Subtraction
-negates then adds; Lt copies the sign bit of the difference, which is
-sound for |a-b| < 2^(bitwidth-1). Words whose value is known to be a bit
-(comparison outputs and the like) are tracked so multiplying by them
-degenerates to And gates instead of full multipliers.
+t = a^cin, u = b^cin, s = t^b, cout = cin ^ (t & u). Subtraction is a
+borrow chain of the same cell, bout = b ^ (t & u), with no Not of b.
+Beside a constant operand (a borrow-in of 0, the zero bits of shifted
+rows) the cell is a half cell, x^y and x&y beside a 0 or Not(x^y) and
+x|y beside a 1, and beside two constants a wire, its Not or a constant.
+Lt copies the sign bit of the difference, which is sound for |a-b| <
+2^(bitwidth-1); Eq is Not of a balanced Or tree over the bits a_i ^ b_i.
+Words whose value is known to be a bit (comparison outputs and the like)
+are tracked so multiplying by them degenerates to And gates instead of
+full multipliers.
 
 Multipliers sum shifted rows with those cells. Mul(x, y) is the w x w
 array; Mul(x, x) is a squarer, x_i at bit 2i and x_i & x_j (i < j) at
@@ -21,8 +23,8 @@ adds a shifted x per positive digit of c's non-adjacent form
 adders. Partial products go through a constant-aware And.
 
 Nothing is emitted to be thrown away: an adder's top cell builds no
-carry-out, a comparison builds the carry chain and the sign bit but no
-sum bit below it, a constant bit is added at its first use, a MuxBit
+carry-out, a comparison builds the borrow chain and the sign bit but no
+difference bit below it, a constant bit is added at its first use, a MuxBit
 whose branches are one bit is that bit, one between the constant bits 1
 and 0 is its selector (between 0 and 1, its Not), and a word is built
 only up to the highest bit a reader reads (`_bits_read`): a square
@@ -106,16 +108,21 @@ class _BitBuilder:
         return [self.const_bit((value >> i) & 1) for i in range(self.width)]
 
     def full_adder(self, a: int, b: int, cin: int, sum_out: bool = True,
-                   carry_out: bool = True) -> tuple[int | None, int | None]:
-        """(a ^ b ^ cin, the carry), each None when not asked for.
+                   carry_out: bool = True,
+                   borrow: bool = False) -> tuple[int | None, int | None]:
+        """(a ^ b ^ cin, the carry), each None when not asked for; with
+        `borrow` the carry is the borrow of a - b - cin, the majority of
+        Not a, b and cin.
 
         With no constant operand this is the one-AND cell: t = a^cin,
-        u = b^cin, s = t^b, cout = cin ^ (t & u). An operand that is a
-        cached constant bit makes the carry the majority of the other two
-        and that constant: a half cell, x^y and x&y beside a 0, or
-        Not(x^y) and x|y beside a 1; beside two constants the cell is a
-        wire, its Not or a constant. Only the raw constants count, never
-        what the builder folded, so every pass list picks the same cell."""
+        u = b^cin, s = t^b, carry cin ^ (t & u), borrow b ^ (t & u). An
+        operand that is a cached constant bit makes the carry the
+        majority of the other two and that constant (Not a for a borrow's
+        constant a): x^y and x&y beside a 0, Not(x^y) and x|y beside a 1,
+        and for a borrow of a free a, z ^ (a & z) and Not(a^z) | z.
+        Beside two constants the cell is a wire, its Not or a constant.
+        Only the raw constants count, never what the builder folded, so
+        every pass list picks the same cell."""
         consts = self._const_value
         s = cout = None
         if a not in consts and b not in consts and cin not in consts:
@@ -124,67 +131,66 @@ class _BitBuilder:
             if sum_out:
                 s = self.emit(XOR, (t, b))
             if carry_out:
-                cout = self.emit(XOR, (cin, self.emit(AND, (t, u))))
+                cout = self.emit(XOR, (b if borrow else cin,
+                                       self.emit(AND, (t, u))))
             return s, cout
         free = [x for x in (a, b, cin) if x not in consts]
         k = sum([consts.get(x, 0) for x in (a, b, cin)])  # the constants' sum
+        negated = borrow and a not in consts  # the carry reads Not a
+        # the sum of the constants the carry reads
+        kc = k + 1 - 2 * consts[a] if borrow and not negated else k
         if len(free) == 2:
-            if sum_out:
-                s = self.emit(XOR, tuple(free))
+            x, z = free
+            if sum_out or carry_out and negated and k:
+                d = self.emit(XOR, (x, z))
                 if k:
-                    s = self.emit(NOT, (s,))
+                    d = self.emit(NOT, (d,))
+                if sum_out:
+                    s = d
             if carry_out:
-                cout = self.emit(OR if k else AND, tuple(free))
+                if not negated:
+                    cout = self.emit(OR if kc else AND, (x, z))
+                elif k:  # Not a | z, Not(a^z) being the sum bit
+                    cout = self.emit(OR, (d, z))
+                else:  # Not a & z
+                    cout = self.emit(XOR, (z, self.emit(AND, (x, z))))
         elif free:
             x = free[0]
+            if k == 1 and (sum_out or carry_out and negated):
+                not_x = self.emit(NOT, (x,))
             if sum_out:
-                s = self.emit(NOT, (x,)) if k == 1 else x
+                s = not_x if k == 1 else x
             if carry_out:
-                cout = x if k == 1 else self.const_bit(k >> 1)
+                cout = ((not_x if negated else x) if kc == 1
+                        else self.const_bit(kc >> 1))
         else:
             if sum_out:
                 s = self.const_bit(k & 1)
             if carry_out:
-                cout = self.const_bit(k >> 1)
+                cout = self.const_bit(kc >> 1)
         return s, cout
 
     def ripple_add(self, a: list[int], b: list[int], cin: int,
-                   low_sums: bool = True) -> list[int]:
-        """The len(a) bits of a + b + cin, those below the top one None
-        unless `low_sums`. The top cell builds no carry-out."""
+                   low_sums: bool = True, borrow: bool = False) -> list[int]:
+        """The len(a) bits of a + b + cin (a - b - cin with `borrow`),
+        those below the top one None unless `low_sums`. The top cell
+        builds no carry-out."""
         out = []
         for i in range(len(a) - 1):
-            s, cin = self.full_adder(a[i], b[i], cin, sum_out=low_sums)
+            s, cin = self.full_adder(a[i], b[i], cin, low_sums, True, borrow)
             out.append(s)
         return out + [self.full_adder(a[-1], b[-1], cin, carry_out=False)[0]]
 
-    def negated(self, word: list[int]) -> list[int]:
-        """Bitwise Not of `word`, a constant bit k becoming constant 1-k."""
-        consts = self._const_value
-        return [self.emit(NOT, (v,)) if v not in consts
-                else self.const_bit(1 - consts[v]) for v in word]
-
     def difference(self, a: list[int], b: list[int],
                    low_sums: bool = True) -> list[int]:
-        """a - b as a + Not b + 1, the bits below the top one None unless
-        `low_sums`: the top bit alone is the carry chain and one sum bit."""
-        return self.ripple_add(a, self.negated(b), self.const_bit(1), low_sums)
+        """a - b as a borrow chain from a borrow-in of 0, the bits below
+        the top one None unless `low_sums`: the top bit alone is the
+        borrow chain and one difference bit."""
+        return self.ripple_add(a, b, self.const_bit(0), low_sums, True)
 
     def zero_extend(self, bit: int) -> list[int]:
         zero = self.const_bit(0)
         return [bit] + [zero] * (self.width - 1)
-
-    def xnor(self, x: int, y: int) -> int:
-        """Not(x^y); beside a constant bit, the other bit or its Not."""
-        consts = self._const_value
-        if x in consts:
-            x, y = y, x
-        k = consts.get(y)
-        if k is None:
-            return self.emit(NOT, (self.emit(XOR, (x, y)),))
-        if x in consts:
-            return self.const_bit(int(consts[x] == k))
-        return x if k else self.emit(NOT, (x,))
 
     def mux_bit(self, s: int, t: int, e: int) -> int:
         """s ? t : e; t when both branches are one bit, s between the
@@ -198,8 +204,25 @@ class _BitBuilder:
         return self.emit(MUX_BIT, (s, t, e))
 
     def equals(self, a: list[int], b: list[int]) -> int:
-        xnors = [self.xnor(x, y) for x, y in zip(a, b)]
-        return balanced(xnors, lambda x, y: self.emit(AND, (x, y)))
+        """a == b as Not of the balanced Or tree over the bits a_i ^ b_i.
+        Beside a constant bit k, a_i ^ b_i is the other bit or its Not;
+        two constant bits drop out, or make a == b 0 if they differ."""
+        consts = self._const_value
+        pairs = []
+        for x, y in zip(a, b):
+            if x in consts:
+                x, y = y, x
+            if x not in consts:
+                pairs.append((x, y))
+            elif consts[x] != consts[y]:
+                return self.const_bit(0)
+        if not pairs:
+            return self.const_bit(1)
+        diffs = [self.emit(XOR, (x, y)) if y not in consts
+                 else self.emit(NOT, (x,)) if consts[y] else x
+                 for x, y in pairs]
+        return self.emit(NOT, (balanced(
+            diffs, lambda x, y: self.emit(OR, (x, y))),))
 
     def and_bit(self, x: int, y: int) -> int:
         """x & y; beside a constant bit, that 0 or the other bit."""

@@ -15,6 +15,11 @@ A rule needs a constant operand unless it rewrites a kind in
 constant, `IDENTITIES` and strength reduction one. So `rewrite` turns
 any other gate with no constant operand away at once.
 
+cse's table also makes the conditional swap (Kolesnikov, Sadeghi and
+Schneider, CANS 2009): MuxBit(s, e, t) beside a MuxBit(s, t, e) of the
+same metadata is t ^ e ^ that node, two free Xors. A word Mux pair
+stays: its swap, t + e - Mux, bitblasts to more ANDs than it saves.
+
 A pass is a function of the circuit alone, `PASSES[name](c)`, with no
 setting or cost model. Passes never mutate their input. A walk copies
 nothing before the first node it changes and shares every unchanged
@@ -146,9 +151,15 @@ class Builder:
         nid = len(nodes)
         table = self.table
         if table is not None and kind is not INPUT:
-            key = ((ops[1], ops[0]) if kind in COMMUTATIVE and ops[0] > ops[1]
-                   else ops)
-            found = table.setdefault((kind, key, payload, meta), nid)
+            key = (kind, (ops[1], ops[0]) if kind in COMMUTATIVE
+                   and ops[0] > ops[1] else ops, payload, meta)
+            if kind is MUX_BIT and key not in table:
+                s, e, t = ops
+                m = table.get((kind, (s, t, e), payload, meta))
+                if m is not None:  # the conditional swap: s?e:t = t^e^(s?t:e)
+                    return self.add(XOR, (self.add(XOR, (t, e), meta), m),
+                                    meta)
+            found = table.setdefault(key, nid)
             if found != nid:
                 return found
         nodes.append(node if node is not None and node.operands == ops
@@ -193,6 +204,9 @@ def _rewrite(c: Circuit, rule: str) -> Circuit:
             continue
         if kind in COMMUTATIVE and ops[0] > ops[1]:
             ops = (ops[1], ops[0])
+        if kind is MUX_BIT and (kind, (ops[0], ops[2], ops[1]), node.payload,
+                                node.meta) in table:
+            return b.walk(c, nid)  # add makes the conditional swap
         if table.setdefault((kind, ops, node.payload, node.meta), nid) != nid:
             return b.walk(c, nid)
     return c
@@ -217,7 +231,8 @@ def strength_reduce(c: Circuit) -> Circuit:
 
 def cse(c: Circuit) -> Circuit:
     """Merge structurally identical nodes; commutative gates canonicalize
-    operand order first, so Add(a,b) and Add(b,a) unify."""
+    operand order first, so Add(a,b) and Add(b,a) unify. A MuxBit that
+    mirrors an earlier one becomes two Xors over it (the swap)."""
     return _rewrite(c, "cse")
 
 
@@ -474,13 +489,17 @@ class _Cases:
         return None
 
     def within(self, key, plan, new: list) -> bool:
-        """Whether each leaf of the case has a plan and it adds at most w
-        Mux cases to `new` (and to `planned`), so it recurses at most w
-        deep."""
+        """Whether each leaf of the case has a plan, each Mux it splits
+        has a selector in [0, 1], and it adds at most w Mux cases to
+        `new` (and to `planned`), so it recurses at most w deep."""
         if plan is not None or key in self.planned:
             return True
-        if self.nodes[key[2]].kind is not MUX or len(new) == self.width:
+        node = self.nodes[key[2]]
+        if node.kind is not MUX or len(new) == self.width:
             return False
+        s = node.operands[0]
+        if self.lo[s] is None or self.lo[s] < 0 or self.hi[s] > 1:
+            return False  # a selector not proven a bit must stay read
         self.planned.add(key)
         new.append(key)
         return all(self.within(*arm, new) for arm in self.arms(key))
@@ -524,16 +543,18 @@ def range_fold(c: Circuit) -> Circuit:
         Lt(x + k, v)            ->  Lt(x, v - k), and x - k, k + x, k - x alike
 
     and likewise Eq and v on the left. It is rewritten when every case
-    ends in a leaf that the rules above make a Const or a local Sub, and
-    it adds at most w Mux cases that no earlier split made, each one
-    multiplication where a w-bit comparison takes at least w. Each Mux
-    case keeps its Mux's selector, and the comparison sat above that
-    Mux, so no depth rises.
+    ends in a leaf that the rules above make a Const or a local Sub,
+    each Mux it splits has a selector in [0, 1], and it adds at most w
+    Mux cases that no earlier split made, each one multiplication where
+    a w-bit comparison takes at least w. Each Mux case keeps its Mux's
+    selector, and the comparison sat above that Mux, so no depth rises.
 
     The clear interpreter computes on exact integers and accepts only
     inputs inside the contract, so on every input it accepts the folded
     circuit has the same outputs. A Mux whose selector is not proven a
-    bit stays, so the backends still refuse a selector that is not one.
+    bit stays, and no comparison is split through it (its cases could
+    fold to one value, selector and all), so the backends still refuse
+    a selector that is not one.
     Bool circuits come back unchanged.
     """
     if c.level == Level.BOOL:

@@ -39,10 +39,12 @@ def test_adder_is_exactly_w_full_cells():
     assert cb.validate() == []
 
 
-def adder_cell(operands, passes, sum_out=True, carry_out=True):
+def adder_cell(operands, passes, sum_out=True, carry_out=True,
+               borrow=False):
     """One `full_adder` over operands that are constant bits (0 or 1) or
     free input bits ("x"), as a bool circuit whose output word "sum" holds
-    the sum bit then the carry, and the (sum, carry) it returned."""
+    the sum bit then the carry (or the borrow), and the (sum, carry) it
+    returned."""
     bb = _BitBuilder(1, passes)
     values, inputs = [], []
     for i, op in enumerate(operands):
@@ -52,7 +54,7 @@ def adder_cell(operands, passes, sum_out=True, carry_out=True):
         else:
             v = bb.const_bit(op)
         values.append(v)
-    cell = bb.full_adder(*values, sum_out=sum_out, carry_out=carry_out)
+    cell = bb.full_adder(*values, sum_out, carry_out, borrow)
     outputs = [(bb.node(v), owners(1), "sum") for v in cell if v is not None]
     c = Circuit(Level.BOOL, 2, False, bb.builder.nodes, inputs, outputs)
     return c, cell
@@ -81,6 +83,32 @@ def test_full_adder_computes_a_plus_b_plus_cin(passes):
                     operands, wanted, ins)
 
 
+@pytest.mark.parametrize("passes", [[], DEFAULT_PASSES])
+def test_borrow_cell_computes_a_minus_b_minus_bin(passes):
+    for operands in itertools.product((0, 1, "x"), repeat=3):
+        free = [i for i, op in enumerate(operands) if op == "x"]
+        for wanted in ((True, True), (True, False), (False, True)):
+            c, cell = adder_cell(operands, passes, *wanted, borrow=True)
+            assert tuple(v is not None for v in cell) == wanted
+            # one gate at most that is not free under free-XOR, one Not at
+            # most and none with no constant 1, and no gate left unread
+            counts = c.counts()
+            assert counts.get(GateKind.AND, 0) + counts.get(
+                GateKind.OR, 0) <= 1, operands
+            assert counts.get(GateKind.NOT, 0) <= (1 in operands), operands
+            assert dce(c) is c, (operands, wanted)
+            for assignment in range(1 << len(free)):
+                ins = {(1, f"x{i}"): (assignment >> j) & 1
+                       for j, i in enumerate(free)}
+                a, b, bin_ = (ins.get((1, f"x{i}"), op)
+                              for i, op in enumerate(operands))
+                diff = a - b - bin_  # the difference bit less 2 * borrow
+                want = {(True, True): diff % 4, (True, False): diff & 1,
+                        (False, True): int(diff < 0)}[wanted]
+                assert interpret_bool(c, ins) == {"sum": want}, (
+                    operands, wanted, ins)
+
+
 def test_adder_semantics_mod_2w():
     cb = bitblast(build("adder", bitwidth=8), 8)
     for a, b in [(0, 0), (3, 4), (100, 27), (-5, 3), (120, 120)]:
@@ -101,6 +129,111 @@ def test_lt_via_sign_bit():
     for x, y in [(2, 3), (3, 2), (-4, 4), (5, 5), (-9, -2)]:
         assert interpret_bool(cb, {(1, "a"): x, (1, "b"): y})["lt"] == \
             int(x < y), (x, y)
+
+
+# -- subtraction, comparison and equality cells --
+
+def cells_circuit(width, k=None):
+    """x from party 1 and y from party 2, or the constant k, with x - y,
+    y - x, x < y, y < x, x == y, x != y and x >= y as cmp_rewrite leaves
+    them (1 - Eq, 1 - Lt), and (x < y) == y, a word of one bit against a
+    word, each revealed under its name."""
+    c = Circuit(bitwidth=width)
+    x = c.add_input(1, "x")
+    y = (c.add_input(2, "y") if k is None
+         else c.add_node(GateKind.CONST, (), payload=k))
+    one = c.add_node(GateKind.CONST, (), payload=1)
+    lt = c.add_node(GateKind.LT, (x, y))
+    eq = c.add_node(GateKind.EQ, (x, y))
+    cells = {"sub": (GateKind.SUB, (x, y)), "rsub": (GateKind.SUB, (y, x)),
+             "lt": lt, "gt": (GateKind.LT, (y, x)), "eq": eq,
+             "ne": (GateKind.SUB, (one, eq)), "ge": (GateKind.SUB, (one, lt)),
+             "bit_eq": (GateKind.EQ, (lt, y))}
+    for name, cell in cells.items():
+        nid = cell if isinstance(cell, int) else c.add_node(*cell)
+        r = c.add_node(GateKind.REVEAL, (nid,), PlainMeta(owners(1, 2)))
+        c.add_output(r, owners(1, 2), name)
+    return c
+
+
+def cell_values(x, y, width):
+    """What the cells of `cells_circuit` compute, on Python ints. A
+    comparison reads the sign of the w-bit difference, which is x < y
+    whenever |x - y| < 2^(w-1)."""
+    lt, gt = ((x - y) >> (width - 1)) & 1, ((y - x) >> (width - 1)) & 1
+    if abs(x - y) < 1 << (width - 1):
+        assert (lt, gt) == (int(x < y), int(y < x))
+    return {"sub": x - y, "rsub": y - x, "lt": lt, "gt": gt,
+            "eq": int(x == y), "ne": int(x != y), "ge": 1 - lt,
+            "bit_eq": int(lt == y)}
+
+
+def check_cells(width, passes, k, pairs):
+    """The blast of `cells_circuit(width, k)`, run by interpret_bool and
+    as a parsed gate list, gives `cell_values` mod 2^width on each pair
+    (x, y); y is k when k is a constant."""
+    mask = (1 << width) - 1
+    cb = bitblast(cells_circuit(width, k), width, passes=passes)
+    gl = parse_gatelist(emit_gatelist(cb))
+    names = [name for _n, _a, name in cb.outputs][::width]
+    for x, y in pairs:
+        want = {n: v & mask for n, v in cell_values(x, y, width).items()}
+        ins = {(1, "x"): x} if k is not None else {(1, "x"): x, (2, "y"): y}
+        got = interpret_bool(cb, ins)
+        assert {n: v & mask for n, v in got.items()} == want, (x, y)
+        words = [x] if k is not None else [x, y]
+        bits = eval_gatelist(gl, [(v >> i) & 1 for v in words
+                                  for i in range(width)])
+        assert {n: sum(b << i for i, b in enumerate(
+            bits[j * width:(j + 1) * width])) for j, n in enumerate(names)
+        } == want, (x, y)
+
+
+PASS_LISTS = pytest.mark.parametrize("passes", [[], DEFAULT_PASSES],
+                                     ids=["raw", "default"])
+
+
+@PASS_LISTS
+def test_cells_on_every_6_bit_pair(passes):
+    every = range(-32, 32)
+    check_cells(6, passes, None, itertools.product(every, every))
+
+
+@PASS_LISTS
+def test_cells_beside_every_6_bit_constant(passes):
+    # each constant takes the raw cells specialized to its bits
+    for k in range(-32, 32):
+        check_cells(6, passes, k, [(x, k) for x in range(-32, 32)])
+
+
+@PASS_LISTS
+@pytest.mark.parametrize("width", [16, 64])
+def test_cells_sampled_at_width(width, passes):
+    rng = random.Random(width)
+    top = 1 << (width - 1)
+    edges = [0, 1, -1, 2, top - 1, -top, top // 2, -top // 2]
+    words = edges + [rng.randrange(-top, top) for _ in range(24)]
+    check_cells(width, passes, None,
+                [(x, y) for x in words for y in rng.sample(words, 6)])
+    for k in edges[:5] + rng.sample(words[8:], 3):
+        check_cells(width, passes, k,
+                    [(x, k) for x in rng.sample(words, 12) + [k]])
+
+
+def test_cells_build_no_not_per_bit():
+    # a - b and a < b are borrow chains of one And per bit with no Not of
+    # b, and a == b is Not of an Or tree: one Not, not w
+    for passes in ([], DEFAULT_PASSES):
+        for name, kind in (("sub", GateKind.SUB), ("lt", GateKind.LT),
+                           ("eq", GateKind.EQ)):
+            c = Circuit(bitwidth=16)
+            x, y = c.add_input(1, "x"), c.add_input(2, "y")
+            r = c.add_node(GateKind.REVEAL, (c.add_node(kind, (x, y)),),
+                           PlainMeta(owners(1, 2)))
+            c.add_output(r, owners(1, 2), name)
+            counts = bitblast(c, 16, passes=passes).counts()
+            assert counts.get(GateKind.NOT, 0) == (name == "eq"), name
+            assert sum(counts.get(k, 0) for k in NONXOR) == 15, name
 
 
 def test_reveal_groups_word_outputs():

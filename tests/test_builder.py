@@ -116,6 +116,70 @@ def test_no_other_rule_fires_without_a_constant(monkeypatch):
             assert b.nodes[2].kind is kind
 
 
+# -- the conditional swap --
+
+def muxbit_pair(metas=(PLAIN, PLAIN), same_selector=True):
+    """A bool circuit revealing MuxBit(s, t, e) and then MuxBit(s', e, t),
+    s' being s or a fourth input, with the metadata `metas`."""
+    c = Circuit(Level.BOOL)
+    s, t, e, s2 = (c.add_input(1, name) for name in ("s", "t", "e", "s2"))
+    first = c.add_node(GateKind.MUX_BIT, (s, t, e), metas[0])
+    second = c.add_node(GateKind.MUX_BIT, (s if same_selector else s2, e, t),
+                        metas[1])
+    for nid, name in ((first, "first"), (second, "second")):
+        r = c.add_node(GateKind.REVEAL, (nid,), PlainMeta(owners(1)))
+        c.add_output(r, owners(1), name)
+    return c
+
+
+def test_a_mirrored_muxbit_is_two_xors():
+    # s ? e : t beside s ? t : e is t ^ e ^ (s ? t : e)
+    b = Builder(["cse"])
+    s, t, e = (b.add(GateKind.INPUT) for _ in range(3))
+    m = b.add(GateKind.MUX_BIT, (s, t, e))
+    swap = b.add(GateKind.MUX_BIT, (s, e, t))
+    assert [(n.kind, n.operands) for n in b.nodes[m + 1:]] == [
+        (GateKind.XOR, (t, e)), (GateKind.XOR, (swap - 1, m))]
+    assert b.add(GateKind.MUX_BIT, (s, e, t)) == swap
+    assert b.add(GateKind.MUX_BIT, (s, t, e)) == m
+    # the cse pass makes the same swap, and the outputs stay
+    c = muxbit_pair()
+    out = optimizer.cse(c)
+    assert out.counts()[GateKind.MUX_BIT] == 1
+    assert out.counts()[GateKind.XOR] == 2
+    for bits in itertools.product((0, 1), repeat=4):
+        ins = {(1, name): v for name, v in zip(("s", "t", "e", "s2"), bits)}
+        assert interpret_bool(out, ins) == interpret_bool(c, ins)
+    assert run_passes(out) is out
+
+
+@pytest.mark.parametrize("metas, same_selector", [
+    ((EncMeta(owners(1)), EncMeta(owners(1, 2))), True),
+    ((PLAIN, PLAIN), False),
+])
+def test_a_swap_needs_the_same_selector_and_metadata(metas, same_selector):
+    c = muxbit_pair(metas, same_selector)
+    assert optimizer.cse(c) is c
+    assert run_passes(c).counts()[GateKind.MUX_BIT] == 2
+
+
+def test_no_swap_without_cse_or_at_word_level():
+    b = Builder([r for r in RULE_KINDS if r != "cse"])
+    s, t, e = (b.add(GateKind.INPUT) for _ in range(3))
+    b.add(GateKind.MUX_BIT, (s, t, e))
+    b.add(GateKind.MUX_BIT, (s, e, t))
+    assert [n.kind for n in b.nodes[3:]] == [GateKind.MUX_BIT] * 2
+    # a word Mux pair stays two Muxes: its swap costs more after bitblast
+    c = Circuit(bitwidth=16)
+    s, t, e = c.add_input(1, "s"), c.add_input(1, "t"), c.add_input(1, "e")
+    for ops, name in (((s, t, e), "first"), ((s, e, t), "second")):
+        r = c.add_node(GateKind.REVEAL, (c.add_node(GateKind.MUX, ops),),
+                       PlainMeta(owners(1)))
+        c.add_output(r, owners(1), name)
+    assert optimizer.cse(c) is c
+    assert run_passes(c).counts()[GateKind.MUX] == 2
+
+
 def test_bitblast_rejects_unknown_passes():
     with pytest.raises(LowerError):
         bitblast(build("adder", bitwidth=4), passes=["mystery_pass"])

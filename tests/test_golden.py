@@ -20,20 +20,20 @@ from mpcc.pipeline import PipelineConfig, compile
 
 # (name, bitwidth) -> (word JSON, bool JSON, gate list)
 GOLDEN = {
-    ("gcd", 16): ("5cfac3f73e31e935", "72f24d4572d5b2e0", "e478f13234669676"),
-    ("gcd", 64): ("8a097cd50c03fa7c", "9bcb36c82e1c1c3d", "28cb9459d8aeb76a"),
-    ("auction", 16): ("7894288e6a160ea4", "73700b43bb210c5b",
-                      "7dc8e91f5bbde36d"),
-    ("auction", 64): ("68c055f92d80a650", "a9dbe64d324d0f7f",
-                      "fc1a45aa9ef6df6f"),
-    ("mergesort", 16): ("3213b4c4faa6c922", "4a7fa45ae4fbfc21",
-                        "c97fd13b717fa313"),
-    ("mergesort", 64): ("75a7e8fb083be140", "852b5891b3f69038",
-                        "cb86fb7d6369e1b7"),
-    ("matvec", 16): ("2b606b48cadbff18", "56cdaeb0a2f39e84",
-                     "ffa26975845d1b8c"),
-    ("matvec", 64): ("018dc021bf76055d", "2759e5df2890fe1e",
-                     "1030ccf4d0e95162"),
+    ("gcd", 16): ("5cfac3f73e31e935", "d7ff1a68efbdffce", "9b8513afea119328"),
+    ("gcd", 64): ("8a097cd50c03fa7c", "2520aa9464abf31b", "2aec2fdd062e7755"),
+    ("auction", 16): ("7894288e6a160ea4", "407889256a920682",
+                      "8136b0bede2221f9"),
+    ("auction", 64): ("68c055f92d80a650", "0ee67e9fd7079a1c",
+                      "64b3ab5b18452286"),
+    ("mergesort", 16): ("3213b4c4faa6c922", "6a22af50beb9e726",
+                        "dfd143aeee156ee0"),
+    ("mergesort", 64): ("75a7e8fb083be140", "f9be8ad05adb69de",
+                        "dbd599f5f8c0bcc8"),
+    ("matvec", 16): ("2b606b48cadbff18", "6b59d6f8060f6a5a",
+                     "5e7262d7d724018e"),
+    ("matvec", 64): ("018dc021bf76055d", "d6596f491ad18f91",
+                     "544208cf2b69ea46"),
     ("pow8", 16): ("9e9263eec5a057b9", "504d8733427c31a9",
                    "0b25800e49e54156"),
     ("pow8", 64): ("4b6edb8aa15791e9", "63e66c7ecaf25ea8",

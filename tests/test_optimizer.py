@@ -449,10 +449,10 @@ def test_pipeline_idempotent_on_corpus():
 # the fixpoint's gates that are not free under free-XOR (And, Or, MuxBit),
 # 16 bits
 BOOL_SIZES = {
-    "gcd": (1365, 1205, 496),
-    "auction": (371, 342, 110),
-    "mergesort": (838, 826, 330),
-    "matvec": (5028, 4866, 852),
+    "gcd": (1120, 1200, 416),
+    "auction": (326, 329, 94),
+    "mergesort": (744, 736, 330),
+    "matvec": (4653, 4653, 852),
     "pow8": (540, 538, 202),
     "adder": (122, 122, 15),
     "sum8": (662, 662, 105),

@@ -34,17 +34,17 @@ def flatten_inputs(parties: dict) -> dict[tuple[int, str], int]:
 
 
 def bind_inputs(c: Circuit, inputs: dict[tuple[int, str], int],
-                limit_log: int) -> dict[int, int]:
+                limit_log: int | None = None) -> dict[int, int]:
     """Each input node's value, by node id. Raises MissingInputError for
-    an input that `inputs` lacks and OverflowContractError for a value
-    outside |v| < 2^limit_log."""
+    an input that `inputs` lacks and, given a limit, OverflowContractError
+    for a value outside |v| < 2^limit_log."""
     bound = {}
     for nid, party, name in c.inputs:
         if (party, name) not in inputs:
             raise MissingInputError(f"missing input {name} from party "
                                     f"{party}")
         v = int(inputs[(party, name)])
-        if abs(v) >= 1 << limit_log:
+        if limit_log is not None and abs(v) >= 1 << limit_log:
             raise OverflowContractError(
                 f"input {name}={v} exceeds |v| < 2^{limit_log}")
         bound[nid] = v
@@ -55,7 +55,7 @@ class ClearInterpreter:
     def __init__(self, circuit: Circuit):
         if circuit.level == Level.BOOL:
             raise LevelError("the cleartext interpreter runs word-level "
-                             "circuits; use the boolean evaluator instead")
+                             "circuits")
         self.circuit = circuit
         self.gate_evaluations = 0
 

@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .backends.clear import flatten_inputs, interpret_clear
+from .backends import BACKENDS
+from .backends.clear import flatten_inputs
 from .backends.gatelist import emit_gatelist
-from .backends.shares import simulate_shared
 from .circuit import Circuit, Level
 from .errors import (
     CompilerError, MalformedCircuitError, ModelCoverageError,
@@ -33,7 +33,7 @@ from .typecheck import check_program
 SPEC_CHOICES = {
     "scheme": ("generic", "tfhe", "additive"),
     "level": ("arith", "bool"),
-    "backend": ("clear", "shares"),
+    "backend": BACKENDS,  # the table itself: a new entry is a choice at once
 }
 SPEC_INTS = ("bitwidth", "parties", "seed")
 SPEC_NAMES = ("passes", "cost_model")  # one name or a list of names
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulated backends")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_pipeline=True, with_passes=True):
+    def common(p, with_pipeline=True, with_passes=True, with_level=True):
         p.add_argument("source", help=".hml source or circuit .json")
         p.add_argument("--spec", help="JSON file with default settings "
                                       "(flags win)")
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="party count for the additive scheme/backend")
         if with_pipeline:
             p.add_argument("--bitwidth", type=int)
-            p.add_argument("--level", choices=SPEC_CHOICES["level"])
+            if with_level:  # `run` compiles to its backend's level
+                p.add_argument("--level", choices=SPEC_CHOICES["level"])
             if with_passes:  # `lower` runs no pass
                 p.add_argument("--passes", help="comma-separated pass list")
             p.add_argument("--no-opt", action="store_true",
@@ -77,13 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--objective", default=None,
                        help="resource used for ranking several models")
     p_run = sub.add_parser("run", help="execute on a simulated backend")
-    common(p_run)
-    p_run.add_argument("--backend", choices=SPEC_CHOICES["backend"],
-                       default="clear")
+    common(p_run, with_level=False)
+    p_run.add_argument("--backend", choices=SPEC_CHOICES["backend"])
     p_run.add_argument("--inputs", required=True,
                        help='JSON {"parties": {"1": {"x": 5}}}')
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--trace", help="write the execution trace JSON here")
+    p_run.add_argument("--seed", type=int)
+    p_run.add_argument("--trace", help="write the shares trace JSON here")
     common(sub.add_parser("emit", help="emit a boolean gate list "
                                        "(requires --level bool)"))
     return ap
@@ -117,10 +117,14 @@ def pipeline_config(args, spec) -> PipelineConfig:
             passes = [p for p in raw.split(",") if p]
         elif isinstance(raw, list):
             passes = raw
+    if args.command == "run":
+        level = BACKENDS[setting(args, spec, "backend", "clear")].level
+    else:
+        level = Level(setting(args, spec, "level", "arith"))
     return PipelineConfig(
         scheme=scheme_of(args, spec),
         bitwidth=int(setting(args, spec, "bitwidth", 64)),
-        target_level=Level(setting(args, spec, "level", "arith")),
+        target_level=level,
         passes=passes,
     )
 
@@ -168,7 +172,7 @@ def load_spec_defaults(args) -> dict:
     for name, value in spec.items():
         if name not in SPEC_KEYS:
             raise BadFileError("spec", f"unknown setting {name!r}")
-        if name in SPEC_CHOICES and value not in SPEC_CHOICES[name]:
+        if name in SPEC_CHOICES and value not in tuple(SPEC_CHOICES[name]):
             raise BadFileError("spec", f"{name} must be one of "
                                        f"{', '.join(SPEC_CHOICES[name])}")
         if name in SPEC_INTS and not is_int(value):
@@ -258,20 +262,23 @@ def cmd_estimate(args, spec) -> int:
 
 
 def cmd_run(args, spec) -> int:
-    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
-    inputs = load_inputs(args.inputs)
-    backend = setting(args, spec, "backend", "clear")
-    if backend == "shares":
-        n = setting(args, spec, "parties", 3)
-        outputs, trace = simulate_shared(c, inputs, int(n),
-                                         seed=int(setting(args, spec,
-                                                          "seed", 0)))
+    name = setting(args, spec, "backend", "clear")
+    source = read_stage_input(args.source)
+    cfg = pipeline_config(args, spec)
+    if isinstance(source, Circuit):  # a circuit file runs at its own level
+        cfg.target_level = source.level
+    c = compile(source, cfg)
+    outputs, trace = BACKENDS[name].run(
+        c, load_inputs(args.inputs), int(setting(args, spec, "parties", 3)),
+        int(setting(args, spec, "seed", 0)))
+    if trace is not None:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 json.dump(trace.to_json_obj(), fh, indent=2)
         print(json.dumps(trace.summary()), file=sys.stderr)
-    else:
-        outputs = interpret_clear(c, inputs)
+    elif args.trace:
+        print(f"backend {name} keeps no trace to write", file=sys.stderr)
+        return 1
     write_out(args, json.dumps(outputs) + "\n")
     return 0
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build
-from mpcc.backends.boolsim import BoolInterpreter, interpret_bool
+from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.clear import interpret_clear
 from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
@@ -362,13 +362,6 @@ def test_bitblast_agrees_with_word_interpreter(seed):
         boolean = interpret_bool(cb, ins)["out"]
         # agreement is modulo 2^w with the signed lift
         assert (clear - boolean) % (1 << w) == 0, ins
-
-
-def test_gate_eval_count_matches_bool_nodes():
-    cb = bitblast(build("adder", bitwidth=4), 4)
-    interp = BoolInterpreter(cb)
-    interp.run({(1, "a"): 3, (2, "b"): 2})
-    assert interp.gate_evaluations == len(cb.nodes)
 
 
 # -- multipliers --

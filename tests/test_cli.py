@@ -1,19 +1,25 @@
 import argparse
 import json
+import math
+import random
 import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from astref import reference_run
 from conftest import CORPUS, CORPUS_NAMES, ROOT, build, corpus_source
+from mpcc.backends import BACKENDS, Backend
 from mpcc.backends.boolsim import interpret_bool
+from mpcc.backends.clear import flatten_inputs
 from mpcc.backends.gatelist import eval_gatelist, parse_gatelist
-from mpcc.circuit import Level
+from mpcc.circuit import Level, contract_log
 from mpcc.cli import (
     SPEC_CHOICES, SPEC_KEYS, BadFileError, load_cost_model, load_inputs,
     load_spec_defaults, main,
 )
 from mpcc.estimator import CostModel, default_model_for, estimate
+from mpcc.frontend import parse_source
 from mpcc.pipeline import PipelineConfig, compile
 
 
@@ -445,15 +451,139 @@ def test_malformed_circuit_file_is_exit_2(tmp_path, capsys, command,
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("backend", ["clear", "shares"])
-def test_run_refuses_bool_level(tmp_path, capsys, backend):
-    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
-    assert run_cli("run", hml("gcd"), "--level", "bool", "--backend",
-                   backend, "--inputs", inputs, "--bitwidth", "16") == 1
+def one_line_exit_1(capsys, argv) -> str:
+    assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "word-level" in captured.err
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def circuit_file(tmp_path, name, level):
+    path = tmp_path / f"{name}-{level}.json"
+    assert run_cli("opt", hml(name), "--level", level, "--bitwidth", "16",
+                   "-o", str(path)) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("backend", ["clear", "shares"])
+def test_run_refuses_a_bool_circuit_on_a_word_backend(tmp_path, capsys,
+                                                      backend):
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
+    err = one_line_exit_1(capsys, [
+        "run", circuit_file(tmp_path, "gcd", "bool"), "--backend", backend,
+        "--inputs", inputs])
+    assert "word-level" in err
+
+
+def test_run_refuses_a_word_circuit_on_the_bool_backend(tmp_path, capsys):
+    # a circuit file runs at its own level: only source is compiled to
+    # the backend's
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
+    err = one_line_exit_1(capsys, [
+        "run", circuit_file(tmp_path, "gcd", "arith"), "--backend", "bool",
+        "--inputs", inputs])
+    assert "bool-level" in err
+
+
+def test_run_takes_its_level_from_the_backend(tmp_path, capsys):
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
+    with pytest.raises(SystemExit):
+        run_cli("run", hml("gcd"), "--level", "bool", "--inputs", inputs)
+    capsys.readouterr()
+    # a spec file's level goes unread by run, as opt ignores its backend
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"level": "bool", "bitwidth": 16}),
+                    encoding="utf-8")
+    assert run_cli("run", hml("gcd"), "--spec", str(spec), "--backend",
+                   "shares", "--inputs", inputs) == 0
+    assert json.loads(capsys.readouterr().out) == {"g": 5}
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+def test_every_backend_checks_the_range_contract(tmp_path, capsys, backend):
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 16384,
+                                                       "y": 15}}})
+    err = one_line_exit_1(capsys, ["run", hml("gcd"), "--bitwidth", "16",
+                                   "--backend", backend, "--inputs", inputs])
+    assert err == f"{hml('gcd')}: error: input x=16384 exceeds |v| < 2^14\n"
+
+
+@pytest.mark.parametrize("backend", ["clear", "bool"])
+def test_run_refuses_a_trace_the_backend_does_not_keep(tmp_path, capsys,
+                                                       backend):
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
+    trace = tmp_path / "trace.json"
+    err = one_line_exit_1(capsys, [
+        "run", hml("gcd"), "--bitwidth", "16", "--backend", backend,
+        "--inputs", inputs, "--trace", str(trace)])
+    assert backend in err
+    assert not trace.exists()
+
+
+def contract_inputs(name, w, rng):
+    """Seeded inputs for corpus program `name` whose every value, the
+    outputs included, stays inside the w-bit range contract."""
+    limit = 1 << contract_log(w)
+
+    def ints(count, bound):
+        return [rng.randrange(-bound + 1, bound) for _ in range(count)]
+    if name == "gcd":  # the bound caps the recursion at 5 steps
+        return {"1": {"x": rng.randrange(30), "y": rng.randrange(30)}}
+    if name == "auction":
+        return {str(i): {f"b{i}": rng.randrange(100)} for i in range(3)}
+    if name == "mergesort":
+        return {"1": {"xs": ints(4, 100)}}
+    if name == "matvec":  # each row sums at most 2,202 times its largest
+        return {"1": {f"row{r}": ints(10, limit // 2202) for r in range(3)}}
+    if name == "pow8":
+        return {"1": {"x": ints(1, math.isqrt(math.isqrt(math.isqrt(
+            limit - 1))) + 1)[0]}}
+    if name == "adder":
+        return {"1": {"a": ints(1, limit // 2)[0]},
+                "2": {"b": ints(1, limit // 2)[0]}}
+    assert name == "sum8"
+    return {"1": {"xs": ints(8, limit // 8)}}
+
+
+@pytest.mark.parametrize("w", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_bool_backend_matches_clear_and_the_reference(tmp_path, capsys,
+                                                      name, w):
+    parties = contract_inputs(name, w, random.Random(f"{name}@{w}"))
+    inputs = write_inputs(tmp_path, {"parties": parties})
+    outs = []
+    for backend in ("clear", "bool"):
+        assert run_cli("run", hml(name), "--bitwidth", str(w), "--backend",
+                       backend, "--inputs", inputs) == 0
+        outs.append(capsys.readouterr().out)
+    want = reference_run(parse_source(corpus_source(name)),
+                         flatten_inputs(parties))
+    assert outs[0] == outs[1] == json.dumps(want) + "\n", parties
+
+
+def test_a_backend_added_to_the_table_is_reachable(tmp_path, capsys,
+                                                   monkeypatch):
+    calls = []
+
+    def toy(c, inputs, parties, seed):
+        calls.append((c.level, dict(inputs), parties, seed))
+        return {"gates": len(c.nodes)}, None
+    monkeypatch.setitem(BACKENDS, "toy", Backend(Level.BOOL, toy))
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"a": 3},
+                                                 "2": {"b": 4}}})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"backend": "toy", "parties": 4, "seed": 9}),
+                    encoding="utf-8")
+    assert run_cli("run", hml("adder"), "--bitwidth", "8", "--backend",
+                   "toy", "-n", "4", "--seed", "9", "--inputs", inputs) == 0
+    assert run_cli("run", hml("adder"), "--bitwidth", "8", "--spec",
+                   str(spec), "--inputs", inputs) == 0
+    gates = len(compile(corpus_source("adder"), PipelineConfig(
+        bitwidth=8, target_level=Level.BOOL)).nodes)
+    assert capsys.readouterr().out == f'{{"gates": {gates}}}\n' * 2
+    assert calls == [(Level.BOOL, {(1, "a"): 3, (2, "b"): 4}, 4, 9)] * 2
 
 
 def one_line_exit_2(capsys, argv, kind) -> str:

@@ -9,9 +9,11 @@ rows) the cell is a half cell, x^y and x&y beside a 0 or Not(x^y) and
 x|y beside a 1, and beside two constants a wire, its Not or a constant.
 Lt copies the sign bit of the difference, which is sound for |a-b| <
 2^(bitwidth-1); Eq is Not of a balanced Or tree over the bits a_i ^ b_i.
-Words whose value is known to be a bit (comparison outputs and the like)
-are tracked so multiplying by them degenerates to And gates instead of
-full multipliers.
+A bit word, such as a comparison's output, is known by its bits above
+bit 0, which are the raw constant 0: the cells beside them are wires and
+constants, so 1 - b is one Not, and a product with a bit word is a row
+of Ands. A Reveal of a constant bit is that constant to the cells that
+read it, and a Reveal gate only where the word is an output.
 
 Multipliers sum shifted rows with those cells. Mul(x, y) is the w x w
 array; Mul(x, x) is a squarer, x_i at bit 2i and x_i & x_j (i < j) at
@@ -39,17 +41,14 @@ circuit, each gate keeping its raw metadata.
 
 A Mux reads only bit 0 of its selector: sound for the 0/1 selectors
 lowering emits, silently wrong for others (clear and shares raise
-MuxSelectorError). `_boolish` cannot back a check: unoptimized at 64
-bits, the corpus, the 4 benchmark templates and proggen seeds 0-399
-hold 1,444 Mux selectors and it proves 1,027 (and all 827 left after
-the default passes).
+MuxSelectorError).
 """
 
 from __future__ import annotations
 
 from .circuit import (
     AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR, PLAIN,
-    REVEAL, SUB, XOR, Circuit, GateKind, Level, PlainMeta, balanced,
+    REVEAL, XOR, Circuit, GateKind, Level, PlainMeta, balanced,
     combine_meta,
 )
 from .errors import BitblastError, LevelError
@@ -103,6 +102,18 @@ class _BitBuilder:
             self.ids.append(None)
             self.metas.append(PLAIN)
         return self._const_cache[b]
+
+    def reveal(self, v: int, meta, output: bool) -> int:
+        """Reveal of raw value v. Of a constant bit it is that bit, unless
+        `output`: an output keeps its Reveal gate, which the cells then
+        read as that constant."""
+        k = self._const_value.get(v)
+        if k is not None and not output:
+            return v
+        r = self.emit(REVEAL, (v,), meta)
+        if k is not None:
+            self._const_value[r] = k
+        return r
 
     def const_word(self, value: int) -> list[int]:
         return [self.const_bit((value >> i) & 1) for i in range(self.width)]
@@ -193,12 +204,12 @@ class _BitBuilder:
         return [bit] + [zero] * (self.width - 1)
 
     def mux_bit(self, s: int, t: int, e: int) -> int:
-        """s ? t : e; t when both branches are one bit, s between the
-        constant bits 1 and 0, and Not s between 0 and 1."""
-        if t == e:
-            return t
+        """s ? t : e; t when both branches are one bit or one constant,
+        s between the constant bits 1 and 0, and Not s between 0 and 1."""
         consts = self._const_value
         kt, ke = consts.get(t), consts.get(e)
+        if t == e or kt is not None and kt == ke:
+            return t
         if {kt, ke} == {0, 1}:
             return s if kt else self.emit(NOT, (s,))
         return self.emit(MUX_BIT, (s, t, e))
@@ -233,6 +244,11 @@ class _BitBuilder:
         if k is None:
             return self.emit(AND, (x, y))
         return x if k else y
+
+    def is_bit(self, word: list[int]) -> bool:
+        """Whether every bit of `word` above bit 0 is a constant 0."""
+        consts = self._const_value
+        return all([consts.get(v) == 0 for v in word[1:]])
 
     def scale_by_bit(self, bit: int, word: list[int]) -> list[int]:
         return [self.and_bit(bit, w) for w in word]
@@ -309,12 +325,12 @@ def bitblast(c: Circuit, width: int | None = None,
     check_pass_names(passes)
     width = width or c.bitwidth
     bb = _BitBuilder(width, passes)
-    boolish = _boolish(c)
-    need = _bits_read(c, width, boolish)
+    need = _bits_read(c, width)
     bits: dict[int, list[int | None]] = {}
     input_keys = {nid: (p, n) for nid, p, n in reversed(c.inputs)}
     inputs: list[tuple[int, int, str]] = []
     unread = [None] * width
+    shown = {nid for nid, _a, _n in c.outputs}  # the output words
 
     for nid, node in enumerate(c.nodes):
         a, k = node.operands, need[nid]
@@ -332,20 +348,14 @@ def bitblast(c: Circuit, width: int | None = None,
             case GateKind.ADD:
                 word = bb.ripple_add(low[0], low[1], bb.const_bit(0))
             case GateKind.SUB:
-                if nid in boolish:  # 1 - b on a bit is a Not
-                    word = bb.zero_extend(bb.emit(NOT, (bits[a[1]][0],)))
-                else:
-                    word = bb.difference(low[0], low[1])
+                word = bb.difference(low[0], low[1])
             case GateKind.MUL:
-                if nid in boolish:
-                    word = bb.zero_extend(
-                        bb.emit(AND, (bits[a[0]][0], bits[a[1]][0])))
-                elif a[0] in boolish:
-                    word = bb.scale_by_bit(bits[a[0]][0], low[1])
-                elif a[1] in boolish:
-                    word = bb.scale_by_bit(bits[a[1]][0], low[0])
-                elif a[0] == a[1]:
+                if a[0] == a[1]:
                     word = bb.square(low[0])
+                elif bb.is_bit(low[0]):
+                    word = bb.scale_by_bit(low[0][0], low[1])
+                elif bb.is_bit(low[1]):
+                    word = bb.scale_by_bit(low[1][0], low[0])
                 else:
                     word = bb.multiply(low[0], low[1])
             case GateKind.MUL_PLAIN:
@@ -359,8 +369,8 @@ def bitblast(c: Circuit, width: int | None = None,
                 sel = bits[a[0]][0]
                 word = [bb.mux_bit(sel, t, e) for t, e in zip(low[1], low[2])]
             case GateKind.REVEAL:
-                meta = PlainMeta(node.meta.audience)
-                word = [bb.emit(REVEAL, (bit,), meta=meta) for bit in low[0]]
+                meta, output = PlainMeta(node.meta.audience), nid in shown
+                word = [bb.reveal(bit, meta, output) for bit in low[0]]
             case _:
                 raise BitblastError(
                     f"cannot bit-blast {node.kind.value}")
@@ -373,30 +383,13 @@ def bitblast(c: Circuit, width: int | None = None,
     return dce(out) if "dce" in passes else out
 
 
-def _boolish(c: Circuit) -> set[int]:
-    """Words whose value is known to be a bit: comparisons, the constants
-    0 and 1, and 1 - b, b*b', b*1, b ? b' : b'' and reveals of such."""
-    out: set[int] = set()
-    for nid, node in enumerate(c.nodes):
-        a, kind = node.operands, node.kind
-        if (kind in (LT, EQ)
-                or kind is CONST and node.payload in (0, 1)
-                or kind is SUB and a[1] in out
-                and c.nodes[a[0]].kind is CONST and c.nodes[a[0]].payload == 1
-                or kind in (MUL, REVEAL) and all(o in out for o in a)
-                or kind is MUL_PLAIN and node.payload == 1 and a[0] in out
-                or kind is MUX and a[1] in out and a[2] in out):
-            out.add(nid)
-    return out
-
-
-def _bits_read(c: Circuit, width: int, boolish: set[int]) -> list[int]:
+def _bits_read(c: Circuit, width: int) -> list[int]:
     """How many low bits of each word bitblast reads: all of an output's,
     and of an operand's the most any reader's cells read. The low k bits
     of a sum, difference or product need only the low k bits of its
     operands, a square only k-1 and a product by c only k - j (j the
-    lowest set bit of c); a bit word and a Mux selector give their bit 0,
-    a comparison reads whole words."""
+    lowest set bit of c); a Mux selector gives its bit 0, a comparison
+    reads whole words."""
     need = [0] * len(c.nodes)
     for nid, _a, _n in c.outputs:
         need[nid] = width
@@ -409,10 +402,6 @@ def _bits_read(c: Circuit, width: int, boolish: set[int]) -> list[int]:
             reads = [width, width]
         elif kind is MUX:
             reads = [1, k, k]
-        elif kind is SUB and nid in boolish:
-            reads = [k, 1]
-        elif kind is MUL and (a[0] in boolish or a[1] in boolish):
-            reads = [1 if o in boolish else k for o in a]
         elif kind is MUL and a[0] == a[1]:
             reads = [max(k - 1, 1)] * 2
         elif kind is MUL_PLAIN:

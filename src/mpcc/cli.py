@@ -55,16 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=SPEC_CHOICES["scheme"])
         p.add_argument("-n", "--parties", type=int,
                        help="party count for the additive scheme/backend")
-        if with_pipeline:
+        if with_pipeline:  # `check` only type-checks and writes nothing
             p.add_argument("--bitwidth", type=int)
-            if with_level:  # `run` compiles to its backend's level
+            if with_level:  # `run` and `emit` compile to a fixed level
                 p.add_argument("--level", choices=SPEC_CHOICES["level"])
             if with_passes:  # `lower` runs no pass
                 p.add_argument("--passes", help="comma-separated pass list")
-            p.add_argument("--no-opt", action="store_true",
-                           help="disable all optimization passes")
-        p.add_argument("-o", "--output", help="write result here instead "
-                                              "of stdout")
+                p.add_argument("--no-opt", action="store_true",
+                               help="disable all optimization passes")
+            p.add_argument("-o", "--output", help="write result here "
+                                                  "instead of stdout")
 
     common(sub.add_parser("check", help="type-check a program"),
            with_pipeline=False)
@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help='JSON {"parties": {"1": {"x": 5}}}')
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--trace", help="write the shares trace JSON here")
-    common(sub.add_parser("emit", help="emit a boolean gate list "
-                                       "(requires --level bool)"))
+    common(sub.add_parser("emit", help="emit a boolean gate list"),
+           with_level=False)
     return ap
 
 
@@ -119,6 +119,8 @@ def pipeline_config(args, spec) -> PipelineConfig:
             passes = raw
     if args.command == "run":
         level = BACKENDS[setting(args, spec, "backend", "clear")].level
+    elif args.command == "emit":
+        level = Level.BOOL
     else:
         level = Level(setting(args, spec, "level", "arith"))
     return PipelineConfig(
@@ -284,11 +286,7 @@ def cmd_run(args, spec) -> int:
 
 
 def cmd_emit(args, spec) -> int:
-    cfg = pipeline_config(args, spec)
-    if cfg.target_level != Level.BOOL:
-        print("emit requires --level bool", file=sys.stderr)
-        return 1
-    c = compile(read_stage_input(args.source), cfg)
+    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
     write_out(args, emit_gatelist(c))
     return 0
 

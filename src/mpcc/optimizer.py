@@ -359,9 +359,19 @@ def cmp_rewrite(c: Circuit) -> Circuit:
     (x <= y is x >= y with its operands swapped.) One comparison in
     place of two takes fewer gates at bool level and under `arith_model`.
     Under `additive_model` it takes half the preprocessing, though x != y
-    then takes an Eq's 10 rounds where two parallel Lts took 7.
+    then takes an Eq's 10 rounds where two parallel Lts took 7. The Add
+    is rewritten only when it is the only reader of one of its two
+    comparisons: when both have other readers (`a || b` is a + b - a*b),
+    the rewrite adds a comparison and removes none.
     """
     one = (CONST, (), PLAIN, 1)
+    readers = Counter()  # c's, counted at the first derived comparison
+
+    def sole_reader(ops) -> bool:
+        if not readers:
+            readers.update([o for n in c.nodes for o in set(n.operands)])
+            readers.update([nid for nid, _a, _n in c.outputs])
+        return readers[ops[0]] == 1 or readers[ops[1]] == 1
 
     def replacement(nodes, ops):
         """The comparison to subtract from Add(ops), as `Builder.add`
@@ -381,11 +391,12 @@ def cmp_rewrite(c: Circuit) -> Circuit:
 
     def step(_oid, node, ops):
         cmp = node.kind is ADD and replacement(b.nodes, ops)
-        if cmp:
+        if cmp and sole_reader(node.operands):
             return b.add(SUB, (b.add(*one), b.add(*cmp)), node.meta)
 
     for nid, node in enumerate(c.nodes):
-        if node.kind is ADD and replacement(c.nodes, node.operands):
+        if (node.kind is ADD and replacement(c.nodes, node.operands)
+                and sole_reader(node.operands)):
             return b.walk(c, nid, step)
     return c
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from astref import reference_run
 from conftest import build
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.clear import interpret_clear
@@ -12,10 +13,15 @@ from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
 )
 from mpcc.bitblast import _BitBuilder, bitblast, signed_digits
-from mpcc.circuit import PLAIN, Circuit, GateKind, Level, PlainMeta
+from mpcc.circuit import (
+    PLAIN, Circuit, GateKind, Level, PlainMeta, contract_log,
+)
 from mpcc.errors import LevelError
+from mpcc.frontend import parse_source
 from mpcc.optimizer import DEFAULT_PASSES, dce
+from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import owners
+from test_gatelist import decode_words, input_bits_for
 
 LOGIC = (GateKind.AND, GateKind.OR, GateKind.XOR, GateKind.NOT,
          GateKind.MUX_BIT)
@@ -472,3 +478,48 @@ def test_unread_high_bits_are_not_emitted():
             want = ((a + b) ** 4 * 4) % 256
             got = interpret_bool(cb, {(1, "x"): a, (1, "y"): b})["out"]
             assert got % 256 == want, (passes, a, b)
+
+
+# Programs whose revealed comparison feeds arithmetic, and their non-XOR
+# gates at 8, 16 and 64 bits with the default passes, then raw. The bits
+# of a revealed bit word above bit 0 are the constant 0, so its adders
+# and multipliers are bit cells: beside the Lt and the Eq, `&&` costs
+# one AND and `||` three non-XOR gates.
+REVEALED_BITS = {
+    "and": ("output eval({1, 2}, eval({1, 2}, x < y) && (x == y));",
+            (15, 31, 127), (15, 31, 127)),
+    "or": ("output eval({1, 2}, eval({1, 2}, x < y) || (x == y));",
+           (17, 33, 129), (18, 34, 130)),
+    "if": ("output eval({1, 2}, if (x == y) { eval({1, 2}, x < y) } "
+           "else { false });", (15, 31, 127), (15, 31, 127)),
+    "output": ("val r : bool := eval({1, 2}, x < y);\n"
+               "output r;\n"
+               "output eval({1, 2}, r && (x == y));\n"
+               "output eval({1, 2}, r || (x == y));",
+               (17, 33, 129), (26, 50, 194)),
+}
+
+
+@PASS_LISTS
+@pytest.mark.parametrize("width", [8, 16, 64])
+@pytest.mark.parametrize("name", sorted(REVEALED_BITS))
+def test_revealed_bits_keep_their_bit_cells(name, width, passes):
+    body, default, raw = REVEALED_BITS[name]
+    src = ("parties 1, 2;\ninput x : int from 1;\ninput y : int from 2;\n"
+           + body + "\n")
+    b = compile(src, PipelineConfig(bitwidth=width, target_level=Level.BOOL,
+                                    passes=passes))
+    nonxor = sum(b.counts().get(k, 0) for k in NONXOR)
+    assert nonxor == (default if passes else raw)[(8, 16, 64).index(width)]
+    gl = parse_gatelist(emit_gatelist(b))
+    program = parse_source(src)
+    bound = 1 << contract_log(width)
+    rng = random.Random(f"{name}@{width}")
+    draws = [[rng.randrange(1 - bound, bound) for _ in "xy"]
+             for _ in range(6)]
+    for x, y in [(3, 3), (2, 5), (5, 2), (-1, 0)] + draws:
+        ins = {(1, "x"): x, (2, "y"): y}
+        want = reference_run(program, ins)
+        assert interpret_bool(b, ins) == want, ins
+        assert decode_words(b, eval_gatelist(gl, input_bits_for(b, ins))) \
+            == want, ins

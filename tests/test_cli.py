@@ -116,16 +116,27 @@ def test_run_seed_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_emit_requires_bool_level(capsys):
-    assert run_cli("emit", hml("adder"), "--bitwidth", "4") == 1
-    assert "bool" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ("emit", "--level", "bool"),  # emit always compiles to bool
+    ("lower", "--no-opt"),        # lower runs no pass
+    ("check", "-o", "out.txt"),   # check writes nothing
+])
+def test_a_flag_that_would_change_nothing_is_refused(capsys, argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as ex:
+        run_cli(command, hml("adder"), *flags)
+    assert ex.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_emit_adder(capsys):
-    # emit writes the bool fixpoint; --no-opt writes the raw bitblast
-    for flags, gates in (((), "14"), (("--no-opt",), "14")):
-        assert run_cli("emit", hml("adder"), "--level", "bool",
-                       "--bitwidth", "4", *flags) == 0
+def test_emit_adder(tmp_path, capsys):
+    # emit writes the bool fixpoint; --no-opt writes the raw bitblast; a
+    # spec file's level goes unread, as run's does
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"level": "arith"}), encoding="utf-8")
+    for flags, gates in (((), "14"), (("--no-opt",), "14"),
+                         (("--spec", str(spec)), "14")):
+        assert run_cli("emit", hml("adder"), "--bitwidth", "4", *flags) == 0
         text = capsys.readouterr().out
         assert text.splitlines()[0].split()[0] == gates
 
@@ -134,8 +145,8 @@ def test_emit_optimizes_unless_no_opt(capsys):
     # the adder's raw bitblast already is its fixpoint; mergesort's is not
     gates = []
     for flags in ((), ("--no-opt",)):
-        assert run_cli("emit", hml("mergesort"), "--level", "bool",
-                       "--bitwidth", "4", *flags) == 0
+        assert run_cli("emit", hml("mergesort"), "--bitwidth", "4",
+                       *flags) == 0
         gates.append(int(capsys.readouterr().out.split()[0]))
     assert gates[0] < gates[1]
 
@@ -152,8 +163,7 @@ def test_emit_reveal_that_feeds_gates(tmp_path, capsys, flags):
     # a revealed bit that later gates read shares its operand's wire
     path = tmp_path / "reveal.hml"
     path.write_text(REVEAL_FEEDS_GATES, encoding="utf-8")
-    assert run_cli("emit", str(path), "--level", "bool", "--bitwidth", "4",
-                   *flags) == 0
+    assert run_cli("emit", str(path), "--bitwidth", "4", *flags) == 0
     gl = parse_gatelist(capsys.readouterr().out)
     b = compile(REVEAL_FEEDS_GATES, PipelineConfig(
         bitwidth=4, target_level=Level.BOOL, passes=[] if flags else None))
@@ -178,7 +188,7 @@ def test_pipe_composability(tmp_path, capsys):
 
 def test_lower_is_lowering_only_and_opt_rewrites_pow(tmp_path, capsys):
     lowered = tmp_path / "c.json"
-    assert run_cli("lower", hml("pow8"), "--no-opt", "-o", str(lowered)) == 0
+    assert run_cli("lower", hml("pow8"), "-o", str(lowered)) == 0
     assert cli_out(capsys, "lower", hml("pow8")) == lowered.read_text()
     piped = cli_out(capsys, "opt", str(lowered))
     assert piped == cli_out(capsys, "opt", hml("pow8"))
@@ -314,7 +324,7 @@ def test_opt_accepts_bool_circuit_json(tmp_path):
                    "--bitwidth", "4", "-o", str(lowered)) == 0
     assert run_cli("opt", str(lowered), "--level", "bool",
                    "-o", str(tmp_path / "bool2.json")) == 0
-    assert run_cli("emit", str(lowered), "--level", "bool",
+    assert run_cli("emit", str(lowered),
                    "-o", str(tmp_path / "adder.txt")) == 0
     header = (tmp_path / "adder.txt").read_text().splitlines()[1]
     assert header == "8 4"
@@ -622,8 +632,9 @@ def test_malformed_bool_circuit_file_is_exit_2(tmp_path, capsys, command,
                                  passes=[])).to_json_obj()
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(breakage(obj)), encoding="utf-8")
+    level = [] if command == "emit" else ["--level", "bool"]
     assert message in one_line_exit_2(
-        capsys, [command, str(path), "--level", "bool"], "circuit")
+        capsys, [command, str(path), *level], "circuit")
 
 
 @pytest.mark.parametrize("content", [

@@ -26,10 +26,10 @@ GOLDEN = {
                       "8136b0bede2221f9"),
     ("auction", 64): ("68c055f92d80a650", "0ee67e9fd7079a1c",
                       "64b3ab5b18452286"),
-    ("mergesort", 16): ("3213b4c4faa6c922", "6a22af50beb9e726",
-                        "dfd143aeee156ee0"),
-    ("mergesort", 64): ("75a7e8fb083be140", "f9be8ad05adb69de",
-                        "dbd599f5f8c0bcc8"),
+    ("mergesort", 16): ("3213b4c4faa6c922", "53b95bf01402875c",
+                        "44bbe0d4c64a0342"),
+    ("mergesort", 64): ("75a7e8fb083be140", "18d5c882557a9042",
+                        "29835519f178d3b3"),
     ("matvec", 16): ("2b606b48cadbff18", "6b59d6f8060f6a5a",
                      "5e7262d7d724018e"),
     ("matvec", 64): ("018dc021bf76055d", "d6596f491ad18f91",

@@ -7,7 +7,7 @@ from conftest import CORPUS_NAMES, build
 from mpcc.backends.clear import interpret_clear
 from mpcc.bitblast import bitblast
 from mpcc.circuit import PLAIN, Circuit, GateKind, Node, PlainMeta
-from mpcc.estimator import critical_path
+from mpcc.estimator import additive_model, critical_path, estimate
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
     PASSES, Builder, cmp_rewrite, const_fold, cse, dce, peephole, pow_rewrite,
@@ -363,6 +363,41 @@ def test_cmp_rewrite_neq_both_directions():
     for a, b in [(1, 2), (2, 2)]:
         assert interpret_clear(out, {(1, "a"): a, (2, "b"): b}) == \
             {"out0": int(a != b)}
+
+
+def test_cmp_rewrite_counts_an_add_that_reads_one_lt_twice_once():
+    # a != a after cse: the Add is the Lt's only reader
+    c = Circuit()
+    a = c.add_input(1, "a")
+    lt = c.add_node(GateKind.LT, (a, a))
+    reveal_out(c, c.add_node(GateKind.ADD, (lt, lt)))
+    out = dce(cmp_rewrite(c))
+    assert GateKind.ADD not in out.counts()
+    assert out.counts()[GateKind.EQ] == 1
+    assert interpret_clear(out, {(1, "a"): 5}) == {"out": 0}
+
+
+@pytest.mark.parametrize("expr, lts, eqs, depth", [
+    ("(a < b) || (a == b)", 1, 1, 11),
+    ("(a < b) || (b < a)", 2, 0, 8),
+], ids=["lt_or_eq", "lt_or_gt"])
+def test_cmp_rewrite_leaves_comparisons_that_other_gates_read(expr, lts, eqs,
+                                                              depth):
+    # a || b is a + b - a*b: the Mul reads both comparisons, so rewriting
+    # the Add would add a comparison and remove none
+    from mpcc.frontend import parse_source
+    src = ("parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
+           f"output eval({{1, 2}}, {expr});\n")
+    c = run_passes(lower_program(check_program(parse_source(src), Generic()),
+                                 LowerConfig(16)))
+    counts = c.counts()
+    assert (counts.get(GateKind.LT), counts.get(GateKind.EQ, 0)) == (lts, eqs)
+    assert counts[GateKind.ADD] == 1
+    report = estimate(c, additive_model())
+    assert (report.triples, report.depth) == (641, depth)
+    for a, b in [(1, 2), (2, 2), (3, 2)]:
+        assert interpret_clear(c, {(1, "a"): a, (2, "b"): b}) == \
+            reference_run(parse_source(src), {(1, "a"): a, (2, "b"): b})
 
 
 # -- tree_reduce --

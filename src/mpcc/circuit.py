@@ -2,8 +2,9 @@
 
 Node ids double as topological order: a node may only reference smaller
 ids, so acyclicity is a local check and id order is an evaluation order.
-Circuits are built append-only and treated as immutable once validated;
-passes produce new circuits.
+Circuits are built append-only through `Circuit.add_node`, which checks
+each node's arity, operand order and payload, and are treated as
+immutable once built; passes produce new circuits.
 
 `Node` and the three metadata classes are immutable values: equal by
 value, hashable, and refusing every assignment and deletion, because
@@ -284,7 +285,10 @@ class Circuit:
         self.outputs.append((nid, frozenset(audience), name))
 
     def validate(self, scheme: Scheme = Generic()) -> list[str]:
-        """Well-formedness check; returns a list of violations (empty = ok)."""
+        """The checks `add_node` cannot make: bitwidth, the level's kinds
+        and bit constants, the input and output lists, Reveal audiences,
+        operand metadata and thresholds. Returns the violations (empty =
+        ok)."""
         violations = []
         if not (2 <= self.bitwidth <= 64):
             violations.append(f"bitwidth {self.bitwidth} outside [2, 64]")
@@ -297,24 +301,14 @@ class Circuit:
                     f"{self.level.value}")
             if node.kind is INPUT and nid not in listed:
                 violations.append(f"node {nid}: input missing from inputs")
-            if len(node.operands) != ARITY[node.kind]:
-                violations.append(f"node {nid}: bad arity")
-            for o in node.operands:
-                if not (0 <= o < nid):
-                    violations.append(f"node {nid}: forward reference to {o}")
-            if (node.kind in PAYLOAD_KINDS) != (node.payload is not None):
-                violations.append(f"node {nid}: missing payload"
-                                  if node.payload is None
-                                  else f"node {nid}: unexpected payload")
             if (node.kind is CONST and self.level == Level.BOOL
-                    and node.payload not in (0, 1, None)):
+                    and node.payload not in (0, 1)):
                 violations.append(f"node {nid}: bit constant {node.payload} "
                                   f"is not 0 or 1")
             if node.kind is REVEAL and not (isinstance(node.meta, PlainMeta)
                                             and node.meta.audience):
                 violations.append(f"node {nid}: reveal without audience")
-            metas = [self.nodes[o].meta for o in node.operands
-                     if 0 <= o < nid]
+            metas = [self.nodes[o].meta for o in node.operands]
             if len(metas) >= 2:
                 try:
                     m = metas[0]

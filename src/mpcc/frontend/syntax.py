@@ -34,13 +34,6 @@ class ArrType:
     owners: tuple[int, ...]
     length: "Expr | None" = None  # plaintext expression, required where storage is created
 
-    def __eq__(self, other):
-        return isinstance(other, ArrType) and self.owners == other.owners \
-            and self.length == other.length
-
-    def __hash__(self):
-        return hash(("arr", self.owners))
-
 
 TypeSyntax = AtomType | OwnedType | ArrType
 

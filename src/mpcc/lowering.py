@@ -1,4 +1,4 @@
-"""Lowering from a type-checked program to a validated arithmetic circuit.
+"""Lowering from a type-checked program to an arithmetic circuit.
 
 Every expression is translated directly into gates, and each constant
 value is one Const node per circuit, as in bitblast. Alongside each wire
@@ -12,6 +12,14 @@ produced circuit is a function of the program and its public parameters
 only. Nothing is optimized here: pow(x, n) is a chain of n - 1 Muls for
 `optimizer.pow_rewrite`, and x >= y, x <= y and x != y are each the sum
 of two comparisons for `optimizer.cmp_rewrite`.
+
+Each invariant is checked once, where it enters. `check_program`, the
+only maker of a `TypedProgram`, has checked every name and every
+array/scalar shape, so a lookup here cannot miss and a value is a list
+exactly where the types say array. `Circuit.add_node` checks each
+node's arity, operand order and payload, so the circuit is valid by
+construction. What lowering checks itself is what only compile-time
+values decide: lengths, indices, bounds, divisors, fuel and parties.
 """
 
 from __future__ import annotations
@@ -64,9 +72,7 @@ class Scope:
             return self.vars[name]
         if name in self.writes:
             return self.writes[name]
-        if self.parent is not None:
-            return self.parent.lookup(name)
-        raise LowerError("Unbound", f"variable '{name}'")
+        return self.parent.lookup(name)
 
     def declare(self, name: str, v: Value):
         self.vars[name] = v
@@ -76,10 +82,8 @@ class Scope:
             self.vars[name] = v
         elif self.track:
             self.writes[name] = v
-        elif self.parent is not None:
-            self.parent.assign(name, v)
         else:
-            raise LowerError("Unbound", f"assignment to '{name}'")
+            self.parent.assign(name, v)
 
 
 def branch_has_effects(block: S.Block) -> bool:
@@ -149,14 +153,14 @@ class Lowering:
                 CONST, [], PLAIN, payload)
         return Wire(nid, value)
 
-    def input_meta(self, party: int):
+    def input_meta(self, party: int, pos):
         if isinstance(self.cfg.scheme, AdditiveShare):
             players = frozenset(range(self.cfg.scheme.n))
             if party not in players:
                 raise LowerError(
                     "PartyOutOfRange",
                     f"party {party} does not fit {self.cfg.scheme.n}-party "
-                    f"additive sharing")
+                    f"additive sharing", pos)
             return SharedMeta(frozenset({party}), players, players,
                               self.cfg.scheme.n)
         return EncMeta(frozenset({party}))
@@ -164,15 +168,13 @@ class Lowering:
     def mux(self, cond: Wire, then: Wire, els: Wire) -> Wire:
         return self.emit(MUX, [cond, then, els])
 
-    def mux_value(self, cond: Wire, then: Value, els: Value) -> Value:
-        if isinstance(then, list) or isinstance(els, list):
-            if not (isinstance(then, list) and isinstance(els, list)
-                    and len(then) == len(els)):
-                raise LowerError("ArrayShape",
-                                 "oblivious branches produce arrays of "
-                                 "different shape")
-            return [self.mux_value(cond, t, e) for t, e in zip(then, els)]
-        return self.mux(cond, then, els)
+    def mux_value(self, cond: Wire, then: Value, els: Value, pos) -> Value:
+        if not isinstance(then, list):  # then neither is, as the types say
+            return self.mux(cond, then, els)
+        if len(then) != len(els):
+            raise LowerError("ArrayShape", "oblivious branches produce "
+                             "arrays of different shape", pos)
+        return [self.mux(cond, t, e) for t, e in zip(then, els)]
 
     # -- program entry --
 
@@ -191,12 +193,12 @@ class Lowering:
         match st:
             case S.Skip():
                 return
-            case S.ValDecl(name=name, ty=ty, init=init):
+            case S.ValDecl(name=name):
                 self.decl_name = name  # input nodes keep the declared name
-                scope.declare(name, self.lower_decl_init(ty, init, scope))
+                scope.declare(name, self.lower_decl_init(st, scope))
             case S.Assign(name=name, value=value):
                 scope.assign(name, self.lower_expr(value, scope))
-            case S.ArrUpdate(name=name, index=idx, value=value):
+            case S.ArrUpdate():
                 self.lower_update(st, scope)
             case S.While():
                 self.unroll_while(st, scope)
@@ -207,14 +209,15 @@ class Lowering:
             case _:
                 raise AssertionError(st)
 
-    def lower_decl_init(self, ty, init, scope) -> Value:
+    def lower_decl_init(self, st: S.ValDecl, scope: Scope) -> Value:
+        ty, init = st.ty, st.init
         if isinstance(ty, S.ArrType) and not isinstance(init, S.InputExpr):
             v = self.lower_expr(init, scope)
             if isinstance(v, list):
                 return v
             # scalar initializer fills a fresh array of the declared length
             length = self.static_int(ty.length, scope, "NonConstLength",
-                                     "array length")
+                                     "array length", st.pos)
             return [self.emit_fill(v) for _ in range(length)]
         return self.lower_expr(init, scope)
 
@@ -225,8 +228,6 @@ class Lowering:
 
     def lower_update(self, st: S.ArrUpdate, scope: Scope):
         arr = scope.lookup(st.name)
-        if not isinstance(arr, list):
-            raise LowerError("NotArray", st.name, st.pos)
         idx = self.lower_expr(st.index, scope)
         val = self.lower_expr(st.value, scope)
         if idx.static is not None:
@@ -238,13 +239,13 @@ class Lowering:
             new = list(arr)
             new[k] = val
         else:
-            new = self.private_update(arr, idx, val)
+            new = self.private_update(arr, idx, val, st.pos)
         scope.assign(st.name, new)
 
-    def private_update(self, arr: list[Wire], idx: Wire,
-                       val: Wire) -> list[Wire]:
+    def private_update(self, arr: list[Wire], idx: Wire, val: Wire,
+                       pos) -> list[Wire]:
         if not arr:
-            raise LowerError("EmptyArray", "update of empty array")
+            raise LowerError("EmptyArray", "update of empty array", pos)
         out = []
         for k, old in enumerate(arr):
             hit = self.emit(EQ, [idx, self.const(k)])
@@ -258,23 +259,19 @@ class Lowering:
                              "while bound is not a compile-time constant",
                              st.pos)
         bound = int(bound_w.static)
-        counter = scope.lookup(st.var)
-        if not isinstance(counter, Wire) or counter.static is None:
-            raise LowerError("NonConstBound",
-                             f"loop counter '{st.var}' is not a compile-time "
-                             f"constant", st.pos)
         while True:
+            # only the first pass can fail here: the stuck check below
+            # refuses a counter that loses its value in the body
             current = scope.lookup(st.var)
-            if not isinstance(current, Wire) or current.static is None:
+            if current.static is None:
                 raise LowerError("NonConstBound",
-                                 f"loop counter '{st.var}' lost its "
-                                 f"compile-time value", st.pos)
+                                 f"loop counter '{st.var}' is not a "
+                                 f"compile-time constant", st.pos)
             if int(current.static) >= bound:
                 break
-            body_scope = Scope(scope)
-            self.lower_block(st.body, body_scope)
+            self.lower_block(st.body, Scope(scope))
             after = scope.lookup(st.var)
-            if (not isinstance(after, Wire) or after.static is None
+            if (after.static is None
                     or int(after.static) <= int(current.static)):
                 raise LowerError("LoopCounterStuck",
                                  f"loop counter '{st.var}' must strictly "
@@ -301,7 +298,7 @@ class Lowering:
             before = scope.lookup(name)
             t = then_scope.writes.get(name, before)
             e = else_scope.writes.get(name, before)
-            scope.assign(name, self.mux_value(cond, t, e))
+            scope.assign(name, self.mux_value(cond, t, e, st.pos))
 
     def lower_output(self, expr: S.Expr, scope: Scope):
         if isinstance(expr, S.Eval):
@@ -331,8 +328,6 @@ class Lowering:
                 return scope.lookup(name)
             case S.Eval(audience=aud, expr=sub):
                 v = self.lower_expr(sub, scope)
-                if isinstance(v, list):
-                    raise LowerError("EvalArray", "eval of an array", e.pos)
                 return self.emit(REVEAL, [v], static=v.static,
                                  meta=PlainMeta(frozenset(aud)))
             case S.BinOp():
@@ -342,11 +337,11 @@ class Lowering:
                 if cond.static is not None:
                     return self.lower_expr(t if cond.static else f, scope)
                 return self.mux_value(cond, self.lower_expr(t, scope),
-                                      self.lower_expr(f, scope))
+                                      self.lower_expr(f, scope), e.pos)
             case S.Call():
                 return self.lower_call(e, scope)
             case S.ArrIndex(name=name, index=idx):
-                arr = self.expect_array(name, scope, e.pos)
+                arr = scope.lookup(name)
                 iw = self.lower_expr(idx, scope)
                 if iw.static is not None:
                     k = int(iw.static)
@@ -355,25 +350,22 @@ class Lowering:
                                          f"{name}({k}) with length {len(arr)}",
                                          e.pos)
                     return arr[k]
-                return self.private_index(arr, iw)
+                return self.private_index(arr, iw, e.pos)
             case S.ArrSlice(name=name, lo=lo, hi=hi):
-                arr = self.expect_array(name, scope, e.pos)
+                arr = scope.lookup(name)
                 lo_v = self.static_int(lo, scope, "NonConstLength",
-                                       "slice bound")
+                                       "slice bound", e.pos)
                 hi_v = self.static_int(hi, scope, "NonConstLength",
-                                       "slice bound")
+                                       "slice bound", e.pos)
                 if not (0 <= lo_v <= hi_v <= len(arr)):
                     raise LowerError("SliceOutOfRange",
                                      f"slice({lo_v}, {hi_v}) of length "
                                      f"{len(arr)}", e.pos)
                 return arr[lo_v:hi_v]
             case S.ArrLen(name=name):
-                arr = self.expect_array(name, scope, e.pos)
-                return self.const(len(arr))
+                return self.const(len(scope.lookup(name)))
             case S.Reduce(op=op, array=arr_e):
                 arr = self.lower_expr(arr_e, scope)
-                if not isinstance(arr, list):
-                    raise LowerError("NotArray", "reduce of a scalar", e.pos)
                 if not arr:
                     raise LowerError("EmptyArray", "reduce of empty array",
                                      e.pos)
@@ -384,27 +376,22 @@ class Lowering:
                 return self.lower_input(e, party, ty, scope)
         raise AssertionError(e)
 
-    def expect_array(self, name, scope, pos) -> list:
-        v = scope.lookup(name)
-        if not isinstance(v, list):
-            raise LowerError("NotArray", name, pos)
-        return v
-
-    def static_int(self, expr, scope, code, what) -> int:
+    def static_int(self, expr, scope, code, what, pos) -> int:
+        """The compile-time value of `expr`; `pos` places a missing one."""
         if expr is None:
-            raise LowerError(code, f"{what} is missing")
+            raise LowerError(code, f"{what} is missing", pos)
         w = self.lower_expr(expr, scope)
-        if not isinstance(w, Wire) or w.static is None:
+        if w.static is None:
             raise LowerError(code, f"{what} is not a compile-time constant",
                              expr.pos)
         return int(w.static)
 
     def lower_input(self, e, party, ty, scope) -> Value:
-        meta = self.input_meta(party)
+        meta = self.input_meta(party, e.pos)
         name = self.decl_name
         if isinstance(ty, S.ArrType):
             length = self.static_int(ty.length, scope, "NonConstLength",
-                                     "input array length")
+                                     "input array length", e.pos)
             return [Wire(self.circuit.add_input(party, f"{name}[{k}]", meta))
                     for k in range(length)]
         return Wire(self.circuit.add_input(party, name, meta))
@@ -417,8 +404,6 @@ class Lowering:
         op = e.op
         a = self.lower_expr(e.lhs, scope)
         b = self.lower_expr(e.rhs, scope)
-        if isinstance(a, list) or isinstance(b, list):
-            raise LowerError("NotScalar", f"'{op}' on arrays", e.pos)
         if op == "+":
             return self.emit(ADD, [a, b])
         if op == "-":
@@ -499,9 +484,7 @@ class Lowering:
         p = self.emit(MUL, [a, b])
         return self.emit(SUB, [s, p])
 
-    def lower_pow(self, base: Value, n: int) -> Wire:
-        if isinstance(base, list):
-            raise LowerError("NotScalar", "pow of an array")
+    def lower_pow(self, base: Wire, n: int) -> Wire:
         if n == 0:
             return self.const(1)
         acc = base
@@ -523,10 +506,10 @@ class Lowering:
 
         return balanced(wires, combine)
 
-    def private_index(self, arr: list[Wire], idx: Wire) -> Wire:
+    def private_index(self, arr: list[Wire], idx: Wire, pos) -> Wire:
         """Balanced multiplexer tree; selector depth is ceil(log2 len)."""
         if not arr:
-            raise LowerError("EmptyArray", "index into empty array")
+            raise LowerError("EmptyArray", "index into empty array", pos)
         return self.select(idx, 0, arr)
 
     def select(self, idx: Wire, lo: int, wires: list[Wire]) -> Wire:
@@ -543,9 +526,7 @@ class Lowering:
     # -- calls and fuel --
 
     def lower_call(self, e: S.Call, scope: Scope) -> Value:
-        fn = self.functions.get(e.name)
-        if fn is None:
-            raise LowerError("UnknownFunction", e.name, e.pos)
+        fn = self.functions[e.name]
         args = [self.lower_expr(a, scope) for a in e.args]
         if e.name in self.inline_stack:
             remaining = self.inline_stack[e.name]
@@ -570,7 +551,7 @@ class Lowering:
         for (pname, _ty), v in zip(fn.params, args):
             env.declare(pname, v)
         w = self.lower_expr(fn.bound, env)
-        if not isinstance(w, Wire) or w.static is None:
+        if w.static is None:
             raise LowerError("NonConstBound",
                              f"bound of '{fn.name}' is not a compile-time "
                              f"constant", pos)
@@ -625,7 +606,7 @@ class Lowering:
                     return self.lower_result(fn, base, env, fuel)
                 then_v = self.lower_result(fn, expr.then, env, fuel)
                 else_v = self.lower_result(fn, expr.els, env, fuel)
-                return self.mux_value(cond, then_v, else_v)
+                return self.mux_value(cond, then_v, else_v, expr.pos)
         if fuel == 0 and expr_calls(expr, fn.name):
             raise LowerError("FuelExhausted",
                              f"'{fn.name}' recurses unconditionally",
@@ -633,22 +614,12 @@ class Lowering:
         return self.lower_expr(expr, env)
 
 
-def lower_program(tp: TypedProgram, cfg: LowerConfig | None = None,
-                  lowering_out: list | None = None) -> Circuit:
-    """Compile a typed program to a validated word-level (arith) circuit;
-    optimizing and bitblasting it is left to `pipeline.compile`.
-
-    If lowering_out is a list, the Lowering that does the work is appended
-    to it before lowering starts (so it is there after a LowerError too).
-    Its .stats["inline_copies"][fn] counts the inlined copies of function
-    fn, and .stats["base_copies"][fn] the fuel-0 base-case copies of fn.
-    """
+def lower_program(tp: TypedProgram,
+                  cfg: LowerConfig | None = None) -> Circuit:
+    """Compile a typed program to a word-level (arith) circuit, valid by
+    construction; optimizing and bitblasting it is left to
+    `pipeline.compile`. A `Lowering` built directly keeps its .stats:
+    ["inline_copies"][fn] counts the inlined copies of function fn, and
+    ["base_copies"][fn] the fuel-0 base-case copies of fn."""
     cfg = cfg or LowerConfig()
-    lw = Lowering(tp, cfg)
-    if lowering_out is not None:
-        lowering_out.append(lw)
-    circuit = lw.lower_program()
-    violations = circuit.validate(cfg.scheme)
-    if violations:
-        raise LowerError("InvalidCircuit", "; ".join(violations))
-    return circuit
+    return Lowering(tp, cfg).lower_program()

@@ -56,13 +56,6 @@ def test_arity_checked():
     assert len(c.nodes) == 1
 
 
-def test_validate_reports_a_payload_on_a_kind_that_takes_none():
-    c = Circuit()
-    c.add_node(GateKind.CONST, (), payload=1)
-    c.nodes.append(Node(GateKind.MUL, (0, 0), payload=7))
-    assert c.validate() == ["node 1: unexpected payload"]
-
-
 def test_const_input_and_reveal_serve_both_levels():
     assert ARITH_KINDS | BOOL_KINDS == set(GateKind)
     assert ARITH_KINDS & BOOL_KINDS == {GateKind.CONST, GateKind.INPUT,

@@ -830,6 +830,161 @@ def test_each_lowering_error_is_one_line_and_exit_1(tmp_path, capsys, code,
                         rf"{code}: [^\n]*\n", captured.err)
 
 
+# Each type rule whose copy lowering dropped: the checker, which every
+# program passes before lowering, refuses the program with that rule.
+XS_AND_A = "input xs : arr(int, {1}, 2) from 1;\ninput a : int from 1;\n"
+TYPE_RULES = [
+    ("unbound", "read", "output eval({1}, y);"),
+    ("unbound", "assignment", "y := 1;"),
+    ("not-array", "update", "a(0) := 1;"),
+    ("not-array", "index", "output eval({1}, a(0));"),
+    ("not-array", "length", "output a.length;"),
+    ("not-array", "slice", "output eval({1}, reduce(+, a.slice(0, 1)));"),
+    ("eval-array", "eval", "output eval({1}, xs);"),
+    ("reduce-array", "reduce", "output eval({1}, reduce(+, a));"),
+    ("binop-array", "binop", "output eval({1}, xs + 1);"),
+    ("pow-int", "pow", "output eval({1}, pow(xs, 2));"),
+]
+
+
+@pytest.mark.parametrize("rule, program", [(r, p) for r, _w, p in TYPE_RULES],
+                         ids=[f"{r}-{w}" for r, w, _p in TYPE_RULES])
+def test_the_type_checker_owns_names_and_shapes(tmp_path, capsys, rule,
+                                                program):
+    src = tmp_path / "p.hml"
+    src.write_text(f"parties 1;\n{XS_AND_A}{program}\n", encoding="utf-8")
+    err = one_line_exit_1(capsys, ["lower", str(src)])
+    assert re.fullmatch(rf"{re.escape(str(src))}:4:\d+: error\[{rule}\]: "
+                        rf"[^\n]*\n", err)
+
+
+def test_a_call_with_no_function_is_a_parse_error(tmp_path, capsys):
+    src = tmp_path / "p.hml"
+    src.write_text("parties 1;\noutput f(1, 2);\n", encoding="utf-8")
+    assert one_line_exit_1(capsys, ["lower", str(src)]) == (
+        f"{src}:2:8: error: unknown function 'f'\n")
+
+
+# What only compile-time values decide stays with lowering; each error
+# names the statement or expression it comes from.
+BOUNDED_F = ("fun f(x : int@{1}, n : int) : int@{1} bound %s {\n"
+             "  if (n == 0) { x } else { f(x, n - 1) }\n}\n")
+XS_YS = ("input xs : arr(int, {1}, 3) from 1;\n"
+         "input ys : arr(int, {1}, 2) from 1;\n")
+LOWERING_ERRORS_WITH_POSITIONS = [
+    ("PartyOutOfRange", "party", 3, "does not fit 2-party",
+     "parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
+     "output eval({1, 2}, a + b);", ("--scheme", "additive", "-n", "2")),
+    ("IndexOutOfRange", "update", 4, "xs(5) with length 2",
+     f"parties 1;\n{XS_AND_A}xs(5) := a;\noutput eval({{1}}, a);", ()),
+    ("EmptyArray", "private-update", 4, "update of empty array",
+     "parties 1;\ninput xs : arr(int, {1}, 0) from 1;\n"
+     "input a : int from 1;\nxs(a) := 1;\noutput eval({1}, a);", ()),
+    ("EmptyArray", "private-index", 4, "index into empty array",
+     "parties 1;\ninput xs : arr(int, {1}, 0) from 1;\n"
+     "input a : int from 1;\noutput eval({1}, xs(a));", ()),
+    ("NonConstBound", "loop-counter", 4, "loop counter 'i'",
+     "parties 1;\ninput a : int from 1;\nval i : int := eval({1}, a);\n"
+     "while (i < 3) { i := i + 1; }\noutput eval({1}, a);", ()),
+    ("NonConstBound", "function-bound", 6, "bound of 'f'",
+     f"parties 1;\n{BOUNDED_F % 'n'}input a : int from 1;\n"
+     "output eval({1}, f(a, eval({1}, a)));", ()),
+    ("NonConstDivisor", "division", 3, "division needs compile-time",
+     "parties 1;\ninput a : int from 1;\noutput eval({1}, eval({1}, a) / 2);",
+     ()),
+    ("ArrayShape", "if-expression", 5, "arrays of different shape",
+     f"parties 1;\ninput a : int from 1;\n{XS_YS}"
+     "val zs : arr(int, {1}) := if (a < 0) { xs } else { ys };\n"
+     "output eval({1}, zs(0));", ()),
+    ("ArrayShape", "if-statement", 5, "arrays of different shape",
+     f"parties 1;\ninput a : int from 1;\n{XS_YS}"
+     "if (a < 0) { xs := ys; }\noutput eval({1}, xs(0));", ()),
+    ("NonConstLength", "input-length", 2, "input array length is missing",
+     "parties 1;\ninput xs : arr(int, {1}) from 1;\n"
+     "output eval({1}, xs(0));", ()),
+    ("NonConstLength", "fill-length", 2, "array length is missing",
+     "parties 1;\nval ys : arr(int, {1}) := 0;\n"
+     "output eval({1}, ys(0));", ()),
+    ("FuelExhausted", "taken-branch", 3, "still recursing with no fuel left",
+     f"parties 1;\n{BOUNDED_F % '1'}input a : int from 1;\n"
+     "output eval({1}, f(a, 3));", ()),
+    ("FuelExhausted", "call", 3, "still recursing with no fuel left",
+     "parties 1;\nfun g(x : int@{1}) : int@{1} bound 1 {\n"
+     "  val t : int@{1} := g(x);\n  t\n}\ninput a : int from 1;\n"
+     "output eval({1}, g(a));", ()),
+    ("FuelExhausted", "unconditional", 2, "recurses unconditionally",
+     "parties 1;\nfun g(x : int@{1}) : int@{1} bound 1 { g(x) }\n"
+     "input a : int from 1;\noutput eval({1}, g(a));", ()),
+]
+
+
+@pytest.mark.parametrize(
+    "code, line, message, program, flags",
+    [case[:1] + case[2:] for case in LOWERING_ERRORS_WITH_POSITIONS],
+    ids=[f"{case[0]}-{case[1]}" for case in LOWERING_ERRORS_WITH_POSITIONS])
+def test_a_lowering_error_names_its_position(tmp_path, capsys, code, line,
+                                             message, program, flags):
+    src = tmp_path / "p.hml"
+    src.write_text(f"{program}\n", encoding="utf-8")
+    err = one_line_exit_1(capsys, ["lower", str(src), *flags])
+    assert re.fullmatch(rf"{re.escape(str(src))}:{line}:\d+: error: "
+                        rf"{code}: [^\n]*\n", err)
+    assert message in err
+
+
+def bitwidth_100(obj):
+    obj["bitwidth"] = 100
+    return obj
+
+
+def input_id_999(obj):
+    obj["inputs"][0][0] = 999
+    return obj
+
+
+def reveal_without_audience(obj):
+    next(n for n in obj["nodes"] if n["kind"] == "Reveal")["meta"] = {
+        "type": "plain"}
+    return obj
+
+
+def shared_input(node, threshold):
+    node["meta"] = {"type": "shared", "provider": node["meta"]["provider"],
+                    "players": [1, 2, 3], "observers": [1, 2, 3],
+                    "threshold": threshold}
+
+
+def thresholds_2_and_3(obj):
+    shared_input(obj["nodes"][0], 2)
+    shared_input(obj["nodes"][1], 3)
+    return obj
+
+
+def enc_beside_shared(obj):
+    shared_input(obj["nodes"][1], 3)
+    return obj
+
+
+VALIDATE_BREAKAGES = [
+    (bitwidth_100, "bitwidth 100 outside [2, 64]"),
+    (input_id_999, "input id 999 out of range"),
+    (reveal_without_audience, "node 3: reveal without audience"),
+    (thresholds_2_and_3, "node 2: thresholds differ: 2 vs 3"),
+    (enc_beside_shared, "node 2: cannot mix encrypted and shared metadata"),
+]
+
+
+@pytest.mark.parametrize("breakage, message", VALIDATE_BREAKAGES,
+                         ids=[b.__name__ for b, _m in VALIDATE_BREAKAGES])
+def test_a_circuit_file_that_validate_refuses_is_exit_2(tmp_path, capsys,
+                                                        breakage, message):
+    # the checks a circuit file can break and add_node cannot see
+    obj = breakage(build("adder").to_json_obj())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert message in one_line_exit_2(capsys, ["opt", str(path)], "circuit")
+
+
 def test_deeply_nested_program_is_one_diagnostic(tmp_path, capsys):
     # typecheck and lowering recurse on the expression tree; 2,000 terms
     # is well past what either reaches

@@ -11,22 +11,22 @@ from conftest import CORPUS_NAMES, build, corpus_source
 from mpcc.backends.clear import ClearInterpreter, flatten_inputs, \
     interpret_clear
 from mpcc.circuit import GateKind
-from mpcc.errors import LowerError
+from mpcc.errors import LowerError, TypeCheckFailure
 from mpcc.estimator import critical_path
 from mpcc.frontend import parse_source, pretty_print
-from mpcc.lowering import LowerConfig, lower_program
+from mpcc.lowering import LowerConfig, Lowering, lower_program
 from mpcc.optimizer import run_passes
 from mpcc.pipeline import PipelineConfig, compile
-from mpcc.sectypes import Generic
+from mpcc.sectypes import AdditiveShare, Generic, Tfhe
 from mpcc.typecheck import check_program
 from proggen import random_program
 
 
 def lower_src(src, cfg=None, stats=False):
     tp = check_program(parse_source(src), Generic())
-    out = []
-    c = lower_program(tp, cfg or LowerConfig(), lowering_out=out)
-    return (c, out[0].stats) if stats else c
+    lw = Lowering(tp, cfg or LowerConfig())
+    c = lw.lower_program()
+    return (c, lw.stats) if stats else c
 
 
 def counts_of(c):
@@ -63,9 +63,9 @@ def test_the_raw_circuit_holds_each_constant_once():
 def test_gcd_inlines_exactly_bound_iterations():
     src = corpus_source("gcd")
     tp = check_program(parse_source(src), Generic())
-    out = []
-    lower_program(tp, LowerConfig(bitwidth=16), lowering_out=out)
-    stats = out[0].stats
+    lw = Lowering(tp, LowerConfig(bitwidth=16))
+    lw.lower_program()
+    stats = lw.stats
     assert stats["inline_copies"]["gcd"] == 5
     assert stats["base_copies"]["gcd"] == 1  # the fuel-0 copy
 
@@ -161,22 +161,49 @@ def test_negative_bound_rejected():
 def test_mergesort_recursion_depth():
     src = corpus_source("mergesort")
     tp = check_program(parse_source(src), Generic())
-    out = []
-    lower_program(tp, LowerConfig(bitwidth=16), lowering_out=out)
+    lw = Lowering(tp, LowerConfig(bitwidth=16))
+    lw.lower_program()
     # 1 top call + 2 halves + 4 quarters, bound 10 never exhausted
-    assert out[0].stats["inline_copies"]["mergesort"] == 7
+    assert lw.stats["inline_copies"]["mergesort"] == 7
 
 
-def test_lowering_out_receives_the_lowering_and_leaves_output_unchanged():
+def test_a_lowering_built_directly_gives_what_lower_program_gives():
     tp = check_program(parse_source(corpus_source("gcd")), Generic())
     cfg = LowerConfig(bitwidth=16)
     plain = lower_program(tp, cfg)
-    out = []
-    recorded = lower_program(tp, cfg, lowering_out=out)
-    assert len(out) == 1
+    lw = Lowering(tp, cfg)
+    recorded = lw.lower_program()
     assert recorded.nodes == plain.nodes
     assert recorded.outputs == plain.outputs
-    assert out[0].stats["inline_copies"]["gcd"] == 5
+    assert lw.stats["inline_copies"]["gcd"] == 5
+
+
+@pytest.mark.parametrize("scheme", [Generic(), AdditiveShare(3), Tfhe()],
+                         ids=["generic", "additive", "tfhe"])
+def test_a_lowered_circuit_is_valid_by_construction(scheme):
+    # lower_program does not validate what it builds: add_node checks
+    # each node, and the type checker the program. Under TFHE most
+    # generated programs mix owners and are refused before lowering.
+    # The last program outputs plain data, which no other here does.
+    programs = [parse_source(corpus_source(name)) for name in CORPUS_NAMES]
+    programs += [random_program(seed) for seed in range(100)]
+    programs.append(parse_source(
+        "parties 1, 2;\ninput xs : arr(int, {1}, 3) from 1;\n"
+        "input a : int from 2;\nval ys : arr(int, {1, 2}, 3) := 0;\n"
+        "ys(a) := xs(a);\noutput xs.length + 1;\n"
+        "output eval({1, 2}, reduce(max, ys));\n"))
+    lowered = 0
+    for program in programs:
+        try:
+            tp = check_program(program, scheme)
+        except TypeCheckFailure:
+            assert isinstance(scheme, Tfhe)
+            continue
+        for bitwidth in (16, 64):
+            c = lower_program(tp, LowerConfig(bitwidth, scheme))
+            assert c.validate(scheme) == []
+            lowered += 1
+    assert lowered >= 8
 
 
 # -- oblivious conditionals --

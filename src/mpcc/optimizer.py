@@ -7,11 +7,11 @@ strength reduction), then looks the node up by (kind, canonical
 operands, payload, meta). The rules are named after the passes
 `const_fold`, `peephole`, `strength_reduce` and `cse`, each one walk
 through a Builder with only its own rule enabled; `dce`, `pow_rewrite`,
-`tree_reduce`, `cmp_rewrite` and `range_fold` walk through one with no
-rule; `bitblast` emits through one with the rules of its pass list.
+`cmp_rewrite` and `range_fold` walk through one with no rule; `bitblast`
+emits through one with the rules of its pass list.
 
 A rule needs a constant operand unless it rewrites a kind in
-`CONST_FREE` (Not, Mux, MuxBit, MulPlain): fold needs all of them
+`CONST_FREE` (Not, Mux, MuxBit, MulPlain, Lt, Eq): fold needs all of them
 constant, `IDENTITIES` and strength reduction one. So `rewrite` turns
 any other gate with no constant operand away at once.
 
@@ -45,14 +45,9 @@ from .circuit import (
 )
 from .errors import LowerError
 
-# range_fold runs before cse and dce, which merge the constants it adds
-# and sweep what it leaves unread in the same round
-DEFAULT_PASSES = ["const_fold", "peephole", "strength_reduce", "pow_rewrite",
-                  "range_fold", "cse", "dce", "cmp_rewrite"]
-
 # the kinds a rule rewrites with no constant operand: Not(Not x),
-# Mux(s,x,x), MuxBit(s,x,x) and MulPlain(x, 0 or 1)
-CONST_FREE = frozenset({NOT, MUX, MUX_BIT, MUL_PLAIN})
+# Mux(s,x,x), MuxBit(s,x,x), MulPlain(x, 0 or 1), Lt(x,x) and Eq(x,x)
+CONST_FREE = frozenset({NOT, MUX, MUX_BIT, MUL_PLAIN, LT, EQ})
 
 # kind -> (operand, constant, result): kind(ops) is ops[result] when
 # ops[operand] is that constant (x+0 = x, x*1 = x, x&&0 = 0, 1?t:e = t, ...)
@@ -70,7 +65,7 @@ IDENTITIES = {
 # the local rules, by pass name, and the kinds each may rewrite
 RULE_KINDS = {
     "const_fold": frozenset(WORD_OPS) | {MUL_PLAIN, MUX, NOT},
-    "peephole": frozenset(IDENTITIES) | {NOT},
+    "peephole": frozenset(IDENTITIES) | {NOT, LT, EQ},
     "strength_reduce": frozenset({MUL, MUL_PLAIN}),
     "cse": frozenset(),
 }
@@ -126,6 +121,8 @@ class Builder:
                 return args[0].operands[0]
             if (kind is MUX or kind is MUX_BIT) and ops[1] == ops[2]:
                 return ops[1]
+            if (kind is LT or kind is EQ) and ops[0] == ops[1]:
+                return (CONST, (), PLAIN, int(kind is EQ))
             if kind is MUX_BIT and {consts[1], consts[2]} == {0, 1}:
                 # s ? 1 : 0 is s, and s ? 0 : 1 is Not s
                 return ops[0] if consts[1] else (NOT, (ops[0],), meta, None)
@@ -219,7 +216,7 @@ def const_fold(c: Circuit) -> Circuit:
 
 def peephole(c: Circuit) -> Circuit:
     """Local identities: x && true -> x, x+0 -> x, Mux(b,x,x) -> x,
-    Mux(1,t,e) -> t, ..."""
+    Mux(1,t,e) -> t, Lt(x,x) -> 0, Eq(x,x) -> 1, ..."""
     return _rewrite(c, "peephole")
 
 
@@ -252,99 +249,55 @@ def dce(c: Circuit) -> Circuit:
                           lambda oid, _node, _ops: None if live[oid] else -1)
 
 
-def _rechain(c: Circuit, kinds, wanted, shared: bool = False) -> Circuit:
-    """Rebuild chains as the `balanced` tree over their leaves, each
-    distinct pair built once when `shared`. A chain is a tree of one gate
-    kind in `kinds`, its interior links single-use and no output. Heads
-    are tried from the last node down and each chain is walked once:
-    `wanted(leaves, links)` gets a chain on four leaves or more, its links
-    in preorder from the head, and returns the (head, leaves, links) of
-    the chains in it to rebuild."""
-    nodes = c.nodes
-    uses = Counter(o for node in nodes for o in node.operands)
-    pinned = {nid for nid, _a, _n in c.outputs}
-    settled: set[int] = set()  # links of chains already walked
-    interior, plans = set(), {}  # plans: head -> leaves
-    for nid in range(len(nodes) - 1, -1, -1):
-        kind = nodes[nid].kind
-        if kind not in kinds or nid in settled:
-            continue
-        leaves, links, stack = [], [], [nid]
-        while stack:
-            cur = stack.pop()
-            if cur != nid and (nodes[cur].kind is not kind or uses[cur] != 1
-                               or cur in pinned):
-                leaves.append(cur)
-                continue
-            links.append(cur)
-            # right-to-left keeps leaf order stable for determinism
-            stack.extend(reversed(nodes[cur].operands))
-        settled.update(links)
-        if len(leaves) >= 4:
-            for head, sub_leaves, sub_links in wanted(leaves, links):
-                plans[head] = sub_leaves
-                interior.update(sub_links[1:])
-    if not plans:
-        return c
-
-    b = Builder()
-
-    def step(oid, node, _ops):
-        if oid in interior:
-            return -1
-        if oid in plans:
-            def pair(x, y):
-                return b.add(node.kind, (x, y), node.meta)
-            return balanced([b.map[leaf] for leaf in plans[oid]],
-                            functools.cache(pair) if shared else pair)
-
-    return b.walk(c, min(interior.union(plans)), step)
-
-
-def tree_reduce(c: Circuit) -> Circuit:
-    """Rebalance linear chains of one associative gate kind into trees of
-    logarithmic depth. Only single-use, non-output intermediates move; a
-    chain that already is that tree stays where it is, so at its
-    fixpoint the pass starts no walk."""
-
-    def unbuilt(leaves: list[int], links: list[int]):
-        """The chain unless it already is the tree `balanced` builds."""
-        head, meta = links[0], c.nodes[links[0]].meta
-        made = {c.nodes[link].operands: link for link in links
-                if c.nodes[link].meta == meta}
-        built = balanced(leaves, lambda x, y: made.get((x, y), -1)) == head
-        return [] if built else [(head, leaves, links)]
-
-    return _rechain(c, (ADD, MUL, AND, OR, XOR), unbuilt)
-
-
 def pow_rewrite(c: Circuit) -> Circuit:
     """Each largest Mul chain over one node x, such as pow(x, n) as
     lowering emits it, becomes the `balanced` tree over its leaves with
     each distinct pair built once: x^n at depth ceil(log2 n) and at most
-    floor(log2 n) + popcount(n) - 1 Muls, its shared pairs no chain."""
+    floor(log2 n) + popcount(n) - 1 Muls, its shared pairs no chain.
+
+    One forward sweep finds the chains. A link is a Mul operand that is
+    a based Mul read once (an output is a Reveal, so no output is one).
+    A Mul whose operands both read one node x, a link as its base and
+    any other operand as itself, gets base x and, as its leaf count, its
+    links' counts plus 1 for each other operand. (A Mul read once that
+    has no base reads as itself, which the other operand never does.)
+    Each Mul on four leaves or more is rebuilt and the links under it
+    dropped, unless it is itself dropped as a link under a larger one."""
     nodes = c.nodes
     if not any(n.kind is MUL and MUL in (nodes[n.operands[0]].kind,
                                          nodes[n.operands[1]].kind)
                for n in nodes):  # a chain of four leaves has such a Mul
         return c
+    uses = Counter(o for node in nodes for o in node.operands)
+    base, size = {}, {}
+    for nid, node in enumerate(nodes):
+        if node.kind is MUL:
+            ops = node.operands
+            links = [o for o in ops if o in base and uses[o] == 1]
+            x, y = (base[o] if o in links else o for o in ops)
+            if x == y:
+                base[nid] = x
+                size[nid] = sum(size[o] if o in links else 1 for o in ops)
+    heads = {nid for nid, n in size.items() if n >= 4}
+    if not heads:
+        return c
+    dropped, stack = set(), list(heads)
+    while stack:
+        for o in nodes[stack.pop()].operands:
+            if o in base and uses[o] == 1 and o not in dropped:
+                dropped.add(o)
+                stack.append(o)
 
-    def uniform(_leaves, links: list[int]):
-        """The largest sub-chains over four or more leaves that are one
-        node; in preorder, a sub-chain's links are a slice of `links`."""
-        linked, base, count, inner = set(links), {}, {}, set()
-        for link in reversed(links):  # operands before their readers
-            ops = nodes[link].operands
-            x, y = (base.get(o, -1) if o in linked else o for o in ops)
-            if x == y != -1:
-                base[link] = x
-                count[link] = sum(count.get(o, 1) for o in ops)
-                inner.update(ops)
-        return [(k, [base[k]] * count[k], links[i:i + count[k] - 1])
-                for i, k in enumerate(links)
-                if count.get(k, 0) >= 4 and k not in inner]
+    b = Builder()
 
-    return _rechain(c, (MUL,), uniform, shared=True)
+    def step(oid, node, _ops):
+        if oid in dropped:
+            return -1
+        if oid in heads:
+            pair = functools.cache(lambda x, y: b.add(MUL, (x, y), node.meta))
+            return balanced([b.map[base[oid]]] * size[oid], pair)
+
+    return b.walk(c, min(dropped), step)  # every head reads a link
 
 
 # -- comparison re-encoding --
@@ -649,17 +602,20 @@ def range_fold(c: Circuit) -> Circuit:
     return b.walk(c, min(plans.keys() | splits.keys()), step)
 
 
+# in the order the pipeline runs them: range_fold runs before cse and
+# dce, which merge the constants it adds and sweep what it leaves unread
+# in the same round
 PASSES = {
     "const_fold": const_fold,
     "peephole": peephole,
-    "cse": cse,
-    "dce": dce,
     "strength_reduce": strength_reduce,
     "pow_rewrite": pow_rewrite,
-    "tree_reduce": tree_reduce,
-    "cmp_rewrite": cmp_rewrite,
     "range_fold": range_fold,
+    "cse": cse,
+    "dce": dce,
+    "cmp_rewrite": cmp_rewrite,
 }
+DEFAULT_PASSES = list(PASSES)
 
 MAX_ROUNDS = 10
 

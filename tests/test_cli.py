@@ -788,46 +788,49 @@ def test_malformed_spec_file_is_exit_2(tmp_path, capsys, command, payload):
                     "spec")
 
 
+# (code, program, the flags of each `opt` run that fails with that code)
 LOWERING_ERRORS = [
     ("IndexOutOfRange", "input xs : arr(int, {1}, 3) from 1;\n"
-                        "output eval({1}, xs(5));", ()),
+                        "output eval({1}, xs(5));", [()]),
     ("SliceOutOfRange", "input xs : arr(int, {1}, 3) from 1;\n"
-                        "output eval({1}, reduce(+, xs.slice(1, 5)));", ()),
-    ("DivisionByZero", "output eval({1}, 4 / 0);", ()),
+                        "output eval({1}, reduce(+, xs.slice(1, 5)));",
+     [()]),
+    ("DivisionByZero", "output eval({1}, 4 / 0);", [()]),
     ("DivisionByZero", "input a : int from 1;\noutput eval({1}, a % 0);",
-     ()),
+     [()]),
     ("LoopCounterStuck", "input a : int from 1;\nval k : int := 0;\n"
                          "while (k < 3) { k := k; }\n"
-                         "output eval({1}, a);", ()),
+                         "output eval({1}, a);", [()]),
     ("EmptyArray", "input xs : arr(int, {1}, 0) from 1;\n"
-                   "output eval({1}, reduce(+, xs));", ()),
+                   "output eval({1}, reduce(+, xs));", [()]),
     ("ArrayShape", "input a : int from 1;\n"
                    "input xs : arr(int, {1}, 3) from 1;\n"
                    "input ys : arr(int, {1}, 2) from 1;\n"
                    "val zs : arr(int, {1}) := if (a < 0) { xs } else { ys };\n"
-                   "output eval({1}, zs(0));", ()),
+                   "output eval({1}, zs(0));", [()]),
     ("NoBaseCase", "fun f(x : int@{1}) : int@{1} bound 2 {\n"
                    "  if (x < 0) { f(x - 1) } else { f(x + 1) }\n}\n"
-                   "input a : int from 1;\noutput eval({1}, f(a));", ()),
+                   "input a : int from 1;\noutput eval({1}, f(a));", [()]),
     ("BadBitwidth", "input a : int from 1;\noutput eval({1}, a);",
-     ("--bitwidth", "99")),
+     [("--bitwidth", "99")]),
     ("UnknownPass", "input a : int from 1;\noutput eval({1}, a);",
-     ("--passes", "nope")),
+     [("--passes", "nope"), ("--passes", "tree_reduce")]),
 ]
 
 
-@pytest.mark.parametrize("code, program, flags", LOWERING_ERRORS,
-                         ids=[code for code, _p, _f in LOWERING_ERRORS])
+@pytest.mark.parametrize("code, program, runs", LOWERING_ERRORS,
+                         ids=[code for code, _p, _r in LOWERING_ERRORS])
 def test_each_lowering_error_is_one_line_and_exit_1(tmp_path, capsys, code,
-                                                    program, flags):
+                                                    program, runs):
     src = tmp_path / "p.hml"
     src.write_text(f"parties 1;\n{program}\n", encoding="utf-8")
-    assert run_cli("opt", str(src), *flags) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # the position, where the error has one, comes before "error:"
-    assert re.fullmatch(rf"{re.escape(str(src))}(:\d+:\d+)?: error: "
-                        rf"{code}: [^\n]*\n", captured.err)
+    for flags in runs:
+        assert run_cli("opt", str(src), *flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the position, where the error has one, comes before "error:"
+        assert re.fullmatch(rf"{re.escape(str(src))}(:\d+:\d+)?: error: "
+                            rf"{code}: [^\n]*\n", captured.err)
 
 
 # Each type rule whose copy lowering dropped: the checker, which every

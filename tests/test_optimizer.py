@@ -1,18 +1,21 @@
 import functools
+import random
 
 import pytest
 
 from astref import reference_run
 from conftest import CORPUS_NAMES, build
 from mpcc.backends.clear import interpret_clear
+from mpcc.backends.gatelist import emit_gatelist
 from mpcc.bitblast import bitblast
-from mpcc.circuit import PLAIN, Circuit, GateKind, Node, PlainMeta
+from mpcc.circuit import PLAIN, Circuit, GateKind, Level, PlainMeta
 from mpcc.estimator import additive_model, critical_path, estimate
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
     PASSES, Builder, cmp_rewrite, const_fold, cse, dce, peephole, pow_rewrite,
-    run_passes, strength_reduce, tree_reduce,
+    run_passes, strength_reduce,
 )
+from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import Generic, owners
 from mpcc.typecheck import check_program
 from proggen import random_inputs, random_program
@@ -130,6 +133,17 @@ def test_peephole_muxbit_between_constant_bits():
     w = b.add(GateKind.INPUT)
     w1, w0 = (b.add(GateKind.CONST, (), PLAIN, k) for k in (1, 0))
     assert b.nodes[b.add(GateKind.MUX, (w, w1, w0))].kind == GateKind.MUX
+
+
+def test_peephole_folds_a_comparison_of_a_node_with_itself():
+    src = ("parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
+           "output eval({1, 2}, (b != b) || (a < a));\n")
+    word = compile(src, PipelineConfig())
+    assert not {GateKind.LT, GateKind.EQ} & word.counts().keys()
+    assert interpret_clear(word, {(1, "a"): 3, (2, "b"): -4}) == {"out0": 0}
+    gates = emit_gatelist(compile(src, PipelineConfig(
+        target_level=Level.BOOL))).splitlines()
+    assert not [g for g in gates if g.endswith((" AND", " OR", " MUX"))]
 
 
 @pytest.mark.parametrize("width", [16, 64])
@@ -331,6 +345,43 @@ def test_pow_rewrite_leaves_a_chain_of_distinct_leaves():
     assert pow_rewrite(c) is c
 
 
+def random_mul_dag(rng):
+    """Muls over one to three inputs, mostly a chain on the first input
+    with squares and shared nodes along it, revealing its last node and
+    one other; each node's degree is at most 64."""
+    c = Circuit()
+    ids = [c.add_input(1, f"x{i}") for i in range(rng.randrange(1, 4))]
+    degree = dict.fromkeys(ids, 1)
+    last = ids[0]
+    for _ in range(rng.randrange(3, 30)):
+        x = last if rng.random() < 0.9 else rng.choice(ids)
+        y = ids[0] if rng.random() < 0.8 else rng.choice([x] + ids)
+        if degree[x] + degree[y] <= 64:
+            last = c.add_node(GateKind.MUL, rng.choice(((x, y), (y, x))))
+            ids.append(last)
+            degree[last] = degree[x] + degree[y]
+    reveal_out(c, last)
+    reveal_out(c, rng.choice(ids), "second")
+    return c
+
+
+def test_pow_rewrite_keeps_outputs_and_never_adds_muls_or_depth():
+    rng = random.Random(5)
+    rewritten = 0
+    for _ in range(400):
+        c = random_mul_dag(rng)
+        out = pow_rewrite(c)
+        rewritten += out is not c
+        for _ in range(2):
+            ins = {(1, f"x{i}"): rng.choice((-3, -2, 2, 3)) for i in range(3)}
+            assert interpret_clear(out, ins) == interpret_clear(c, ins)
+        assert out.counts().get(GateKind.MUL, 0) <= c.counts()[GateKind.MUL]
+        assert (critical_path(out, {GateKind.MUL: 1})
+                <= critical_path(c, {GateKind.MUL: 1}))
+        assert pow_rewrite(out) is out
+    assert rewritten >= 80  # about a quarter of them have a chain to rebuild
+
+
 def test_pow_one_is_wire():
     assert GateKind.MUL not in lowered_pow(1).counts()
 
@@ -400,68 +451,6 @@ def test_cmp_rewrite_leaves_comparisons_that_other_gates_read(expr, lts, eqs,
             reference_run(parse_source(src), {(1, "a"): a, (2, "b"): b})
 
 
-# -- tree_reduce --
-
-def test_tree_reduce_rebalances_add_chain():
-    c = Circuit()
-    leaves = [c.add_input(1, f"x{i}") for i in range(8)]
-    acc = leaves[0]
-    for leaf in leaves[1:]:
-        acc = c.add_node(GateKind.ADD, (acc, leaf))
-    reveal_out(c, acc)
-    assert critical_path(c, {GateKind.ADD: 1}) == 7
-    out = tree_reduce(c)
-    assert out.counts()[GateKind.ADD] == 7
-    assert critical_path(out, {GateKind.ADD: 1}) == 3
-    ins = {(1, f"x{i}"): i for i in range(8)}
-    assert interpret_clear(out, ins) == interpret_clear(c, ins)
-
-
-def test_tree_reduce_returns_a_balanced_chain_as_it_is():
-    # the tree balanced() builds over six leaves, with an unrelated gate
-    # between its links: the chain is not rebuilt, so nothing moves
-    c = Circuit()
-    x = [c.add_input(1, f"x{i}") for i in range(6)]
-    pairs = [c.add_node(GateKind.MUL, (x[i], x[i + 1])) for i in (0, 2, 4)]
-    reveal_out(c, c.add_node(GateKind.ADD, (x[0], x[5])), "other")
-    quad = c.add_node(GateKind.MUL, (pairs[0], pairs[1]))
-    head = c.add_node(GateKind.MUL, (quad, pairs[2]))
-    reveal_out(c, head)
-    assert tree_reduce(c) is c
-    # with the head's operands swapped it is not that tree
-    c.nodes[head] = Node(GateKind.MUL, (pairs[2], quad))
-    out = tree_reduce(c)
-    assert out is not c and tree_reduce(out) is out
-    ins = {(1, f"x{i}"): i + 1 for i in range(6)}
-    assert interpret_clear(out, ins) == interpret_clear(c, ins)
-
-
-def test_tree_reduce_leaves_short_chains():
-    c = Circuit()
-    leaves = [c.add_input(1, f"x{i}") for i in range(3)]
-    acc = c.add_node(GateKind.ADD, (leaves[0], leaves[1]))
-    acc = c.add_node(GateKind.ADD, (acc, leaves[2]))
-    reveal_out(c, acc)
-    assert tree_reduce(c).nodes == c.nodes
-
-
-def test_tree_reduce_respects_shared_intermediates():
-    c = Circuit()
-    leaves = [c.add_input(1, f"x{i}") for i in range(5)]
-    acc = leaves[0]
-    mids = []
-    for leaf in leaves[1:]:
-        acc = c.add_node(GateKind.ADD, (acc, leaf))
-        mids.append(acc)
-    # mids[1] has a second user, so the chain may only rebalance above it
-    extra = c.add_node(GateKind.MUL, (mids[1], leaves[0]))
-    s = c.add_node(GateKind.ADD, (acc, extra))
-    reveal_out(c, s)
-    out = tree_reduce(c)
-    ins = {(1, f"x{i}"): i + 1 for i in range(5)}
-    assert interpret_clear(out, ins) == interpret_clear(c, ins)
-
-
 # -- pipeline properties --
 
 @functools.lru_cache(maxsize=None)
@@ -510,12 +499,10 @@ def test_bool_fixpoint_sizes(name):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_passes_return_their_input_at_the_fixpoint(name, level):
     c = build(name, bitwidth=16) if level == "arith" else blasted(name)
-    fixed = run_passes(c, list(PASSES))
-    assert run_passes(fixed, list(PASSES)) is fixed
+    fixed = run_passes(c)
+    assert run_passes(fixed) is fixed
     for p in PASSES:
         assert PASSES[p](fixed) is fixed, p
-    default = run_passes(c)
-    assert run_passes(default) is default
 
 
 @pytest.mark.parametrize("name", sorted(PASSES))

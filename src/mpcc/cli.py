@@ -37,7 +37,11 @@ SPEC_CHOICES = {
 }
 SPEC_INTS = ("bitwidth", "parties", "seed")
 SPEC_NAMES = ("passes", "cost_model")  # one name or a list of names
-SPEC_KEYS = {*SPEC_CHOICES, *SPEC_INTS, *SPEC_NAMES, "objective", "no_opt"}
+# Every setting, and its value when neither a flag nor the spec gives it.
+DEFAULTS = {"scheme": "generic", "level": "arith", "backend": "clear",
+            "bitwidth": 64, "parties": 3, "seed": 0, "passes": None,
+            "cost_model": [], "objective": None, "no_opt": False}
+SPEC_KEYS = set(DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,43 +93,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def setting(args, spec: dict, name: str, default=None):
-    v = getattr(args, name, None)
-    if v is not None and v is not False:
-        return v
-    if name in spec:
-        return spec[name]
-    return default
+def resolve(args, spec: dict):
+    """Set each setting on `args` from its flag, else the spec, else the
+    default; a flag is given unless None, False or [] (`--bitwidth 0` is)."""
+    for name, default in DEFAULTS.items():
+        flag = getattr(args, name, None)
+        if flag is None or flag is False or flag == []:
+            setattr(args, name, spec.get(name, default))
 
 
-def scheme_of(args, spec) -> Scheme:
-    name = setting(args, spec, "scheme", "generic")
-    if name == "tfhe":
+def scheme_of(args) -> Scheme:
+    if args.scheme == "tfhe":
         return Tfhe()
-    if name == "additive":
-        return AdditiveShare(setting(args, spec, "parties", 3))
+    if args.scheme == "additive":
+        return AdditiveShare(args.parties)
     return Generic()
 
 
-def pipeline_config(args, spec) -> PipelineConfig:
-    passes = None
-    if args.command == "lower" or setting(args, spec, "no_opt"):
+def pipeline_config(args) -> PipelineConfig:
+    passes = args.passes
+    if args.command == "lower" or args.no_opt:
         passes = []  # `lower` is `lower --no-opt`
-    else:
-        raw = setting(args, spec, "passes")
-        if isinstance(raw, str):
-            passes = [p for p in raw.split(",") if p]
-        elif isinstance(raw, list):
-            passes = raw
+    elif isinstance(passes, str):
+        passes = [p for p in passes.split(",") if p]
     if args.command == "run":
-        level = BACKENDS[setting(args, spec, "backend", "clear")].level
+        level = BACKENDS[args.backend].level
     elif args.command == "emit":
         level = Level.BOOL
     else:
-        level = Level(setting(args, spec, "level", "arith"))
+        level = Level(args.level)
     return PipelineConfig(
-        scheme=scheme_of(args, spec),
-        bitwidth=int(setting(args, spec, "bitwidth", 64)),
+        scheme=scheme_of(args),
+        bitwidth=args.bitwidth,
         target_level=level,
         passes=passes,
     )
@@ -226,22 +225,21 @@ def write_out(args, text: str):
         sys.stdout.write(text)
 
 
-def cmd_check(args, spec) -> int:
-    check_program(parse_source(read_source(args.source)),
-                  scheme_of(args, spec))
+def cmd_check(args) -> int:
+    check_program(parse_source(read_source(args.source)), scheme_of(args))
     return 0
 
 
-def cmd_circuit(args, spec) -> int:
+def cmd_circuit(args) -> int:
     """`lower` and `opt` write the circuit; only `opt` runs the passes."""
-    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
+    c = compile(read_stage_input(args.source), pipeline_config(args))
     write_out(args, c.to_json())
     return 0
 
 
-def cmd_estimate(args, spec) -> int:
-    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
-    model_names = args.cost_model or spec.get("cost_model") or []
+def cmd_estimate(args) -> int:
+    c = compile(read_stage_input(args.source), pipeline_config(args))
+    model_names = args.cost_model or []
     if isinstance(model_names, str):
         model_names = [model_names]
     models = [load_cost_model(m) for m in model_names]
@@ -251,42 +249,40 @@ def cmd_estimate(args, spec) -> int:
         report = estimate(c, models[0])
         write_out(args, report.to_json())
         return 0
-    objective = args.objective or spec.get("objective")
-    if not objective:
+    if not args.objective:
         print("ranking several models needs --objective", file=sys.stderr)
         return 1
-    ranking = rank_backends(c, models, objective)
+    ranking = rank_backends(c, models, args.objective)
     write_out(args, json.dumps(
-        {"objective": objective,
+        {"objective": args.objective,
          "ranking": [{"model": name, "total": float(total)}
                      for name, total in ranking]}, indent=2) + "\n")
     return 0
 
 
-def cmd_run(args, spec) -> int:
-    name = setting(args, spec, "backend", "clear")
+def cmd_run(args) -> int:
     source = read_stage_input(args.source)
-    cfg = pipeline_config(args, spec)
+    cfg = pipeline_config(args)
     if isinstance(source, Circuit):  # a circuit file runs at its own level
         cfg.target_level = source.level
     c = compile(source, cfg)
-    outputs, trace = BACKENDS[name].run(
-        c, load_inputs(args.inputs), int(setting(args, spec, "parties", 3)),
-        int(setting(args, spec, "seed", 0)))
+    outputs, trace = BACKENDS[args.backend].run(
+        c, load_inputs(args.inputs), args.parties, args.seed)
     if trace is not None:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 json.dump(trace.to_json_obj(), fh, indent=2)
         print(json.dumps(trace.summary()), file=sys.stderr)
     elif args.trace:
-        print(f"backend {name} keeps no trace to write", file=sys.stderr)
+        print(f"backend {args.backend} keeps no trace to write",
+              file=sys.stderr)
         return 1
     write_out(args, json.dumps(outputs) + "\n")
     return 0
 
 
-def cmd_emit(args, spec) -> int:
-    c = compile(read_stage_input(args.source), pipeline_config(args, spec))
+def cmd_emit(args) -> int:
+    c = compile(read_stage_input(args.source), pipeline_config(args))
     write_out(args, emit_gatelist(c))
     return 0
 
@@ -298,8 +294,8 @@ COMMANDS = {"check": cmd_check, "lower": cmd_circuit, "opt": cmd_circuit,
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = load_spec_defaults(args)
-        return COMMANDS[args.command](args, spec)
+        resolve(args, load_spec_defaults(args))
+        return COMMANDS[args.command](args)
     except (EnvironmentError, BadFileError) as ex:
         print(f"mpcc: {ex}", file=sys.stderr)
         return 2

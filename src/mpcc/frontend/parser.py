@@ -1,5 +1,8 @@
 """Recursive-descent parser producing a Program AST.
 
+Expressions are parsed by precedence climbing over `syntax.PREC`, the
+table the printer also reads.
+
 Statement and expression position of `if` is disambiguated by backtracking:
 inside a function body the trailing result expression may itself be an
 if-expression, whose branches hold a single expression rather than
@@ -7,17 +10,16 @@ statements. There is no error recovery; the first failure wins.
 """
 
 from ..errors import ParseError
-from .lexer import Token, tokenize
+from .lexer import SYMBOLS, Token, tokenize
 from .syntax import (
-    ArrIndex, ArrLen, ArrSlice, ArrType, Assign, AtomType, BinOp, Block,
-    BoolLit, Call, Eval, Expr, FuncDef, IfExpr, IfStmt, InputExpr, IntLit,
-    Output, OwnedType, Pow, Program, Reduce, Skip, Stmt, ValDecl, Var, While,
-    ArrUpdate, owner_tuple,
+    CMP_PREC, PREC, ArrIndex, ArrLen, ArrSlice, ArrType, Assign, AtomType,
+    BinOp, Block, BoolLit, Call, Eval, Expr, FuncDef, IfExpr, IfStmt,
+    InputExpr, IntLit, Output, OwnedType, Pow, Program, Reduce, Skip, Stmt,
+    ValDecl, Var, While, ArrUpdate, owner_tuple,
 )
 
-CMP_OPS = {"EQ": "==", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
-ADD_OPS = {"PLUS": "+", "MINUS": "-"}
-MUL_OPS = {"STAR": "*", "SLASH": "/", "PERCENT": "%"}
+# token kind -> binary operator; `=` lexes as EQ, which is `==`
+BINARY_OPS = {kind: op for op, kind in SYMBOLS.items() if op in PREC}
 
 
 class Parser:
@@ -238,42 +240,17 @@ class Parser:
 
     # -- expressions (precedence climbing) --
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.at("OROR"):
-            t = self.next()
-            e = BinOp("||", e, self.parse_and(), pos=t.pos)
-        return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_cmp()
-        while self.at("ANDAND"):
-            t = self.next()
-            e = BinOp("&&", e, self.parse_cmp(), pos=t.pos)
-        return e
-
-    def parse_cmp(self) -> Expr:
-        e = self.parse_add()
-        if self.at(*CMP_OPS):
-            t = self.next()
-            e = BinOp(CMP_OPS[t.kind], e, self.parse_add(), pos=t.pos)
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.at(*ADD_OPS):
-            t = self.next()
-            e = BinOp(ADD_OPS[t.kind], e, self.parse_mul(), pos=t.pos)
-        return e
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Climb `PREC`: an operand, then each operator of precedence
+        `min_prec` to `top`, with a tighter right operand; `top` falls to
+        that level, or below it after a comparison, which never chains."""
         e = self.parse_postfix()
-        while self.at(*MUL_OPS):
-            t = self.next()
-            e = BinOp(MUL_OPS[t.kind], e, self.parse_postfix(), pos=t.pos)
+        top = max(PREC.values())
+        while (t := self.peek()) and (op := BINARY_OPS.get(t.kind)) and (
+                min_prec <= PREC[op] <= top):
+            self.next()
+            e = BinOp(op, e, self.parse_expr(PREC[op] + 1), pos=t.pos)
+            top = CMP_PREC - 1 if PREC[op] == CMP_PREC else PREC[op]
         return e
 
     def parse_postfix(self) -> Expr:

@@ -1,14 +1,11 @@
 """Canonical pretty-printer; parse(pretty_print(p)) is structurally p."""
 
 from .syntax import (
-    ArrIndex, ArrLen, ArrSlice, ArrType, Assign, AtomType, BinOp, Block,
-    BoolLit, Call, Eval, Expr, FuncDef, IfExpr, IfStmt, InputExpr, IntLit,
-    Output, OwnedType, Pow, Program, Reduce, Skip, ValDecl, Var, While,
-    ArrUpdate,
+    CMP_PREC, PREC, ArrIndex, ArrLen, ArrSlice, ArrType, Assign, AtomType,
+    BinOp, Block, BoolLit, Call, Eval, Expr, FuncDef, IfExpr, IfStmt,
+    InputExpr, IntLit, Output, OwnedType, Pow, Program, Reduce, Skip, ValDecl,
+    Var, While, ArrUpdate,
 )
-
-PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-        "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
 
 
 def owners_text(owners) -> str:
@@ -39,7 +36,7 @@ def expr_text(e: Expr, parent_prec: int = 0, rhs: bool = False) -> str:
         case BinOp(op=op, lhs=a, rhs=b):
             prec = PREC[op]
             # comparisons are non-associative: parenthesize equal precedence
-            left = expr_text(a, prec, rhs=(prec == 3))
+            left = expr_text(a, prec, rhs=(prec == CMP_PREC))
             right = expr_text(b, prec, rhs=True)
             text = f"{left} {op} {right}"
             if prec < parent_prec or (prec == parent_prec and rhs):

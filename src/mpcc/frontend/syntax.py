@@ -11,6 +11,12 @@ from dataclasses import dataclass, field
 
 Pos = tuple[int, int]
 
+# The binary operators by precedence, loosest first: the parser climbs this
+# table and the printer parenthesizes by it. Comparisons do not chain.
+PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+        "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+CMP_PREC = PREC["<"]
+
 
 def owner_tuple(parties) -> tuple[int, ...]:
     return tuple(sorted(set(parties)))

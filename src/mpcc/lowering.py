@@ -194,7 +194,6 @@ class Lowering:
             case S.Skip():
                 return
             case S.ValDecl(name=name):
-                self.decl_name = name  # input nodes keep the declared name
                 scope.declare(name, self.lower_decl_init(st, scope))
             case S.Assign(name=name, value=value):
                 scope.assign(name, self.lower_expr(value, scope))
@@ -211,7 +210,9 @@ class Lowering:
 
     def lower_decl_init(self, st: S.ValDecl, scope: Scope) -> Value:
         ty, init = st.ty, st.init
-        if isinstance(ty, S.ArrType) and not isinstance(init, S.InputExpr):
+        if isinstance(init, S.InputExpr):
+            return self.lower_input(init, st.name, scope)
+        if isinstance(ty, S.ArrType):
             v = self.lower_expr(init, scope)
             if isinstance(v, list):
                 return v
@@ -372,8 +373,6 @@ class Lowering:
                 return self.balanced_reduce(op, arr)
             case S.Pow(base=b, exponent=n):
                 return self.lower_pow(self.lower_expr(b, scope), n)
-            case S.InputExpr(party=party, ty=ty):
-                return self.lower_input(e, party, ty, scope)
         raise AssertionError(e)
 
     def static_int(self, expr, scope, code, what, pos) -> int:
@@ -386,17 +385,14 @@ class Lowering:
                              expr.pos)
         return int(w.static)
 
-    def lower_input(self, e, party, ty, scope) -> Value:
-        meta = self.input_meta(party, e.pos)
-        name = self.decl_name
-        if isinstance(ty, S.ArrType):
-            length = self.static_int(ty.length, scope, "NonConstLength",
+    def lower_input(self, e: S.InputExpr, name: str, scope) -> Value:
+        meta = self.input_meta(e.party, e.pos)
+        if isinstance(e.ty, S.ArrType):
+            length = self.static_int(e.ty.length, scope, "NonConstLength",
                                      "input array length", e.pos)
-            return [Wire(self.circuit.add_input(party, f"{name}[{k}]", meta))
+            return [Wire(self.circuit.add_input(e.party, f"{name}[{k}]", meta))
                     for k in range(length)]
-        return Wire(self.circuit.add_input(party, name, meta))
-
-    decl_name = "in"
+        return Wire(self.circuit.add_input(e.party, name, meta))
 
     # -- operators --
 

@@ -270,6 +270,7 @@ class Checker:
     # -- statements --
 
     def check_stmt(self, env: dict, s: S.Stmt, assigned: set[str]) -> dict:
+        """Check `s`, updating `env`, its scope's environment, in place."""
         match s:
             case S.Skip():
                 return env
@@ -284,7 +285,6 @@ class Checker:
                 if it is not None and not decl_compatible(it, declared):
                     self.error(f"initializer {type_text(it)} does not fit "
                                f"declared {type_text(declared)}", s.pos, "decl-init")
-                env = dict(env)
                 env[name] = declared
                 return env
             case S.Assign(name=name, value=value):
@@ -298,7 +298,6 @@ class Checker:
                 new = self._merge_assign(old, vt, s.pos)
                 if new is None:
                     return env
-                env = dict(env)
                 env[name] = new
                 assigned.add(name)
                 return env
@@ -314,7 +313,6 @@ class Checker:
                 if arr is None:
                     return env
                 owner = self.join_owners([arr, it, vt], s.pos, "update-owner")
-                env = dict(env)
                 env[name] = Arr(owner if owner else arr.owner)
                 assigned.add(name)
                 return env
@@ -333,7 +331,7 @@ class Checker:
                     new_env = self._branch_env(env, body, assigned)
                     if new_env == env:
                         break
-                    env = new_env
+                    env.update(new_env)
                 return env
             case S.IfStmt(cond=c, then=th, els=el):
                 tc = self.check_expr(env, c)
@@ -344,12 +342,11 @@ class Checker:
                 env_then = self._branch_env(env, th, branch_assigned)
                 env_else = (self._branch_env(env, el, branch_assigned)
                             if el is not None else env)
-                merged = dict(env)
                 for name in branch_assigned:
-                    merged[name] = widen(widen(env_then[name], env_else[name]),
-                                         with_owner(env[name], cond_owner))
+                    env[name] = widen(widen(env_then[name], env_else[name]),
+                                      with_owner(env[name], cond_owner))
                 assigned |= branch_assigned
-                return merged
+                return env
             case S.Output(expr=expr):
                 t = self.check_expr(env, expr)
                 if t is not None and not isinstance(t, Plain):

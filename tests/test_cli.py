@@ -292,6 +292,23 @@ def test_spec_file_with_flag_override(tmp_path, capsys):
     assert report["gate_counts"]["Mul"] == 3
 
 
+def test_a_falsy_flag_still_wins_over_the_spec(tmp_path, capsys):
+    # a flag is given unless it is None, False or an empty list
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"bitwidth": 16, "objective": "comm"}),
+                    encoding="utf-8")
+    err = one_line_exit_1(capsys, ["estimate", hml("adder"), "--spec",
+                                   str(spec), "--bitwidth", "0"])
+    assert "BadBitwidth" in err
+    models = [str(CORPUS / "models" / f"{m}.json")
+              for m in ("arith", "additive")]
+    err = one_line_exit_1(capsys, ["estimate", hml("adder"), "--spec",
+                                   str(spec), "--cost-model", models[0],
+                                   "--cost-model", models[1],
+                                   "--objective", ""])
+    assert err == "ranking several models needs --objective\n"
+
+
 def test_rank_models(capsys, tmp_path):
     m1 = {"name": "alpha", "gate_costs": {
         "Const": {}, "Input": {}, "Reveal": {}, "Add": {}, "Sub": {},

@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
 
 from conftest import CORPUS_NAMES, corpus_source
 from mpcc.errors import ParseError
 from mpcc.frontend import parse_source, pretty_print
 from mpcc.frontend.syntax import (
-    ArrLen, Assign, BinOp, Block, Call, IfExpr, IntLit, Output, Program,
-    Skip, ValDecl, Var, While, Eval,
+    CMP_PREC, PREC, ArrLen, Assign, BinOp, Block, Call, IfExpr, IntLit,
+    Output, Program, Skip, ValDecl, Var, While, Eval,
 )
 
 
@@ -64,9 +66,36 @@ def test_precedence():
                          IntLit(4))
 
 
-def test_comparison_non_associative():
-    with pytest.raises(ParseError):
-        parse_source("val x : bool := 1 < 2 < 3;\n")
+@pytest.mark.parametrize("chain", [
+    "1 < 2 < 3", "x == y != z", "1 + 2 < 3 < 4",
+    # a loop that kept comparisons from chaining only at their own level
+    # would read this as (true && 1 < 2) < 3
+    "true && 1 < 2 < 3",
+])
+def test_comparison_non_associative(chain):
+    src = f"val x : bool := {chain};\n"
+    with pytest.raises(ParseError) as exc:
+        parse_source(src)
+    second = max(map(src.rfind, ("<", "==", "!=")))
+    assert exc.value.pos == (1, second + 1)
+
+
+def test_every_operator_pair_parses_as_the_table_says():
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for op1, op2 in itertools.product(PREC, PREC):
+        left = BinOp(op2, BinOp(op1, a, b), c)
+        right = BinOp(op1, a, BinOp(op2, b, c))
+        for tree in (left, right):  # the printer parenthesizes by PREC
+            p = Program((), [], Block([Output(tree)]))
+            assert parse_source(pretty_print(p)) == p, (op1, op2)
+        src = f"output a {op1} b {op2} c;\n"
+        if PREC[op1] == PREC[op2] == CMP_PREC:
+            with pytest.raises(ParseError):
+                parse_source(src)
+            continue
+        # tighter binds first; equal precedence groups left to right
+        want = right if PREC[op2] > PREC[op1] else left
+        assert parse_source(src).main.stmts[0].expr == want, (op1, op2)
 
 
 @pytest.mark.parametrize("bad, expected_kind", [

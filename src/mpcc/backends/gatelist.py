@@ -17,7 +17,8 @@ operand's wire. Emission is deterministic, byte for byte.
 
 `run_gates` is the one loop that evaluates bit gates: `eval_gatelist`
 runs a parsed list through it, and `boolsim` runs bool-level circuits
-through it with one wire per node.
+through it with one wire per node. There a Reveal runs as a copy of
+its operand's bit, the loop's one case that no gate list holds.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from ..errors import LevelError, ParseError
 
 KIND_NAMES = {AND: "AND", OR: "OR", XOR: "XOR", NOT: "INV", MUX_BIT: "MUX"}
 NAME_ARITY = {name: ARITY[kind] for kind, name in KIND_NAMES.items()}
+# each two-input kind name to one shared string, which parsed gates hold
+TWO_INPUT = {name: name for name, arity in NAME_ARITY.items() if arity == 2}
 
 
 def emit_gatelist(c: Circuit) -> str:
@@ -137,8 +140,20 @@ def _parse(lines: list[str]) -> GateList:
     gl = GateList(n_gates, n_wires, n_inputs, n_outputs)
     defined = bytearray(n_wires)
     defined[:n_inputs] = b"\x01" * n_inputs
+    gates = gl.gates
     for ln in lines[2:]:
         parts = ln.split()
+        # the two-input line as emitted, nearly every gate line: a line
+        # that is not this shape, or fails a check, takes the general code
+        if (len(parts) == 6 and parts[5] in TWO_INPUT and parts[0] == "2"
+                and parts[1] == "1"):
+            a, b, out = int(parts[2]), int(parts[3]), int(parts[4])
+            if (0 <= a < n_wires and defined[a] and 0 <= b < n_wires
+                    and defined[b] and 0 <= out < n_wires
+                    and not defined[out]):
+                defined[out] = 1
+                gates.append((TWO_INPUT[parts[5]], (a, b), out))
+                continue
         if parts[0] == "const":
             if len(parts) != 3:
                 raise ParseError(f"malformed const line: {ln}")
@@ -167,9 +182,9 @@ def _parse(lines: list[str]) -> GateList:
             raise ParseError(f"gate output wire {out} is out of range or "
                              f"already defined: {ln}")
         defined[out] = 1
-        gl.gates.append((kind, ins, out))
-    if len(gl.gates) != n_gates:
-        raise ParseError(f"expected {n_gates} gates, found {len(gl.gates)}")
+        gates.append((kind, ins, out))
+    if len(gates) != n_gates:
+        raise ParseError(f"expected {n_gates} gates, found {len(gates)}")
     if not all(defined[n_wires - n_outputs:]):
         raise ParseError("an output wire is never defined")
     return gl
@@ -179,7 +194,9 @@ def run_gates(gates, values: list[int]) -> None:
     """Evaluate an iterable of (kind-name, ins, out) triples in order,
     reading and writing `values` by wire. The only loop that evaluates
     bit gates; its cases test the kinds most frequent in the corpus's
-    gate lists first."""
+    gate lists first. A kind-name is a gate-list name or COPY, which
+    passes one wire's bit on: `boolsim` runs a Reveal so, and a gate
+    list has no such gate."""
     for kind, ins, out in gates:
         match kind:
             case "XOR":
@@ -192,6 +209,8 @@ def run_gates(gates, values: list[int]) -> None:
                 v = values[ins[0]] | values[ins[1]]
             case "INV":
                 v = 1 - values[ins[0]]
+            case "COPY":
+                v = values[ins[0]]
         values[out] = v
 
 

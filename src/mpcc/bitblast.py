@@ -3,12 +3,14 @@
 Adders are ripple-carry with one AND per bit, the only gate that is not
 free under free-XOR (Kolesnikov & Schneider, ICALP 2008): the cell is
 t = a^cin, u = b^cin, s = t^b, cout = cin ^ (t & u). Subtraction is a
-borrow chain of the same cell, bout = b ^ (t & u), with no Not of b.
+borrow chain of the same cell, bout = b ^ (t & u), with no Not of b,
+or a + ~b + 1 when b is a constant.
 Beside a constant operand (a borrow-in of 0, the zero bits of shifted
 rows) the cell is a half cell, x^y and x&y beside a 0 or Not(x^y) and
 x|y beside a 1, and beside two constants a wire, its Not or a constant.
 Lt copies the sign bit of the difference, which is sound for |a-b| <
-2^(bitwidth-1); Eq is Not of a balanced Or tree over the bits a_i ^ b_i.
+2^(bitwidth-1); Eq is Not of a balanced Or tree over the bits a_i ^ b_i,
+or the balanced And tree of their Nots, whichever takes fewer Nots.
 A bit word, such as a comparison's output, is known by its bits above
 bit 0, which are the raw constant 0: the cells beside them are wires and
 constants, so 1 - b is one Not, and a product with a bit word is a row
@@ -25,7 +27,7 @@ adds a shifted x per positive digit of c's non-adjacent form
 adders. Partial products go through a constant-aware And.
 
 Nothing is emitted to be thrown away: an adder's top cell builds no
-carry-out, a comparison builds the borrow chain and the sign bit but no
+carry-out, a comparison builds the carry chain and the sign bit but no
 difference bit below it, a constant bit is added at its first use, a MuxBit
 whose branches are one bit is that bit, one between the constant bits 1
 and 0 is its selector (between 0 and 1, its Not), and a word is built
@@ -196,7 +198,14 @@ class _BitBuilder:
                    low_sums: bool = True) -> list[int]:
         """a - b as a borrow chain from a borrow-in of 0, the bits below
         the top one None unless `low_sums`: the top bit alone is the
-        borrow chain and one difference bit."""
+        borrow chain and one difference bit. A b of raw constant bits
+        is added as a + ~b + 1, whose carry cells beside a constant are
+        half cells, where a borrow cell would read Not a."""
+        consts = self._const_value
+        if all(v in consts for v in b):
+            return self.ripple_add(
+                a, [self.const_bit(1 - consts[v]) for v in b],
+                self.const_bit(1), low_sums)
         return self.ripple_add(a, b, self.const_bit(0), low_sums, True)
 
     def zero_extend(self, bit: int) -> list[int]:
@@ -215,9 +224,11 @@ class _BitBuilder:
         return self.emit(MUX_BIT, (s, t, e))
 
     def equals(self, a: list[int], b: list[int]) -> int:
-        """a == b as Not of the balanced Or tree over the bits a_i ^ b_i.
-        Beside a constant bit k, a_i ^ b_i is the other bit or its Not;
-        two constant bits drop out, or make a == b 0 if they differ."""
+        """a == b as Not of the balanced Or tree over the bits a_i ^ b_i,
+        or as the balanced And tree over their Nots when that takes fewer
+        Nots. Beside a constant bit k, a_i ^ b_i is the other bit or its
+        Not, so a constant of mostly 1 bits takes the And tree; two
+        constant bits drop out, or make a == b 0 if they differ."""
         consts = self._const_value
         pairs = []
         for x, y in zip(a, b):
@@ -229,6 +240,14 @@ class _BitBuilder:
                 return self.const_bit(0)
         if not pairs:
             return self.const_bit(1)
+        # Nots: the Or tree's are one per constant 1 and its root, the
+        # And tree's one per other pair
+        if 2 * sum([consts.get(y) == 1 for _x, y in pairs]) >= len(pairs):
+            sames = [self.emit(NOT, (self.emit(XOR, (x, y)),))
+                     if y not in consts
+                     else x if consts[y] else self.emit(NOT, (x,))
+                     for x, y in pairs]
+            return balanced(sames, lambda x, y: self.emit(AND, (x, y)))
         diffs = [self.emit(XOR, (x, y)) if y not in consts
                  else self.emit(NOT, (x,)) if consts[y] else x
                  for x, y in pairs]

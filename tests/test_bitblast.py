@@ -242,6 +242,28 @@ def test_cells_build_no_not_per_bit():
             assert sum(counts.get(k, 0) for k in NONXOR) == 15, name
 
 
+@pytest.mark.parametrize("kind,k,gates,nonxor", [
+    # x - 6 is added as x + ~6 + 1, whose carry cells beside the
+    # constant are single Ors and Ands, where a borrow cell reads Not x
+    (GateKind.LT, 6, 15, 13),
+    # -1 is all 1 bits: the And tree over the bits of x takes no Not,
+    # where the Or tree takes one per bit and its root
+    (GateKind.EQ, -1, 15, 15),
+], ids=["lt-6", "eq-minus-1"])
+def test_cells_beside_a_constant_take_no_extra_free_gates(kind, k, gates,
+                                                          nonxor):
+    for passes in ([], DEFAULT_PASSES):
+        c = Circuit(bitwidth=16)
+        x = c.add_input(1, "x")
+        y = c.add_node(GateKind.CONST, (), payload=k)
+        r = c.add_node(GateKind.REVEAL, (c.add_node(kind, (x, y)),),
+                       PlainMeta(owners(1)))
+        c.add_output(r, owners(1), "out")
+        counts = bitblast(c, 16, passes=passes).counts()
+        assert sum(counts.get(q, 0) for q in LOGIC) == gates
+        assert sum(counts.get(q, 0) for q in NONXOR) == nonxor
+
+
 def test_reveal_groups_word_outputs():
     cb = bitblast(build("adder", bitwidth=4), 4)
     names = [name for _n, _a, name in cb.outputs]

@@ -8,7 +8,7 @@ from conftest import CORPUS_NAMES, build
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.clear import interpret_clear
 from mpcc.backends.gatelist import (
-    emit_gatelist, eval_gatelist, parse_gatelist,
+    GateList, emit_gatelist, eval_gatelist, parse_gatelist,
 )
 from mpcc.backends.shares import simulate_shared
 from mpcc.bitblast import bitblast
@@ -154,6 +154,41 @@ def test_duplicate_output_sources_get_copies():
         assert eval_gatelist(gl, [x, y]) == [x ^ y, x ^ y]
 
 
+def test_a_reveal_that_gates_read_is_its_operands_bit():
+    # o0 is revealed and read again by o1's gate; o2 reveals an input
+    # that a later Not reads through its Reveal
+    c = Circuit(Level.BOOL)
+    a = c.add_node(GateKind.INPUT, ())
+    b = c.add_node(GateKind.INPUT, ())
+    c.inputs += [(a, 1, "a"), (b, 1, "b")]
+    audience = owners(1)
+    g = c.add_node(GateKind.AND, (a, b))
+    r0 = c.add_node(GateKind.REVEAL, (g,), PlainMeta(audience))
+    r1 = c.add_node(GateKind.REVEAL, (c.add_node(GateKind.XOR, (r0, a)),),
+                    PlainMeta(audience))
+    r2 = c.add_node(GateKind.REVEAL, (a,), PlainMeta(audience))
+    r3 = c.add_node(GateKind.REVEAL, (c.add_node(GateKind.NOT, (r2,)),),
+                    PlainMeta(audience))
+    for j, r in enumerate((r0, r1, r2, r3)):
+        c.add_output(r, audience, f"o{j}")
+    gl = parse_gatelist(emit_gatelist(c))
+    for x, y in itertools.product((0, 1), repeat=2):
+        direct = interpret_bool(c, {(1, "a"): x, (1, "b"): y})
+        assert list(direct.values()) == eval_gatelist(gl, [x, y]) == \
+            [x & y, (x & y) ^ x, x, 1 - x]
+
+
+def test_boolsim_refuses_a_word_kind_in_a_bool_circuit():
+    c = Circuit(Level.BOOL)
+    a = c.add_node(GateKind.INPUT, ())
+    c.inputs.append((a, 1, "a"))
+    r = c.add_node(GateKind.REVEAL, (c.add_node(GateKind.ADD, (a, a)),),
+                   PlainMeta(owners(1)))
+    c.add_output(r, owners(1), "out")
+    with pytest.raises(LevelError, match="^Add in bool circuit$"):
+        interpret_bool(c, {(1, "a"): 1})
+
+
 # input bounds that keep every corpus value inside the range contract
 # |v| < 2^(w-2), so word and bit evaluation agree exactly
 INPUT_BOUNDS = {("pow8", 16): 3, ("pow8", 64): 199,
@@ -215,11 +250,18 @@ BASE = "1 3\n2 1\n"  # two inputs, one output, wire 2 the output
     BASE + "1 1 0 2 AND\n",
     BASE + "2 1 0 x 2 AND\n",
     BASE + "2 1 0 1 2 NAND\n",
+    # near misses of the two-input line: each takes the general checks
+    BASE + "2 0 0 1 2 AND\n",
+    BASE + "2 1 0 1 2 3 AND\n",
+    BASE + "3 1 0 1 2 XOR\n",
+    BASE + "2 1 0 1 -1 AND\n",
+    "1 4\n2 1\n2 1 0 1 3 AND\nconst 3 0\n",
 ], ids=["forward-read", "read-past-end", "read-negative", "out-past-end",
         "out-is-input", "out-twice", "const-past-end", "const-on-input",
         "const-not-bit", "too-many-inputs", "too-many-outputs",
         "negative-count", "output-undefined", "wrong-arity", "not-integer",
-        "unknown-kind"])
+        "unknown-kind", "second-field-not-1", "extra-field",
+        "arity-not-kind", "out-negative", "const-on-gate-output"])
 def test_parse_rejects_bad_wiring(text):
     with pytest.raises(ParseError) as exc:
         parse_gatelist(text)
@@ -229,6 +271,21 @@ def test_parse_rejects_bad_wiring(text):
 def test_parse_accepts_the_base_gate_list():
     gl = parse_gatelist(BASE + "2 1 0 1 2 AND\n")
     assert eval_gatelist(gl, [1, 1]) == [1]
+
+
+SPACED = "3 6\n2 1\nconst 2 1\n2 1 0 1 3 AND\n1 1 3 4 INV\n2 1 2 4 5 XOR\n"
+
+
+@pytest.mark.parametrize("text", [
+    SPACED.replace(" ", "\t"),
+    SPACED.replace(" ", "   "),
+    "\n".join(f"  {ln}\t " for ln in SPACED.splitlines()) + "\n\n",
+    SPACED.replace("2 1 0 1 3 AND", "02 1 0 1 3 AND"),
+], ids=["tabs", "space-runs", "blank-ends", "arity-02"])
+def test_parse_reads_any_blanks_and_arity_spelling(text):
+    assert parse_gatelist(text) == parse_gatelist(SPACED) == GateList(
+        3, 6, 2, 1, {2: 1},
+        [("AND", (0, 1), 3), ("INV", (3,), 4), ("XOR", (2, 4), 5)])
 
 
 def modulo_source(m: int) -> str:

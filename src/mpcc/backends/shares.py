@@ -50,6 +50,8 @@ from ..estimator import (
 from .clear import bind_inputs
 
 PRIME = (1 << 61) - 1
+# the additive model's depth weights, by which the online phase is run
+DEPTH_WEIGHTS = additive_model().depth_weights
 
 
 def centered(v: int) -> int:
@@ -364,8 +366,7 @@ class SharedSimulator:
             c, inputs, min(contract_log(c.bitwidth),
                            (PRIME // 2 + 1).bit_length() - 1))
         self.offline_phase()
-        layers, output_reveals = layered_schedule(
-            c, additive_model().depth_weights)
+        layers, output_reveals = layered_schedule(c, DEPTH_WEIGHTS)
         table: list[ShareVector | None] = [None] * len(c.nodes)
         revealed: dict[int, int] = {}
         self.run_layer(layers[0], table, input_values, revealed)
@@ -376,8 +377,7 @@ class SharedSimulator:
         self.round_opens = dict.fromkeys(ROUND_KEYS.values(), 0)
         self.run_layer(output_reveals, table, input_values, revealed)
         self.trace.output_reveals = self.round_opens["reveal"]
-        out_names = {nid: name for nid, _aud, name in c.outputs}
-        return {out_names[nid]: revealed[nid] for nid in sorted(out_names)}
+        return {name: revealed[nid] for nid, _aud, name in c.outputs}
 
 
 def simulate_shared(circuit: Circuit, inputs: dict[tuple[int, str], int],

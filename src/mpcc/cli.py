@@ -26,14 +26,15 @@ from .estimator import (
 )
 from .frontend import parse_source
 from .pipeline import PipelineConfig, compile
-from .sectypes import AdditiveShare, Generic, Scheme, Tfhe
+from .sectypes import SCHEMES, Scheme
 from .typecheck import check_program
 
 # What a spec file may set, and the values it may set them to.
 SPEC_CHOICES = {
-    "scheme": ("generic", "tfhe", "additive"),
+    # a table itself is its choices: a new entry is a choice at once
+    "scheme": SCHEMES,
     "level": ("arith", "bool"),
-    "backend": BACKENDS,  # the table itself: a new entry is a choice at once
+    "backend": BACKENDS,
 }
 SPEC_INTS = ("bitwidth", "parties", "seed")
 SPEC_NAMES = ("passes", "cost_model")  # one name or a list of names
@@ -103,11 +104,7 @@ def resolve(args, spec: dict):
 
 
 def scheme_of(args) -> Scheme:
-    if args.scheme == "tfhe":
-        return Tfhe()
-    if args.scheme == "additive":
-        return AdditiveShare(args.parties)
-    return Generic()
+    return SCHEMES[args.scheme](args.parties)
 
 
 def pipeline_config(args) -> PipelineConfig:

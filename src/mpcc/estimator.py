@@ -10,19 +10,22 @@ shares backend runs it, grouped by `layered_schedule`, under
 count of its trace. The offline budget is the shares protocol's own: one
 Beaver triple per Mul or Mux and `comparison_budget` per comparison,
 whatever the model. Costs are exact rationals so reports never drift.
+The built-in models, `BUILTIN_MODELS`, are the files in `models/` beside
+this module, read by the same `model_from_json_obj` as a user's file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import pathlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circuit import (
-    ADD, AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR,
-    REVEAL, SUB, XOR, Circuit, GateKind, Level,
+    CONST, EQ, INPUT, LT, MUL, MUX, REVEAL, Circuit, GateKind, Level,
 )
 from .errors import ModelCoverageError, ObjectiveMissingError
 
@@ -172,86 +175,11 @@ def rank_backends(c: Circuit, models: list[CostModel],
     return ranked
 
 
-# -- built-in models --
-
-def _costs(mapping: dict[GateKind, dict[str, int | float | str]]):
-    return {kind: {r: Fraction(str(v)) for r, v in costs.items()}
-            for kind, costs in mapping.items()}
-
-
-def arith_model() -> CostModel:
-    """Homomorphic-style word model: multiplications dominate, so the
-    depth weight tracks multiplicative depth."""
-    zero = {CONST: {}, INPUT: {}, REVEAL: {}}
-    costs = _costs({
-        **zero,
-        ADD: {"adds": 1},
-        SUB: {"adds": 1},
-        MUL: {"mults": 1},
-        MUL_PLAIN: {"plain_mults": 1},
-        LT: {"comparisons": 1},
-        EQ: {"comparisons": 1},
-        MUX: {"mults": 1},
-    })
-    weights = {MUL: 1, MUX: 1, LT: 1, EQ: 1}
-    return CostModel("arith", costs, weights)
-
-
-def additive_model() -> CostModel:
-    """n-out-of-n additive sharing: adds are free. In `totals`, the
-    per-gate sum, a multiplication costs one round and one multicast, an
-    Lt seven of each, an Eq one and a half Lts and a Reveal one. The
-    depth weights are the layered schedule the shares backend runs: a
-    multiplication takes one round, an Lt 7, an Eq 10 and a Reveal that
-    another gate reads 1, so
-    `estimate(c, additive_model()).depth` is its round count (and its
-    multicast count, one per round)."""
-    costs = _costs({
-        CONST: {}, INPUT: {}, ADD: {}, SUB: {}, MUL_PLAIN: {},
-        MUL: {"rounds": 1, "multicasts": 1},
-        MUX: {"rounds": 1, "multicasts": 1},
-        LT: {"rounds": 7, "multicasts": 7},
-        EQ: {"rounds": "10.5", "multicasts": "10.5"},
-        REVEAL: {"rounds": 1, "multicasts": 1},
-    })
-    weights = {MUL: 1, MUX: 1, LT: 7, EQ: 10, REVEAL: 1}
-    return CostModel("additive", costs, weights)
-
-
-def boolean_model() -> CostModel:
-    """Gate-by-gate boolean backend: every logic gate costs one bootstrap."""
-    costs = _costs({
-        CONST: {}, INPUT: {}, REVEAL: {},
-        AND: {"gates": 1},
-        OR: {"gates": 1},
-        XOR: {"gates": 1},
-        NOT: {"gates": 1},
-        MUX_BIT: {"gates": 1},
-    })
-    weights = {AND: 1, OR: 1, XOR: 1, NOT: 1, MUX_BIT: 1}
-    return CostModel("boolean", costs, weights)
-
-
-BUILTIN_MODELS = {"arith": arith_model, "additive": additive_model,
-                  "boolean": boolean_model}
-
-
-def default_model_for(c: Circuit) -> CostModel:
-    return boolean_model() if c.level == Level.BOOL else arith_model()
-
-
-# -- JSON interchange --
-
-def model_to_json_obj(m: CostModel) -> dict:
-    return {
-        "name": m.name,
-        "gate_costs": {k.value: {r: _num(v) for r, v in costs.items()}
-                       for k, costs in m.gate_costs.items()},
-        "depth_weights": {k.value: w for k, w in m.depth_weights.items()},
-    }
-
+# -- cost model files --
 
 MODEL_KEYS = ("name", "gate_costs", "depth_weights")
+BUILTIN_MODELS = ("arith", "additive", "boolean")
+MODELS_DIR = pathlib.Path(__file__).parent / "models"
 
 
 def model_from_json_obj(obj: dict) -> CostModel:
@@ -296,8 +224,34 @@ def model_from_json_obj(obj: dict) -> CostModel:
     )
 
 
+def _read_json(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@functools.cache
+def _builtin_json(name: str) -> dict:
+    return _read_json(MODELS_DIR / f"{name}.json")
+
+
 def load_model(path_or_name: str) -> CostModel:
+    """A new `CostModel` from a built-in name or a model file's path."""
     if path_or_name in BUILTIN_MODELS:
-        return BUILTIN_MODELS[path_or_name]()
-    with open(path_or_name, encoding="utf-8") as fh:
-        return model_from_json_obj(json.load(fh))
+        return model_from_json_obj(_builtin_json(path_or_name))
+    return model_from_json_obj(_read_json(path_or_name))
+
+
+def arith_model() -> CostModel:
+    return load_model("arith")
+
+
+def additive_model() -> CostModel:
+    return load_model("additive")
+
+
+def boolean_model() -> CostModel:
+    return load_model("boolean")
+
+
+def default_model_for(c: Circuit) -> CostModel:
+    return boolean_model() if c.level == Level.BOOL else arith_model()

@@ -52,6 +52,13 @@ class AdditiveShare:
 
 Scheme = Generic | Tfhe | AdditiveShare
 
+# Each scheme's name, and its constructor from the party count.
+SCHEMES = {
+    "generic": lambda parties: Generic(),
+    "tfhe": lambda parties: Tfhe(),
+    "additive": AdditiveShare,
+}
+
 
 def valid(o: OwnerSet, o_prime: OwnerSet, scheme: Scheme) -> bool:
     """May data owned by `o` be revealed to audience `o_prime`?

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 from conftest import CORPUS_NAMES, build
-from mpcc.backends import shares
+from mpcc.backends import BACKENDS, shares
 from mpcc.backends.clear import flatten_inputs, interpret_clear
 from mpcc.backends.shares import (
     PRIME, SharedSimulator, beaver_mul, centered, make_triple, random_bit,
@@ -23,6 +23,7 @@ from mpcc.errors import (
 from mpcc.estimator import additive_model, estimate
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import run_passes
+from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import AdditiveShare, owners
 from mpcc.typecheck import check_program
 from proggen import random_inputs, random_program
@@ -247,6 +248,37 @@ def test_shared_simulation_matches_clear(seed):
         clear = interpret_clear(c, inputs)
         outs, _trace = simulate_shared(c, inputs, 3, seed=seed)
         assert outs == clear, name
+
+
+SHARED_REVEALS = """parties 0, 1, 2;
+input x : int from 1;
+input y : int from 2;
+val z : int := eval({0, 1, 2}, x) + 1;
+output z;
+output 7;
+output eval({0, 1, 2}, y);
+output eval({0, 1, 2}, y < x);
+output eval({0, 1, 2}, x);
+output z;
+output eval({0, 1, 2}, x);
+"""
+
+
+@pytest.mark.parametrize("passes", [None, []])
+def test_every_backend_keeps_outputs_that_share_a_reveal(passes):
+    """cse merges the three Reveals of x to one audience into one node;
+    every backend still returns all seven outputs in program order."""
+    inputs = {(1, "x"): 5, (2, "y"): -3}
+    results = {}
+    for name, backend in BACKENDS.items():
+        c = compile(SHARED_REVEALS, PipelineConfig(
+            scheme=AdditiveShare(3), target_level=backend.level,
+            passes=passes))
+        outs, _trace = backend.run(c, inputs, 3, 0)
+        results[name] = list(outs.items())
+    assert len(results["clear"]) == 7
+    for name, outs in results.items():
+        assert outs == results["clear"], name
 
 
 def test_trace_matches_estimator_triples():

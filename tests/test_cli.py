@@ -56,7 +56,7 @@ def test_check_missing_file_is_exit_2():
 
 def test_estimate_pow8(tmp_path, capsys):
     assert run_cli("estimate", hml("pow8"), "--cost-model",
-                   str(ROOT / "corpus" / "models" / "arith.json")) == 0
+                   str(ROOT / "src" / "mpcc" / "models" / "arith.json")) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["gate_counts"]["Mul"] == 3
     assert report["depth"] == 3
@@ -300,7 +300,7 @@ def test_a_falsy_flag_still_wins_over_the_spec(tmp_path, capsys):
     err = one_line_exit_1(capsys, ["estimate", hml("adder"), "--spec",
                                    str(spec), "--bitwidth", "0"])
     assert "BadBitwidth" in err
-    models = [str(CORPUS / "models" / f"{m}.json")
+    models = [str(ROOT / "src" / "mpcc" / "models" / f"{m}.json")
               for m in ("arith", "additive")]
     err = one_line_exit_1(capsys, ["estimate", hml("adder"), "--spec",
                                    str(spec), "--cost-model", models[0],
@@ -677,7 +677,7 @@ def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
 
 def assert_model_key_is_exit_2(tmp_path, capsys, key, value):
     """arith.json with one more top-level key is refused, not priced."""
-    model = json.loads((ROOT / "corpus" / "models" / "arith.json")
+    model = json.loads((ROOT / "src" / "mpcc" / "models" / "arith.json")
                        .read_text(encoding="utf-8"))
     model[key] = value
     path = tmp_path / "m.json"

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from fractions import Fraction
 
@@ -9,9 +8,9 @@ from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import ModelCoverageError, ObjectiveMissingError
 from mpcc.estimator import (
-    ZERO_COST_KINDS, CostModel, additive_model, arith_model, boolean_model,
-    critical_path, estimate, layered_schedule, load_model,
-    model_from_json_obj, model_to_json_obj, rank_backends,
+    BUILTIN_MODELS, ZERO_COST_KINDS, CostModel, additive_model, arith_model,
+    boolean_model, critical_path, estimate, layered_schedule, load_model,
+    model_from_json_obj, rank_backends,
 )
 from mpcc.optimizer import run_passes
 from mpcc.sectypes import owners
@@ -233,18 +232,27 @@ def test_optimizer_never_raises_default_totals():
 
 # -- JSON interchange --
 
-def test_builtin_models_round_trip_through_json():
-    for model in (arith_model(), additive_model(), boolean_model()):
-        obj = model_to_json_obj(model)
-        again = model_from_json_obj(json.loads(json.dumps(obj)))
-        assert again == model
+MODELS = ROOT / "src" / "mpcc" / "models"
 
 
 def test_shipped_model_files_load():
-    for name in ("arith", "additive", "boolean"):
-        m = load_model(str(ROOT / "corpus" / "models" / f"{name}.json"))
-        assert m.name == name
-        assert m == load_model(name)
+    assert sorted(p.stem for p in MODELS.glob("*.json")) == \
+        sorted(BUILTIN_MODELS)
+    for name in BUILTIN_MODELS:
+        assert load_model(str(MODELS / f"{name}.json")).name == name
+
+
+def test_builtin_models_load_by_name_and_path_to_equal_models():
+    """A built-in name reads its file, and every call builds a new model,
+    so a caller that changes one changes no other."""
+    for name, made in zip(BUILTIN_MODELS,
+                          (arith_model, additive_model, boolean_model)):
+        by_name = load_model(name)
+        assert by_name == load_model(str(MODELS / f"{name}.json"))
+        assert by_name == made()
+        by_name.gate_costs.clear()
+        by_name.depth_weights.clear()
+        assert load_model(name) == made() != by_name
 
 
 def test_unknown_gate_kind_is_load_error():

@@ -2,8 +2,8 @@
 
 Input bits produced by the bit-blaster share the declaring variable's
 name; consecutive entries with one (party, name) pair form a word, LSB
-first. Outputs reassemble the same way, with a signed (centered) lift
-when the circuit is marked signed. Gates run through the gate-list
+first. Outputs reassemble the same way, a word of 2 or more bits as two's
+complement and a single bit as a boolean. Gates run through the gate-list
 kernel `gatelist.run_gates`, with one wire per node; a Reveal runs as
 the kernel's copy case, so its wire holds its operand's bit.
 """
@@ -52,8 +52,7 @@ def interpret_bool(c: Circuit,
     out: dict[str, int] = {}
     for name, bits in out_bits.items():
         v = sum(bit << k for k, bit in enumerate(bits))
-        # single bits are booleans; words of 2+ bits lift signed
-        if c.signed and len(bits) >= 2 and bits[-1]:
+        if len(bits) >= 2 and bits[-1]:
             v -= 1 << len(bits)
         out[name] = v
     return out

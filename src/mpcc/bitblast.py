@@ -397,8 +397,7 @@ def bitblast(c: Circuit, width: int | None = None,
 
     outputs = [(bb.node(v), aud, name)
                for nid, aud, name in c.outputs for v in bits[nid]]
-    out = Circuit(Level.BOOL, width, c.signed, bb.builder.nodes, inputs,
-                  outputs)
+    out = Circuit(Level.BOOL, width, bb.builder.nodes, inputs, outputs)
     return dce(out) if "dce" in passes else out
 
 

@@ -251,7 +251,6 @@ _set_kind, _set_operands, _set_meta, _set_payload = (
 class Circuit:
     level: Level = Level.ARITH
     bitwidth: int = 64
-    signed: bool = True
     nodes: list[Node] = field(default_factory=list)
     inputs: list[tuple[int, int, str]] = field(default_factory=list)
     outputs: list[tuple[int, frozenset, str]] = field(default_factory=list)
@@ -342,8 +341,7 @@ class Circuit:
 
     def _json_ends(self) -> tuple[dict, dict]:
         """The keys before "nodes" and the keys after it."""
-        return ({"level": self.level.value, "bitwidth": self.bitwidth,
-                 "signed": self.signed},
+        return ({"level": self.level.value, "bitwidth": self.bitwidth},
                 {"inputs": [[nid, party, name]
                             for nid, party, name in self.inputs],
                  "outputs": [[nid, sorted(aud), name]
@@ -375,11 +373,7 @@ class Circuit:
         unknown level or kind, or badly shaped entry raises
         MalformedCircuitError; call validate() for the semantic checks."""
         try:
-            signed = obj.get("signed", True)
-            if not isinstance(signed, bool):
-                raise TypeError(f"expected true or false, got {signed!r}")
-            c = Circuit(Level(obj["level"]), _json_int(obj["bitwidth"]),
-                        signed)
+            c = Circuit(Level(obj["level"]), _json_int(obj["bitwidth"]))
             for entry in obj["nodes"]:
                 payload = entry.get("payload")
                 nid = c.add_node(GateKind(entry["kind"]),

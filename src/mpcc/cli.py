@@ -132,7 +132,7 @@ def read_source(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise EnvironmentError(f"cannot read {path}: {ex}") from ex
 
 
@@ -258,11 +258,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source = read_stage_input(args.source)
-    cfg = pipeline_config(args)
-    if isinstance(source, Circuit):  # a circuit file runs at its own level
-        cfg.target_level = source.level
-    c = compile(source, cfg)
+    c = compile(read_stage_input(args.source), pipeline_config(args))
     outputs, trace = BACKENDS[args.backend].run(
         c, load_inputs(args.inputs), args.parties, args.seed)
     if trace is not None:

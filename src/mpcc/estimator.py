@@ -225,7 +225,7 @@ def model_from_json_obj(obj: dict) -> CostModel:
 
 
 def _read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return json.load(fh)
 
 

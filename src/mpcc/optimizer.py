@@ -183,8 +183,7 @@ class Builder:
         if (self.nodes == nodes and inputs == c.inputs
                 and outputs == c.outputs):
             return c
-        return Circuit(c.level, c.bitwidth, c.signed, self.nodes, inputs,
-                       outputs)
+        return Circuit(c.level, c.bitwidth, self.nodes, inputs, outputs)
 
 
 def _rewrite(c: Circuit, rule: str) -> Circuit:

@@ -62,7 +62,7 @@ def adder_cell(operands, passes, sum_out=True, carry_out=True,
         values.append(v)
     cell = bb.full_adder(*values, sum_out, carry_out, borrow)
     outputs = [(bb.node(v), owners(1), "sum") for v in cell if v is not None]
-    c = Circuit(Level.BOOL, 2, False, bb.builder.nodes, inputs, outputs)
+    c = Circuit(Level.BOOL, 2, bb.builder.nodes, inputs, outputs)
     return c, cell
 
 
@@ -85,8 +85,9 @@ def test_full_adder_computes_a_plus_b_plus_cin(passes):
                             for i, op in enumerate(operands))
                 want = {(True, True): total, (True, False): total & 1,
                         (False, True): total >> 1}[wanted]
-                assert interpret_bool(c, ins) == {"sum": want}, (
-                    operands, wanted, ins)
+                # a two-bit output reads as two's complement
+                got = interpret_bool(c, ins)["sum"] % (1 << sum(wanted))
+                assert got == want, (operands, wanted, ins)
 
 
 @pytest.mark.parametrize("passes", [[], DEFAULT_PASSES])
@@ -111,8 +112,8 @@ def test_borrow_cell_computes_a_minus_b_minus_bin(passes):
                 diff = a - b - bin_  # the difference bit less 2 * borrow
                 want = {(True, True): diff % 4, (True, False): diff & 1,
                         (False, True): int(diff < 0)}[wanted]
-                assert interpret_bool(c, ins) == {"sum": want}, (
-                    operands, wanted, ins)
+                got = interpret_bool(c, ins)["sum"] % (1 << sum(wanted))
+                assert got == want, (operands, wanted, ins)
 
 
 def test_adder_semantics_mod_2w():

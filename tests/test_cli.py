@@ -253,6 +253,50 @@ def test_a_source_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
     assert capsys.readouterr() == want
 
 
+def file_kinds():
+    """For each kind of file the CLI reads: a file name, well-formed
+    contents, and the argv that reads a file of that kind at PATH."""
+    arith = (ROOT / "src" / "mpcc" / "models" / "arith.json").read_bytes()
+    return {
+        "source": ("p.hml", corpus_source("adder").encode(), ["check"]),
+        "circuit": ("c.json", build("adder", bitwidth=8).to_json().encode(),
+                    ["opt"]),
+        "inputs": ("i.json", b'{"parties": {"1": {"a": 3}, "2": {"b": 4}}}',
+                   ["run", hml("adder"), "--bitwidth", "8", "--inputs"]),
+        "spec": ("s.json", b'{"bitwidth": 8}', ["opt", hml("adder"),
+                                                "--spec"]),
+        "cost model": ("m.json", arith, ["estimate", hml("adder"),
+                                         "--cost-model"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["source", "circuit", "inputs", "spec",
+                                  "cost model"])
+def test_every_file_kind_reads_a_byte_order_mark(tmp_path, capsys, kind):
+    name, contents, argv = file_kinds()[kind]
+    path = tmp_path / name
+    outs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + contents)
+        assert run_cli(*argv, str(path)) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("kind", ["source", "circuit", "inputs", "spec",
+                                  "cost model"])
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, capsys, kind):
+    name, _contents, argv = file_kinds()[kind]
+    path = tmp_path / name
+    path.write_bytes(b"\xff")
+    assert run_cli(*argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpcc: ")
+    assert "codec can't decode" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_a_lexing_or_parse_error_puts_its_position_first(tmp_path, capsys):
     src = tmp_path / "bad.hml"
     src.write_text("parties 1;\ninput a : int from 1;\n"
@@ -420,11 +464,6 @@ def leq_gate(obj):
     return obj
 
 
-def text_signed(obj):
-    obj["signed"] = "yes"
-    return obj
-
-
 def true_operand(obj):
     obj["nodes"][-1]["operands"] = [True]
     return obj
@@ -460,8 +499,8 @@ def payload_on_reveal(obj):
 
 @pytest.mark.parametrize("command", ["estimate", "opt", "run"])
 @pytest.mark.parametrize("breakage", [
-    no_nodes, output_past_end, mixed_level, leq_gate, text_signed,
-    true_operand, unknown_meta_type, text_provider, mixed_provider,
+    no_nodes, output_past_end, mixed_level, leq_gate, true_operand,
+    unknown_meta_type, text_provider, mixed_provider,
     fractional_threshold, payload_on_reveal])
 def test_malformed_circuit_file_is_exit_2(tmp_path, capsys, command,
                                           breakage):
@@ -504,14 +543,20 @@ def test_run_refuses_a_bool_circuit_on_a_word_backend(tmp_path, capsys,
     assert "word-level" in err
 
 
-def test_run_refuses_a_word_circuit_on_the_bool_backend(tmp_path, capsys):
-    # a circuit file runs at its own level: only source is compiled to
-    # the backend's
-    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 5, "y": 15}}})
-    err = one_line_exit_1(capsys, [
-        "run", circuit_file(tmp_path, "gcd", "arith"), "--backend", "bool",
-        "--inputs", inputs])
-    assert "bool-level" in err
+def test_run_compiles_a_word_circuit_file_for_the_bool_backend(tmp_path,
+                                                               capsys):
+    # a circuit file compiles to the backend's level, as source does, and
+    # a word reads as two's complement on every backend
+    src = tmp_path / "minus5.hml"
+    src.write_text("parties 1;\ninput x : int from 1;\n"
+                   "output eval({1}, x - 5);\n", encoding="utf-8")
+    path = tmp_path / "minus5.json"
+    assert run_cli("opt", str(src), "--bitwidth", "16", "-o", str(path)) == 0
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 2}}})
+    for backend in BACKENDS:
+        assert run_cli("run", str(path), "--backend", backend,
+                       "--inputs", inputs) == 0
+        assert capsys.readouterr().out == '{"out0": -3}\n'
 
 
 def test_run_takes_its_level_from_the_backend(tmp_path, capsys):
@@ -588,6 +633,29 @@ def test_bool_backend_matches_clear_and_the_reference(tmp_path, capsys,
     want = reference_run(parse_source(corpus_source(name)),
                          flatten_inputs(parties))
     assert outs[0] == outs[1] == json.dumps(want) + "\n", parties
+
+
+@pytest.mark.parametrize("w", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_word_circuit_file_runs_alike_on_every_backend(tmp_path, capsys,
+                                                         name, w):
+    # the 16-bit contract keeps every value inside the shares field at
+    # both widths; the "signed" key of older files is read by no backend
+    parties = contract_inputs(name, 16, random.Random(f"{name}@{w}"))
+    inputs = write_inputs(tmp_path, {"parties": parties})
+    word = tmp_path / "word.json"
+    assert run_cli("opt", hml(name), "--bitwidth", str(w), "-o",
+                   str(word)) == 0
+    unsigned = tmp_path / "unsigned.json"
+    unsigned.write_text(json.dumps({**json.loads(word.read_text(
+        encoding="utf-8")), "signed": False}), encoding="utf-8")
+    outs = []
+    for path in (word, unsigned):
+        for backend in BACKENDS:
+            assert run_cli("run", str(path), "--backend", backend,
+                           "--inputs", inputs) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+    assert outs == [outs[0]] * len(outs), parties
 
 
 def test_a_backend_added_to_the_table_is_reachable(tmp_path, capsys,

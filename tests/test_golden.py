@@ -20,31 +20,31 @@ from mpcc.pipeline import PipelineConfig, compile
 
 # (name, bitwidth) -> (word JSON, bool JSON, gate list)
 GOLDEN = {
-    ("gcd", 16): ("5cfac3f73e31e935", "d7ff1a68efbdffce", "9b8513afea119328"),
-    ("gcd", 64): ("8a097cd50c03fa7c", "2520aa9464abf31b", "2aec2fdd062e7755"),
-    ("auction", 16): ("7894288e6a160ea4", "407889256a920682",
+    ("gcd", 16): ("7fa0527a963800eb", "f1f008e56f572b02", "9b8513afea119328"),
+    ("gcd", 64): ("40747e7e10317a37", "2ab33b9603682f60", "2aec2fdd062e7755"),
+    ("auction", 16): ("dda1626249bd829f", "57cea588c93b3fad",
                       "8136b0bede2221f9"),
-    ("auction", 64): ("68c055f92d80a650", "0ee67e9fd7079a1c",
+    ("auction", 64): ("60cf30cd7a1caf21", "2f3a92f631b75d84",
                       "64b3ab5b18452286"),
-    ("mergesort", 16): ("3213b4c4faa6c922", "53b95bf01402875c",
+    ("mergesort", 16): ("d5f974892e1b1f0f", "d540b38f9c5b85f8",
                         "44bbe0d4c64a0342"),
-    ("mergesort", 64): ("75a7e8fb083be140", "18d5c882557a9042",
+    ("mergesort", 64): ("1ad159e840e1745d", "feb3e73068eb1a1f",
                         "29835519f178d3b3"),
-    ("matvec", 16): ("2b606b48cadbff18", "6b59d6f8060f6a5a",
+    ("matvec", 16): ("d3882ef34ec1b8e9", "f57ace6fcd9ee8c6",
                      "5e7262d7d724018e"),
-    ("matvec", 64): ("018dc021bf76055d", "d6596f491ad18f91",
+    ("matvec", 64): ("36f7ba7aea318e53", "e45a0d63feb7b2e0",
                      "544208cf2b69ea46"),
-    ("pow8", 16): ("9e9263eec5a057b9", "504d8733427c31a9",
+    ("pow8", 16): ("d85e86a37f98b08e", "8a1657fc1adb928a",
                    "0b25800e49e54156"),
-    ("pow8", 64): ("4b6edb8aa15791e9", "63e66c7ecaf25ea8",
+    ("pow8", 64): ("6d943d5d2e5b25a6", "da104dc427d74d84",
                    "6e76b45e2a1aee0c"),
-    ("adder", 16): ("f28a863ae1ae6547", "8dadd7c9a175262a",
+    ("adder", 16): ("4cdb181b2d6d4bcc", "52693e25e0ee0276",
                     "86305f9eb3aa2119"),
-    ("adder", 64): ("6c03fc1185332120", "0ba453f74e9390aa",
+    ("adder", 64): ("c27d890a2cf9b87f", "ba1962973f063ee9",
                     "ef1a110749470e5b"),
-    ("sum8", 16): ("de6aebaa81eced74", "9f0e59c6fa651f43",
+    ("sum8", 16): ("54a136c2ffa30afd", "7e9eeb6dc79958ac",
                    "98c9f3b76b246ad1"),
-    ("sum8", 64): ("8b144dca0175a11f", "a606f940c7d53237",
+    ("sum8", 64): ("12946afdac90daa9", "c60a72adb7f1cece",
                    "4966757edee1e1d8"),
 }
 

@@ -329,6 +329,11 @@ class Circuit:
                 violations.append(f"output id {nid} out of range")
             elif self.nodes[nid].kind is not REVEAL:
                 violations.append(f"output id {nid} is not a reveal node")
+        if self.level == Level.ARITH:  # bool names each bit by its word
+            for what, keys in (("input", [(p, n) for _, p, n in self.inputs]),
+                               ("output", [n for _, _, n in self.outputs])):
+                if len(set(keys)) < len(keys):
+                    violations.append(f"{what} listed twice under one name")
         return violations
 
     def counts(self) -> dict[GateKind, int]:

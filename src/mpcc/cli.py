@@ -41,7 +41,7 @@ SPEC_NAMES = ("passes", "cost_model")  # one name or a list of names
 # Every setting, and its value when neither a flag nor the spec gives it.
 DEFAULTS = {"scheme": "generic", "level": "arith", "backend": "clear",
             "bitwidth": 64, "parties": 3, "seed": 0, "passes": None,
-            "cost_model": [], "objective": None, "no_opt": False}
+            "cost_model": [], "objective": None}
 SPEC_KEYS = set(DEFAULTS)
 
 
@@ -65,9 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
             if with_level:  # `run` and `emit` compile to a fixed level
                 p.add_argument("--level", choices=SPEC_CHOICES["level"])
             if with_passes:  # `lower` runs no pass
-                p.add_argument("--passes", help="comma-separated pass list")
-                p.add_argument("--no-opt", action="store_true",
-                               help="disable all optimization passes")
+                p.add_argument("--passes", help="comma-separated pass "
+                                                "list; '' runs none")
             p.add_argument("-o", "--output", help="write result here "
                                                   "instead of stdout")
 
@@ -96,10 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve(args, spec: dict):
     """Set each setting on `args` from its flag, else the spec, else the
-    default; a flag is given unless None, False or [] (`--bitwidth 0` is)."""
+    default; a flag is given unless None or [] (`--bitwidth 0` is)."""
     for name, default in DEFAULTS.items():
         flag = getattr(args, name, None)
-        if flag is None or flag is False or flag == []:
+        if flag is None or flag == []:
             setattr(args, name, spec.get(name, default))
 
 
@@ -109,8 +108,8 @@ def scheme_of(args) -> Scheme:
 
 def pipeline_config(args) -> PipelineConfig:
     passes = args.passes
-    if args.command == "lower" or args.no_opt:
-        passes = []  # `lower` is `lower --no-opt`
+    if args.command == "lower":
+        passes = []  # `lower` is `opt --passes ''`
     elif isinstance(passes, str):
         passes = [p for p in passes.split(",") if p]
     if args.command == "run":
@@ -182,8 +181,6 @@ def load_spec_defaults(args) -> dict:
                                        f"of names")
         if name == "objective" and not isinstance(value, str):
             raise BadFileError("spec", "objective must be a name")
-        if name == "no_opt" and not isinstance(value, bool):
-            raise BadFileError("spec", "no_opt must be true or false")
     return spec
 
 

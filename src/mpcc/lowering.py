@@ -119,11 +119,11 @@ class Lowering:
         self.tp = tp
         self.cfg = cfg
         self.circuit = Circuit(Level.ARITH, cfg.bitwidth)
-        self.functions = {f.name: f for f in tp.program.functions}
         self.inline_stack: dict[str, int | None] = {}
         self.out_counter = 0
         self.out_names: set[str] = set()
         self.consts: dict[int, int] = {}  # payload -> Const node id
+        self.inputs: dict[tuple[int, str], int] = {}  # key -> Input node id
         self.stats = {"inline_copies": {}, "base_copies": {}}
 
     # -- gate emission helpers --
@@ -152,6 +152,14 @@ class Lowering:
             nid = self.consts[payload] = self.circuit.add_node(
                 CONST, [], PLAIN, payload)
         return Wire(nid, value)
+
+    def input(self, party: int, name: str, meta) -> Wire:
+        """The one Input node of (party, name): a rerun input reads it."""
+        nid = self.inputs.get((party, name))
+        if nid is None:
+            nid = self.inputs[party, name] = self.circuit.add_input(
+                party, name, meta)
+        return Wire(nid)
 
     def input_meta(self, party: int, pos):
         if isinstance(self.cfg.scheme, AdditiveShare):
@@ -390,9 +398,9 @@ class Lowering:
         if isinstance(e.ty, S.ArrType):
             length = self.static_int(e.ty.length, scope, "NonConstLength",
                                      "input array length", e.pos)
-            return [Wire(self.circuit.add_input(e.party, f"{name}[{k}]", meta))
+            return [self.input(e.party, f"{name}[{k}]", meta)
                     for k in range(length)]
-        return Wire(self.circuit.add_input(e.party, name, meta))
+        return self.input(e.party, name, meta)
 
     # -- operators --
 
@@ -522,7 +530,7 @@ class Lowering:
     # -- calls and fuel --
 
     def lower_call(self, e: S.Call, scope: Scope) -> Value:
-        fn = self.functions[e.name]
+        fn = self.tp.functions[e.name].defn
         args = [self.lower_expr(a, scope) for a in e.args]
         if e.name in self.inline_stack:
             remaining = self.inline_stack[e.name]

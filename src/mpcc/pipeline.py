@@ -23,7 +23,7 @@ class PipelineConfig:
     scheme: Scheme = Generic()
     bitwidth: int = 64
     target_level: Level = Level.ARITH
-    passes: list[str] | None = None  # None = DEFAULT_PASSES, [] = no-opt
+    passes: list[str] | None = None  # None = DEFAULT_PASSES, [] = none
 
 
 def compile(source: str | Circuit, cfg: PipelineConfig) -> Circuit:

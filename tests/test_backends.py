@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from astref import reference_run
 from conftest import CORPUS_NAMES, build
 from mpcc.backends import BACKENDS, shares
 from mpcc.backends.clear import flatten_inputs, interpret_clear
@@ -21,6 +22,7 @@ from mpcc.errors import (
     TripleExhaustedError,
 )
 from mpcc.estimator import additive_model, estimate
+from mpcc.frontend import parse_source
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import run_passes
 from mpcc.pipeline import PipelineConfig, compile
@@ -279,6 +281,36 @@ def test_every_backend_keeps_outputs_that_share_a_reveal(passes):
     assert len(results["clear"]) == 7
     for name, outs in results.items():
         assert outs == results["clear"], name
+
+
+# each program reads x = 2 twice: 2 + 2, and (2 + 1) + (2 + 2)
+INPUT_READ_TWICE = {
+    "loop": ("val i : int := 0;\nval s : int@{1} := 0;\n"
+             "while (i < 2) { input x : int from 1; s := s + x; "
+             "i := i + 1; }\noutput eval({1}, s);\n", 4),
+    "call": ("fun f(k : int) : int@{1} { input x : int from 1; x + k }\n"
+             "output eval({1}, f(1) + f(2));\n", 7),
+}
+
+
+@pytest.mark.parametrize("passes", [None, []])
+@pytest.mark.parametrize("name", list(INPUT_READ_TWICE))
+def test_an_input_that_runs_twice_reads_one_value(name, passes):
+    """An `input` in a loop body or a function called twice is one Input
+    node: the bool backend reads it from the word's own bits."""
+    body, total = INPUT_READ_TWICE[name]
+    src = "parties 1;\n" + body
+    inputs = {(1, "x"): 2}
+    want = reference_run(parse_source(src), inputs)
+    assert list(want.values()) == [total]
+    for backend_name, backend in BACKENDS.items():
+        c = compile(src, PipelineConfig(bitwidth=16,
+                                        target_level=backend.level,
+                                        passes=passes))
+        outs, _trace = backend.run(c, inputs, 3, 0)
+        assert outs == want, backend_name
+    word = compile(src, PipelineConfig(bitwidth=16, passes=[]))
+    assert [(p, n) for _nid, p, n in word.inputs] == [(1, "x")]
 
 
 def test_trace_matches_estimator_triples():
@@ -577,7 +609,6 @@ def test_simulator_multiply_is_one_beaver_round():
 
 
 def test_modulo_agrees_across_all_backends():
-    from mpcc.frontend import parse_source
     from mpcc.typecheck import check_program
     from mpcc.lowering import LowerConfig, lower_program
     from mpcc.sectypes import AdditiveShare

@@ -13,11 +13,12 @@ from mpcc.backends import BACKENDS, Backend
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.clear import flatten_inputs
 from mpcc.backends.gatelist import eval_gatelist, parse_gatelist
-from mpcc.circuit import Level, contract_log
+from mpcc.circuit import Circuit, Level, contract_log
 from mpcc.cli import (
     SPEC_CHOICES, SPEC_KEYS, BadFileError, load_cost_model, load_inputs,
     load_spec_defaults, main,
 )
+from mpcc.errors import MalformedCircuitError
 from mpcc.estimator import CostModel, default_model_for, estimate
 from mpcc.frontend import parse_source
 from mpcc.pipeline import PipelineConfig, compile
@@ -63,7 +64,7 @@ def test_estimate_pow8(tmp_path, capsys):
 
 
 def test_estimate_no_opt(capsys):
-    assert run_cli("estimate", hml("pow8"), "--no-opt") == 0
+    assert run_cli("estimate", hml("pow8"), "--passes", "") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["gate_counts"]["Mul"] == 7
     assert report["depth"] == 7
@@ -120,6 +121,8 @@ def test_run_seed_determinism(tmp_path, capsys):
     ("emit", "--level", "bool"),  # emit always compiles to bool
     ("lower", "--no-opt"),        # lower runs no pass
     ("check", "-o", "out.txt"),   # check writes nothing
+    ("lower", "--passes", ""),    # lower is `opt --passes ''`
+    ("opt", "--no-opt"),          # `--passes ''` is the one way to say so
 ])
 def test_a_flag_that_would_change_nothing_is_refused(capsys, argv):
     command, *flags = argv
@@ -130,11 +133,11 @@ def test_a_flag_that_would_change_nothing_is_refused(capsys, argv):
 
 
 def test_emit_adder(tmp_path, capsys):
-    # emit writes the bool fixpoint; --no-opt writes the raw bitblast; a
+    # emit writes the bool fixpoint; --passes '' writes the raw bitblast; a
     # spec file's level goes unread, as run's does
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"level": "arith"}), encoding="utf-8")
-    for flags, gates in (((), "14"), (("--no-opt",), "14"),
+    for flags, gates in (((), "14"), (("--passes", ""), "14"),
                          (("--spec", str(spec)), "14")):
         assert run_cli("emit", hml("adder"), "--bitwidth", "4", *flags) == 0
         text = capsys.readouterr().out
@@ -144,7 +147,7 @@ def test_emit_adder(tmp_path, capsys):
 def test_emit_optimizes_unless_no_opt(capsys):
     # the adder's raw bitblast already is its fixpoint; mergesort's is not
     gates = []
-    for flags in ((), ("--no-opt",)):
+    for flags in ((), ("--passes", "")):
         assert run_cli("emit", hml("mergesort"), "--bitwidth", "4",
                        *flags) == 0
         gates.append(int(capsys.readouterr().out.split()[0]))
@@ -158,7 +161,7 @@ REVEAL_FEEDS_GATES = ("parties 1;\n"
                       "output eval({1}, s);\n")
 
 
-@pytest.mark.parametrize("flags", [(), ("--no-opt",)])
+@pytest.mark.parametrize("flags", [(), ("--passes", "")])
 def test_emit_reveal_that_feeds_gates(tmp_path, capsys, flags):
     # a revealed bit that later gates read shares its operand's wire
     path = tmp_path / "reveal.hml"
@@ -318,18 +321,12 @@ def test_opt_only_touches_circuit(tmp_path):
 
 def test_spec_file_with_flag_override(tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"bitwidth": 16, "no_opt": True}),
+    spec.write_text(json.dumps({"bitwidth": 16, "passes": []}),
                     encoding="utf-8")
     assert run_cli("estimate", hml("pow8"), "--spec", str(spec)) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["gate_counts"]["Mul"] == 7  # spec's no_opt applies
-    assert run_cli("estimate", hml("pow8"), "--spec", str(spec),
-                   "--passes", "const_fold,peephole,strength_reduce,"
-                   "pow_rewrite,cse,dce,cmp_rewrite") == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["gate_counts"]["Mul"] == 7  # no_opt still wins in spec
+    assert report["gate_counts"]["Mul"] == 7  # the spec's empty list applies
     # flags win over spec when both set the same knob
-    spec.write_text(json.dumps({"passes": []}), encoding="utf-8")
     assert run_cli("estimate", hml("pow8"), "--spec", str(spec),
                    "--passes", "pow_rewrite") == 0
     report = json.loads(capsys.readouterr().out)
@@ -337,7 +334,7 @@ def test_spec_file_with_flag_override(tmp_path, capsys):
 
 
 def test_a_falsy_flag_still_wins_over_the_spec(tmp_path, capsys):
-    # a flag is given unless it is None, False or an empty list
+    # a flag is given unless it is None or an empty list
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bitwidth": 16, "objective": "comm"}),
                     encoding="utf-8")
@@ -722,6 +719,36 @@ def test_malformed_bool_circuit_file_is_exit_2(tmp_path, capsys, command,
         capsys, [command, str(path), *level], "circuit")
 
 
+TWO_WORDS = ("parties 1;\ninput x : int from 1;\ninput y : int from 1;\n"
+             "output eval({1}, x);\noutput eval({1}, x + y);\n")
+
+
+@pytest.mark.parametrize("key", ["inputs", "outputs"])
+def test_word_circuit_that_lists_a_name_twice_is_refused(tmp_path, capsys,
+                                                         key):
+    # the bool backend would read the second word from the first's bits
+    obj = compile(TWO_WORDS, PipelineConfig(bitwidth=16,
+                                            passes=[])).to_json_obj()
+    obj[key][1][2] = obj[key][0][2]
+    with pytest.raises(MalformedCircuitError, match="listed twice"):
+        compile(Circuit.from_json_obj(obj), PipelineConfig())
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    inputs = write_inputs(tmp_path, {"parties": {"1": {"x": 2, "y": 3}}})
+    for backend in BACKENDS:
+        assert "listed twice" in one_line_exit_2(
+            capsys, ["run", str(path), "--backend", backend,
+                     "--inputs", inputs], "circuit")
+
+
+def test_bool_circuit_lists_each_bit_under_its_word_name():
+    c = compile(TWO_WORDS, PipelineConfig(bitwidth=16,
+                                          target_level=Level.BOOL,
+                                          passes=[]))
+    assert [name for _nid, _party, name in c.inputs] == ["x"] * 16 + ["y"] * 16
+    assert c.validate() == []
+
+
 @pytest.mark.parametrize("content", [
     "{}", "[]", '{"name": "m"}', '{"name": "m", "gate_costs": []}',
     "{not json",
@@ -861,10 +888,10 @@ def test_malformed_inputs_file_is_exit_2(tmp_path, capsys, payload):
     ("opt", {"seed": None}), ("opt", {"parties": True}),
     ("opt", {"level": "x"}), ("opt", {"scheme": 5}),
     ("opt", {"passes": 5}),
-    # a removed or misspelt setting would do nothing, and a string no_opt
-    # would be true
+    # a removed or misspelt setting would do nothing: `passes` alone
+    # turns the passes off
     ("estimate", {"encoding": "rewrite"}), ("opt", {"bitwdith": 16}),
-    ("estimate", {"no_opt": "false"}),
+    ("estimate", {"no_opt": "false"}), ("estimate", {"no_opt": True}),
 ])
 def test_malformed_spec_file_is_exit_2(tmp_path, capsys, command, payload):
     path = tmp_path / "spec.json"

@@ -401,14 +401,6 @@ class Circuit:
             raise MalformedCircuitError(str(ex)) from ex
         return c
 
-    @staticmethod
-    def from_json(text: str) -> "Circuit":
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as ex:
-            raise MalformedCircuitError(f"not JSON: {ex}") from ex
-        return Circuit.from_json_obj(obj)
-
 
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))

@@ -22,7 +22,8 @@ from .errors import (
     TypeCheckFailure,
 )
 from .estimator import (
-    default_model_for, estimate, load_model, rank_backends,
+    BUILTIN_MODELS, default_model_for, estimate, load_model,
+    model_from_json_obj, rank_backends,
 )
 from .frontend import parse_source
 from .pipeline import PipelineConfig, compile
@@ -137,23 +138,24 @@ def read_source(path: str) -> str:
 
 def read_stage_input(path: str) -> str | Circuit:
     """Source text of an `.hml` file, or the circuit in a `.json` file."""
-    text = read_source(path)
-    return Circuit.from_json(text) if path.endswith(".json") else text
+    if path.endswith(".json"):
+        return Circuit.from_json_obj(read_json_file(path, "circuit"))
+    return read_source(path)
 
 
 class BadFileError(Exception):
-    """An inputs, spec or cost-model file that is not JSON or not of the
-    expected shape."""
+    """A file the CLI reads that is not JSON, or an inputs, spec or
+    cost-model file of another shape; it names the kind, then the file."""
 
-    def __init__(self, kind: str, detail):
-        super().__init__(f"bad {kind} file: {detail}")
+    def __init__(self, kind: str, path: str, detail):
+        super().__init__(f"bad {kind} file: {path}: {detail}")
 
 
 def read_json_file(path: str, kind: str):
     try:
         return json.loads(read_source(path))
-    except (json.JSONDecodeError, RecursionError) as ex:
-        raise BadFileError(kind, ex) from ex
+    except (ValueError, RecursionError) as ex:  # or an int too long to read
+        raise BadFileError(kind, path, ex) from ex
 
 
 def is_int(value) -> bool:
@@ -163,24 +165,25 @@ def is_int(value) -> bool:
 def load_spec_defaults(args) -> dict:
     if not args.spec:
         return {}
-    spec = read_json_file(args.spec, "spec")
+    path = args.spec
+    spec = read_json_file(path, "spec")
     if not isinstance(spec, dict):
-        raise BadFileError("spec", "expected a JSON object of settings")
+        raise BadFileError("spec", path, "expected a JSON object of settings")
     for name, value in spec.items():
         if name not in SPEC_KEYS:
-            raise BadFileError("spec", f"unknown setting {name!r}")
+            raise BadFileError("spec", path, f"unknown setting {name!r}")
         if name in SPEC_CHOICES and value not in tuple(SPEC_CHOICES[name]):
-            raise BadFileError("spec", f"{name} must be one of "
-                                       f"{', '.join(SPEC_CHOICES[name])}")
+            raise BadFileError("spec", path, f"{name} must be one of "
+                               f"{', '.join(SPEC_CHOICES[name])}")
         if name in SPEC_INTS and not is_int(value):
-            raise BadFileError("spec", f"{name} must be an integer")
+            raise BadFileError("spec", path, f"{name} must be an integer")
         if name in SPEC_NAMES and not (
                 isinstance(value, str) or isinstance(value, list)
                 and all(isinstance(v, str) for v in value)):
-            raise BadFileError("spec", f"{name} must be a name or a list "
-                                       f"of names")
+            raise BadFileError("spec", path, f"{name} must be a name or a "
+                               f"list of names")
         if name == "objective" and not isinstance(value, str):
-            raise BadFileError("spec", "objective must be a name")
+            raise BadFileError("spec", path, "objective must be a name")
     return spec
 
 
@@ -192,23 +195,23 @@ def load_inputs(path: str) -> dict[tuple[int, str], int]:
                 is_int(v) or isinstance(v, list) and all(map(is_int, v))
                 for v in values.values())
             for values in parties.values())):
-        raise BadFileError("inputs", 'expected {"parties": {"<party>": '
-                                     '{"<name>": <int or list of ints>}}}')
+        raise BadFileError("inputs", path, 'expected {"parties": '
+                           '{"<party>": {"<name>": <int or list of ints>}}}')
     try:
         return flatten_inputs(parties)
     except ValueError as ex:  # a party that is not a number
-        raise BadFileError("inputs", ex) from ex
+        raise BadFileError("inputs", path, ex) from ex
 
 
 def load_cost_model(name: str):
-    """`estimator.load_model`, with a malformed file as `BadFileError`."""
-    try:
+    """The built-in model `name`, else the model file at path `name`."""
+    if name in BUILTIN_MODELS:
         return load_model(name)
-    except KeyError as ex:
-        raise BadFileError("cost model", f"missing key {ex}") from ex
-    except (AttributeError, TypeError, ValueError, RecursionError,
-            ModelCoverageError) as ex:
-        raise BadFileError("cost model", ex) from ex
+    obj = read_json_file(name, "cost model")
+    try:
+        return model_from_json_obj(obj)
+    except ModelCoverageError as ex:
+        raise BadFileError("cost model", name, ex) from ex
 
 
 def write_out(args, text: str):
@@ -290,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mpcc: {ex}", file=sys.stderr)
         return 2
     except MalformedCircuitError as ex:
-        print(f"mpcc: bad circuit file: {ex}", file=sys.stderr)
+        print(f"mpcc: bad circuit file: {args.source}: {ex}", file=sys.stderr)
         return 2
     except TypeCheckFailure as ex:
         for err in ex.errors:

@@ -10,8 +10,8 @@ shares backend runs it, grouped by `layered_schedule`, under
 count of its trace. The offline budget is the shares protocol's own: one
 Beaver triple per Mul or Mux and `comparison_budget` per comparison,
 whatever the model. Costs are exact rationals so reports never drift.
-The built-in models, `BUILTIN_MODELS`, are the files in `models/` beside
-this module, read by the same `model_from_json_obj` as a user's file.
+`load_model` loads built-ins only, the `models/` files named in
+`BUILTIN_MODELS`; the CLI reads a user's file for `model_from_json_obj`.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def estimate(c: Circuit, model: CostModel) -> ResourceReport:
     for kind, n in kinds.items():  # first-seen order
         if kind not in model.gate_costs:
             raise ModelCoverageError(
-                f"model '{model.name}' does not price {kind.value}")
+                f"model {model.name!r} does not price {kind.value}")
         if kind in ZERO_COST_KINDS:
             continue
         counts[kind] = n
@@ -169,7 +169,7 @@ def rank_backends(c: Circuit, models: list[CostModel],
         report = estimate(c, model)
         if objective not in report.totals:
             raise ObjectiveMissingError(
-                f"model '{model.name}' does not measure '{objective}'")
+                f"model {model.name!r} does not measure {objective!r}")
         ranked.append((model.name, report.totals[objective]))
     ranked.sort(key=lambda pair: (pair[1], pair[0]))
     return ranked
@@ -182,20 +182,31 @@ BUILTIN_MODELS = ("arith", "additive", "boolean")
 MODELS_DIR = pathlib.Path(__file__).parent / "models"
 
 
-def model_from_json_obj(obj: dict) -> CostModel:
-    name = obj.get("name", "?")
+def model_from_json_obj(obj) -> CostModel:
+    """The `CostModel` a model file's parsed JSON describes. Any other
+    shape raises ModelCoverageError with a one-line message."""
+    if not isinstance(obj, dict):
+        raise ModelCoverageError("a cost model is a JSON object")
+    name, gate_costs = obj.get("name"), obj.get("gate_costs")
+    depth_weights = obj.get("depth_weights", {})
+    if not (isinstance(name, str) and isinstance(gate_costs, dict)
+            and isinstance(depth_weights, dict)
+            and all(isinstance(c, dict) for c in gate_costs.values())):
+        raise ModelCoverageError(
+            "a cost model has a string name and gate_costs, an object of "
+            "cost objects, and may have depth_weights, an object of integers")
     unknown = sorted(set(obj) - set(MODEL_KEYS))
     if unknown:
         raise ModelCoverageError(
-            f"model '{name}' sets {', '.join(map(repr, unknown))}; a cost "
+            f"model {name!r} sets {', '.join(map(repr, unknown))}; a cost "
             f"model has only {', '.join(MODEL_KEYS)}")
 
     def to_kind(kind: str) -> GateKind:
         try:
             return GateKind(kind)
         except ValueError:
-            raise ModelCoverageError(f"unknown gate kind '{kind}' in model "
-                                     f"'{name}'") from None
+            raise ModelCoverageError(f"unknown gate kind {kind!r} in model "
+                                     f"{name!r}") from None
 
     def frac(v) -> Fraction:
         if isinstance(v, str) and not re.fullmatch(r"\d+(\.\d+)?|\d+/\d+", v):
@@ -203,8 +214,8 @@ def model_from_json_obj(obj: dict) -> CostModel:
             raise ModelCoverageError(f"cost {v!r} is not a decimal or a/b")
         try:
             f = Fraction(str(v))
-        except ZeroDivisionError:
-            raise ModelCoverageError(f"cost {v!r} divides by zero") from None
+        except (ValueError, ZeroDivisionError):  # true, null, [], NaN, 1/0
+            raise ModelCoverageError(f"cost {v!r} is not a number") from None
         if f < 0:
             raise ModelCoverageError("costs must be nonnegative")
         return f
@@ -216,29 +227,25 @@ def model_from_json_obj(obj: dict) -> CostModel:
         return w
 
     return CostModel(
-        name=obj["name"],
+        name=name,
         gate_costs={to_kind(k): {r: frac(v) for r, v in costs.items()}
-                    for k, costs in obj["gate_costs"].items()},
+                    for k, costs in gate_costs.items()},
         depth_weights={to_kind(k): weight(w)
-                       for k, w in obj.get("depth_weights", {}).items()},
+                       for k, w in depth_weights.items()},
     )
-
-
-def _read_json(path) -> dict:
-    with open(path, encoding="utf-8-sig") as fh:
-        return json.load(fh)
 
 
 @functools.cache
 def _builtin_json(name: str) -> dict:
-    return _read_json(MODELS_DIR / f"{name}.json")
+    return json.loads((MODELS_DIR / f"{name}.json").read_text("utf-8"))
 
 
-def load_model(path_or_name: str) -> CostModel:
-    """A new `CostModel` from a built-in name or a model file's path."""
-    if path_or_name in BUILTIN_MODELS:
-        return model_from_json_obj(_builtin_json(path_or_name))
-    return model_from_json_obj(_read_json(path_or_name))
+def load_model(name: str) -> CostModel:
+    """A new `CostModel` of the built-in `name`, one of `BUILTIN_MODELS`,
+    from its file in `models/`; this module opens no other file."""
+    if name not in BUILTIN_MODELS:
+        raise ValueError(f"no built-in cost model {name!r}")
+    return model_from_json_obj(_builtin_json(name))
 
 
 def arith_model() -> CostModel:

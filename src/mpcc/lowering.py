@@ -19,7 +19,7 @@ array/scalar shape, so a lookup here cannot miss and a value is a list
 exactly where the types say array. `Circuit.add_node` checks each
 node's arity, operand order and payload, so the circuit is valid by
 construction. What lowering checks itself is what only compile-time
-values decide: lengths, indices, bounds, divisors, fuel and parties.
+values decide: lengths, indices, bounds, divisors and fuel.
 """
 
 from __future__ import annotations
@@ -153,22 +153,17 @@ class Lowering:
                 CONST, [], PLAIN, payload)
         return Wire(nid, value)
 
-    def input(self, party: int, name: str, meta) -> Wire:
+    def input(self, party: int, name: str) -> Wire:
         """The one Input node of (party, name): a rerun input reads it."""
         nid = self.inputs.get((party, name))
         if nid is None:
             nid = self.inputs[party, name] = self.circuit.add_input(
-                party, name, meta)
+                party, name, self.input_meta(party))
         return Wire(nid)
 
-    def input_meta(self, party: int, pos):
+    def input_meta(self, party: int):
         if isinstance(self.cfg.scheme, AdditiveShare):
             players = frozenset(range(self.cfg.scheme.n))
-            if party not in players:
-                raise LowerError(
-                    "PartyOutOfRange",
-                    f"party {party} does not fit {self.cfg.scheme.n}-party "
-                    f"additive sharing", pos)
             return SharedMeta(frozenset({party}), players, players,
                               self.cfg.scheme.n)
         return EncMeta(frozenset({party}))
@@ -394,13 +389,12 @@ class Lowering:
         return int(w.static)
 
     def lower_input(self, e: S.InputExpr, name: str, scope) -> Value:
-        meta = self.input_meta(e.party, e.pos)
         if isinstance(e.ty, S.ArrType):
             length = self.static_int(e.ty.length, scope, "NonConstLength",
                                      "input array length", e.pos)
-            return [self.input(e.party, f"{name}[{k}]", meta)
+            return [self.input(e.party, f"{name}[{k}]")
                     for k in range(length)]
-        return self.input(e.party, name, meta)
+        return self.input(e.party, name)
 
     # -- operators --
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .errors import TypeCheckError, TypeCheckFailure
 from .frontend import syntax as S
 from .sectypes import (
-    Arr, Owned, Plain, Scheme, SecType, Tfhe, valid, type_text,
+    AdditiveShare, Arr, Owned, Plain, Scheme, SecType, Tfhe, valid, type_text,
 )
 
 ARITH_OPS = {"+", "-", "*"}
@@ -157,6 +157,9 @@ class Checker:
                 if party not in self.parties:
                     self.error(f"party {party} not declared", e.pos,
                                "party-undeclared")
+                if isinstance(self.scheme, AdditiveShare) and party >= self.scheme.n:
+                    self.error(f"party {party} does not fit {self.scheme.n}-party "
+                               "additive sharing", e.pos, "party-out-of-range")
                 t = self.from_syntax(ty, env, e.pos)
                 if isinstance(t, (Owned, Arr)) and t.owner != frozenset({party}):
                     self.error("input owner must equal the providing party",

@@ -750,8 +750,8 @@ def test_bool_circuit_lists_each_bit_under_its_word_name():
 
 
 @pytest.mark.parametrize("content", [
-    "{}", "[]", '{"name": "m"}', '{"name": "m", "gate_costs": []}',
-    "{not json",
+    "{}", "[]", "[1]", '{"name": "m"}', '{"name": 5, "gate_costs": {}}',
+    '{"name": "m", "gate_costs": []}', "{not json",
     '{"name": "m", "gate_costs": {"Mul": {"rounds": "1/0"}}}',
     '{"name": "m", "gate_costs": {"Mul": {"rounds": "1e10000000"}}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": 1.7}}',
@@ -759,6 +759,8 @@ def test_bool_circuit_lists_each_bit_under_its_word_name():
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Mul": true}}',
     '{"name": "m", "gate_costs": {"Leq": {"comparisons": 1}}}',
     '{"name": "m", "gate_costs": {}, "depth_weights": {"Leq": 7}}',
+    # a name or kind that holds a line break is still one line
+    '{"name": "a\\nb", "gate_costs": {"Frob\\nnicate": {}}}',
     *(json.dumps({"name": "m", "gate_costs": {twin: {}}})
       for twin in BIT_TWINS),
     *(json.dumps({"name": "m", "gate_costs": {}, "depth_weights": {twin: 1}})
@@ -766,8 +768,62 @@ def test_bool_circuit_lists_each_bit_under_its_word_name():
 def test_malformed_cost_model_file_is_exit_2(tmp_path, capsys, content):
     path = tmp_path / "m.json"
     path.write_text(content, encoding="utf-8")
-    one_line_exit_2(capsys, ["estimate", hml("adder"), "--cost-model",
-                             str(path)], "cost model")
+    err = one_line_exit_2(capsys, ["estimate", hml("adder"), "--cost-model",
+                                   str(path)], "cost model")
+    # the line speaks of the file, not of the loader's Python objects
+    assert not re.search(r"'(dict|list|str|int|float|bool|NoneType)'|"
+                         r"attribute|subscriptable|iterable", err)
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("inputs", ["run", hml("adder"), "--inputs"]),
+    ("spec", ["opt", hml("adder"), "--spec"]),
+    ("cost model", ["estimate", hml("adder"), "--cost-model"])])
+def test_a_missing_file_is_one_cannot_read_line(tmp_path, monkeypatch,
+                                                capsys, kind, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "missing.json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mpcc: cannot read missing.json: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, detail", [
+    ("[1]", ""), ('{"level": "arith"', "Expecting"),
+    # json.loads refuses to convert an integer of more than 4,300 digits
+    ("[" + "1" * 5000 + "]", "digits")],
+    ids=["shape", "not-json", "long-int"])
+@pytest.mark.parametrize("kind", ["circuit", "inputs", "spec",
+                                  "cost model"])
+def test_a_bad_file_line_names_the_file(tmp_path, capsys, kind, content,
+                                        detail):
+    # the CLI parses every JSON file it reads in one place
+    name, _contents, argv = file_kinds()[kind]
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    err = one_line_exit_2(capsys, [*argv, str(path)], kind)
+    assert err.startswith(f"mpcc: bad {kind} file: {path}: ")
+    assert detail in err
+
+
+def test_a_model_name_with_a_line_break_is_one_line(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"name": "a\\nb", "gate_costs": {}}', encoding="utf-8")
+    assert one_line_exit_1(capsys, ["estimate", hml("adder"),
+                                    "--cost-model", str(path)]) == (
+        f"{hml('adder')}: error: model 'a\\nb' does not price Input\n")
+
+
+def test_a_bad_model_among_several_is_named(tmp_path, capsys):
+    good = ROOT / "src" / "mpcc" / "models" / "arith.json"
+    bad = tmp_path / "b.json"
+    bad.write_text('{"name": "b", "gate_costs": {"Mul": 1}}',
+                   encoding="utf-8")
+    err = one_line_exit_2(capsys, ["estimate", hml("adder"), "--cost-model",
+                                   str(good), "--cost-model", str(bad),
+                                   "--objective", "x"], "cost model")
+    assert err.startswith(f"mpcc: bad cost model file: {bad}: ")
 
 
 def assert_model_key_is_exit_2(tmp_path, capsys, key, value):
@@ -973,6 +1029,26 @@ def test_the_type_checker_owns_names_and_shapes(tmp_path, capsys, rule,
                         rf"[^\n]*\n", err)
 
 
+PARTY_2 = "parties 0, 1, 2;\ninput x : int from 2;\noutput eval({2}, x);\n"
+
+
+@pytest.mark.parametrize("command", ["check", "lower", "opt", "estimate",
+                                     "run", "emit"])
+def test_a_party_that_does_not_fit_the_sharing_is_a_type_error(
+        tmp_path, capsys, command):
+    # a typing rule, so `check` refuses the program as every stage does
+    src = tmp_path / "p.hml"
+    src.write_text(PARTY_2, encoding="utf-8")
+    extra = (["--inputs", write_inputs(tmp_path, {"parties": {"2": {
+        "x": 1}}})] if command == "run" else [])
+    err = one_line_exit_1(capsys, [command, str(src), "--scheme",
+                                   "additive", "-n", "2", *extra])
+    assert err == (f"{src}:2:1: error[party-out-of-range]: party 2 does "
+                   f"not fit 2-party additive sharing\n")
+    assert run_cli(command, str(src), "--scheme", "additive", "-n", "3",
+                   *extra) == 0
+
+
 def test_a_call_with_no_function_is_a_parse_error(tmp_path, capsys):
     src = tmp_path / "p.hml"
     src.write_text("parties 1;\noutput f(1, 2);\n", encoding="utf-8")
@@ -987,9 +1063,6 @@ BOUNDED_F = ("fun f(x : int@{1}, n : int) : int@{1} bound %s {\n"
 XS_YS = ("input xs : arr(int, {1}, 3) from 1;\n"
          "input ys : arr(int, {1}, 2) from 1;\n")
 LOWERING_ERRORS_WITH_POSITIONS = [
-    ("PartyOutOfRange", "party", 3, "does not fit 2-party",
-     "parties 1, 2;\ninput a : int from 1;\ninput b : int from 2;\n"
-     "output eval({1, 2}, a + b);", ("--scheme", "additive", "-n", "2")),
     ("IndexOutOfRange", "update", 4, "xs(5) with length 2",
      f"parties 1;\n{XS_AND_A}xs(5) := a;\noutput eval({{1}}, a);", ()),
     ("EmptyArray", "private-update", 4, "update of empty array",

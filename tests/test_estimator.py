@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -235,11 +236,17 @@ def test_optimizer_never_raises_default_totals():
 MODELS = ROOT / "src" / "mpcc" / "models"
 
 
+def model_file(name):
+    """The shipped file of a built-in, read as the CLI reads a user's."""
+    return model_from_json_obj(json.loads(
+        (MODELS / f"{name}.json").read_text(encoding="utf-8")))
+
+
 def test_shipped_model_files_load():
     assert sorted(p.stem for p in MODELS.glob("*.json")) == \
         sorted(BUILTIN_MODELS)
     for name in BUILTIN_MODELS:
-        assert load_model(str(MODELS / f"{name}.json")).name == name
+        assert model_file(name).name == name
 
 
 def test_builtin_models_load_by_name_and_path_to_equal_models():
@@ -248,11 +255,31 @@ def test_builtin_models_load_by_name_and_path_to_equal_models():
     for name, made in zip(BUILTIN_MODELS,
                           (arith_model, additive_model, boolean_model)):
         by_name = load_model(name)
-        assert by_name == load_model(str(MODELS / f"{name}.json"))
+        assert by_name == model_file(name)
         assert by_name == made()
         by_name.gate_costs.clear()
         by_name.depth_weights.clear()
         assert load_model(name) == made() != by_name
+
+
+def test_load_model_takes_only_builtin_names():
+    # a model file is the CLI's to read; the estimator opens only models/
+    with pytest.raises(ValueError, match="no built-in cost model"):
+        load_model(str(MODELS / "arith.json"))
+
+
+@pytest.mark.parametrize("obj", [
+    [1], None, {"gate_costs": {}}, {"name": 5, "gate_costs": {}},
+    {"name": "m"}, {"name": "m", "gate_costs": []},
+    {"name": "m", "gate_costs": {"Mul": 1}},
+    {"name": "m", "gate_costs": {}, "depth_weights": [1]},
+    {"name": "m", "gate_costs": {"Mul": {"rounds": None}}},
+    {"name": "m", "gate_costs": {"Mul": {"rounds": float("nan")}}}])
+def test_a_model_of_the_wrong_shape_is_a_coverage_error(obj):
+    """`model_from_json_obj` owns a model file's shape, as
+    `Circuit.from_json_obj` owns a circuit file's."""
+    with pytest.raises(ModelCoverageError):
+        model_from_json_obj(obj)
 
 
 def test_unknown_gate_kind_is_load_error():

@@ -83,6 +83,30 @@ def test_undeclared_party_rejected():
     assert any(e.rule == "party-undeclared" for e in exc.value.errors)
 
 
+def test_party_out_of_range_is_reported_beside_other_errors():
+    # under 2-party additive sharing only parties 0 and 1 provide input
+    src = "parties 0, 1, 2;\ninput x : int from 2;\noutput x;\n"
+    with pytest.raises(TypeCheckFailure) as exc:
+        check_program(parse_source(src), AdditiveShare(2))
+    assert [(e.rule, e.pos) for e in exc.value.errors] == [
+        ("party-out-of-range", (2, 1)), ("output-private", (3, 8))]
+    assert exc.value.errors[0].message == (
+        "party 2 does not fit 2-party additive sharing")
+    with pytest.raises(TypeCheckFailure) as exc:
+        check_program(parse_source(src), AdditiveShare(3))
+    assert [e.rule for e in exc.value.errors] == ["output-private"]
+
+
+def test_party_range_holds_in_a_function_never_called():
+    src = ("parties 0, 1, 2;\n"
+           "fun f(a : int) : int@{2} { input y : int from 2; y }\n"
+           "output 1;\n")
+    with pytest.raises(TypeCheckFailure) as exc:
+        check_program(parse_source(src), AdditiveShare(2))
+    assert [e.rule for e in exc.value.errors] == ["party-out-of-range"]
+    check_program(parse_source(src), AdditiveShare(3))
+
+
 def test_bound_must_be_plaintext_over_params():
     src = ("parties 1;\n"
            "fun f(x : int@{1}) : int@{1} bound x { x }\n"

@@ -2,18 +2,25 @@
 
 This is the semantic baseline every other backend is compared against.
 Each gate's value comes from `circuit.word_value`, the one table of
-word-gate semantics; only Input, the Mux selector check and Reveal are
-handled here. Evaluation always visits every node exactly once in id
-order, so the number of gate evaluations is |nodes| regardless of input
-values.
+word-gate semantics; only Input, the Mux selector check, Reveal and the
+range contract are handled here. The contract, |v| < 2^(w-2), holds for
+every input and every arithmetic value: a run that leaves it is refused,
+not wrapped, since bitblast reads the contract as a fact about every
+word. Evaluation visits every node exactly once in id order, so the
+number of gate evaluations of a run it accepts is |nodes| regardless of
+input values.
 """
 
 from ..circuit import (
-    INPUT, MUX, REVEAL, Circuit, Level, contract_log, word_value,
+    ADD, INPUT, MUL, MUL_PLAIN, MUX, REVEAL, SUB, Circuit, Level,
+    contract_log, word_value,
 )
 from ..errors import (
     LevelError, MissingInputError, MuxSelectorError, OverflowContractError,
 )
+
+
+ARITHMETIC = frozenset({ADD, SUB, MUL, MUL_PLAIN})  # the gates it range-checks
 
 
 def flatten_inputs(parties: dict) -> dict[tuple[int, str], int]:
@@ -60,8 +67,13 @@ class ClearInterpreter:
         self.gate_evaluations = 0
 
     def run(self, inputs: dict[tuple[int, str], int]) -> dict[str, int]:
+        """The outputs on `inputs`. Raises OverflowContractError for an
+        input or an arithmetic value outside the range contract."""
         c = self.circuit
-        input_values = bind_inputs(c, inputs, contract_log(c.bitwidth))
+        log = contract_log(c.bitwidth)
+        input_values = bind_inputs(c, inputs, log)
+        high = 1 << log
+        low = -high
         values: list[int] = [0] * len(c.nodes)
         for nid, node in enumerate(c.nodes):
             kind = node.kind
@@ -79,6 +91,9 @@ class ClearInterpreter:
                 v = word_value(kind, [values[o] for o in a], node.payload)
                 if v is None:
                     raise LevelError(f"{kind.value} in word-level circuit")
+                if not low < v < high and kind in ARITHMETIC:
+                    raise OverflowContractError(
+                        f"{kind.value} value {v} exceeds |v| < 2^{log}")
             values[nid] = v
         self.gate_evaluations = len(c.nodes)
         return {name: values[nid] for nid, _aud, name in c.outputs}

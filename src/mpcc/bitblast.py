@@ -20,11 +20,19 @@ read it, and a Reveal gate only where the word is an output.
 Multipliers sum shifted rows with those cells. Mul(x, y) is the w x w
 array; Mul(x, x) is a squarer, x_i at bit 2i and x_i & x_j (i < j) at
 bit i+j+1, about w²/4 partial products instead of w²/2 (1,953 non-XOR
-gates at 64 bits, against 3,009), with bit 1 constant. MulPlain(x, c)
-adds a shifted x per positive digit of c's non-adjacent form
-(Reitwiesner, 1960) and subtracts one per negative digit, so x*7 is
-8x - x and x*-1 one negation, where binary digits cost up to w-1
-adders. Partial products go through a constant-aware And.
+gates at 64 bits, against 3,009), with bit 1 constant. A square reads
+only the low bits the range contract leaves its operand, padded with
+the operand's sign bit, or with 0 for an operand that is itself a
+square: every word has |v| < 2^(w-2), and a square below 2^b bounds its
+operand below 2^ceil(b/2), so pow8's squares at 64 bits read 9, 16 and
+31 bits (1,145 non-XOR gates, against 5,314 at full width). The operand
+word keeps every bit another gate reads, so a narrowed square differs
+from the full one only on a run that leaves the contract, which the
+clear backend refuses. MulPlain(x, c) adds a shifted x per positive
+digit of c's non-adjacent form (Reitwiesner, 1960) and subtracts one
+per negative digit, so x*7 is 8x - x and x*-1 one negation, where
+binary digits cost up to w-1 adders. Partial products go through a
+constant-aware And.
 
 Nothing is emitted to be thrown away: an adder's top cell builds no
 carry-out, a comparison builds the carry chain and the sign bit but no
@@ -32,9 +40,10 @@ difference bit below it, a constant bit is added at its first use, a MuxBit
 whose branches are one bit is that bit, one between the constant bits 1
 and 0 is its selector (between 0 and 1, its Not), and a word is built
 only up to the highest bit a reader reads (`_bits_read`): a square
-never reads its operand's top bit, so a square of a square builds one
-bit less. On the corpus's word fixpoints the final dce finds nothing to
-drop, in the raw circuit as in the optimized one.
+never reads its operand's top bit nor any bit the contract rules out,
+so pow8's x^4 at 64 bits is built to 31 bits. On the corpus's word
+fixpoints the final dce finds nothing to drop, in the raw circuit as in
+the optimized one.
 
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
@@ -51,7 +60,7 @@ from __future__ import annotations
 from .circuit import (
     AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR, PLAIN,
     REVEAL, XOR, Circuit, GateKind, Level, PlainMeta, balanced,
-    combine_meta,
+    combine_meta, contract_log,
 )
 from .errors import BitblastError, LevelError
 from .optimizer import DEFAULT_PASSES, Builder, check_pass_names, dce
@@ -344,7 +353,7 @@ def bitblast(c: Circuit, width: int | None = None,
     check_pass_names(passes)
     width = width or c.bitwidth
     bb = _BitBuilder(width, passes)
-    need = _bits_read(c, width)
+    need, narrow = _bits_read(c, width)
     bits: dict[int, list[int | None]] = {}
     input_keys = {nid: (p, n) for nid, p, n in reversed(c.inputs)}
     inputs: list[tuple[int, int, str]] = []
@@ -369,8 +378,11 @@ def bitblast(c: Circuit, width: int | None = None,
             case GateKind.SUB:
                 word = bb.difference(low[0], low[1])
             case GateKind.MUL:
-                if a[0] == a[1]:
-                    word = bb.square(low[0])
+                if a[0] == a[1]:  # the operand's low bits, sign-extended
+                    x = bits[a[0]][:min(k, narrow[nid])]
+                    pad = (bb.const_bit(0) if _is_square(c.nodes[a[0]])
+                           else x[-1])
+                    word = bb.square(x + [pad] * (k - len(x)))
                 elif bb.is_bit(low[0]):
                     word = bb.scale_by_bit(low[0][0], low[1])
                 elif bb.is_bit(low[1]):
@@ -401,14 +413,28 @@ def bitblast(c: Circuit, width: int | None = None,
     return dce(out) if "dce" in passes else out
 
 
-def _bits_read(c: Circuit, width: int) -> list[int]:
-    """How many low bits of each word bitblast reads: all of an output's,
-    and of an operand's the most any reader's cells read. The low k bits
-    of a sum, difference or product need only the low k bits of its
-    operands, a square only k-1 and a product by c only k - j (j the
-    lowest set bit of c); a Mux selector gives its bit 0, a comparison
-    reads whole words."""
+def _is_square(node) -> bool:
+    return node.kind is MUL and node.operands[0] == node.operands[1]
+
+
+def _bits_read(c: Circuit, width: int) -> tuple[list[int], list[int]]:
+    """How many low bits of each word bitblast reads (`need`): all of an
+    output's, and of an operand's the most any reader's cells read. The
+    low k bits of a sum, difference or product need only the low k bits
+    of its operands, a square only k-1 and a product by c only k - j (j
+    the lowest set bit of c); a Mux selector gives its bit 0, a
+    comparison reads whole words.
+
+    And for each square, how many low bits of its operand the range
+    contract leaves it (`narrow`), read backwards: every word has |v| <
+    2^(w-2), and |x*x| < 2^b puts |x| below 2^ceil(b/2), so x fits in
+    ceil(b/2) bits and a sign bit, or in ceil(b/2) bits if x is itself a
+    square and so not negative. That tighter b passes on to x's own
+    square cell: x^8 < 2^62 puts x^4 below 2^31, x^2 below 2^16 and x
+    within 9 signed bits."""
     need = [0] * len(c.nodes)
+    narrow = [width] * len(c.nodes)
+    log = [contract_log(width)] * len(c.nodes)  # |v| < 2^log[v]
     for nid, _a, _n in c.outputs:
         need[nid] = width
     for nid in range(len(c.nodes) - 1, -1, -1):
@@ -420,8 +446,11 @@ def _bits_read(c: Circuit, width: int) -> list[int]:
             reads = [width, width]
         elif kind is MUX:
             reads = [1, k, k]
-        elif kind is MUL and a[0] == a[1]:
-            reads = [max(k - 1, 1)] * 2
+        elif _is_square(node):
+            half = -(-log[nid] // 2)
+            log[a[0]] = min(log[a[0]], half)
+            narrow[nid] = half + (not _is_square(c.nodes[a[0]]))
+            reads = [min(max(k - 1, 1), narrow[nid])] * 2
         elif kind is MUL_PLAIN:
             low = node.payload % (1 << k)
             reads = [k + 1 - (low & -low).bit_length() if low else 0]
@@ -429,4 +458,4 @@ def _bits_read(c: Circuit, width: int) -> list[int]:
             reads = [k] * len(a)
         for o, r in zip(a, reads):
             need[o] = max(need[o], r)
-    return need
+    return need, narrow

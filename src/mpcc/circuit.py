@@ -286,8 +286,8 @@ class Circuit:
     def validate(self, scheme: Scheme = Generic()) -> list[str]:
         """The checks `add_node` cannot make: bitwidth, the level's kinds
         and bit constants, the input and output lists, Reveal audiences,
-        operand metadata and thresholds. Returns the violations (empty =
-        ok)."""
+        operand metadata, and each share's threshold and provider. Returns
+        the violations (empty = ok)."""
         violations = []
         if not (2 <= self.bitwidth <= 64):
             violations.append(f"bitwidth {self.bitwidth} outside [2, 64]")
@@ -319,6 +319,10 @@ class Circuit:
                 if node.meta.threshold > len(node.meta.players):
                     violations.append(
                         f"node {nid}: threshold exceeds player count")
+                if not node.meta.provider <= node.meta.players:
+                    violations.append(
+                        f"node {nid}: provider {sorted(node.meta.provider)} "
+                        f"not among players {sorted(node.meta.players)}")
         for nid, _party, _name in self.inputs:
             if not (0 <= nid < len(self.nodes)):
                 violations.append(f"input id {nid} out of range")
@@ -378,11 +382,16 @@ class Circuit:
         unknown level or kind, or badly shaped entry raises
         MalformedCircuitError; call validate() for the semantic checks."""
         try:
+            obj = _json_shape(obj, dict, "a circuit is a JSON object")
             c = Circuit(Level(obj["level"]), _json_int(obj["bitwidth"]))
-            for entry in obj["nodes"]:
+            for entry in _json_shape(obj["nodes"], list,
+                                     "a circuit's nodes are a list"):
+                entry = _json_shape(entry, dict, "a node is a JSON object")
                 payload = entry.get("payload")
+                operands = _json_shape(entry["operands"], list,
+                                       "a node's operands are a list")
                 nid = c.add_node(GateKind(entry["kind"]),
-                                 tuple(map(_json_int, entry["operands"])),
+                                 tuple(map(_json_int, operands)),
                                  meta_from_json(entry["meta"]),
                                  None if payload is None
                                  else _json_int(payload))
@@ -391,10 +400,12 @@ class Circuit:
                         f"node id {entry['id']} does not match position "
                         f"{nid}")
             c.inputs = [(_json_int(nid), _json_int(party), _json_str(name))
-                        for nid, party, name in obj["inputs"]]
+                        for nid, party, name in _json_triples(
+                            obj["inputs"], "inputs", "[id, party, name]")]
             c.outputs = [(_json_int(nid), _json_parties(aud),
                           _json_str(name))
-                         for nid, aud, name in obj["outputs"]]
+                         for nid, aud, name in _json_triples(
+                             obj["outputs"], "outputs", "[id, parties, name]")]
         except KeyError as ex:
             raise MalformedCircuitError(f"missing key {ex}") from ex
         except (TypeError, ValueError, AttributeError) as ex:
@@ -404,6 +415,22 @@ class Circuit:
 
 def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _json_shape(v, cls, shape: str):
+    """`v`, if it is a `cls`; else a TypeError that says `shape`."""
+    if not isinstance(v, cls):
+        raise TypeError(shape)
+    return v
+
+
+def _json_triples(v, what: str, triple: str) -> list:
+    """`v`, a list of lists of three, each `triple`."""
+    shape = f"a circuit's {what} are a list of {triple} lists"
+    for t in _json_shape(v, list, shape):
+        if len(_json_shape(t, list, shape)) != 3:
+            raise TypeError(shape)
+    return v
 
 
 def _json_int(v) -> int:
@@ -443,7 +470,7 @@ def meta_to_json(m: Meta) -> dict:
 def meta_from_json(obj: dict) -> Meta:
     """The metadata `meta_to_json` wrote. A badly shaped field raises
     TypeError, which `Circuit.from_json_obj` reports as malformed."""
-    match obj["type"]:
+    match _json_shape(obj, dict, "a node's meta is a JSON object")["type"]:
         case "plain":
             aud = obj.get("audience")
             return PlainMeta(_json_parties(aud) if aud is not None else None)

@@ -154,14 +154,18 @@ class Checker:
                     return None
                 return bt
             case S.InputExpr(party=party, ty=ty):
-                if party not in self.parties:
+                # the type reports its undeclared owners, so the party is
+                # reported here only when it is not among them
+                t = self.from_syntax(ty, env, e.pos)
+                owned = isinstance(t, (Owned, Arr))
+                if party not in self.parties and not (owned
+                                                      and party in t.owner):
                     self.error(f"party {party} not declared", e.pos,
                                "party-undeclared")
                 if isinstance(self.scheme, AdditiveShare) and party >= self.scheme.n:
                     self.error(f"party {party} does not fit {self.scheme.n}-party "
                                "additive sharing", e.pos, "party-out-of-range")
-                t = self.from_syntax(ty, env, e.pos)
-                if isinstance(t, (Owned, Arr)) and t.owner != frozenset({party}):
+                if owned and t.owner != frozenset({party}):
                     self.error("input owner must equal the providing party",
                                e.pos, "input-owner")
                 return t
@@ -281,8 +285,11 @@ class Checker:
                 if name in env:
                     self.error(f"'{name}' is already declared", s.pos, "redeclare")
                     return env
-                declared = self.from_syntax(ty, env, s.pos)
-                it = self.check_expr(env, init)
+                if isinstance(init, S.InputExpr):  # it checks its own type
+                    declared = it = self.check_expr(env, init)
+                else:
+                    declared = self.from_syntax(ty, env, s.pos)
+                    it = self.check_expr(env, init)
                 if declared is None:
                     return env
                 if it is not None and not decl_compatible(it, declared):

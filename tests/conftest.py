@@ -9,6 +9,8 @@ ROOT = TESTS.parent
 CORPUS = ROOT / "corpus"
 sys.path.insert(0, str(TESTS))
 
+from mpcc.backends.clear import interpret_clear  # noqa: E402
+from mpcc.errors import OverflowContractError  # noqa: E402
 from mpcc.frontend import parse_source  # noqa: E402
 from mpcc.pipeline import PipelineConfig, compile  # noqa: E402
 from mpcc.sectypes import AdditiveShare, Generic  # noqa: E402
@@ -29,6 +31,16 @@ def build(name: str, bitwidth: int = 64, scheme: str = "generic",
         scheme=AdditiveShare(3) if scheme == "additive" else Generic(),
         bitwidth=bitwidth, passes=None if optimize else [])
     return compile(corpus_source(name), cfg)
+
+
+def clear_or_refused(c, inputs):
+    """The clear backend's outputs on `inputs`, or None where it refuses
+    an arithmetic value outside the range contract: such a run has no
+    outputs for another backend to match."""
+    try:
+        return interpret_clear(c, inputs)
+    except OverflowContractError:
+        return None
 
 
 @pytest.fixture(scope="session")

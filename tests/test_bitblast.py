@@ -407,13 +407,29 @@ def one_input(width, gate, payload=None):
     return c
 
 
+def square_cell(width, passes):
+    """`_BitBuilder.square` of every bit of x from party 1, as a bool
+    circuit whose output word is "out". Bitblast builds this cell on the
+    low bits that the range contract leaves a square's operand, the
+    others copies of its sign bit or 0, so the cell on every bit pattern
+    covers each of those."""
+    bb = _BitBuilder(width, passes)
+    x = [bb.emit(GateKind.INPUT, (), PLAIN) for _ in range(width)]
+    out = bb.square(x)
+    c = Circuit(Level.BOOL, width, bb.builder.nodes,
+                [(bb.node(v), 1, "x") for v in x],
+                [(bb.node(v), owners(1), "out") for v in out])
+    return dce(c) if passes else c
+
+
 @functools.lru_cache(maxsize=None)
 def both_blasts(width, gate, payload=None):
     """The raw and the default bitblast of `one_input`, each with its
-    parsed gate list."""
-    word = one_input(width, gate, payload)
+    parsed gate list; for Mul, the raw and the default `square_cell`."""
     return [(cb, parse_gatelist(emit_gatelist(cb)))
-            for cb in (bitblast(word, width, passes=passes)
+            for cb in (square_cell(width, passes) if gate == GateKind.MUL
+                       else bitblast(one_input(width, gate, payload), width,
+                                     passes=passes)
                        for passes in ([], DEFAULT_PASSES))]
 
 
@@ -483,8 +499,9 @@ def test_signed_digits_of_a_few_constants():
 
 
 def test_unread_high_bits_are_not_emitted():
-    # quad*4 reads the low 6 bits of quad, quad = sq*sq the low 5 of sq
-    # and sq = s*s the low 4 of the sum s: no bit above those is built
+    # quad*4 reads the low 6 bits of quad; |quad| < 2^6 leaves quad =
+    # sq*sq the low 3 bits of sq, and sq = s*s reads the low 2 of the sum
+    # s: no bit above those is built. In the contract, |s| <= 1.
     c = Circuit(bitwidth=8)
     x = c.add_input(1, "x")
     y = c.add_input(1, "y")
@@ -497,10 +514,11 @@ def test_unread_high_bits_are_not_emitted():
     for passes in ([], DEFAULT_PASSES):
         cb = bitblast(c, 8, passes=passes)
         assert dce(cb) is cb
-        for a, b in [(0, 0), (1, 2), (-3, 7), (100, 27), (-128, -1)]:
-            want = ((a + b) ** 4 * 4) % 256
-            got = interpret_bool(cb, {(1, "x"): a, (1, "y"): b})["out"]
-            assert got % 256 == want, (passes, a, b)
+        for a, b in [(0, 0), (1, 0), (-3, 2), (40, -41), (-63, 63)]:
+            want = (a + b) ** 4 * 4
+            ins = {(1, "x"): a, (1, "y"): b}
+            assert interpret_clear(c, ins)["out"] == want
+            assert interpret_bool(cb, ins)["out"] == want, (passes, a, b)
 
 
 # Programs whose revealed comparison feeds arithmetic, and their non-XOR

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -16,8 +17,11 @@ from mpcc.errors import (
     ArityError, ForwardReferenceError, MalformedCircuitError,
     ShareMismatchError,
 )
+from mpcc.frontend import parse_source
+from mpcc.lowering import LowerConfig, lower_program
 from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import AdditiveShare, Generic, owners
+from mpcc.typecheck import check_program
 
 
 def shared(provider, players, observers, threshold):
@@ -360,17 +364,33 @@ def broken_circuit_json(draw):
     return obj
 
 
+PYTHON_WORDS = re.compile(r"'(dict|list|str|int|float|bool|NoneType)'|"
+                          r"attribute|subscriptable|iterable|unpack|indices")
+
+
 @given(broken_circuit_json())
 @settings(max_examples=500, deadline=None)
 def test_circuit_loader_fails_only_with_malformed_circuit_error(obj):
     try:
         c = Circuit.from_json_obj(obj)
-    except MalformedCircuitError:
+    except MalformedCircuitError as ex:
+        # the message names the shape it wanted, not a Python object
+        assert not PYTHON_WORDS.search(str(ex)), ex
         return
     # what loads can be checked and written back
     assert isinstance(c.validate(), list)
     assert Circuit.from_json_obj(
         json.loads(c.to_json())).to_json() == c.to_json()
+
+
+def test_validate_refuses_a_share_provider_that_is_not_a_player():
+    # lowering reads its scheme from its config, not from the checked
+    # program, so a party-2 input under 2-party sharing can be built
+    src = "parties 0, 1, 2;\ninput x : int from 2;\noutput eval({2}, x);\n"
+    c = lower_program(check_program(parse_source(src), Generic()),
+                      LowerConfig(16, AdditiveShare(2)))
+    assert c.validate(AdditiveShare(2)) == [
+        "node 0: provider [2] not among players [0, 1]"]
 
 
 def test_validate_checks_input_list_against_input_nodes():

@@ -807,6 +807,33 @@ def test_a_bad_file_line_names_the_file(tmp_path, capsys, kind, content,
     assert detail in err
 
 
+def circuit_with(**fields) -> str:
+    obj = {"level": "arith", "bitwidth": 8, "nodes": [], "inputs": [],
+           "outputs": [], **fields}
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("content, shape", [
+    ("[1]", "a circuit is a JSON object"),
+    (circuit_with(nodes={}), "a circuit's nodes are a list"),
+    (circuit_with(nodes=[1]), "a node is a JSON object"),
+    (circuit_with(nodes=[{"id": 0, "kind": "Input", "operands": 0,
+                          "meta": {"type": "plain"}}]),
+     "a node's operands are a list"),
+    (circuit_with(nodes=[{"id": 0, "kind": "Input", "operands": [],
+                          "meta": []}]), "a node's meta is a JSON object"),
+    (circuit_with(inputs=[[0, 1]]),
+     "a circuit's inputs are a list of [id, party, name] lists"),
+    (circuit_with(outputs=5),
+     "a circuit's outputs are a list of [id, parties, name] lists")])
+def test_a_circuit_file_of_the_wrong_shape_names_the_shape(tmp_path, capsys,
+                                                           content, shape):
+    path = tmp_path / "c.json"
+    path.write_text(content, encoding="utf-8")
+    assert one_line_exit_2(capsys, ["opt", str(path)], "circuit") == (
+        f"mpcc: bad circuit file: {path}: {shape}\n")
+
+
 def test_a_model_name_with_a_line_break_is_one_line(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text('{"name": "a\\nb", "gate_costs": {}}', encoding="utf-8")
@@ -1153,8 +1180,16 @@ def enc_beside_shared(obj):
     return obj
 
 
+def provider_not_a_player(obj):
+    shared_input(obj["nodes"][0], 3)
+    obj["nodes"][0]["meta"]["provider"] = [4]
+    return obj
+
+
 VALIDATE_BREAKAGES = [
     (bitwidth_100, "bitwidth 100 outside [2, 64]"),
+    (provider_not_a_player,
+     "node 0: provider [4] not among players [1, 2, 3]"),
     (input_id_999, "input id 999 out of range"),
     (reveal_without_audience, "node 3: reveal without audience"),
     (thresholds_2_and_3, "node 2: thresholds differ: 2 vs 3"),
@@ -1171,6 +1206,13 @@ def test_a_circuit_file_that_validate_refuses_is_exit_2(tmp_path, capsys,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert message in one_line_exit_2(capsys, ["opt", str(path)], "circuit")
+
+
+def test_an_undeclared_input_party_is_one_line(tmp_path, capsys):
+    src = tmp_path / "p.hml"
+    src.write_text("parties 1;\ninput x : int from 2;\n", encoding="utf-8")
+    assert one_line_exit_1(capsys, ["check", str(src)]) == (
+        f"{src}:2:1: error[party-undeclared]: parties [2] not declared\n")
 
 
 def test_deeply_nested_program_is_one_diagnostic(tmp_path, capsys):

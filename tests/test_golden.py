@@ -34,10 +34,10 @@ GOLDEN = {
                      "5e7262d7d724018e"),
     ("matvec", 64): ("36f7ba7aea318e53", "e45a0d63feb7b2e0",
                      "544208cf2b69ea46"),
-    ("pow8", 16): ("d85e86a37f98b08e", "8a1657fc1adb928a",
-                   "0b25800e49e54156"),
-    ("pow8", 64): ("6d943d5d2e5b25a6", "da104dc427d74d84",
-                   "6e76b45e2a1aee0c"),
+    ("pow8", 16): ("d85e86a37f98b08e", "c79092d06b9f12b8",
+                   "25697071744fcebe"),
+    ("pow8", 64): ("6d943d5d2e5b25a6", "8b2e2c884c267240",
+                   "0dc53c56a67f2767"),
     ("adder", 16): ("4cdb181b2d6d4bcc", "52693e25e0ee0276",
                     "86305f9eb3aa2119"),
     ("adder", 64): ("c27d890a2cf9b87f", "ba1962973f063ee9",

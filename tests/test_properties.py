@@ -1,7 +1,8 @@
 import random as stdrandom
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import clear_or_refused
 from mpcc.backends.clear import interpret_clear
 from mpcc.backends.shares import PRIME, centered, reconstruct, share
 from mpcc.circuit import GateKind, SharedMeta, combine_share_meta
@@ -67,7 +68,8 @@ def test_every_pass_preserves_cleartext_semantics(program, a, b):
     tp = check_program(program, Generic())
     c = lower_program(tp, LowerConfig())
     inputs = {(1, "a"): a, (2, "b"): b}
-    expected = interpret_clear(c, inputs)
+    expected = clear_or_refused(c, inputs)
+    assume(expected is not None)  # a run outside the contract has no outputs
     for pass_fn in (const_fold, peephole, cse, dce, strength_reduce):
         out = pass_fn(c)
         assert len(out.nodes) <= len(c.nodes)

@@ -13,7 +13,7 @@ from mpcc.backends.clear import interpret_clear
 from mpcc.backends.shares import simulate_shared
 from mpcc.bitblast import bitblast
 from mpcc.circuit import Circuit, GateKind, PlainMeta, contract_log
-from mpcc.errors import MuxSelectorError
+from mpcc.errors import MuxSelectorError, OverflowContractError
 from mpcc.estimator import (
     additive_model, arith_model, estimate, preprocessing,
 )
@@ -215,12 +215,13 @@ WITHOUT = [p for p in DEFAULT_PASSES if p != "range_fold"]
 
 def same_outputs(c, folded, rng) -> int:
     """Check `folded` against `c` on every contract input set on which
-    `c` does not raise; the number of sets checked."""
+    `c` does not raise, neither for a selector nor for a value outside
+    the contract; the number of sets checked."""
     checked = 0
     for ins in contract_inputs(c, rng):
         try:
             want = interpret_clear(c, ins)
-        except MuxSelectorError:
+        except (MuxSelectorError, OverflowContractError):
             continue
         assert interpret_clear(folded, ins) == want, ins
         checked += 1
@@ -240,7 +241,19 @@ def test_range_fold_keeps_every_output_of_generated_programs(width, block):
         assert run_passes(folded) is folded, seed
         checked += same_outputs(run_passes(lowered, WITHOUT), folded,
                                 random.Random(seed))
-    assert checked >= 1000
+    # of 1,100 sets, up to about 45 take a sum or product of edge inputs
+    # out of the contract and are refused
+    assert checked >= 950
+
+
+# The input sets of the 11 that each corpus program keeps in the range
+# contract at 8, 16 and 64 bits; the others take a sum or product of edge
+# inputs out of it. The two that fold, auction and mergesort, keep all.
+CONTRACT_SETS = {
+    "gcd": (9, 9, 6), "auction": (11, 11, 11), "mergesort": (11, 11, 11),
+    "matvec": (1, 3, 3), "pow8": (4, 4, 5), "adder": (8, 8, 8),
+    "sum8": (4, 3, 4),
+}
 
 
 @pytest.mark.parametrize("width", [8, 16, 64])
@@ -250,7 +263,8 @@ def test_range_fold_keeps_every_output_of_the_corpus(width):
         lowered = build(name, bitwidth=width)
         c, folded = run_passes(lowered, WITHOUT), run_passes(lowered)
         folds += folded.nodes != c.nodes
-        assert same_outputs(c, folded, random.Random(name)) == 11, name
+        assert same_outputs(c, folded, random.Random(name)) == \
+            CONTRACT_SETS[name][(8, 16, 64).index(width)], name
     assert folds == 2  # auction and mergesort
 
 
@@ -342,12 +356,15 @@ def case_tree_circuit(seed: int, width: int) -> Circuit:
 
 
 def raises_alike(c, folded, ins):
-    """`folded` gives `c`'s outputs on `ins`, or both refuse a selector."""
+    """`folded` gives `c`'s outputs on `ins`, or both refuse a selector;
+    a run on which `c` leaves the contract has no outputs to give."""
     try:
         want = interpret_clear(c, ins)
     except MuxSelectorError:
         with pytest.raises(MuxSelectorError):
             interpret_clear(folded, ins)
+        return
+    except OverflowContractError:
         return
     assert interpret_clear(folded, ins) == want, ins
 

@@ -83,6 +83,27 @@ def test_undeclared_party_rejected():
     assert any(e.rule == "party-undeclared" for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("decl, errors", [
+    # the party is the inferred owner: one line names it
+    ("input x : int from 2;",
+     [("party-undeclared", "parties [2] not declared")]),
+    ("input xs : arr(int, {2}, 3) from 2;",
+     [("party-undeclared", "parties [2] not declared")]),
+    # an owner that is not the party: each fault once
+    ("input x : int@{3} from 2;",
+     [("party-undeclared", "parties [3] not declared"),
+      ("party-undeclared", "party 2 not declared"),
+      ("input-owner", "input owner must equal the providing party")]),
+    ("input xs : arr(int, {1}, n) from 1;",
+     [("unbound", "unbound variable 'n'")]),
+])
+def test_an_input_reports_each_fault_once(decl, errors):
+    src = f"parties 1;\n{decl}\n"
+    with pytest.raises(TypeCheckFailure) as exc:
+        check_program(parse_source(src), Generic())
+    assert [(e.rule, e.message) for e in exc.value.errors] == errors
+
+
 def test_party_out_of_range_is_reported_beside_other_errors():
     # under 2-party additive sharing only parties 0 and 1 provide input
     src = "parties 0, 1, 2;\ninput x : int from 2;\noutput x;\n"

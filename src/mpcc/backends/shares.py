@@ -137,19 +137,10 @@ def random_bit(n: int, seed: int) -> ShareVector:
     return share(rng.randrange(2), n, rng)
 
 
-def beaver_mul(x: ShareVector, y: ShareVector, t: BeaverTriple,
-               open=reconstruct) -> ShareVector:
-    """One multiplication: open only the masked d = x-a and e = y-b
-    (through `open`), then combine c + d*b + e*a + d*e share-wise (the
-    d*e constant lands on player 0)."""
-    d, e = beaver_masks(x, y, t)
-    return beaver_combine(t, open(d), open(e))
-
-
 def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple
                  ) -> tuple[ShareVector, ShareVector]:
-    """The first half of `beaver_mul`: use up `t` and return the shares
-    of d = x-a and e = y-b, the only values a multiplication opens."""
+    """The first half of a Beaver multiplication: use up `t` and return
+    the shares of d = x-a and e = y-b, the only values it opens."""
     if not len(x.shares) == len(y.shares) == t.n:
         raise PlayerMismatchError("operands and triple must share players")
     if t.consumed:
@@ -159,8 +150,9 @@ def beaver_masks(x: ShareVector, y: ShareVector, t: BeaverTriple
 
 
 def beaver_combine(t: BeaverTriple, d: int, e: int) -> ShareVector:
-    """The second half of `beaver_mul`: shares of x*y from the opened d
-    and e."""
+    """The second half of a Beaver multiplication: shares of x*y from the
+    opened d and e, c + d*b + e*a + d*e share-wise (the d*e constant
+    lands on player 0)."""
     a, b, c = t.a, t.b, t.c
     out = [(c.shares[i] + d * b.shares[i] + e * a.shares[i]) % PRIME
            for i in range(len(c.shares))]

@@ -48,7 +48,8 @@ the optimized one.
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
 output is the bool fixpoint, `run_passes` of the raw (`passes=[]`)
-circuit, each gate keeping its raw metadata.
+circuit. Only an Input (its owner or share) and a Reveal (its audience)
+carry metadata; every other gate is plain, as no bool backend reads it.
 
 A Mux reads only bit 0 of its selector: sound for the 0/1 selectors
 lowering emits, silently wrong for others (clear and shares raise
@@ -59,75 +60,66 @@ from __future__ import annotations
 
 from .circuit import (
     AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR, PLAIN,
-    REVEAL, XOR, Circuit, GateKind, Level, PlainMeta, balanced,
-    combine_meta, contract_log,
+    REVEAL, XOR, Circuit, GateKind, Level, PlainMeta, balanced, contract_log,
 )
 from .errors import BitblastError, LevelError
 from .optimizer import DEFAULT_PASSES, Builder, check_pass_names, dce
 
 
 class _BitBuilder:
-    """Emits bit gates through a `Builder`. A bit is a raw value v, one
-    per gate of the raw circuit: `ids[v]` is the node standing for it (None
-    for a constant bit no gate has read yet) and `metas[v]` the metadata
-    that gate has in the raw circuit."""
+    """Emits bit gates through a `Builder`. A bit is the builder's id of
+    its node, or a negative sentinel for a raw constant: ~0 and ~1 (-1
+    and -2) for the bits 0 and 1, and one more per Reveal of a constant
+    kept for an output. `_const_value` maps each sentinel to its bit, so
+    only raw constants steer a cell, never a node a rule folded or one
+    the builder returned for an earlier gate."""
 
     def __init__(self, width: int, passes: list[str]):
         self.builder = Builder(passes)
+        self.add = self.builder.add
         self.width = width
-        self.ids: list[int] = []
-        self.metas: list = []
-        self._const_cache: dict[int, int] = {}  # bit -> raw value
-        self._const_value: dict[int, int] = {}  # raw value -> bit
+        self._const_value: dict[int, int] = {~0: 0, ~1: 1}  # sentinel -> bit
+        self._sentinel_ids: list[int | None] = [None, None]  # at ~sentinel
 
-    def emit(self, kind, operands, meta=None) -> int:
-        metas = self.metas
-        if meta is None:  # combine_meta's: a Reveal's audience is dropped
-            meta = metas[operands[0]]
-            if meta.__class__ is PlainMeta:
-                meta = PLAIN
-            for o in operands:
-                if metas[o] is not meta:
-                    meta = combine_meta(meta, metas[o])
-        ids = self.ids
-        ops = tuple([ids[o] for o in operands])
-        if None in ops:
-            ops = tuple([self.node(o) for o in operands])
-        ids.append(self.builder.add(kind, ops, meta))
-        metas.append(meta)
-        return len(ids) - 1
+    def emit(self, kind, operands) -> int:
+        """The plain gate kind(operands), each sentinel operand mapped
+        to its node."""
+        for o in operands:
+            if o < 0:
+                operands = tuple([self.node(o) for o in operands])
+                break
+        return self.add(kind, operands)
 
     def node(self, v: int) -> int:
-        """The builder's id for raw value v. A constant bit is added at
-        its first use, so a constant that no gate reads is never added."""
-        nid = self.ids[v]
+        """The builder's id for bit v. A constant bit's Const node is
+        added at its first use, so a constant that no gate reads is never
+        added."""
+        if v >= 0:
+            return v
+        nid = self._sentinel_ids[~v]
         if nid is None:
-            nid = self.ids[v] = self.builder.add(
-                CONST, (), PLAIN, self._const_value[v])
+            nid = self._sentinel_ids[~v] = self.add(CONST, (), PLAIN, ~v)
         return nid
 
     def const_bit(self, b: int) -> int:
-        if b not in self._const_cache:
-            v = self._const_cache[b] = len(self.ids)
-            self._const_value[v] = b
-            self.ids.append(None)
-            self.metas.append(PLAIN)
-        return self._const_cache[b]
+        return ~b
 
     def reveal(self, v: int, meta, output: bool) -> int:
-        """Reveal of raw value v. Of a constant bit it is that bit, unless
+        """Reveal of bit v. Of a constant bit it is that bit, unless
         `output`: an output keeps its Reveal gate, which the cells then
-        read as that constant."""
+        read as that constant through a sentinel of its own."""
         k = self._const_value.get(v)
-        if k is not None and not output:
+        if k is None:
+            return self.add(REVEAL, (v,), meta)
+        if not output:
             return v
-        r = self.emit(REVEAL, (v,), meta)
-        if k is not None:
-            self._const_value[r] = k
+        r = ~len(self._sentinel_ids)
+        self._sentinel_ids.append(self.add(REVEAL, (self.node(v),), meta))
+        self._const_value[r] = k
         return r
 
     def const_word(self, value: int) -> list[int]:
-        return [self.const_bit((value >> i) & 1) for i in range(self.width)]
+        return [~((value >> i) & 1) for i in range(self.width)]
 
     def full_adder(self, a: int, b: int, cin: int, sum_out: bool = True,
                    carry_out: bool = True,
@@ -138,7 +130,7 @@ class _BitBuilder:
 
         With no constant operand this is the one-AND cell: t = a^cin,
         u = b^cin, s = t^b, carry cin ^ (t & u), borrow b ^ (t & u). An
-        operand that is a cached constant bit makes the carry the
+        operand that is a constant bit (a sentinel) makes the carry the
         majority of the other two and that constant (Not a for a borrow's
         constant a): x^y and x&y beside a 0, Not(x^y) and x|y beside a 1,
         and for a borrow of a free a, z ^ (a & z) and Not(a^z) | z.
@@ -148,13 +140,13 @@ class _BitBuilder:
         consts = self._const_value
         s = cout = None
         if a not in consts and b not in consts and cin not in consts:
-            t = self.emit(XOR, (a, cin))
-            u = self.emit(XOR, (b, cin)) if carry_out else None
+            add = self.add  # no operand is a sentinel
+            t = add(XOR, (a, cin))
+            u = add(XOR, (b, cin)) if carry_out else None
             if sum_out:
-                s = self.emit(XOR, (t, b))
+                s = add(XOR, (t, b))
             if carry_out:
-                cout = self.emit(XOR, (b if borrow else cin,
-                                       self.emit(AND, (t, u))))
+                cout = add(XOR, (b if borrow else cin, add(AND, (t, u))))
             return s, cout
         free = [x for x in (a, b, cin) if x not in consts]
         k = sum([consts.get(x, 0) for x in (a, b, cin)])  # the constants' sum
@@ -371,8 +363,8 @@ def bitblast(c: Circuit, width: int | None = None,
                 word = bb.const_word(node.payload)
             case GateKind.INPUT:
                 party, name = input_keys[nid]
-                word = [bb.emit(INPUT, (), node.meta) for _ in range(width)]
-                inputs += [(bb.ids[v], party, name) for v in word]
+                word = [bb.add(INPUT, (), node.meta) for _ in range(width)]
+                inputs += [(v, party, name) for v in word]
             case GateKind.ADD:
                 word = bb.ripple_add(low[0], low[1], bb.const_bit(0))
             case GateKind.SUB:

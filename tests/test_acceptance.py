@@ -17,8 +17,8 @@ from mpcc.backends.boolsim import interpret_bool
 from mpcc.backends.clear import ClearInterpreter, flatten_inputs, \
     interpret_clear
 from mpcc.backends.shares import (
-    PRIME, beaver_mul, centered, make_triple, reconstruct, share,
-    simulate_shared,
+    PRIME, beaver_combine, beaver_masks, centered, make_triple, reconstruct,
+    share, simulate_shared,
 )
 from mpcc.bitblast import bitblast
 from mpcc.circuit import GateKind, contract_log
@@ -243,8 +243,9 @@ def test_c9_secret_sharing_algebra():
             x = rng.randrange(-(10 ** 8), 10 ** 8)
             y = rng.randrange(-(10 ** 8), 10 ** 8)
             t = make_triple(3, rng)
-            z = beaver_mul(share(x % PRIME, 3, rng),
-                           share(y % PRIME, 3, rng), t)
+            d, e = beaver_masks(share(x % PRIME, 3, rng),
+                                share(y % PRIME, 3, rng), t)
+            z = beaver_combine(t, reconstruct(d), reconstruct(e))
             assert centered(reconstruct(z)) == x * y
         for _ in range(50):
             sv = share(rng.randrange(PRIME), 4, rng)

@@ -12,8 +12,8 @@ from conftest import CORPUS_NAMES, build, clear_or_refused
 from mpcc.backends import BACKENDS, shares
 from mpcc.backends.clear import flatten_inputs, interpret_clear
 from mpcc.backends.shares import (
-    PRIME, SharedSimulator, beaver_mul, centered, make_triple, random_bit,
-    reconstruct, share, simulate_shared,
+    PRIME, SharedSimulator, beaver_combine, beaver_masks, centered,
+    make_triple, random_bit, reconstruct, share, simulate_shared,
 )
 from mpcc.circuit import Circuit, GateKind, PlainMeta
 from mpcc.errors import (
@@ -203,20 +203,28 @@ def test_centered_lift():
 
 # -- beaver multiplication --
 
+def beaver_product(x, y, t, open=reconstruct):
+    """x*y from triple `t`, its two halves composed as
+    `SharedSimulator.multiply` composes them, d and e opened by `open`."""
+    d, e = beaver_masks(x, y, t)
+    return beaver_combine(t, open(d), open(e))
+
+
 def test_beaver_matches_integer_multiplication():
     rng = random.Random(3)
     for _ in range(500):
         x = rng.randrange(-10 ** 6, 10 ** 6)
         y = rng.randrange(-10 ** 6, 10 ** 6)
         t = make_triple(3, rng)
-        z = beaver_mul(share(x % PRIME, 3, rng), share(y % PRIME, 3, rng), t)
+        z = beaver_product(share(x % PRIME, 3, rng),
+                           share(y % PRIME, 3, rng), t)
         assert centered(reconstruct(z)) == x * y
 
 
 def test_beaver_zero_annihilates():
     rng = random.Random(4)
     t = make_triple(2, rng)
-    z = beaver_mul(share(0, 2, rng), share(12345, 2, rng), t)
+    z = beaver_product(share(0, 2, rng), share(12345, 2, rng), t)
     assert reconstruct(z) == 0
 
 
@@ -224,16 +232,16 @@ def test_triple_single_use():
     rng = random.Random(5)
     t = make_triple(2, rng)
     x, y = share(3, 2, rng), share(4, 2, rng)
-    beaver_mul(x, y, t)
+    beaver_product(x, y, t)
     with pytest.raises(TripleExhaustedError):
-        beaver_mul(x, y, t)
+        beaver_product(x, y, t)
 
 
 def test_player_mismatch():
     rng = random.Random(6)
     t = make_triple(2, rng)
     with pytest.raises(PlayerMismatchError):
-        beaver_mul(share(1, 2, rng), share(2, 3, rng), t)
+        beaver_product(share(1, 2, rng), share(2, 3, rng), t)
 
 
 # -- shared simulation --
@@ -586,7 +594,7 @@ def test_beaver_opens_only_masked_values():
         opened.append(reconstruct(sv))
         return opened[-1]
 
-    z = beaver_mul(x, y, t, open=logging_open)
+    z = beaver_product(x, y, t, open=logging_open)
     assert reconstruct(z) == 42
     assert opened == [(6 - reconstruct(t.a)) % PRIME,
                       (7 - reconstruct(t.b)) % PRIME]

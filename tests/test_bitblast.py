@@ -13,9 +13,7 @@ from mpcc.backends.gatelist import (
     emit_gatelist, eval_gatelist, parse_gatelist,
 )
 from mpcc.bitblast import _BitBuilder, bitblast, signed_digits
-from mpcc.circuit import (
-    PLAIN, Circuit, GateKind, Level, PlainMeta, contract_log,
-)
+from mpcc.circuit import Circuit, GateKind, Level, PlainMeta, contract_log
 from mpcc.errors import LevelError
 from mpcc.frontend import parse_source
 from mpcc.optimizer import DEFAULT_PASSES, dce
@@ -55,7 +53,7 @@ def adder_cell(operands, passes, sum_out=True, carry_out=True,
     values, inputs = [], []
     for i, op in enumerate(operands):
         if op == "x":
-            v = bb.emit(GateKind.INPUT, (), PLAIN)
+            v = bb.add(GateKind.INPUT)
             inputs.append((bb.node(v), 1, f"x{i}"))
         else:
             v = bb.const_bit(op)
@@ -414,7 +412,7 @@ def square_cell(width, passes):
     others copies of its sign bit or 0, so the cell on every bit pattern
     covers each of those."""
     bb = _BitBuilder(width, passes)
-    x = [bb.emit(GateKind.INPUT, (), PLAIN) for _ in range(width)]
+    x = [bb.add(GateKind.INPUT) for _ in range(width)]
     out = bb.square(x)
     c = Circuit(Level.BOOL, width, bb.builder.nodes,
                 [(bb.node(v), 1, "x") for v in x],

@@ -2,7 +2,6 @@
 circuit through it, and the bitblast that emits the bool fixpoint
 through it."""
 
-import functools
 import itertools
 import random
 
@@ -14,17 +13,16 @@ from mpcc.backends.boolsim import interpret_bool
 from mpcc.bitblast import bitblast
 from mpcc.circuit import (
     ARITY, PLAIN, Circuit, EncMeta, GateKind, Level, PlainMeta,
-    combine_meta,
 )
 from mpcc.errors import LowerError
 from mpcc.lowering import LowerConfig, lower_program
 from mpcc.optimizer import (
     DEFAULT_PASSES, PASSES, RULE_KINDS, Builder, run_passes,
 )
-from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import Generic, owners
 from mpcc.typecheck import check_program
 from proggen import random_program
+from test_range_fold import random_circuit
 
 LOCAL_RULES = sorted(RULE_KINDS)
 
@@ -232,53 +230,25 @@ def test_raw_bitblast_builds_no_bit_no_reader_reads(name, width, optimize):
     assert all(live)
 
 
-def test_a_gate_keeps_its_raw_metadata():
-    # r's branches are two copies of y + 1, so each MuxBit of r has two
-    # distinct raw branches that cse merges, and the MuxBit folds to a bit
-    # of y + 1; the Xor of r's bit 0 with y's bit 0 survives, and as in
-    # the raw circuit its metadata still names party 1, which neither of
-    # its operands' does
-    src = ("parties 1, 2;\ninput s : int@{1} from 1;\n"
-           "input y : int@{2} from 2;\n"
-           "val r : int@{1, 2} := if (s < 3) { y + 1 } else { y + 1 };\n"
-           "output eval({1, 2}, r + y);\n")
-    word = compile(src, PipelineConfig(bitwidth=4, passes=[]))
-    raw = bitblast(word, passes=[])
-    assert raw.counts()[GateKind.MUX_BIT] == 4
-    b = bitblast(word)
-    assert b == run_passes(raw)
-    assert GateKind.MUX_BIT not in b.counts()
-    party2 = EncMeta(frozenset({2}))
-    assert any(n.kind == GateKind.XOR and n.meta == EncMeta(frozenset({1, 2}))
-               and all(b.nodes[o].meta == party2 for o in n.operands)
-               for n in b.nodes)
-
-
-@pytest.mark.parametrize("passes", [[], None])
-def test_a_gate_reading_a_reveal_is_plain(passes):
-    # a revealed bit's audience is not passed on: Add(r, r) over the bits
-    # of r = Reveal(x) is plain, as combine_meta makes it, and a gate of
-    # Add(r, y) takes y's metadata
-    c = Circuit(bitwidth=4)
-    x, y = c.add_input(1, "x"), c.add_input(2, "y")
-    r = c.add_node(GateKind.REVEAL, (x,), PlainMeta(owners(1, 2)))
-    for name, other in (("rr", r), ("ry", y)):
-        total = c.add_node(GateKind.ADD, (r, other))
-        c.add_output(c.add_node(GateKind.REVEAL, (total,),
-                                PlainMeta(owners(1, 2))), owners(1, 2), name)
-    b = bitblast(c, passes=passes)
-    reveal_bits = {nid for nid, n in enumerate(b.nodes)  # those of r
-                   if n.kind is GateKind.REVEAL
-                   and b.nodes[n.operands[0]].kind is GateKind.INPUT}
-    readers = [n for n in b.nodes if n.kind is not GateKind.REVEAL
-               and set(n.operands) & reveal_bits]
-    assert readers
-    for n in readers:
-        want = functools.reduce(
-            combine_meta, [b.nodes[o].meta for o in n.operands], PLAIN)
-        assert n.meta == want
-        assert n.meta in (PLAIN, EncMeta(owners(2)))
-    assert any(n.meta == PLAIN for n in readers)
+@pytest.mark.parametrize("scheme", ["generic", "additive"])
+@pytest.mark.parametrize("width", [16, 64])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_only_inputs_and_reveals_carry_metadata(name, width, scheme):
+    """Every bit gate bitblast emits is plain, raw or optimized, but an
+    Input, which keeps its word's owner or share metadata, and a Reveal,
+    which keeps its word's audience."""
+    for optimize in (True, False):
+        word = build(name, bitwidth=width, scheme=scheme, optimize=optimize)
+        b = bitblast(word, passes=None if optimize else [])
+        owner = {(p, n): word.nodes[nid].meta for nid, p, n in word.inputs}
+        assert all(b.nodes[nid].meta == owner[p, n]
+                   for nid, p, n in b.inputs)
+        audiences = {n.meta for n in word.nodes if n.kind is GateKind.REVEAL}
+        for node in b.nodes:
+            if node.kind is GateKind.REVEAL:
+                assert node.meta in audiences and node.meta.audience
+            elif node.kind is not GateKind.INPUT:
+                assert node.meta == PLAIN, node
 
 
 @pytest.mark.parametrize("width", [8, 16, 64])
@@ -300,6 +270,50 @@ def test_every_rule_set_computes_the_same_bits(seed, width):
         for passes in [None] + [[rule] for rule in LOCAL_RULES]:
             b = bitblast(word, passes=passes)
             assert [interpret_bool(b, ins) for ins in inputs] == want, passes
+
+
+@pytest.mark.parametrize("width", [8, 16, 64])
+def test_every_rule_set_computes_the_same_bits_on_random_circuits(width):
+    """As above, on `random_circuit`'s comparisons with constants, Muxes
+    on bits the cells know and Reveals of constants, cell inputs that
+    proggen's programs do not reach; and the default bitblast is the
+    fixpoint of the raw one."""
+    kept = 0  # output bits that Reveal a raw constant
+    for seed in range(40):
+        c = random_circuit(seed, width)
+        raw = bitblast(c, passes=[])
+        assert bitblast(c) == run_passes(raw), seed
+        kept += sum([raw.nodes[raw.nodes[nid].operands[0]].kind
+                     is GateKind.CONST for nid, _a, _n in raw.outputs])
+        rng = random.Random(seed)
+        inputs = [{(1, "a"): rng.randrange(-20, 40),
+                   (2, "b"): rng.randrange(-20, 40)} for _ in range(2)]
+        want = [interpret_bool(raw, ins) for ins in inputs]
+        for passes in [None] + [[rule] for rule in LOCAL_RULES]:
+            b = bitblast(c, passes=passes)
+            assert [interpret_bool(b, ins) for ins in inputs] == want, (
+                seed, passes)
+    assert kept
+
+
+def test_a_bit_a_rule_returns_does_not_steer_a_cell():
+    # Mux(2a == 1, a, r) is r to the rules, since 2a == 1 is the raw
+    # constant 0, and r = Reveal(5) is a kept output: its bits are raw
+    # constants only where r is read, not where a rule returns them, so
+    # the default bitblast's adder cells are the raw circuit's
+    c = Circuit(bitwidth=8)
+    a = c.add_input(1, "a")
+    five, one = (c.add_node(GateKind.CONST, (), PLAIN, k) for k in (5, 1))
+    r = c.add_node(GateKind.REVEAL, (five,), PlainMeta(owners(1)))
+    c.add_output(r, owners(1), "r")
+    two_a = c.add_node(GateKind.MUL_PLAIN, (a,), PLAIN, 2)
+    s = c.add_node(GateKind.EQ, (two_a, one))
+    y = c.add_node(GateKind.ADD, (c.add_node(GateKind.MUX, (s, a, r)), a))
+    c.add_output(c.add_node(GateKind.REVEAL, (y,), PlainMeta(owners(1))),
+                 owners(1), "y")
+    raw = bitblast(c, passes=[])
+    assert bitblast(c) == run_passes(raw)
+    assert interpret_bool(raw, {(1, "a"): 3}) == {"r": 5, "y": 8}
 
 
 # -- a pass that rewrites nothing copies nothing --

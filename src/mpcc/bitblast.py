@@ -48,8 +48,8 @@ the optimized one.
 Gates go through an `optimizer.Builder` with the pass list's local
 rules, and dead nodes are swept when "dce" is listed: by default the
 output is the bool fixpoint, `run_passes` of the raw (`passes=[]`)
-circuit. Only an Input (its owner or share) and a Reveal (its audience)
-carry metadata; every other gate is plain, as no bool backend reads it.
+circuit. As at word level, only an Input (its word's owner or share)
+and a Reveal (its word Reveal's audience) carry metadata.
 
 A Mux reads only bit 0 of its selector: sound for the 0/1 selectors
 lowering emits, silently wrong for others (clear and shares raise
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from .circuit import (
     AND, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT, NOT, OR, PLAIN,
-    REVEAL, XOR, Circuit, GateKind, Level, PlainMeta, balanced, contract_log,
+    REVEAL, XOR, Circuit, GateKind, Level, balanced, contract_log,
 )
 from .errors import BitblastError, LevelError
 from .optimizer import DEFAULT_PASSES, Builder, check_pass_names, dce
@@ -392,8 +392,8 @@ def bitblast(c: Circuit, width: int | None = None,
                 sel = bits[a[0]][0]
                 word = [bb.mux_bit(sel, t, e) for t, e in zip(low[1], low[2])]
             case GateKind.REVEAL:
-                meta, output = PlainMeta(node.meta.audience), nid in shown
-                word = [bb.reveal(bit, meta, output) for bit in low[0]]
+                output = nid in shown
+                word = [bb.reveal(bit, node.meta, output) for bit in low[0]]
             case _:
                 raise BitblastError(
                     f"cannot bit-blast {node.kind.value}")

@@ -4,12 +4,14 @@ Node ids double as topological order: a node may only reference smaller
 ids, so acyclicity is a local check and id order is an evaluation order.
 Circuits are built append-only through `Circuit.add_node`, which checks
 each node's arity, operand order and payload, and are treated as
-immutable once built; passes produce new circuits.
+immutable once built; passes produce new circuits. Ownership metadata
+enters at an Input and leaves at a Reveal; every other gate, at both
+levels, is `PLAIN`, and `validate` derives its metadata from its operands'.
 
 `Node` and the three metadata classes are immutable values: equal by
 value, hashable, and refusing every assignment and deletion, because
 passes share unchanged nodes between circuits and every CSE key holds a
-meta by value. They are built once per kept gate and hashed once per
+meta by value. A node is built once per kept gate and hashed once per
 lookup, so both run in C where Python allows it: `Node` is a `__slots__`
 class whose `__init__` stores through the slot descriptors, and each
 metadata class is a tuple, compared and hashed as one, except that
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -183,12 +186,6 @@ def combine_meta(a: Meta, b: Meta, scheme: Scheme = Generic()) -> Meta:
     if isinstance(a, SharedMeta) and isinstance(b, SharedMeta):
         return combine_share_meta(a, b, scheme)
     if isinstance(a, EncMeta) and isinstance(b, EncMeta):
-        # reuse an operand's meta when it already is the union, so that
-        # a bit-blasted circuit does not hold one EncMeta per gate
-        if b.provider <= a.provider:
-            return a
-        if a.provider <= b.provider:
-            return b
         return EncMeta(a.provider | b.provider)
     raise ShareMismatchError("cannot mix encrypted and shared metadata")
 
@@ -286,13 +283,17 @@ class Circuit:
     def validate(self, scheme: Scheme = Generic()) -> list[str]:
         """The checks `add_node` cannot make: bitwidth, the level's kinds
         and bit constants, the input and output lists, Reveal audiences,
-        operand metadata, and each share's threshold and provider. Returns
-        the violations (empty = ok)."""
+        each share's threshold and provider, and that shares combine: each
+        gate but an Input or a Reveal derives `combine_meta` of its
+        operands' metadata, and a clash is reported at the gate where the
+        shares meet, which reads as plain after. Returns the violations
+        (empty = ok)."""
         violations = []
         if not (2 <= self.bitwidth <= 64):
             violations.append(f"bitwidth {self.bitwidth} outside [2, 64]")
         allowed = ARITH_KINDS if self.level == Level.ARITH else BOOL_KINDS
         listed = {nid for nid, _party, _name in self.inputs}
+        derived: list[Meta] = []
         for nid, node in enumerate(self.nodes):
             if node.kind not in allowed:
                 violations.append(
@@ -307,14 +308,14 @@ class Circuit:
             if node.kind is REVEAL and not (isinstance(node.meta, PlainMeta)
                                             and node.meta.audience):
                 violations.append(f"node {nid}: reveal without audience")
-            metas = [self.nodes[o].meta for o in node.operands]
-            if len(metas) >= 2:
-                try:
-                    m = metas[0]
-                    for other in metas[1:]:
-                        m = combine_meta(m, other, scheme)
-                except ShareMismatchError as ex:
-                    violations.append(f"node {nid}: {ex.message}")
+            meta = PLAIN
+            try:
+                for o in node.operands:
+                    meta = combine_meta(meta, derived[o], scheme)
+            except ShareMismatchError as ex:
+                violations.append(f"node {nid}: {ex.message}")
+                meta = PLAIN
+            derived.append(node.meta if node.kind in (INPUT, REVEAL) else meta)
             if isinstance(node.meta, SharedMeta):
                 if node.meta.threshold > len(node.meta.players):
                     violations.append(
@@ -340,11 +341,9 @@ class Circuit:
                     violations.append(f"{what} listed twice under one name")
         return violations
 
-    def counts(self) -> dict[GateKind, int]:
-        out: dict[GateKind, int] = {}
-        for node in self.nodes:
-            out[node.kind] = out.get(node.kind, 0) + 1
-        return out
+    def counts(self) -> Counter:
+        """The number of nodes of each kind, in first-seen order."""
+        return Counter([node.kind for node in self.nodes])
 
     # -- serialization --
 
@@ -380,19 +379,22 @@ class Circuit:
     def from_json_obj(obj: dict) -> "Circuit":
         """Rebuild a circuit from `to_json_obj` output. Any missing key,
         unknown level or kind, or badly shaped entry raises
-        MalformedCircuitError; call validate() for the semantic checks."""
+        MalformedCircuitError; call validate() for the semantic checks.
+        Only an Input's and a Reveal's meta is kept: a gate's is checked
+        for shape and loads plain."""
         try:
             obj = _json_shape(obj, dict, "a circuit is a JSON object")
             c = Circuit(Level(obj["level"]), _json_int(obj["bitwidth"]))
             for entry in _json_shape(obj["nodes"], list,
                                      "a circuit's nodes are a list"):
                 entry = _json_shape(entry, dict, "a node is a JSON object")
+                kind = GateKind(entry["kind"])
                 payload = entry.get("payload")
                 operands = _json_shape(entry["operands"], list,
                                        "a node's operands are a list")
-                nid = c.add_node(GateKind(entry["kind"]),
-                                 tuple(map(_json_int, operands)),
-                                 meta_from_json(entry["meta"]),
+                meta = meta_from_json(entry["meta"])
+                nid = c.add_node(kind, tuple(map(_json_int, operands)),
+                                 meta if kind in (INPUT, REVEAL) else PLAIN,
                                  None if payload is None
                                  else _json_int(payload))
                 if nid != entry["id"]:

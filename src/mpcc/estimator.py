@@ -122,8 +122,7 @@ def preprocessing(c: Circuit) -> tuple[int, int]:
     """(Beaver triples, random bits) of the shares backend's offline
     phase: one triple per Mul or Mux and `comparison_budget` per
     comparison."""
-    return _preprocessing(Counter([node.kind for node in c.nodes]),
-                          c.bitwidth)
+    return _preprocessing(c.counts(), c.bitwidth)
 
 
 def _preprocessing(kinds: Counter, bitwidth: int) -> tuple[int, int]:
@@ -137,7 +136,7 @@ def _preprocessing(kinds: Counter, bitwidth: int) -> tuple[int, int]:
 def estimate(c: Circuit, model: CostModel) -> ResourceReport:
     """Price each kind once, count times cost. The first kind in node
     order that `model` does not price raises ModelCoverageError."""
-    kinds = Counter([node.kind for node in c.nodes])
+    kinds = c.counts()
     counts: dict[GateKind, int] = {}
     totals: dict[str, Fraction] = {r: Fraction(0) for r in model.resources()}
     for kind, n in kinds.items():  # first-seen order

@@ -11,7 +11,8 @@ array indices. Private control flow never consults values, so the
 produced circuit is a function of the program and its public parameters
 only. Nothing is optimized here: pow(x, n) is a chain of n - 1 Muls for
 `optimizer.pow_rewrite`, and x >= y, x <= y and x != y are each the sum
-of two comparisons for `optimizer.cmp_rewrite`.
+of two comparisons for `optimizer.cmp_rewrite`. Only an Input (its owner
+or share) and a Reveal (its audience) get metadata.
 
 Each invariant is checked once, where it enters. `check_program`, the
 only maker of a `TypedProgram`, has checked every name and every
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 from .circuit import (
     ADD, CONST, EQ, LT, MUL, MUL_PLAIN, MUX, PLAIN, REVEAL, SUB, Circuit,
-    EncMeta, GateKind, Level, PlainMeta, SharedMeta, balanced, combine_meta,
-    contract_log, word_value,
+    EncMeta, GateKind, Level, PlainMeta, SharedMeta, balanced, contract_log,
+    word_value,
 )
 from .errors import LowerError
 from .frontend import syntax as S
@@ -129,18 +130,13 @@ class Lowering:
     # -- gate emission helpers --
 
     def emit(self, kind: GateKind, operands: list[Wire], static=None,
-             payload=None, meta=None) -> Wire:
+             payload=None, meta=PLAIN) -> Wire:
         """Append kind(operands); unless given, its static value is the
         gate's value on its operands' static values, if they all have one."""
         if static is None and operands and operands[0].static is not None:
             statics = [w.static for w in operands]
             if None not in statics:
                 static = word_value(kind, statics, payload)
-        if meta is None:
-            meta = PLAIN
-            for w in operands:
-                meta = combine_meta(meta, self.circuit.nodes[w.nid].meta,
-                                    self.cfg.scheme)
         nid = self.circuit.add_node(kind, [w.nid for w in operands], meta,
                                     payload)
         return Wire(nid, static)

@@ -16,9 +16,11 @@ constant, `IDENTITIES` and strength reduction one. So `rewrite` turns
 any other gate with no constant operand away at once.
 
 cse's table also makes the conditional swap (Kolesnikov, Sadeghi and
-Schneider, CANS 2009): MuxBit(s, e, t) beside a MuxBit(s, t, e) of the
-same metadata is t ^ e ^ that node, two free Xors. A word Mux pair
-stays: its swap, t + e - Mux, bitblasts to more ANDs than it saves.
+Schneider, CANS 2009): MuxBit(s, e, t) beside a MuxBit(s, t, e) is
+t ^ e ^ that node, two free Xors. A word Mux pair stays: its swap,
+t + e - Mux, bitblasts to more ANDs than it saves. A gate a pass builds
+is plain: only an Input and a Reveal carry metadata, and the CSE key
+holds it so that Reveals to different audiences stay apart.
 
 A pass is a function of the circuit alone, `PASSES[name](c)`, with no
 setting or cost model. Passes never mutate their input. A walk copies
@@ -41,7 +43,7 @@ from collections import Counter
 from .circuit import (
     ADD, AND, COMMUTATIVE, CONST, EQ, INPUT, LT, MUL, MUL_PLAIN, MUX, MUX_BIT,
     NOT, OR, PLAIN, REVEAL, SUB, WORD_OPS, XOR, Circuit, Level, Node,
-    balanced, combine_meta, contract_log, word_value,
+    balanced, contract_log, word_value,
 )
 from .errors import LowerError
 
@@ -96,7 +98,7 @@ class Builder:
             *(RULE_KINDS[r] for r in rules if r in RULE_KINDS))
         self.map: list[int] = []  # old id -> new id during a walk
 
-    def rewrite(self, kind, ops: tuple, meta, payload):
+    def rewrite(self, kind, ops: tuple, payload):
         """What the enabled rules make of kind(ops): None when none
         applies, the id of an existing node it equals, or the
         (kind, operands, meta, payload) of the node that replaces it."""
@@ -125,12 +127,12 @@ class Builder:
                 return (CONST, (), PLAIN, int(kind is EQ))
             if kind is MUX_BIT and {consts[1], consts[2]} == {0, 1}:
                 # s ? 1 : 0 is s, and s ? 0 : 1 is Not s
-                return ops[0] if consts[1] else (NOT, (ops[0],), meta, None)
+                return ops[0] if consts[1] else (NOT, (ops[0],), PLAIN, None)
         if self.strength:
             if kind is MUL and consts[0] is not None:
-                return (MUL_PLAIN, (ops[1],), meta, consts[0])
+                return (MUL_PLAIN, (ops[1],), PLAIN, consts[0])
             if kind is MUL and consts[1] is not None:
-                return (MUL_PLAIN, (ops[0],), meta, consts[1])
+                return (MUL_PLAIN, (ops[0],), PLAIN, consts[1])
             if kind is MUL_PLAIN and payload in (0, 1):
                 return ops[0] if payload else (CONST, (), PLAIN, 0)
         return None
@@ -141,7 +143,7 @@ class Builder:
         appended; a walked gate's `node` is reused if its operands are
         `ops`. Operands must be earlier ids; nothing checks."""
         if kind in self.ruled:
-            r = self.rewrite(kind, ops, meta, payload)
+            r = self.rewrite(kind, ops, payload)
             if r is not None:
                 return r if type(r) is int else self.add(*r)
         nodes = self.nodes
@@ -154,8 +156,7 @@ class Builder:
                 s, e, t = ops
                 m = table.get((kind, (s, t, e), payload, meta))
                 if m is not None:  # the conditional swap: s?e:t = t^e^(s?t:e)
-                    return self.add(XOR, (self.add(XOR, (t, e), meta), m),
-                                    meta)
+                    return self.add(XOR, (self.add(XOR, (t, e)), m))
             found = table.setdefault(key, nid)
             if found != nid:
                 return found
@@ -193,8 +194,7 @@ def _rewrite(c: Circuit, rule: str) -> Circuit:
     ruled, table = b.ruled, b.table
     for nid, node in enumerate(c.nodes):
         kind, ops = node.kind, node.operands
-        if kind in ruled and b.rewrite(kind, ops, node.meta,
-                                       node.payload) is not None:
+        if kind in ruled and b.rewrite(kind, ops, node.payload) is not None:
             return b.walk(c, nid)
         if table is None or kind is INPUT:
             continue
@@ -293,7 +293,7 @@ def pow_rewrite(c: Circuit) -> Circuit:
         if oid in dropped:
             return -1
         if oid in heads:
-            pair = functools.cache(lambda x, y: b.add(MUL, (x, y), node.meta))
+            pair = functools.cache(lambda x, y: b.add(MUL, (x, y)))
             return balanced([b.map[base[oid]]] * size[oid], pair)
 
     return b.walk(c, min(dropped), step)  # every head reads a link
@@ -333,10 +333,10 @@ def cmp_rewrite(c: Circuit) -> Circuit:
             lt, eq = (n0, n1) if n0.kind is LT else (n1, n0)
             y, x = lt.operands  # Lt(y, x) means x >= y
             if sorted(lt.operands) == sorted(eq.operands):
-                return LT, (x, y), lt.meta
+                return LT, (x, y)
         elif (n0.kind is LT and n1.kind is LT
               and n0.operands == n1.operands[::-1]):
-            return EQ, n0.operands, n0.meta
+            return EQ, n0.operands
         return None
 
     b = Builder()
@@ -344,7 +344,7 @@ def cmp_rewrite(c: Circuit) -> Circuit:
     def step(_oid, node, ops):
         cmp = node.kind is ADD and replacement(b.nodes, ops)
         if cmp and sole_reader(node.operands):
-            return b.add(SUB, (b.add(*one), b.add(*cmp)), node.meta)
+            return b.add(SUB, (b.add(*one), b.add(*cmp)))
 
     for nid, node in enumerate(c.nodes):
         if (node.kind is ADD and replacement(c.nodes, node.operands)
@@ -385,7 +385,7 @@ def _cmp_plan(kind, xl, xh, yl, yh):
     return None
 
 
-def _emit(b: Builder, plan, x, meta) -> int:
+def _emit(b: Builder, plan, x) -> int:
     """The id in `b` of what `plan`, as _cmp_plan returns, makes of x."""
     v, i, negate = plan
     if i is not None and not negate and v == 0:
@@ -393,7 +393,7 @@ def _emit(b: Builder, plan, x, meta) -> int:
     k = b.add(CONST, (), PLAIN, v)
     if i is None:
         return k
-    return b.add(SUB, (k, x) if negate else (x, k), meta)
+    return b.add(SUB, (k, x) if negate else (x, k))
 
 
 class _Cases:
@@ -474,12 +474,11 @@ class _Cases:
         if nid is None:
             node = self.nodes[key[2]]
             if plan is not None:
-                nid = _emit(b, plan, b.map[key[2]],
-                            combine_meta(PLAIN, node.meta))
+                nid = _emit(b, plan, b.map[key[2]])
             else:
                 t, e = self.arms(key)
                 nid = b.add(MUX, (b.map[node.operands[0]], self.split(b, *t),
-                                  self.split(b, *e)), node.meta)
+                                  self.split(b, *e)))
             self.made[key] = nid
         return nid
 
@@ -592,8 +591,7 @@ def range_fold(c: Circuit) -> Circuit:
     def step(oid, node, ops):
         plan = plans.get(oid)
         if plan is not None:
-            return _emit(b, plan, None if plan[1] is None else ops[plan[1]],
-                         node.meta)
+            return _emit(b, plan, None if plan[1] is None else ops[plan[1]])
         top = splits.get(oid)
         if top is not None:
             return cases.split(b, *top)

@@ -12,7 +12,7 @@ from mpcc import optimizer
 from mpcc.backends.boolsim import interpret_bool
 from mpcc.bitblast import bitblast
 from mpcc.circuit import (
-    ARITY, PLAIN, Circuit, EncMeta, GateKind, Level, PlainMeta,
+    ARITY, PLAIN, Circuit, EncMeta, GateKind, Level, PlainMeta, SharedMeta,
 )
 from mpcc.errors import LowerError
 from mpcc.lowering import LowerConfig, lower_program
@@ -234,9 +234,10 @@ def test_raw_bitblast_builds_no_bit_no_reader_reads(name, width, optimize):
 @pytest.mark.parametrize("width", [16, 64])
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_only_inputs_and_reveals_carry_metadata(name, width, scheme):
-    """Every bit gate bitblast emits is plain, raw or optimized, but an
-    Input, which keeps its word's owner or share metadata, and a Reveal,
-    which keeps its word's audience."""
+    """Every gate is plain, in the word circuit and in the bool circuit
+    bitblast emits from it, each raw or optimized, but an Input, which
+    holds its owner or share metadata (a bit its word's), and a Reveal,
+    which holds its audience (a bit its word's)."""
     for optimize in (True, False):
         word = build(name, bitwidth=width, scheme=scheme, optimize=optimize)
         b = bitblast(word, passes=None if optimize else [])
@@ -244,10 +245,12 @@ def test_only_inputs_and_reveals_carry_metadata(name, width, scheme):
         assert all(b.nodes[nid].meta == owner[p, n]
                    for nid, p, n in b.inputs)
         audiences = {n.meta for n in word.nodes if n.kind is GateKind.REVEAL}
-        for node in b.nodes:
+        for node in word.nodes + b.nodes:
             if node.kind is GateKind.REVEAL:
                 assert node.meta in audiences and node.meta.audience
-            elif node.kind is not GateKind.INPUT:
+            elif node.kind is GateKind.INPUT:
+                assert isinstance(node.meta, (EncMeta, SharedMeta)), node
+            else:
                 assert node.meta == PLAIN, node
 
 

@@ -19,6 +19,7 @@ from mpcc.errors import (
 )
 from mpcc.frontend import parse_source
 from mpcc.lowering import LowerConfig, lower_program
+from mpcc.optimizer import run_passes
 from mpcc.pipeline import PipelineConfig, compile
 from mpcc.sectypes import AdditiveShare, Generic, owners
 from mpcc.typecheck import check_program
@@ -120,11 +121,8 @@ def test_combine_commutative():
         assert ab == ba
 
 
-def test_combine_enc_meta_reuses_an_operand_that_is_the_union():
+def test_combine_enc_meta_is_the_union():
     one, both = EncMeta(owners(1)), EncMeta(owners(1, 2))
-    assert combine_meta(one, EncMeta(owners(1))) is one
-    assert combine_meta(one, both) is both
-    assert combine_meta(both, one) is both
     assert combine_meta(one, EncMeta(owners(2))) == both
 
 
@@ -300,6 +298,12 @@ def set_unknown_meta(obj):
     obj["nodes"][0]["meta"] = {"type": "secret"}
 
 
+def set_gate_meta_unknown(obj):
+    # a gate's metadata loads as plain, but its shape is still checked
+    next(n for n in obj["nodes"] if n["kind"] == "Mul")["meta"] = {
+        "type": "secret"}
+
+
 def set_short_input(obj):
     obj["inputs"][0] = obj["inputs"][0][:2]
 
@@ -310,7 +314,8 @@ def set_node_to_list(obj):
 
 @pytest.mark.parametrize("breakage", [
     drop_nodes, set_level_mixed, set_bad_kind, set_text_operand,
-    set_unknown_meta, set_short_input, set_node_to_list])
+    set_unknown_meta, set_gate_meta_unknown, set_short_input,
+    set_node_to_list])
 def test_malformed_json_raises_one_error_type(breakage):
     obj = build("pow8").to_json_obj()
     breakage(obj)
@@ -391,6 +396,51 @@ def test_validate_refuses_a_share_provider_that_is_not_a_player():
                       LowerConfig(16, AdditiveShare(2)))
     assert c.validate(AdditiveShare(2)) == [
         "node 0: provider [2] not among players [0, 1]"]
+
+
+def circuit_file(nodes, outputs):
+    """The circuit JSON of word `nodes`, each (kind, operands, meta,
+    payload), under inputs x of party 1 and y of party 2 at nodes 0, 1."""
+    return {"level": "arith", "bitwidth": 16,
+            "nodes": [{"id": nid, "kind": kind, "operands": ops, "meta": meta,
+                       "payload": payload}
+                      for nid, (kind, ops, meta, payload) in enumerate(nodes)],
+            "inputs": [[0, 1, "x"], [1, 2, "y"]], "outputs": outputs}
+
+
+PLAIN_JSON = {"type": "plain"}
+
+
+def test_validate_finds_a_share_mismatch_behind_plain_gates():
+    # x + 1 and y + 1 are plain in the file; their sum mixes x's
+    # encryption with y's sharing
+    c = Circuit.from_json_obj(circuit_file([
+        ("Input", [], {"type": "enc", "provider": [1]}, None),
+        ("Input", [], meta_to_json(shared({2}, {1, 2, 3}, {1, 2, 3}, 3)),
+         None),
+        ("Const", [], PLAIN_JSON, 1),
+        ("Add", [0, 2], PLAIN_JSON, None),
+        ("Add", [1, 2], PLAIN_JSON, None),
+        ("Add", [3, 4], PLAIN_JSON, None),
+        ("Reveal", [5], {"type": "plain", "audience": [1]}, None),
+    ], [[6, [1], "z"]]))
+    assert c.validate() == [
+        "node 5: cannot mix encrypted and shared metadata"]
+
+
+def test_a_gate_loads_plain_whatever_metadata_its_file_stores():
+    # two Add(x, y) that differ only in stored metadata are one gate
+    c = Circuit.from_json_obj(circuit_file([
+        ("Input", [], {"type": "enc", "provider": [1]}, None),
+        ("Input", [], {"type": "enc", "provider": [2]}, None),
+        ("Add", [0, 1], {"type": "enc", "provider": [1, 2]}, None),
+        ("Add", [0, 1], {"type": "enc", "provider": [1]}, None),
+        ("Mul", [2, 3], PLAIN_JSON, None),
+        ("Reveal", [4], {"type": "plain", "audience": [1, 2]}, None),
+    ], [[5, [1, 2], "z"]]))
+    assert [n.meta for n in c.nodes if n.kind is GateKind.ADD] == [PLAIN] * 2
+    assert c.validate() == []
+    assert run_passes(c).counts()[GateKind.ADD] == 1
 
 
 def test_validate_checks_input_list_against_input_nodes():

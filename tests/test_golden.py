@@ -20,31 +20,31 @@ from mpcc.pipeline import PipelineConfig, compile
 
 # (name, bitwidth) -> (word JSON, bool JSON, gate list)
 GOLDEN = {
-    ("gcd", 16): ("7fa0527a963800eb", "ea98ff8de3e38aa5", "9b8513afea119328"),
-    ("gcd", 64): ("40747e7e10317a37", "1fbd82424ee27244", "2aec2fdd062e7755"),
-    ("auction", 16): ("dda1626249bd829f", "2dedf7e6b7c120cc",
+    ("gcd", 16): ("3e286c7df96c27fc", "ea98ff8de3e38aa5", "9b8513afea119328"),
+    ("gcd", 64): ("78e45d95de9a80fb", "1fbd82424ee27244", "2aec2fdd062e7755"),
+    ("auction", 16): ("d2a31edb3d4b7871", "2dedf7e6b7c120cc",
                       "8136b0bede2221f9"),
-    ("auction", 64): ("60cf30cd7a1caf21", "84eb1b975949c3a4",
+    ("auction", 64): ("ae536975d0dc5fa1", "84eb1b975949c3a4",
                       "64b3ab5b18452286"),
-    ("mergesort", 16): ("d5f974892e1b1f0f", "18ff41fd66010bdc",
+    ("mergesort", 16): ("703813e458b5dbf0", "18ff41fd66010bdc",
                         "44bbe0d4c64a0342"),
-    ("mergesort", 64): ("1ad159e840e1745d", "4ef509c6b39350b6",
+    ("mergesort", 64): ("31c5ce6d24aee87d", "4ef509c6b39350b6",
                         "29835519f178d3b3"),
-    ("matvec", 16): ("d3882ef34ec1b8e9", "06e089efa728e441",
+    ("matvec", 16): ("3176904f44386ab6", "06e089efa728e441",
                      "5e7262d7d724018e"),
-    ("matvec", 64): ("36f7ba7aea318e53", "d115e2bdfa412a84",
+    ("matvec", 64): ("6ba57bd8cf871c81", "d115e2bdfa412a84",
                      "544208cf2b69ea46"),
-    ("pow8", 16): ("d85e86a37f98b08e", "0e5732c0a19c8d4e",
+    ("pow8", 16): ("a12007c5c96710a8", "0e5732c0a19c8d4e",
                    "25697071744fcebe"),
-    ("pow8", 64): ("6d943d5d2e5b25a6", "ea34cd1732318296",
+    ("pow8", 64): ("7c6bb121be4e0a55", "ea34cd1732318296",
                    "0dc53c56a67f2767"),
-    ("adder", 16): ("4cdb181b2d6d4bcc", "68e5883ab08873a2",
+    ("adder", 16): ("a7cf84b0893ca807", "68e5883ab08873a2",
                     "86305f9eb3aa2119"),
-    ("adder", 64): ("c27d890a2cf9b87f", "8a8c7c5b13b7dcb1",
+    ("adder", 64): ("8cd7f089c867d0e5", "8a8c7c5b13b7dcb1",
                     "ef1a110749470e5b"),
-    ("sum8", 16): ("54a136c2ffa30afd", "e565658a36a7ee04",
+    ("sum8", 16): ("2f4fd9c0be941202", "e565658a36a7ee04",
                    "98c9f3b76b246ad1"),
-    ("sum8", 64): ("12946afdac90daa9", "3747a782e767a03c",
+    ("sum8", 64): ("8f04c2cd62553c3a", "3747a782e767a03c",
                    "4966757edee1e1d8"),
 }
 
